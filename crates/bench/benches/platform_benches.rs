@@ -7,102 +7,8 @@ use bench::{run_studies_parallel, Mode, StudyConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use desiccant::{Desiccant, DesiccantConfig};
 use faas::platform::{GcMode, Platform};
-use faas::queue::{CalendarQueue, ReferenceQueue};
 use faas::PlatformConfig;
 use simos::{SimDuration, SimTime};
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Event-sized payload (32 B), so the hold model pays the same
-/// per-item move costs the real event loop does.
-type Payload = [u64; 4];
-
-fn bench_event_queue(c: &mut Criterion) {
-    // The hold model at steady state: pop the minimum, push a
-    // successor a bounded random offset later, on a queue prefilled
-    // near the stationary distribution and warmed for 2n untimed ops.
-    // This is the microbench the BENCH_eventloop.json trajectory
-    // tracks (the `perf` binary runs the same model standalone).
-    const N: usize = 1 << 16;
-    const OPS: u64 = 100_000;
-
-    fn warmed<Q, F, P>(from_sorted: F, mut push: P) -> (Q, u64, u64)
-    where
-        F: FnOnce(Vec<(SimTime, u64, Payload)>) -> Q,
-        P: FnMut(&mut Q, SimTime, u64),
-        Q: HoldPop,
-    {
-        let mut seed = 0x5eed_u64;
-        let mut prefill: Vec<(SimTime, u64, Payload)> = (1..=N as u64)
-            .map(|seq| (SimTime(splitmix(&mut seed) % 2_000_000), seq, [seq; 4]))
-            .collect();
-        prefill.sort_by_key(|&(at, s, _)| (at, s));
-        let mut q = from_sorted(prefill);
-        let mut seq = N as u64;
-        let mut rng = 0xfeed_u64;
-        for _ in 0..2 * N {
-            let (at, _) = q.pop_key().expect("held non-empty");
-            seq += 1;
-            push(&mut q, SimTime(at.0 + splitmix(&mut rng) % 2_000_000), seq);
-        }
-        (q, seq, rng)
-    }
-
-    trait HoldPop {
-        fn pop_key(&mut self) -> Option<(SimTime, u64)>;
-    }
-    impl HoldPop for CalendarQueue<Payload> {
-        fn pop_key(&mut self) -> Option<(SimTime, u64)> {
-            self.pop().map(|(at, s, _)| (at, s))
-        }
-    }
-    impl HoldPop for ReferenceQueue<Payload> {
-        fn pop_key(&mut self) -> Option<(SimTime, u64)> {
-            self.pop().map(|(at, s, _)| (at, s))
-        }
-    }
-
-    let mut group = c.benchmark_group("event_queue_hold");
-    group.bench_function("calendar", |b| {
-        let (mut q, mut seq, mut rng) = warmed(
-            |p| CalendarQueue::from_sorted(p).expect("sorted"),
-            |q, at, s| q.push(at, s, [s; 4]),
-        );
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..OPS {
-                let (at, s) = q.pop_key().expect("held non-empty");
-                acc = acc.wrapping_add(at.0 ^ s);
-                seq += 1;
-                q.push(SimTime(at.0 + splitmix(&mut rng) % 2_000_000), seq, [seq; 4]);
-            }
-            acc
-        });
-    });
-    group.bench_function("reference", |b| {
-        let (mut q, mut seq, mut rng) = warmed(
-            |p| ReferenceQueue::from_sorted(p).expect("sorted"),
-            |q, at, s| q.push(at, s, [s; 4]),
-        );
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..OPS {
-                let (at, s) = q.pop_key().expect("held non-empty");
-                acc = acc.wrapping_add(at.0 ^ s);
-                seq += 1;
-                q.push(SimTime(at.0 + splitmix(&mut rng) % 2_000_000), seq, [seq; 4]);
-            }
-            acc
-        });
-    });
-    group.finish();
-}
 
 fn bench_trace_generation(c: &mut Criterion) {
     let catalog = workloads::catalog();
@@ -193,7 +99,6 @@ fn bench_study_matrix_parallel(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
     bench_trace_generation,
     bench_replay,
     bench_cold_boot,

@@ -1,74 +1,34 @@
-//! Perf harness: the `BENCH_*.json` trajectory.
+//! Perf harness: the incremental checkpoint model
+//! (`BENCH_checkpoint.json`).
 //!
-//! Two measurements, written as machine-readable JSON so every future
-//! PR can diff its numbers against the committed files at repo root:
+//! A platform is loaded with a warm steady state of ~2^16 frozen
+//! instances, then a full base checkpoint and an O(dirty) delta (after
+//! thawing a small working set) are written once each: bytes and wall
+//! time for both, and the base/delta size ratio the acceptance gate
+//! rides on. The result is machine-readable JSON so every later
+//! change can diff its numbers against the committed file at repo root.
 //!
-//! * **event-queue microbench** (`BENCH_eventloop.json`) — the classic
-//!   hold model: a queue held at a fixed size while each step pops the
-//!   minimum and pushes a successor at a bounded random offset. Run
-//!   once on the calendar queue and once on the binary-heap reference
-//!   oracle; the ratio is the representation speedup in isolation.
-//! * **end-to-end replay** (`BENCH_replay.json`) — the
-//!   `replay_30s_sf15` Azure-trace scenario from the criterion suite,
-//!   vanilla and desiccant, on both queue representations, plus the
-//!   pre-PR criterion baseline measured before the calendar queue and
-//!   slab arenas landed.
-//! * **incremental checkpoint model** (`BENCH_checkpoint.json`) — a
-//!   platform is loaded with a warm steady state of ~2^16 frozen
-//!   instances, then a full base checkpoint and an O(dirty) delta
-//!   (after thawing a small working set) are written once each:
-//!   bytes and wall time for both, and the base/delta size ratio the
-//!   acceptance gate rides on.
+//! Event-loop and replay speed are measured end to end by the
+//! `replay_desiccant` and `replay_vanilla_saturated` workloads of the
+//! repository benchmark (`BENCHMARK.json`), not here.
 //!
 //! Timing is wall-clock by necessity — this binary measures host
-//! performance, not simulated behavior — and both queue variants run
-//! the identical deterministic simulation (asserted on the completion
-//! counters), so the numbers never feed back into results.
+//! performance, not simulated behavior — so the numbers never feed
+//! back into results.
 //!
-//! Flags: `--quick` (fewer ops/rounds, for the tier-1 smoke run),
-//! `--out-dir DIR` (default `.`), `--check` (assert the microbench
-//! speedup target and the replay equivalence).
+//! Flags: `--quick` (1/16th the instances, for the tier-1 smoke run),
+//! `--out-dir DIR` (default `.`), `--check` (assert the delta is
+//! smaller than the base and the chain restores canonically).
 
 #![forbid(unsafe_code)]
 
 use std::fs;
 use std::path::Path;
 
-use azure_trace::{build_trace, replay, ReplayConfig};
 use bench::cli::{check, Flags};
-use desiccant::{Desiccant, DesiccantConfig};
 use faas::platform::{GcMode, Platform};
-use faas::queue::{CalendarQueue, QueueImpl, ReferenceQueue};
-use faas::{MemoryManager, PlatformConfig};
+use faas::PlatformConfig;
 use simos::{SimDuration, SimTime};
-
-/// Pre-PR `replay_30s_sf15` criterion means on the reference host,
-/// measured at the commit immediately before this PR (BinaryHeap
-/// event queue, BTreeMap instance tables, per-event stats updates):
-/// the fixed anchor every later `BENCH_replay.json` compares against.
-const PRE_PR_VANILLA_MS: f64 = 61.616;
-const PRE_PR_DESICCANT_MS: f64 = 66.592;
-
-/// Microbench speedup the tentpole aims for, recorded in the JSON so
-/// the trajectory shows where each measurement stands against it.
-const TARGET_SPEEDUP: f64 = 3.0;
-
-/// Speedup floor `--check` enforces. Deliberately far below the
-/// target: the tier-1 smoke runs on whatever shared, half-loaded host
-/// CI landed on, where the ratio wobbles ±0.5x run to run, so the
-/// gate only has to catch representation regressions (the failure
-/// modes this queue went through during development measured 0.01x –
-/// 1.1x), not re-prove the headline number. The committed
-/// `BENCH_eventloop.json` holds the full-mode measurement.
-const CHECK_FLOOR_SPEEDUP: f64 = 1.3;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Wall-clock seconds spent in `f` (host measurement, not sim state).
 fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
@@ -77,123 +37,6 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let t0 = std::time::Instant::now();
     let out = f();
     (t0.elapsed().as_secs_f64(), out)
-}
-
-/// Stand-in for the platform's `Event` payload: same 32-byte size, so
-/// the hold model pays the same per-item move costs the real event
-/// loop does (the heap in particular moves the full payload at every
-/// sift level).
-type Payload = [u64; 4];
-
-/// The operations the hold model needs, over either representation.
-trait HoldQueue {
-    fn from_sorted_items(items: Vec<(SimTime, u64, Payload)>) -> Self;
-    fn pop_key(&mut self) -> Option<(SimTime, u64)>;
-    fn push_key(&mut self, at: SimTime, seq: u64);
-}
-
-impl HoldQueue for CalendarQueue<Payload> {
-    fn from_sorted_items(items: Vec<(SimTime, u64, Payload)>) -> Self {
-        CalendarQueue::from_sorted(items).expect("sorted prefill")
-    }
-    fn pop_key(&mut self) -> Option<(SimTime, u64)> {
-        self.pop().map(|(at, seq, _)| (at, seq))
-    }
-    fn push_key(&mut self, at: SimTime, seq: u64) {
-        self.push(at, seq, [seq; 4]);
-    }
-}
-
-impl HoldQueue for ReferenceQueue<Payload> {
-    fn from_sorted_items(items: Vec<(SimTime, u64, Payload)>) -> Self {
-        ReferenceQueue::from_sorted(items).expect("sorted prefill")
-    }
-    fn pop_key(&mut self) -> Option<(SimTime, u64)> {
-        self.pop().map(|(at, seq, _)| (at, seq))
-    }
-    fn push_key(&mut self, at: SimTime, seq: u64) {
-        self.push(at, seq, [seq; 4]);
-    }
-}
-
-/// Timed chunks the hold-model ops are split into; the reported ns/op
-/// is the fastest chunk. The host is a shared single core, so a single
-/// long timing absorbs whatever the neighbors were doing; the minimum
-/// over ~tens-of-milliseconds chunks recovers the queue's own cost the
-/// way criterion's minimum-of-samples does.
-const HOLD_CHUNKS: u64 = 16;
-
-/// Hold-model `(ns/op, checksum)` at steady-state size `n` over `ops`
-/// pop+push pairs with increments uniform in [0, 2 ms). The queue is
-/// prefilled near the stationary distribution and run untimed for
-/// `2n` ops first, so the clock measures steady state rather than the
-/// convergence transient. The checksum folds every timed popped key,
-/// defending the loop against dead-code elimination and doubling as
-/// an order witness: both representations must produce the identical
-/// value.
-fn hold_model<Q: HoldQueue>(n: usize, ops: u64) -> (f64, u64) {
-    let mut seed = 0x5eed_u64 ^ n as u64;
-    let mut prefill: Vec<(SimTime, u64, Payload)> = (1..=n as u64)
-        .map(|seq| (SimTime(splitmix(&mut seed) % 2_000_000), seq, [seq; 4]))
-        .collect();
-    prefill.sort_by_key(|&(at, s, _)| (at, s));
-    let mut q = Q::from_sorted_items(prefill);
-    let mut seq = n as u64;
-    let mut rng = 0xfeed_u64;
-    for _ in 0..2 * n {
-        let Some((at, _)) = q.pop_key() else { break };
-        seq += 1;
-        q.push_key(SimTime(at.0 + splitmix(&mut rng) % 2_000_000), seq);
-    }
-    let mut checksum = 0u64;
-    let chunk_ops = (ops / HOLD_CHUNKS).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..HOLD_CHUNKS {
-        let (secs, ()) = timed(|| {
-            for _ in 0..chunk_ops {
-                let Some((at, s)) = q.pop_key() else { break };
-                checksum = checksum.wrapping_mul(31).wrapping_add(at.0 ^ s);
-                seq += 1;
-                q.push_key(SimTime(at.0 + splitmix(&mut rng) % 2_000_000), seq);
-            }
-        });
-        best = best.min(secs * 1e9 / chunk_ops as f64);
-    }
-    (best, checksum)
-}
-
-/// Best-of-`rounds` wall milliseconds for one `replay_30s_sf15` run,
-/// plus the completion counter of the (deterministic) simulation.
-fn replay_ms(queue: QueueImpl, desiccant: bool, rounds: u32) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut completed = 0u64;
-    for _ in 0..rounds {
-        let catalog = workloads::catalog();
-        let trace = build_trace(&catalog, 11);
-        let manager: Option<Box<dyn MemoryManager>> = if desiccant {
-            Some(Box::new(Desiccant::new(DesiccantConfig::default())))
-        } else {
-            None
-        };
-        let mut p = Platform::new(PlatformConfig::default(), catalog, GcMode::Vanilla, manager);
-        p.set_queue_impl(queue).expect("empty queue converts");
-        let (secs, outcome) = timed(|| {
-            replay(
-                &mut p,
-                &trace,
-                &ReplayConfig {
-                    scale: 15.0,
-                    warmup: SimDuration::from_secs(5),
-                    duration: SimDuration::from_secs(30),
-                    drain: SimDuration::from_secs(5),
-                    ..ReplayConfig::default()
-                },
-            )
-        });
-        best = best.min(secs * 1e3);
-        completed = outcome.completed;
-    }
-    (best, completed)
 }
 
 fn json_num(x: f64) -> String {
@@ -222,93 +65,6 @@ fn main() {
     let out_dir = flags.value_of("--out-dir").unwrap_or(".").to_string();
     let dir = Path::new(&out_dir);
 
-    // --- Event-queue microbench (hold model) ---------------------------
-    let hold_n = 1 << 16;
-    let ops: u64 = if flags.quick { 200_000 } else { 4_000_000 };
-    let (cal_ns, cal_sum) = hold_model::<CalendarQueue<Payload>>(hold_n, ops);
-    let (heap_ns, heap_sum) = hold_model::<ReferenceQueue<Payload>>(hold_n, ops);
-    check(
-        &flags,
-        cal_sum == heap_sum,
-        "hold model pops the same order on both representations",
-    );
-    let speedup = heap_ns / cal_ns;
-    println!(
-        "event_queue hold model (n={hold_n}, ops={ops}): \
-         calendar {cal_ns:.1} ns/op, reference {heap_ns:.1} ns/op, {speedup:.2}x"
-    );
-    check(
-        &flags,
-        speedup >= CHECK_FLOOR_SPEEDUP,
-        "calendar queue beats the heap by the regression floor",
-    );
-    write_json(
-        dir,
-        "BENCH_eventloop.json",
-        &format!(
-            "{{\n  \"bench\": \"event_queue_hold_model\",\n  \
-             \"queue_size\": {hold_n},\n  \"ops\": {ops},\n  \
-             \"quick\": {},\n  \
-             \"calendar_ns_per_op\": {},\n  \
-             \"reference_ns_per_op\": {},\n  \
-             \"speedup\": {},\n  \"target_speedup\": {},\n  \
-             \"check_floor_speedup\": {}\n}}\n",
-            flags.quick,
-            json_num(cal_ns),
-            json_num(heap_ns),
-            json_num(speedup),
-            json_num(TARGET_SPEEDUP),
-            json_num(CHECK_FLOOR_SPEEDUP),
-        ),
-    );
-
-    // --- End-to-end replay --------------------------------------------
-    let rounds: u32 = if flags.quick { 1 } else { 5 };
-    let mut mode_blocks = Vec::new();
-    for (mode, desiccant, pre_pr) in [
-        ("vanilla", false, PRE_PR_VANILLA_MS),
-        ("desiccant", true, PRE_PR_DESICCANT_MS),
-    ] {
-        let (cal_ms, cal_done) = replay_ms(QueueImpl::Calendar, desiccant, rounds);
-        let (heap_ms, heap_done) = replay_ms(QueueImpl::Reference, desiccant, rounds);
-        check(
-            &flags,
-            cal_done == heap_done && cal_done > 0,
-            "replay completes identically on both representations",
-        );
-        println!(
-            "replay_30s_sf15/{mode}: calendar {cal_ms:.1} ms, reference {heap_ms:.1} ms, \
-             pre-PR baseline {pre_pr:.1} ms ({:.2}x vs baseline)",
-            pre_pr / cal_ms
-        );
-        mode_blocks.push(format!(
-            "    \"{mode}\": {{\n      \
-             \"calendar_ms\": {},\n      \
-             \"reference_ms\": {},\n      \
-             \"baseline_pre_pr_ms\": {},\n      \
-             \"speedup_vs_reference\": {},\n      \
-             \"speedup_vs_pre_pr\": {},\n      \
-             \"completed\": {cal_done}\n    }}",
-            json_num(cal_ms),
-            json_num(heap_ms),
-            json_num(pre_pr),
-            json_num(heap_ms / cal_ms),
-            json_num(pre_pr / cal_ms),
-        ));
-    }
-    write_json(
-        dir,
-        "BENCH_replay.json",
-        &format!(
-            "{{\n  \"bench\": \"azure_replay_30s_sf15\",\n  \
-             \"rounds\": {rounds},\n  \"quick\": {},\n  \
-             \"modes\": {{\n{}\n  }}\n}}\n",
-            flags.quick,
-            mode_blocks.join(",\n"),
-        ),
-    );
-
-    // --- Incremental checkpoint model ---------------------------------
     // Warm steady state: every request runs immediately (cores exceed
     // the request count) and freezes, so the platform ends up holding
     // about two instances per submitted request (chains have stages).

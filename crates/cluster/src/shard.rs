@@ -45,7 +45,7 @@ use faas::fault::CrashPlan;
 use faas::platform::Platform;
 use faas::{
     CheckpointStore, GcMode, LatencyHistogram, MemoryManager, PlatformConfig, PlatformError,
-    QueueImpl, StorageFaultPlan,
+    StorageFaultPlan,
 };
 use simos::SimTime;
 use snapshot::{Reader, SnapError, Writer};
@@ -72,8 +72,6 @@ pub struct ShardSetup {
     pub catalog: Vec<FunctionSpec>,
     /// Exit-time GC mode.
     pub mode: GcMode,
-    /// Event-queue representation.
-    pub queue: QueueImpl,
     /// Memory-manager factory (`|_| None` for vanilla shards).
     pub manager: ManagerFn,
     /// Storage faults to inject into this shard's checkpoint store;
@@ -89,7 +87,6 @@ impl ShardSetup {
             platform: PlatformConfig::default(),
             catalog: workloads::catalog(),
             mode: GcMode::Vanilla,
-            queue: QueueImpl::Calendar,
             manager: |_| None,
             storage_faults: None,
         }
@@ -180,16 +177,12 @@ pub struct Shard {
 }
 
 fn build_platform(setup: &ShardSetup, id: u32) -> Platform {
-    let mut p = Platform::new(
+    Platform::new(
         setup.platform,
         setup.catalog.clone(),
         setup.mode,
         (setup.manager)(id),
-    );
-    p.set_queue_impl(setup.queue)
-        // tidy:allow(panic-reachability) -- a fresh, empty platform always accepts a queue swap
-        .expect("a fresh platform's queue always converts");
-    p
+    )
 }
 
 impl Shard {

@@ -72,5 +72,5 @@ pub use store::CheckpointStore;
 pub use histogram::LatencyHistogram;
 pub use manager::{FrozenView, MemoryManager, ReclaimProfile};
 pub use platform::{FailReason, FrozenFnSummary, GcMode, InstanceId, Platform};
-pub use queue::{EventQueue, QueueImpl};
+pub use queue::EventQueue;
 pub use stats::PlatformStats;

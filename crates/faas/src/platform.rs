@@ -40,7 +40,7 @@ use crate::config::{EnvFlavor, PlatformConfig};
 use crate::error::{PlatformError, PlatformResult};
 use crate::fault::FaultInjector;
 use crate::manager::{FrozenView, MemoryManager, ReclaimProfile};
-use crate::queue::{EventQueue, QueueImpl};
+use crate::queue::EventQueue;
 use crate::slab::{IdMap, Slab};
 use crate::stats::{CoreTimeKind, PlatformStats, StatsBatch};
 
@@ -430,31 +430,6 @@ impl Platform {
         if self.by_id.get(id).is_some() {
             self.dirty_slots.insert(id);
         }
-    }
-
-    /// Which event-queue representation the platform runs on.
-    pub fn queue_impl(&self) -> QueueImpl {
-        self.events.kind()
-    }
-
-    /// Switches the event queue to `kind`, rebuilding it from the
-    /// canonical `(time, seq)` order. The pop order (and therefore
-    /// every simulation outcome and checkpoint byte) is identical on
-    /// both representations; the reference heap exists as the oracle
-    /// and perf baseline.
-    pub fn set_queue_impl(&mut self, kind: QueueImpl) -> PlatformResult<()> {
-        if kind == self.events.kind() {
-            return Ok(());
-        }
-        let entries: Vec<(SimTime, u64, Event)> = self
-            .events
-            .sorted_entries()
-            .into_iter()
-            .map(|(at, seq, ev)| (at, seq, *ev))
-            .collect();
-        self.events = EventQueue::from_sorted(kind, entries)
-            .map_err(snapshot::SnapError::Corrupt)?;
-        Ok(())
     }
 
     /// Verifies the instance table's internal coherence: every live
@@ -1480,8 +1455,8 @@ impl Platform {
         self.pools.snap(&mut w);
         self.shared_libs.snap(&mut w);
         self.requests.snap(&mut w);
-        // The event queue, in canonical (time, seq) order — identical
-        // bytes on either queue representation.
+        // The event queue, in canonical (time, seq) order — independent
+        // of the heap's internal layout.
         w.usize(self.events.len());
         for (at, seq, ev) in self.events.sorted_entries() {
             at.snap(&mut w);
@@ -1634,7 +1609,7 @@ impl Platform {
                 return Err(SnapError::Corrupt("event names unknown request").into());
             }
         }
-        let events = EventQueue::from_sorted(self.events.kind(), event_rows)
+        let events = EventQueue::from_sorted(event_rows)
             .map_err(SnapError::Corrupt)?;
         for p in &pending {
             if !ev_ok(p.req) {

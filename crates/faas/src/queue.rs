@@ -1,57 +1,24 @@
-//! The simulator's event queue: a calendar (bucket) queue keyed on
-//! [`SimTime`], with the old binary heap retained as a reference
-//! oracle.
+//! The simulator's event queue: a binary min-heap keyed on
+//! `(SimTime, seq)`.
 //!
-//! Replaying Azure-scale traces pushes millions of scheduled events
-//! through the platform loop; `BinaryHeap::push`/`pop` pay `O(log n)`
-//! comparisons *and* a cache miss per level, which made the queue the
-//! dominant event-loop cost after PR 1 removed the page-flag scans.
-//! [`CalendarQueue`] replaces it with the classic calendar-queue
-//! design (Brown 1988): a power-of-two array of time buckets, each
-//! covering one "virtual day" of `2^shift` ns. Insert hashes the
-//! event's day-number (`time >> shift`) into the array — O(1) — and
-//! pop scans forward from the current day, wrapping around the array,
-//! which is O(1) amortized while events are dense and falls back to
-//! one global minimum scan per long empty gap. The day width adapts
-//! to the schedule: it is re-derived from the median inter-event gap
-//! whenever the queue doubles or a pop detects that the distribution
-//! collapsed into over-full buckets, so throughput holds up whether
-//! events are nanoseconds or seconds apart.
+//! The pop order is `(time, seq)`: earliest first, FIFO within a
+//! timestamp via the strictly increasing `seq` the platform stamps on
+//! every event. Checkpoints serialize the queue through
+//! [`EventQueue::sorted_entries`] and restore it through
+//! [`EventQueue::from_sorted`], so the bytes depend only on the
+//! pending schedule, never on the heap's internal layout.
 //!
-//! The pop order is **exactly** the `(time, seq)` order the old heap
-//! produced — FIFO within a timestamp via the strictly increasing
-//! `seq` — so the swap is a pure representation change: replay
-//! digests, figure outputs, and checkpoint bytes are all unchanged.
-//! `tests/prop_queue.rs` holds the equivalence proptest against
-//! [`ReferenceQueue`], including duplicate timestamps and far-future
-//! wraparound schedules.
+//! Why a plain heap: the deepest queue any benchmark workload reaches
+//! is 7,810 pending events, and at such depths a calendar queue
+//! measured no faster end to end (EXPERIMENTS.md, "Perf methodology
+//! and trajectory").
 
-// tidy:allow(hot-containers) -- the reference oracle below is the one sanctioned BinaryHeap use
 use std::collections::BinaryHeap;
 
 use simos::SimTime;
 
-/// log2 of the day width an empty queue starts with: `2^20` ns
-/// ≈ 1.05 ms, matching the millisecond-scale spacing of boot, stage,
-/// and retry events.
-const DEFAULT_SHIFT: u32 = 20;
-/// Narrowest adaptive day width: `2^5` ns = 32 ns.
-const MIN_SHIFT: u32 = 5;
-/// Widest adaptive day width: `2^32` ns ≈ 4.3 s.
-const MAX_SHIFT: u32 = 32;
-/// Initial (and minimum) bucket-array size; always a power of two.
-const MIN_BUCKETS: usize = 1024;
-/// Ceiling on the bucket array: growth stops here and buckets simply
-/// get deeper (still correct, just more linear scanning per pop).
-const MAX_BUCKETS: usize = 1 << 20;
-/// `locate` work (days advanced plus items inspected) beyond which the
-/// current day width is judged wrong for the schedule and the queue
-/// rebuilds with a re-derived width. A rebuild is only allowed after
-/// `SCAN_LIMIT` pops since the previous one, so its `O(n log n)` cost
-/// amortizes over at least that many operations.
-const SCAN_LIMIT: usize = 128;
-
-/// One queued entry.
+/// One queued entry, ordered so that `BinaryHeap` (a max-heap) pops
+/// the minimum `(at, seq)` first.
 #[derive(Debug, Clone)]
 struct Item<T> {
     at: SimTime,
@@ -59,54 +26,43 @@ struct Item<T> {
     payload: T,
 }
 
-/// A calendar queue over `(SimTime, seq)` keys: O(1) amortized push
-/// and pop, min-first, FIFO within equal timestamps (callers must
-/// supply strictly increasing `seq` values, as the platform does).
-#[derive(Debug, Clone)]
-pub struct CalendarQueue<T> {
-    /// `buckets[vday & mask]` holds every item of that virtual day
-    /// (and of any other day congruent modulo the array size).
-    buckets: Vec<Vec<Item<T>>>,
-    /// `buckets.len() - 1`; the length is always a power of two.
-    mask: u64,
-    len: usize,
-    /// The scan cursor: no queued item has a virtual day below this.
-    cur_vday: u64,
-    /// Cached location of the current minimum, `(bucket, slot, at,
-    /// seq)`, so the peek-then-pop pattern of the event loop scans
-    /// once per event instead of twice.
-    cached: Option<(usize, usize, SimTime, u64)>,
-    /// log2 of the day width in nanoseconds, re-derived from the
-    /// schedule's median inter-event gap on every rebuild.
-    shift: u32,
-    /// Pops since the last rebuild — the rebuild-cost amortizer.
-    pops: usize,
-    /// The one bucket currently kept sorted descending by `(time,
-    /// seq)` — the bucket the scan cursor is draining, so its minimum
-    /// sits at the tail and consecutive pops are O(1) `Vec::pop`s.
-    /// Pushes into this bucket binary-insert to preserve the order;
-    /// pushes anywhere else leave it untouched.
-    sorted_bucket: Option<usize>,
+impl<T> PartialEq for Item<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
 }
-
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> CalendarQueue<T> {
-        CalendarQueue::new()
+impl<T> Eq for Item<T> {}
+impl<T> PartialOrd for Item<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Item<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want min-(time, seq).
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-impl<T> CalendarQueue<T> {
+/// The platform's event queue: min-first on `(time, seq)`, FIFO within
+/// equal timestamps (callers must supply strictly increasing `seq`
+/// values, as the platform does).
+#[derive(Debug, Clone)]
+pub struct EventQueue<T> {
+    heap: BinaryHeap<Item<T>>,
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> EventQueue<T> {
+        EventQueue::new()
+    }
+}
+
+impl<T> EventQueue<T> {
     /// Creates an empty queue.
-    pub fn new() -> CalendarQueue<T> {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: (MIN_BUCKETS - 1) as u64,
-            len: 0,
-            cur_vday: 0,
-            cached: None,
-            shift: DEFAULT_SHIFT,
-            pops: 0,
-            sorted_bucket: None,
+    pub fn new() -> EventQueue<T> {
+        EventQueue {
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -114,369 +70,7 @@ impl<T> CalendarQueue<T> {
     /// the checkpoint restore path. Rejects out-of-order or duplicate
     /// keys so a corrupt snapshot cannot smuggle in an impossible
     /// schedule.
-    pub fn from_sorted(items: Vec<(SimTime, u64, T)>) -> Result<CalendarQueue<T>, &'static str> {
-        let mut rows = Vec::with_capacity(items.len());
-        let mut prev: Option<(SimTime, u64)> = None;
-        for (at, seq, payload) in items {
-            if prev.is_some_and(|p| p >= (at, seq)) {
-                return Err("event queue entries not in strict (time, seq) order");
-            }
-            prev = Some((at, seq));
-            rows.push(Item { at, seq, payload });
-        }
-        Ok(Self::build(rows))
-    }
-
-    /// The bucket number ("virtual day") a timestamp falls into at the
-    /// current day width.
-    #[inline]
-    fn vday(&self, at: SimTime) -> u64 {
-        at.0 >> self.shift
-    }
-
-    /// The bucket holding virtual day `idx`. Callers derive `idx` as
-    /// `day & self.mask`, and `mask` is `buckets.len() - 1` with a
-    /// power-of-two length, so the index is in bounds by construction;
-    /// funneling every bucket access through these two accessors keeps
-    /// that invariant in one place.
-    #[inline]
-    fn bucket(&self, idx: usize) -> &Vec<Item<T>> {
-        // tidy:allow(panic-reachability) -- idx is `day & mask`, always < buckets.len()
-        &self.buckets[idx]
-    }
-
-    #[inline]
-    fn bucket_mut(&mut self, idx: usize) -> &mut Vec<Item<T>> {
-        // tidy:allow(panic-reachability) -- idx is `day & mask`, always < buckets.len()
-        &mut self.buckets[idx]
-    }
-
-    /// The day width that suits `items` (sorted by `(time, seq)`): two
-    /// median inter-event gaps per day, so a typical day holds a couple
-    /// of items regardless of whether the schedule is spaced in
-    /// nanoseconds or seconds. Gaps are sampled at the dequeue front —
-    /// the region every pop scans (Brown's calibration) — so a dense
-    /// burst at the head sets the width even when the tail is sparse,
-    /// and the median (not the mean) keeps one outlier gap from
-    /// stretching every bucket. A floor of `front span / SCAN_LIMIT`
-    /// keeps bursty schedules honest: the whole sampled front must
-    /// stay reachable within one scan budget, otherwise a dense burst
-    /// followed by a quiet millisecond would pick nanosecond days and
-    /// pay a global scan to cross every inter-burst gap.
-    fn choose_shift(items: &[Item<T>]) -> u32 {
-        let k = items.len().min(SCAN_LIMIT + 1);
-        let front = items.get(..k).unwrap_or(items);
-        let mut gaps: Vec<u64> = front
-            .iter()
-            .zip(front.iter().skip(1))
-            .map(|(a, b)| b.at.0 - a.at.0)
-            .filter(|&g| g > 0)
-            .collect();
-        if gaps.is_empty() {
-            return DEFAULT_SHIFT;
-        }
-        let mid = gaps.len() / 2;
-        let (_, &mut median, _) = gaps.select_nth_unstable(mid);
-        let span = match (front.first(), front.last()) {
-            (Some(lo), Some(hi)) => hi.at.0 - lo.at.0,
-            _ => 0,
-        };
-        let width = median
-            .saturating_mul(4)
-            .max(span / SCAN_LIMIT as u64)
-            .max(1);
-        width.ilog2().clamp(MIN_SHIFT, MAX_SHIFT)
-    }
-
-    /// Builds a queue around `items`, whose first `SCAN_LIMIT + 1`
-    /// elements must be the smallest, in `(time, seq)` order (the rest
-    /// may be arbitrary): picks the day width from the front gap
-    /// distribution and sizes the bucket array to roughly one item per
-    /// bucket.
-    fn build(items: Vec<Item<T>>) -> CalendarQueue<T> {
-        let shift = Self::choose_shift(&items);
-        let mut n = MIN_BUCKETS;
-        while n < items.len() && n < MAX_BUCKETS {
-            n *= 2;
-        }
-        let mut q = CalendarQueue {
-            buckets: (0..n).map(|_| Vec::new()).collect(),
-            mask: (n - 1) as u64,
-            len: 0,
-            cur_vday: 0,
-            cached: None,
-            shift,
-            pops: 0,
-            sorted_bucket: None,
-        };
-        for item in items {
-            let idx = (q.vday(item.at) & q.mask) as usize;
-            if q.len == 0 {
-                // The first (sorted) item is the global minimum, and it
-                // lands in slot 0 of its bucket.
-                q.cur_vday = q.vday(item.at);
-                q.cached = Some((idx, 0, item.at, item.seq));
-            }
-            q.bucket_mut(idx).push(item);
-            q.len += 1;
-        }
-        q
-    }
-
-    /// Re-derives the day width and bucket count from the current
-    /// contents and rehashes everything. Only the front `SCAN_LIMIT +
-    /// 1` items get sorted (that's all the width estimator reads), so
-    /// the whole rebuild is `O(n)`; callers gate it behind growth or
-    /// the `SCAN_LIMIT` pop cooldown.
-    fn rebuild(&mut self) {
-        let mut items: Vec<Item<T>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            items.append(bucket);
-        }
-        let k = items.len().min(SCAN_LIMIT + 1);
-        if k > 1 {
-            items.select_nth_unstable_by_key(k - 1, |i| (i.at, i.seq));
-            let (front, _) = items.split_at_mut(k);
-            front.sort_unstable_by_key(|i| (i.at, i.seq));
-        }
-        *self = Self::build(items);
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Queues `payload` at `(at, seq)`.
-    pub fn push(&mut self, at: SimTime, seq: u64, payload: T) {
-        if self.len >= self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild();
-        }
-        let day = self.vday(at);
-        if self.len == 0 || day < self.cur_vday {
-            // Either the cursor is stale (empty queue) or the caller
-            // scheduled before the cursor (the platform never does,
-            // but the structure stays correct if a test does).
-            self.cur_vday = day;
-        }
-        let idx = (day & self.mask) as usize;
-        let slot = if self.sorted_bucket == Some(idx) {
-            // Keep the drain bucket's descending order: binary-insert,
-            // and shift the cached slot if it sits at or after the
-            // insertion point.
-            let pos = self.bucket(idx).partition_point(|i| (i.at, i.seq) > (at, seq));
-            self.bucket_mut(idx).insert(pos, Item { at, seq, payload });
-            if let Some((cb, cs, _, _)) = self.cached.as_mut() {
-                if *cb == idx && *cs >= pos {
-                    *cs += 1;
-                }
-            }
-            pos
-        } else {
-            let slot = self.bucket(idx).len();
-            self.bucket_mut(idx).push(Item { at, seq, payload });
-            slot
-        };
-        self.len += 1;
-        // Keep the cache exact: a new global minimum replaces it; any
-        // other push leaves the cached minimum the true minimum.
-        if let Some((_, _, cat, cseq)) = self.cached {
-            if (at, seq) < (cat, cseq) {
-                self.cached = Some((idx, slot, at, seq));
-            }
-        }
-    }
-
-    /// Key of the next item to pop, without removing it.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.locate().map(|(_, _, at, seq)| (at, seq))
-    }
-
-    /// Removes and returns the minimum-`(time, seq)` item.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        if let Some((bucket, slot, at, _)) = self.cached {
-            if self.sorted_bucket == Some(bucket) && slot + 1 == self.bucket(bucket).len() {
-                // Fast path: the cached minimum is the sorted drain
-                // bucket's tail, so removal is a plain `Vec::pop`. If
-                // the new tail is still in the current day it is the
-                // next global minimum — every earlier day is exhausted
-                // and a day lives in exactly one bucket — so cache it
-                // and skip `locate` on the next pop too. (`pop` always
-                // yields here — the cached slot is the tail — but a
-                // `None` just falls through to the full `locate` path.)
-                if let Some(item) = self.bucket_mut(bucket).pop() {
-                    self.len -= 1;
-                    self.pops += 1;
-                    self.cur_vday = self.vday(at);
-                    self.cached = None;
-                    if let Some(next) = self.bucket(bucket).last() {
-                        if self.vday(next.at) == self.cur_vday {
-                            let slot = self.bucket(bucket).len() - 1;
-                            self.cached = Some((bucket, slot, next.at, next.seq));
-                        }
-                    }
-                    return Some((item.at, item.seq, item.payload));
-                }
-            }
-        }
-        let (bucket, slot, at, _) = self.locate()?;
-        let item = self.bucket_mut(bucket).swap_remove(slot);
-        self.len -= 1;
-        self.cur_vday = self.vday(at);
-        self.cached = None;
-        self.pops += 1;
-        if self.sorted_bucket == Some(bucket) {
-            if slot == self.bucket(bucket).len() {
-                // Popped the sorted bucket's tail; same next-tail
-                // caching as the fast path above.
-                if let Some(next) = self.bucket(bucket).last() {
-                    if self.vday(next.at) == self.cur_vday {
-                        let slot = self.bucket(bucket).len() - 1;
-                        self.cached = Some((bucket, slot, next.at, next.seq));
-                    }
-                }
-            } else {
-                // A global scan landed mid-bucket before the sort;
-                // `swap_remove` shuffled the order, so the marker goes.
-                self.sorted_bucket = None;
-            }
-        }
-        Some((item.at, item.seq, item.payload))
-    }
-
-    /// Visits every queued entry in arbitrary (bucket) order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &T)> {
-        self.buckets
-            .iter()
-            .flatten()
-            .map(|i| (i.at, i.seq, &i.payload))
-    }
-
-    /// Finds the minimum item: scan virtual days forward from the
-    /// cursor (one bucket each — a day's items all hash to one
-    /// bucket), falling back to one global scan — which also jumps the
-    /// cursor — once the day scan has gone a full rotation or burned
-    /// its work budget. A scan that cost more than `SCAN_LIMIT` means
-    /// the day width no longer fits the schedule (too many items per
-    /// day, or days too sparse), so the queue rebuilds itself at a
-    /// re-derived width, amortized by the pop cooldown.
-    fn locate(&mut self) -> Option<(usize, usize, SimTime, u64)> {
-        if let Some(c) = self.cached {
-            return Some(c);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        let rotations = self.buckets.len() as u64;
-        let mut work = 0usize;
-        let mut found: Option<(usize, usize, SimTime, u64)> = None;
-        for day in self.cur_vday..self.cur_vday + rotations {
-            if work > SCAN_LIMIT {
-                break;
-            }
-            let bucket = (day & self.mask) as usize;
-            let n = self.bucket(bucket).len();
-            work += 1 + n;
-            if n > 1 && self.sorted_bucket != Some(bucket) {
-                // Sort the candidate bucket min-last once; draining
-                // the rest of its day is then one `Vec::pop` per
-                // event. A singleton bucket is trivially sorted and
-                // skips the marker churn (about half of all days at
-                // the steady-state density).
-                self.bucket_mut(bucket)
-                    .sort_unstable_by_key(|i| std::cmp::Reverse((i.at, i.seq)));
-                self.sorted_bucket = Some(bucket);
-            }
-            // The tail is the bucket's minimum; items of congruent
-            // later days sort toward the front, so a tail from a
-            // later day means this day has nothing queued.
-            if let Some((at, seq)) = self.bucket(bucket).last().map(|i| (i.at, i.seq)) {
-                if self.vday(at) == day {
-                    self.cur_vday = day;
-                    found = Some((bucket, n - 1, at, seq));
-                    break;
-                }
-            }
-        }
-        if found.is_none() {
-            // Sparse regime: nothing within reach of the cursor. One
-            // linear pass finds the true minimum.
-            work += self.buckets.len() + self.len;
-            for (bucket, items) in self.buckets.iter().enumerate() {
-                for (slot, item) in items.iter().enumerate() {
-                    if found.is_none_or(|(_, _, at, seq)| (item.at, item.seq) < (at, seq)) {
-                        found = Some((bucket, slot, item.at, item.seq));
-                    }
-                }
-            }
-            if let Some((_, _, at, _)) = found {
-                self.cur_vday = self.vday(at);
-            }
-        }
-        self.cached = found;
-        if work > SCAN_LIMIT && self.pops >= SCAN_LIMIT && self.len > 1 {
-            self.rebuild();
-        }
-        self.cached
-    }
-
-}
-
-/// The pre-calendar event queue — a plain binary min-heap on
-/// `(time, seq)` — retained as the behavioral oracle (PR 1's
-/// `mem::reference` pattern) and as the live baseline the perf
-/// harness measures speedups against.
-#[derive(Debug, Clone)]
-pub struct ReferenceQueue<T> {
-    // tidy:allow(hot-containers) -- this IS the sanctioned reference heap the calendar queue is checked against
-    heap: BinaryHeap<RefItem<T>>,
-}
-
-#[derive(Debug, Clone)]
-struct RefItem<T>(Item<T>);
-
-impl<T> PartialEq for RefItem<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.0.at, self.0.seq) == (other.0.at, other.0.seq)
-    }
-}
-impl<T> Eq for RefItem<T> {}
-impl<T> PartialOrd for RefItem<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for RefItem<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want min-(time, seq).
-        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
-    }
-}
-
-impl<T> Default for ReferenceQueue<T> {
-    fn default() -> ReferenceQueue<T> {
-        ReferenceQueue::new()
-    }
-}
-
-impl<T> ReferenceQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> ReferenceQueue<T> {
-        ReferenceQueue {
-            // tidy:allow(hot-containers) -- constructing the reference oracle
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Rebuilds from canonical `(time, seq)` order; same validation as
-    /// [`CalendarQueue::from_sorted`].
-    pub fn from_sorted(items: Vec<(SimTime, u64, T)>) -> Result<ReferenceQueue<T>, &'static str> {
-        // tidy:allow(hot-containers) -- canonical constructor of the reference oracle
+    pub fn from_sorted(items: Vec<(SimTime, u64, T)>) -> Result<EventQueue<T>, &'static str> {
         let mut heap = BinaryHeap::with_capacity(items.len());
         let mut prev: Option<(SimTime, u64)> = None;
         for (at, seq, payload) in items {
@@ -484,9 +78,9 @@ impl<T> ReferenceQueue<T> {
                 return Err("event queue entries not in strict (time, seq) order");
             }
             prev = Some((at, seq));
-            heap.push(RefItem(Item { at, seq, payload }));
+            heap.push(Item { at, seq, payload });
         }
-        Ok(ReferenceQueue { heap })
+        Ok(EventQueue { heap })
     }
 
     /// Number of queued items.
@@ -501,136 +95,28 @@ impl<T> ReferenceQueue<T> {
 
     /// Queues `payload` at `(at, seq)`.
     pub fn push(&mut self, at: SimTime, seq: u64, payload: T) {
-        self.heap.push(RefItem(Item { at, seq, payload }));
+        self.heap.push(Item { at, seq, payload });
     }
 
-    /// Key of the next item to pop.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|i| (i.0.at, i.0.seq))
+    /// Key of the next item to pop, without removing it.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|i| (i.at, i.seq))
     }
 
     /// Removes and returns the minimum-`(time, seq)` item.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.heap.pop().map(|i| (i.0.at, i.0.seq, i.0.payload))
-    }
-
-    /// Visits every queued entry in arbitrary (heap) order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &T)> {
-        self.heap.iter().map(|i| (i.0.at, i.0.seq, &i.0.payload))
-    }
-}
-
-/// Which representation an [`EventQueue`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueImpl {
-    /// The calendar queue (production default).
-    Calendar,
-    /// The binary-heap reference oracle.
-    Reference,
-}
-
-/// The platform's event queue: a calendar queue by default, with the
-/// reference heap selectable at runtime for oracle tests and perf
-/// baselines. Both produce identical pop order and identical
-/// checkpoint bytes.
-#[derive(Debug, Clone)]
-pub enum EventQueue<T> {
-    /// Calendar-queue representation.
-    Calendar(CalendarQueue<T>),
-    /// Reference binary-heap representation.
-    Reference(ReferenceQueue<T>),
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> EventQueue<T> {
-        EventQueue::Calendar(CalendarQueue::new())
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue on the given representation.
-    pub fn new(kind: QueueImpl) -> EventQueue<T> {
-        match kind {
-            QueueImpl::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-            QueueImpl::Reference => EventQueue::Reference(ReferenceQueue::new()),
-        }
-    }
-
-    /// The canonical constructor: rebuilds from entries in `(time,
-    /// seq)` order — every restore path goes through here.
-    pub fn from_sorted(
-        kind: QueueImpl,
-        items: Vec<(SimTime, u64, T)>,
-    ) -> Result<EventQueue<T>, &'static str> {
-        Ok(match kind {
-            QueueImpl::Calendar => EventQueue::Calendar(CalendarQueue::from_sorted(items)?),
-            QueueImpl::Reference => EventQueue::Reference(ReferenceQueue::from_sorted(items)?),
-        })
-    }
-
-    /// The active representation.
-    pub fn kind(&self) -> QueueImpl {
-        match self {
-            EventQueue::Calendar(_) => QueueImpl::Calendar,
-            EventQueue::Reference(_) => QueueImpl::Reference,
-        }
-    }
-
-    /// Number of queued items.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::Reference(q) => q.len(),
-        }
-    }
-
-    /// Whether the queue is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Queues `payload` at `(at, seq)`.
-    #[inline]
-    pub fn push(&mut self, at: SimTime, seq: u64, payload: T) {
-        match self {
-            EventQueue::Calendar(q) => q.push(at, seq, payload),
-            EventQueue::Reference(q) => q.push(at, seq, payload),
-        }
-    }
-
-    /// Key of the next item to pop.
-    #[inline]
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_key(),
-            EventQueue::Reference(q) => q.peek_key(),
-        }
-    }
-
-    /// Removes and returns the minimum-`(time, seq)` item.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            EventQueue::Reference(q) => q.pop(),
-        }
-    }
-
-    /// Visits every queued entry in arbitrary order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (SimTime, u64, &T)> + '_> {
-        match self {
-            EventQueue::Calendar(q) => Box::new(q.iter()),
-            EventQueue::Reference(q) => Box::new(q.iter()),
-        }
+        self.heap.pop().map(|i| (i.at, i.seq, i.payload))
     }
 
     /// Every queued entry in canonical `(time, seq)` order — the
     /// checkpoint serialization order.
     pub fn sorted_entries(&self) -> Vec<(SimTime, u64, &T)> {
-        let mut entries: Vec<(SimTime, u64, &T)> = self.iter().collect();
-        entries.sort_by_key(|&(at, seq, _)| (at, seq));
+        let mut entries: Vec<(SimTime, u64, &T)> = self
+            .heap
+            .iter()
+            .map(|i| (i.at, i.seq, &i.payload))
+            .collect();
+        entries.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         entries
     }
 }
@@ -649,7 +135,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_seq_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         let mut seed = 7u64;
         let mut keys = Vec::new();
         for seq in 0..5_000u64 {
@@ -669,7 +155,7 @@ mod tests {
 
     #[test]
     fn duplicate_timestamps_are_fifo_by_seq() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         let t = SimTime(123_456_789);
         for seq in 0..100u64 {
             q.push(t, seq, seq);
@@ -680,116 +166,27 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_survive_wraparound() {
-        // Two events more than a full rotation apart (1024 buckets ×
-        // ~1 ms ≈ 1.07 s): the later one hashes onto an already-scanned
-        // bucket and must still come out second, via the global scan.
-        let mut q = CalendarQueue::new();
-        let near = SimTime(1_000_000);
-        let far = SimTime(1 << 42); // ~73 min
-        q.push(far, 1, "far");
-        q.push(near, 2, "near");
-        assert_eq!(q.pop().map(|(_, _, p)| p), Some("near"));
-        assert_eq!(q.pop().map(|(_, _, p)| p), Some("far"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn interleaved_hold_pattern_matches_reference() {
-        let mut cal = CalendarQueue::new();
-        let mut reference = ReferenceQueue::new();
-        let mut seed = 42u64;
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        for _ in 0..200 {
-            for _ in 0..splitmix(&mut seed) % 50 {
-                seq += 1;
-                let at = SimTime(now + splitmix(&mut seed) % 10_000_000_000);
-                cal.push(at, seq, seq);
-                reference.push(at, seq, seq);
-            }
-            for _ in 0..splitmix(&mut seed) % 40 {
-                let a = cal.pop();
-                let b = reference.pop();
-                assert_eq!(a, b);
-                if let Some((at, _, _)) = a {
-                    now = at.0;
-                }
-            }
-        }
-        while let Some(b) = reference.pop() {
-            assert_eq!(cal.pop(), Some(b));
-        }
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn pushes_into_the_draining_day_stay_ordered() {
-        // Drain a dense single-day burst while pushing new items into
-        // the same virtual day between pops: the sorted drain bucket
-        // must binary-insert them (shifting the cached tail) and keep
-        // the pop order exact.
-        let mut cal = CalendarQueue::new();
-        let mut reference = ReferenceQueue::new();
-        let base = 5_000_000u64; // one default-width day holds all offsets below
-        let mut seq = 0u64;
-        for i in 0..64u64 {
-            seq += 1;
-            let at = SimTime(base + i * 17 % 1_000);
-            cal.push(at, seq, seq);
-            reference.push(at, seq, seq);
-        }
-        for round in 0..64u64 {
-            assert_eq!(cal.pop(), reference.pop());
-            seq += 1;
-            // Lands before the current minimum about half the time.
-            let at = SimTime(base + round * 37 % 1_000);
-            cal.push(at, seq, seq);
-            reference.push(at, seq, seq);
-        }
-        while let Some(b) = reference.pop() {
-            assert_eq!(cal.pop(), Some(b));
-        }
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn growth_preserves_order() {
-        let mut q = CalendarQueue::new();
-        let mut seed = 3u64;
-        // Enough to force several doublings past MIN_BUCKETS * 2.
-        for seq in 0..20_000u64 {
-            q.push(SimTime(splitmix(&mut seed) % 1_000_000_000), seq, ());
-        }
-        assert!(q.buckets.len() > MIN_BUCKETS);
-        let mut prev = None;
-        while let Some((at, seq, ())) = q.pop() {
-            assert!(prev.is_none_or(|p| p < (at, seq)));
-            prev = Some((at, seq));
-        }
-    }
-
-    #[test]
     fn from_sorted_rejects_disorder_and_duplicates() {
-        let ok = vec![(SimTime(1), 1, ()), (SimTime(1), 2, ()), (SimTime(9), 3, ())];
-        assert!(CalendarQueue::from_sorted(ok.clone()).is_ok());
-        assert!(ReferenceQueue::from_sorted(ok).is_ok());
+        let ok = vec![
+            (SimTime(1), 1, ()),
+            (SimTime(1), 2, ()),
+            (SimTime(9), 3, ()),
+        ];
+        assert!(EventQueue::from_sorted(ok).is_ok());
         let unsorted = vec![(SimTime(9), 1, ()), (SimTime(1), 2, ())];
-        assert!(CalendarQueue::from_sorted(unsorted.clone()).is_err());
-        assert!(ReferenceQueue::from_sorted(unsorted).is_err());
+        assert!(EventQueue::from_sorted(unsorted).is_err());
         let dup = vec![(SimTime(1), 1, ()), (SimTime(1), 1, ())];
-        assert!(CalendarQueue::from_sorted(dup).is_err());
+        assert!(EventQueue::from_sorted(dup).is_err());
     }
 
     #[test]
     fn sorted_entries_round_trip_through_from_sorted() {
-        let mut q = EventQueue::default();
+        let mut q = EventQueue::new();
         let mut seed = 11u64;
         for seq in 0..500u64 {
             q.push(SimTime(splitmix(&mut seed) % 5_000_000_000), seq, seq);
         }
-        // Consume part of the schedule so the current bucket is
-        // mid-drain, then rebuild canonically.
+        // Consume part of the schedule, then rebuild canonically.
         for _ in 0..123 {
             q.pop();
         }
@@ -798,7 +195,7 @@ mod tests {
             .into_iter()
             .map(|(at, seq, p)| (at, seq, *p))
             .collect();
-        let mut rebuilt = EventQueue::from_sorted(QueueImpl::Calendar, entries).expect("sorted");
+        let mut rebuilt = EventQueue::from_sorted(entries).expect("sorted");
         loop {
             let a = q.pop();
             let b = rebuilt.pop();

@@ -1,212 +1,56 @@
-//! Property tests for the calendar event queue: an arbitrary
-//! interleaved schedule must pop in exactly the `(time, seq)` order of
-//! the binary-heap reference oracle — including duplicate timestamps
-//! and far-future bucket wraparound — and the platform's trajectory
-//! and checkpoint bytes must be invariant under the representation
-//! switch, even for a checkpoint captured mid-drain.
+//! The event queue across a checkpoint: a platform cut mid-drain must
+//! restore through the canonical `from_sorted` constructor, reproduce
+//! the identical bytes, and continue exactly as the original does.
 
 use faas::config::PlatformConfig;
 use faas::platform::{GcMode, Platform};
-use faas::queue::{CalendarQueue, QueueImpl, ReferenceQueue};
-use proptest::prelude::*;
-use simos::{SimDuration, SimTime};
+use simos::SimTime;
 
-/// Timestamps that stress every queue regime: the dense millisecond
-/// band the platform actually schedules in, exact duplicates (FIFO by
-/// seq), the current bucket (zero), and far-future events more than a
-/// full bucket-array rotation away (wraparound + global-scan path).
-fn arrival() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        0u64..10_000_000_000,
-        0u64..10_000_000_000,
-        Just(123_456_789u64),
-        Just(0u64),
-        (1u64 << 40)..(1u64 << 43),
-    ]
-}
-
-/// Alternating push-bursts and pop-runs: the event loop's hold
-/// pattern, where the cursor chases the current virtual day.
-fn schedule() -> impl Strategy<Value = Vec<(Vec<u64>, usize)>> {
-    prop::collection::vec((prop::collection::vec(arrival(), 0..20), 0usize..25), 1..30)
-}
-
-#[derive(Debug, Clone)]
-struct Load {
-    /// `(function index, arrival offset ms)` pairs.
-    arrivals: Vec<(usize, u64)>,
-    cache_mib: u64,
-    cores: u64,
-    eager: bool,
-}
-
-fn load() -> impl Strategy<Value = Load> {
-    (
-        prop::collection::vec((0usize..20, 0u64..60_000), 1..40),
-        384u64..2048,
-        2u64..5,
-        any::<bool>(),
-    )
-        .prop_map(|(arrivals, cache_mib, cores, eager)| Load {
-            arrivals,
-            cache_mib,
-            cores,
-            eager,
-        })
-}
-
-fn build(l: &Load, queue: QueueImpl) -> Platform {
+fn build() -> Platform {
     let config = PlatformConfig {
-        cache_budget: l.cache_mib << 20,
-        cores: l.cores as f64,
+        cache_budget: 768 << 20,
+        cores: 2.0,
         ..PlatformConfig::default()
     };
-    let mode = if l.eager { GcMode::Eager } else { GcMode::Vanilla };
-    let mut p = Platform::new(config, workloads::catalog(), mode, None);
-    p.set_queue_impl(queue).expect("empty queue converts");
-    p
+    Platform::new(config, workloads::catalog(), GcMode::Vanilla, None)
 }
 
-fn submit_all(p: &mut Platform, l: &Load) {
-    let mut sorted = l.arrivals.clone();
-    sorted.sort_by_key(|(_, t)| *t);
-    for &(f, t_ms) in &sorted {
-        p.submit(SimTime(t_ms * 1_000_000), f);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The calendar queue is observationally identical to the heap:
-    /// same peek, same pop, at every step of an arbitrary interleaved
-    /// schedule, and both drain empty together.
-    #[test]
-    fn calendar_pops_exactly_like_the_reference_heap(batches in schedule()) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = ReferenceQueue::new();
-        let mut seq = 0u64;
-        for (pushes, pops) in batches {
-            for at in pushes {
-                seq += 1;
-                cal.push(SimTime(at), seq, seq);
-                heap.push(SimTime(at), seq, seq);
-            }
-            for _ in 0..pops {
-                prop_assert_eq!(cal.peek_key(), heap.peek_key());
-                prop_assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        while !heap.is_empty() {
-            prop_assert_eq!(cal.pop(), heap.pop());
-        }
-        prop_assert!(cal.is_empty());
-        prop_assert_eq!(cal.pop(), None);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Whole-platform oracle: the same load on the calendar queue and
-    /// on the reference heap produces byte-identical checkpoints at an
-    /// arbitrary cut and at quiescence — the representation swap is
-    /// invisible to the simulation.
-    #[test]
-    fn platform_trajectory_is_queue_impl_invariant(
-        l in load(),
-        cut_ms in 0u64..70_000,
-    ) {
-        let mut cal = build(&l, QueueImpl::Calendar);
-        let mut reference = build(&l, QueueImpl::Reference);
-        submit_all(&mut cal, &l);
-        submit_all(&mut reference, &l);
-        let cut = SimTime(cut_ms * 1_000_000);
-        cal.run_until(cut);
-        reference.run_until(cut);
-        prop_assert_eq!(
-            cal.checkpoint(),
-            reference.checkpoint(),
-            "mid-run checkpoints diverged between queue impls"
-        );
-        let horizon = SimTime(60_000_000_000) + SimDuration::from_secs(600);
-        cal.run_until(horizon);
-        reference.run_until(horizon);
-        prop_assert_eq!(cal.checkpoint(), reference.checkpoint());
-        prop_assert_eq!(cal.stats().completed, reference.stats().completed);
-    }
-}
-
-/// A checkpoint captured mid-drain — several events still pending in
-/// the current ~1 ms bucket — restores through the canonical
-/// `from_sorted` constructor on either representation, reproduces the
-/// identical bytes, and continues identically.
+/// A checkpoint captured mid-drain — several events still pending at
+/// the same millisecond — restores, reproduces the identical bytes,
+/// and the restored run continues identically to the original.
 #[test]
-fn mid_drain_checkpoint_round_trips_on_both_queue_impls() {
-    let l = Load {
-        // A burst of same-millisecond arrivals: at any cut inside the
-        // burst the current bucket is non-empty.
-        arrivals: (0..24).map(|i| (i % 7, 1_000 + (i as u64 % 3))).collect(),
-        cache_mib: 768,
-        cores: 2,
-        eager: false,
-    };
-    let mut original = build(&l, QueueImpl::Calendar);
-    submit_all(&mut original, &l);
+fn mid_drain_checkpoint_round_trips() {
+    // A burst of same-millisecond arrivals: at any cut inside the
+    // burst, events sharing the current timestamp are still queued.
+    let mut arrivals: Vec<(usize, u64)> =
+        (0..24).map(|i| (i % 7, 1_000 + (i as u64 % 3))).collect();
+    arrivals.sort_by_key(|(_, t)| *t);
+    let mut original = build();
+    for &(f, t_ms) in &arrivals {
+        original.submit(SimTime(t_ms * 1_000_000), f);
+    }
     // Cut inside the burst, mid-millisecond, while work is in flight.
     original.run_until(SimTime(1_001_500_000));
     assert!(original.in_flight() > 0, "cut must land mid-drain");
     let bytes = original.checkpoint();
 
-    for kind in [QueueImpl::Calendar, QueueImpl::Reference] {
-        let mut restored = build(&l, kind);
-        restored.restore(&bytes).expect("mid-drain checkpoint restores");
-        assert_eq!(restored.queue_impl(), kind, "restore must not switch impls");
-        assert_eq!(
-            restored.checkpoint(),
-            bytes,
-            "restore is not the codec's inverse on {kind:?}"
-        );
-        let horizon = SimTime(60_000_000_000);
-        restored.run_until(horizon);
-        let mut truth = build(&l, QueueImpl::Calendar);
-        truth.restore(&bytes).expect("restores");
-        truth.run_until(horizon);
-        assert_eq!(
-            restored.checkpoint(),
-            truth.checkpoint(),
-            "continuation diverged on {kind:?}"
-        );
-    }
-}
+    let mut restored = build();
+    restored
+        .restore(&bytes)
+        .expect("mid-drain checkpoint restores");
+    assert_eq!(
+        restored.checkpoint(),
+        bytes,
+        "restore is not the codec's inverse"
+    );
 
-/// `set_queue_impl` mid-run carries the full pending schedule across
-/// representations without reordering anything.
-#[test]
-fn switching_queue_impl_mid_run_preserves_the_schedule() {
-    let l = Load {
-        arrivals: (0..40).map(|i| (i % 11, (i as u64) * 37 % 5_000)).collect(),
-        cache_mib: 1024,
-        cores: 3,
-        eager: true,
-    };
-    let mut switching = build(&l, QueueImpl::Calendar);
-    let mut straight = build(&l, QueueImpl::Calendar);
-    submit_all(&mut switching, &l);
-    submit_all(&mut straight, &l);
-    for (i, cut_ms) in [700u64, 1_900, 3_400, 6_000].iter().enumerate() {
-        switching.run_until(SimTime(cut_ms * 1_000_000));
-        straight.run_until(SimTime(cut_ms * 1_000_000));
-        let kind = if i % 2 == 0 {
-            QueueImpl::Reference
-        } else {
-            QueueImpl::Calendar
-        };
-        switching.set_queue_impl(kind).expect("live queue converts");
-        assert_eq!(switching.queue_impl(), kind);
-    }
     let horizon = SimTime(60_000_000_000);
-    switching.run_until(horizon);
-    straight.run_until(horizon);
-    assert_eq!(switching.checkpoint(), straight.checkpoint());
+    original.run_until(horizon);
+    restored.run_until(horizon);
+    assert_eq!(
+        restored.checkpoint(),
+        original.checkpoint(),
+        "restored run diverged from the original"
+    );
+    assert_eq!(restored.stats().completed, original.stats().completed);
 }

@@ -1,13 +1,13 @@
-//! Seeded violation: a heap event queue in a sim-state crate.
+//! Seeded violation: an id-keyed ordered map in a sim-state crate.
 //! Scanned by the self-test as `crates/faas/src/fake.rs`.
 
 pub struct InstanceId(pub u64);
 
-/// The commented-out heap and the test-module id-keyed map below must
-/// NOT count; only the real `queue` field may be flagged.
-// type Shadow = BinaryHeap<u64>;
+/// The commented-out map and the test-module map below must NOT
+/// count; only the real `by_id` field may be flagged.
+// type Shadow = BTreeMap<InstanceId, u64>;
 pub struct Fake {
-    queue: std::collections::BinaryHeap<u64>,
+    by_id: std::collections::BTreeMap<InstanceId, u64>,
     // A BTreeMap keyed on anything else is fine.
     by_name: std::collections::BTreeMap<String, u64>,
 }

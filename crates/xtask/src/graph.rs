@@ -4,7 +4,7 @@
 //! edges are resolved *by name* (method calls to every workspace
 //! method of that name, `Qual::name` calls through the qualifier,
 //! free calls to free functions). That is an over-approximation — a
-//! `.push(…)` anywhere may resolve to `CalendarQueue::push` — which is
+//! `.push(…)` anywhere may resolve to `EventQueue::push` — which is
 //! exactly the right polarity for a lint: reachability never misses a
 //! real path, and a spurious edge can be silenced at the panic site
 //! with a justified `tidy:allow`.
@@ -13,7 +13,7 @@
 //!
 //! * **panic-reachability** — from the declared hot-path roots (the
 //!   platform event drain, the shard round drain, the Desiccant sweep,
-//!   calendar-queue push/pop, snapshot decode), every transitively
+//!   event-queue push/pop, snapshot decode), every transitively
 //!   reachable `panic!`-family macro, `.unwrap()`, `.expect()`, or
 //!   bare slice index is a finding. This replaces the old per-file
 //!   textual `no-panic` rule: the old rule saw six files; this one
@@ -59,9 +59,9 @@ pub const HOT_PATH_ROOTS: &[Root] = &[
         owner: Some("Desiccant"),
         name: "select_reclaims",
     },
-    // The calendar queue's per-event operations.
-    Root { path: "crates/faas/src/queue.rs", owner: Some("CalendarQueue"), name: "push" },
-    Root { path: "crates/faas/src/queue.rs", owner: Some("CalendarQueue"), name: "pop" },
+    // The event queue's per-event operations.
+    Root { path: "crates/faas/src/queue.rs", owner: Some("EventQueue"), name: "push" },
+    Root { path: "crates/faas/src/queue.rs", owner: Some("EventQueue"), name: "pop" },
     // Snapshot decode faces arbitrary bytes during recovery.
     Root { path: "crates/snapshot/src/lib.rs", owner: None, name: "decode" },
     Root { path: "crates/snapshot/src/frame.rs", owner: Some("Container"), name: "open" },
@@ -507,7 +507,7 @@ mod tests {
     fn test_fns_neither_root_nor_reach() {
         let fs = files(&[(
             "crates/faas/src/queue.rs",
-            "impl CalendarQueue { pub fn push(&mut self) { ok(); } \
+            "impl EventQueue { pub fn push(&mut self) { ok(); } \
              pub fn pop(&mut self) { ok(); } }\n\
              fn ok() {}\n\
              #[cfg(test)]\nmod tests {\n#[test]\nfn t() { broken().unwrap(); }\n}\n",
@@ -516,8 +516,8 @@ mod tests {
         let findings = panic_reachability(
             &graph,
             &[
-                Root { path: "crates/faas/src/queue.rs", owner: Some("CalendarQueue"), name: "push" },
-                Root { path: "crates/faas/src/queue.rs", owner: Some("CalendarQueue"), name: "pop" },
+                Root { path: "crates/faas/src/queue.rs", owner: Some("EventQueue"), name: "push" },
+                Root { path: "crates/faas/src/queue.rs", owner: Some("EventQueue"), name: "pop" },
             ],
         );
         assert!(findings.is_empty(), "{findings:?}");

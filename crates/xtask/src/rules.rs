@@ -18,9 +18,8 @@
 //!   crate forbids `unsafe`, manifests carry only path dependencies,
 //!   vendored shims export nothing dead.
 //! * **performance** — `hot-containers`: sim-state crates may not
-//!   reintroduce `BinaryHeap` event queues or `BTreeMap<InstanceId, _>`
-//!   per-event lookups; the calendar queue and slab arenas replaced
-//!   them for a reason.
+//!   reintroduce `BTreeMap<InstanceId, _>` per-event lookups; the slab
+//!   arenas replaced them for a reason.
 //!
 //! A violation is suppressed by an inline marker on the same or the
 //! preceding line:
@@ -121,9 +120,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "hot-containers",
         family: "performance",
-        summary: "BinaryHeap or BTreeMap<InstanceId, _> on a sim-state hot path",
-        hint: "use faas::queue::EventQueue (calendar queue) for scheduling and \
-               faas::slab::{Slab, IdMap} for per-instance state; if the container is \
+        summary: "BTreeMap<InstanceId, _> on a sim-state hot path",
+        hint: "use faas::slab::{Slab, IdMap} for per-instance state; if the map is \
                provably off the per-event path, add `// tidy:allow(hot-containers) -- why`",
     },
     Rule {
@@ -583,16 +581,6 @@ fn scan_tokens(
                         ));
                     }
                 }
-            }
-            "BinaryHeap" if sim_state && !is_test_line(mask, line) => {
-                out.push(Finding::new(
-                    path,
-                    line,
-                    "hot-containers",
-                    "`BinaryHeap` event queue on a sim-state hot path \
-                     (the calendar queue replaced it)"
-                        .to_string(),
-                ));
             }
             "BTreeMap"
                 if sim_state

@@ -2,13 +2,9 @@
 # Perf trajectory: regenerate the committed BENCH_*.json files at the
 # repo root.
 #
-# Runs the `perf` harness in full mode (4M hold-model ops, best-of-5
-# replay rounds) and writes:
+# Runs the `perf` harness (checkpoint model) in full mode and the
+# `cluster_replay` harness, and writes:
 #
-#   BENCH_eventloop.json  — calendar vs. reference-heap hold model
-#   BENCH_replay.json     — replay_30s_sf15 wall time, both queue
-#                           impls, vanilla + desiccant, against the
-#                           fixed pre-PR baseline
 #   BENCH_checkpoint.json — full vs. delta checkpoint bytes and wall
 #                           time at a ~2^16-frozen-instance steady
 #                           state
@@ -26,7 +22,9 @@
 # refreshed files together with the change that moved them, so the
 # repo history doubles as the perf trajectory. `scripts/tier1.sh`
 # runs the same harness in `--quick --check` mode as a smoke gate;
-# this script is the measurement run.
+# this script is the measurement run. Replay and event-loop speed are
+# measured end to end by the repository benchmark instead
+# (BENCHMARK.json; see crates/bench/benchmark/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

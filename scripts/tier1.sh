@@ -36,12 +36,20 @@ for bin in "${bins[@]}"; do
         >/dev/null
 done
 
-echo "== perf smoke (hold model + replay, quick, checked) =="
-# Quick mode: enough ops to catch a representation regression (the
-# --check floor is deliberately below the full-mode target so shared
-# CI hosts don't flake); full measurements come from scripts/bench.sh.
+echo "== perf smoke (checkpoint model, quick, checked) =="
+# Quick mode: a 1/16th-size warm platform; --check asserts the delta
+# checkpoint is much smaller than the base and that the base+delta
+# chain restores the canonical bytes. Full measurements come from
+# scripts/bench.sh.
 cargo run --release -q -p bench --bin perf -- --quick --check \
     --out-dir target/bench-smoke >/dev/null
+
+echo "== benchmark (own tests: all five workloads vs their digest oracles) =="
+# The benchmark is a package of its own, outside the workspace, so
+# `cargo test --workspace` never reaches it. Its smoke test runs every
+# BENCHMARK.json workload against its control digest, so a change that
+# moves any simulated outcome fails here.
+cargo test -q --manifest-path crates/bench/benchmark/Cargo.toml
 
 echo "== cluster smoke (sharded replay, digests across job counts) =="
 # Small trace over 8 shards: the digest must be byte-identical at
