@@ -4,6 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use desiccant::ProfileStore;
 use faas::{InstanceId, ReclaimProfile};
+use faas_runtime::{Language, RuntimeImage};
 use simos::mem::pagebits::PageBits;
 use simos::mem::reference::NaivePages;
 use simos::mem::{page_flags, MappingKind, Prot, PAGE_SIZE};
@@ -51,6 +52,45 @@ fn bench_uss(c: &mut Criterion) {
             b.iter(|| sys.uss(pid));
         });
     }
+    group.finish();
+}
+
+fn bench_uss_shared_libs(c: &mut Criterion) {
+    // The shape the platform measures on every boot, freeze and
+    // reclaim: the OpenWhisk `node` image (58 MiB of libraries) mapped
+    // by two processes, plus an anonymous heap. The second process has
+    // dropped the first 16 MiB of `node`, so those pages are solo to
+    // the first and count in its USS while the rest are shared.
+    let image = RuntimeImage::openwhisk(Language::JavaScript);
+    let mut sys = System::new();
+    let libs = image.register_files(&mut sys);
+    let mut pids = Vec::new();
+    for _ in 0..2 {
+        let pid = sys.spawn_process();
+        let bases: Vec<simos::VirtAddr> = libs
+            .files
+            .iter()
+            .map(|&file| sys.map_library(pid, file).unwrap())
+            .collect();
+        pids.push((pid, bases));
+    }
+    let (pid, _) = &pids[0];
+    let (other, other_bases) = &pids[1];
+    sys.release(*other, other_bases[0], 16 << 20).unwrap();
+    let heap = sys
+        .mmap(*pid, 64 << 20, MappingKind::Anonymous, Prot::ReadWrite)
+        .unwrap();
+    sys.touch(*pid, heap, 32 << 20, true).unwrap();
+    let mut group = c.benchmark_group("uss_shared_libs");
+    group.bench_function("word_parallel", |b| b.iter(|| sys.uss(black_box(*pid))));
+    group.bench_function("smaps_oracle", |b| {
+        b.iter(|| {
+            simos::metrics::smaps(&sys, black_box(*pid))
+                .iter()
+                .map(simos::metrics::SmapsEntry::uss)
+                .sum::<u64>()
+        })
+    });
     group.finish();
 }
 
@@ -137,6 +177,7 @@ criterion_group!(
     benches,
     bench_touch_release,
     bench_uss,
+    bench_uss_shared_libs,
     bench_pmap_whole_mapping,
     bench_selection,
     bench_range_count,

@@ -1848,9 +1848,8 @@ impl Platform {
     /// replaying tombstones and upserts over the base's per-process
     /// and per-slot sections — and then restores those bytes, so every
     /// cross-validation of [`Platform::restore`] (fingerprint, charge
-    /// sums, pool coherence, event/request bounds) applies to the
-    /// folded state too. On success the restored instances are
-    /// additionally checked against the USS ≤ PSS ≤ RSS ordering.
+    /// sums, pool coherence, event/request bounds, and `System`'s
+    /// page-cache coherence) applies to the folded state too.
     ///
     /// Returns the epoch of the chain head and the head's extra
     /// (driver) frames.
@@ -1990,24 +1989,6 @@ impl Platform {
         }
         w.raw(&tail);
         self.restore(&w.into_bytes())?;
-        // Memory-accounting cross-check on the restored state: the
-        // machine invariant USS ≤ PSS ≤ RSS must hold per instance. A
-        // violation means the fold produced an incoherent state (and
-        // can only follow a bug, not a storage fault — those never get
-        // past `Container::open`).
-        for (_, s) in self.slots.iter() {
-            let uss = s.inst.uss(&self.sys);
-            let pss = s.inst.pss(&self.sys);
-            let rss = s.inst.rss(&self.sys);
-            if !(uss as f64 <= pss + 1e-6 && pss <= rss as f64 + 1e-6) {
-                return Err(SnapError::mismatch(
-                    "restored instance memory ordering",
-                    "USS <= PSS <= RSS",
-                    format!("uss={uss} pss={pss} rss={rss}"),
-                )
-                .into());
-            }
-        }
         let head_epoch = containers.last().map_or(0, |c| c.epoch);
         Ok((head_epoch, extra))
     }

@@ -26,6 +26,9 @@ pub enum SimOsError {
     NoSuchProcess(Pid),
     /// No such file in the file registry.
     NoSuchFile(u64),
+    /// A file mapping of `len` bytes runs past the end of its
+    /// `size`-byte file.
+    PastEndOfFile { file: u64, len: u64, size: u64 },
     /// The address space cannot fit the requested mapping.
     OutOfAddressSpace { requested: u64 },
     /// A fixed-address mapping would overlap an existing mapping.
@@ -61,6 +64,9 @@ impl fmt::Display for SimOsError {
             }
             SimOsError::NoSuchProcess(pid) => write!(f, "no such process: {pid:?}"),
             SimOsError::NoSuchFile(id) => write!(f, "no such file: {id}"),
+            SimOsError::PastEndOfFile { file, len, size } => {
+                write!(f, "mapping of {len:#x} bytes runs past the end of file {file} ({size:#x} bytes)")
+            }
             SimOsError::OutOfAddressSpace { requested } => {
                 write!(f, "cannot fit mapping of {requested:#x} bytes")
             }
@@ -92,6 +98,12 @@ mod tests {
         }
         .is_fatal());
         assert!(SimOsError::NoSuchFile(0).is_fatal());
+        assert!(SimOsError::PastEndOfFile {
+            file: 0,
+            len: 0x2000,
+            size: 0x1000
+        }
+        .is_fatal());
         assert!(SimOsError::MappingOverlap {
             addr: VirtAddr(0x1000)
         }

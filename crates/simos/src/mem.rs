@@ -20,11 +20,18 @@
 //! bit per page per flag) so range operations — touch, release,
 //! `PROT_NONE` uncommit, swap scans, `pmap`/`smaps` aggregation — work
 //! on 64 pages per instruction with `count_ones()` popcounts instead of
-//! a byte-per-page walk. Per-page iteration survives only where a
-//! side effect is inherently per-page (page-cache refcounts of
-//! file-backed pages). The old byte-per-page representation lives on in
-//! [`reference`] as the oracle for property tests and the baseline side
-//! of the Criterion comparisons.
+//! a byte-per-page walk. Page-cache refcounts of file-backed pages move
+//! in the same word batches: each operation hands the
+//! [`FileRegistry`] a `(word, bits)` pair, and a whole word (a library
+//! faulted in or dropped in full) updates 64 adjacent counts in
+//! fixed-length passes. The registry keeps a derived *solo* bitmap per file
+//! (bit set iff exactly one process maps the page clean), so USS is a
+//! popcount of `resident & !dirty & solo` rather than a per-page lookup.
+//! Per-page iteration survives only in the `smaps`/PSS report, which
+//! needs each shared page's mapper count, and which doubles as the
+//! oracle for the word-parallel USS/RSS. The old byte-per-page
+//! representation lives on in [`reference`] as the oracle for property
+//! tests and the baseline side of the Criterion comparisons.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -614,18 +621,48 @@ impl Mapping {
         }
     }
 
-    /// Calls `f` with the index of every resident, clean page in
-    /// `[first, last)` — the pages that hold page-cache references when
-    /// the mapping is file-backed.
-    pub fn for_each_clean_resident_in(&self, first: usize, last: usize, mut f: impl FnMut(usize)) {
-        for (w, mask) in masked_words(first, last) {
-            for_each_bit(w, self.resident.word(w) & !self.dirty.word(w) & mask, &mut f);
-        }
+    /// `(word_index, bits)` for every word overlapping `[first, last)`,
+    /// where `bits` selects the resident, clean pages in range — the
+    /// pages that hold page-cache references when the mapping is
+    /// file-backed.
+    pub(crate) fn clean_resident_words(
+        &self,
+        first: usize,
+        last: usize,
+    ) -> impl Iterator<Item = (usize, u64)> + '_ {
+        masked_words(first, last)
+            .map(move |(w, mask)| (w, self.resident.word(w) & !self.dirty.word(w) & mask))
     }
 
     /// Calls `f` with the index of every resident, clean page.
-    pub fn for_each_clean_resident_page(&self, f: impl FnMut(usize)) {
-        self.for_each_clean_resident_in(0, self.page_count(), f);
+    pub fn for_each_clean_resident_page(&self, mut f: impl FnMut(usize)) {
+        for (w, bits) in self.clean_resident_words(0, self.page_count()) {
+            for_each_bit(w, bits, &mut f);
+        }
+    }
+
+    /// Number of resident, clean pages whose bit is set in `pages`, a
+    /// bitmap indexed like this mapping. A file mapping starts at file
+    /// offset zero, so the file's solo bitmap lines up word for word and
+    /// this counts the private clean pages.
+    pub fn clean_resident_pages_in(&self, pages: &PageBits) -> u64 {
+        self.resident
+            .words()
+            .iter()
+            .zip(self.dirty.words())
+            .zip(pages.words())
+            .map(|((&r, &d), &p)| u64::from((r & !d & p).count_ones()))
+            .sum()
+    }
+
+    /// Drops the page-cache references that the resident, clean pages
+    /// of `[first, last)` hold (none for an anonymous mapping).
+    pub(crate) fn drop_cache_refs(&self, files: &mut FileRegistry, first: usize, last: usize) {
+        if let MappingKind::PrivateFile(file) = self.kind {
+            for (w, bits) in self.clean_resident_words(first, last) {
+                files.dec_mappers(file, w, bits);
+            }
+        }
     }
 
     /// Number of pages that are both resident and dirty (the resident
@@ -719,7 +756,7 @@ impl Mapping {
                     // Read faults join the page cache; write faults go
                     // straight to a private copy and never join it.
                     if !write {
-                        for_each_bit(w, fresh, |idx| files.inc_mapper(file, idx));
+                        files.inc_mappers(file, w, fresh);
                     }
                 }
             }
@@ -729,8 +766,7 @@ impl Mapping {
                 // A first write to a clean, already-resident file page
                 // breaks CoW: the page leaves the page cache.
                 if let MappingKind::PrivateFile(file) = self.kind {
-                    let cow = resident & !self.dirty.word(w);
-                    for_each_bit(w, cow, |idx| files.dec_mapper(file, idx));
+                    files.dec_mappers(file, w, resident & !self.dirty.word(w));
                 }
                 self.dirty_pages += self.dirty.set_word_bits(w, mask);
             }
@@ -741,9 +777,7 @@ impl Mapping {
     /// `madvise(MADV_DONTNEED)` over `[first, last)`: contents (and any
     /// swapped copies) are discarded. Returns freed resident bytes.
     fn release_range(&mut self, files: &mut FileRegistry, first: usize, last: usize) -> u64 {
-        if let MappingKind::PrivateFile(file) = self.kind {
-            self.for_each_clean_resident_in(first, last, |idx| files.dec_mapper(file, idx));
-        }
+        self.drop_cache_refs(files, first, last);
         let freed = self.clear_flag_range(page_flags::RESIDENT, first, last) * PAGE_SIZE;
         self.clear_flag_range(page_flags::SWAPPED, first, last);
         self.clear_flag_range(page_flags::DIRTY, first, last);
@@ -791,8 +825,7 @@ impl Mapping {
             let to_swap = match self.kind {
                 MappingKind::Anonymous => resident,
                 MappingKind::PrivateFile(file) => {
-                    let clean = resident & !self.dirty.word(w);
-                    for_each_bit(w, clean, |idx| files.dec_mapper(file, idx));
+                    files.dec_mappers(file, w, resident & !self.dirty.word(w));
                     resident & self.dirty.word(w)
                 }
             };
@@ -929,6 +962,10 @@ impl AddressSpace {
 
     /// Maps `len` bytes (rounded up to pages) at a kernel-chosen
     /// address.
+    ///
+    /// A file mapping is not checked against the file registry here;
+    /// callers go through [`crate::System::mmap_named`], which rejects
+    /// unknown files and mappings past a file's end.
     pub fn mmap(
         &mut self,
         len: u64,
@@ -1001,9 +1038,7 @@ impl AddressSpace {
         self.structure_dirty = true;
         self.removed_since_epoch.insert(addr.0);
         // Drop page-cache references held by this mapping.
-        if let MappingKind::PrivateFile(file) = m.kind {
-            m.for_each_clean_resident_page(|idx| files.dec_mapper(file, idx));
-        }
+        m.drop_cache_refs(files, 0, m.page_count());
         Ok(m)
     }
 

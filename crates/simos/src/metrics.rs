@@ -14,8 +14,18 @@
 //! * `USS` counts only private pages,
 //! * `PSS` counts private pages once and shared pages as `1/n` where
 //!   `n` is the number of mapping processes.
+//!
+//! [`uss`] and [`rss`] are word-parallel: RSS is the sum of the
+//! mappings' maintained resident counters, and USS adds, per file
+//! mapping, the resident dirty pages and a popcount of
+//! `resident & !dirty & solo`, where `solo` is the file's derived
+//! bitmap of pages with exactly one clean mapper (see
+//! [`crate::system::FileRegistry::solo`]). Neither builds an `smaps`
+//! report. [`smaps`] and [`pss`] keep the per-page walk, since PSS needs
+//! each shared page's mapper count, and serve as the oracle: debug
+//! builds check every `uss`/`rss` result against the `smaps` sums.
 
-use crate::mem::{Mapping, MappingKind};
+use crate::mem::{Mapping, MappingKind, PAGE_SIZE};
 use crate::system::{Pid, System};
 
 /// Per-mapping breakdown, mirroring an `smaps` entry.
@@ -85,7 +95,7 @@ fn classify(sys: &System, m: &Mapping) -> SmapsEntry {
     // need per-page treatment — their private/shared split depends on
     // the page-cache mapper count — and those are enumerated by set-bit
     // iteration rather than a walk over every page.
-    let page = crate::mem::PAGE_SIZE;
+    let page = PAGE_SIZE;
     let rss = m.resident_bytes();
     let swap = m.swapped_bytes();
     let private_dirty = m.resident_dirty_pages() * page;
@@ -126,14 +136,44 @@ pub fn smaps(sys: &System, pid: Pid) -> Vec<SmapsEntry> {
     }
 }
 
-/// Resident set size of `pid` in bytes.
+/// Resident set size of `pid` in bytes (zero if the process is gone).
 pub fn rss(sys: &System, pid: Pid) -> u64 {
-    smaps(sys, pid).iter().map(|e| e.rss).sum()
+    let rss = sys.space(pid).map_or(0, |space| space.resident_bytes());
+    verify_against_smaps(sys, pid, "RSS", rss, |e| e.rss);
+    rss
 }
 
-/// Unique set size of `pid` in bytes (`private_clean + private_dirty`).
+/// Unique set size of `pid` in bytes (`private_clean + private_dirty`;
+/// zero if the process is gone).
 pub fn uss(sys: &System, pid: Pid) -> u64 {
-    smaps(sys, pid).iter().map(SmapsEntry::uss).sum()
+    let uss = sys
+        .space(pid)
+        .map_or(0, |space| space.mappings().map(|m| private_bytes(sys, m)).sum());
+    verify_against_smaps(sys, pid, "USS", uss, SmapsEntry::uss);
+    uss
+}
+
+/// Resident private bytes of one mapping: every resident page of an
+/// anonymous mapping; the dirty (CoW) pages plus the solo clean pages
+/// of a file mapping.
+fn private_bytes(sys: &System, m: &Mapping) -> u64 {
+    match m.kind {
+        MappingKind::Anonymous => m.resident_bytes(),
+        MappingKind::PrivateFile(file) => {
+            let solo = sys.files().solo(file);
+            (m.resident_dirty_pages() + m.clean_resident_pages_in(solo)) * PAGE_SIZE
+        }
+    }
+}
+
+/// Re-derives a word-parallel metric from the per-page `smaps` walk.
+/// Debug builds run this on every `uss`/`rss` query; release builds
+/// skip it.
+fn verify_against_smaps(sys: &System, pid: Pid, what: &str, fast: u64, field: fn(&SmapsEntry) -> u64) {
+    if cfg!(debug_assertions) {
+        let slow: u64 = smaps(sys, pid).iter().map(field).sum();
+        assert_eq!(fast, slow, "word-parallel {what} of {pid:?} disagrees with smaps");
+    }
 }
 
 /// Proportional set size of `pid` in bytes.

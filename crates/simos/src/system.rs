@@ -9,7 +9,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{SimOsError, SimOsResult};
-use crate::mem::{AddressSpace, Mapping, MappingKind, Prot, TouchOutcome, VirtAddr, PAGE_SIZE};
+use crate::mem::pagebits::{for_each_bit, PageBits};
+use crate::mem::{
+    page_align_up, AddressSpace, Mapping, MappingKind, Prot, TouchOutcome, VirtAddr, PAGE_SIZE,
+};
 
 /// A process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,6 +29,75 @@ struct FileInfo {
     /// Per-page count of processes holding the page through the page
     /// cache (clean `MAP_PRIVATE` mappings).
     mapper_counts: Vec<u32>,
+    /// Derived from `mapper_counts`: a page's bit is set exactly when
+    /// its count is one, i.e. when the page is private to its single
+    /// mapper. USS counts private clean pages as popcounts against it.
+    /// Never encoded; restore rebuilds it from the counts.
+    solo: PageBits,
+}
+
+impl FileInfo {
+    fn new(name: String, mapper_counts: Vec<u32>) -> FileInfo {
+        let mut solo = PageBits::new(mapper_counts.len());
+        for (w, counts) in mapper_counts.chunks(64).enumerate() {
+            solo.set_word_bits(w, solo_word(counts));
+        }
+        FileInfo {
+            name,
+            mapper_counts,
+            solo,
+        }
+    }
+
+    /// Size in bytes.
+    fn size(&self) -> u64 {
+        self.mapper_counts.len() as u64 * PAGE_SIZE
+    }
+
+    /// Applies `step` to the mapper count of every page selected by
+    /// `bits` in word `w`, and re-derives those pages' solo bits.
+    fn step_mappers(&mut self, w: usize, bits: u64, step: impl Fn(u32) -> u32) {
+        if bits == 0 {
+            return;
+        }
+        let first = w * 64;
+        let last = (first + 64).min(self.mapper_counts.len());
+        debug_assert!(first < last, "mapper word {w} past the end of `{}`", self.name);
+        let Some(counts) = self.mapper_counts.get_mut(first..last) else {
+            return;
+        };
+        let solo = if let (u64::MAX, Ok(word)) = (bits, <&mut [u32; 64]>::try_from(&mut *counts)) {
+            // A whole word (a library faulted in or dropped in full):
+            // fixed-length passes over 64 adjacent counts, then their
+            // solo bits a byte at a time. Deriving the bits one shift
+            // per page in the same pass measured slower than the
+            // per-page refcounts this replaced.
+            word.iter_mut().for_each(|c| *c = step(*c));
+            solo_word(word)
+        } else {
+            let mut solo = 0;
+            for_each_bit(0, bits, |i| {
+                if let Some(c) = counts.get_mut(i) {
+                    *c = step(*c);
+                    solo |= u64::from(*c == 1) << i;
+                }
+            });
+            solo
+        };
+        self.solo.clear_word_bits(w, bits & !solo);
+        self.solo.set_word_bits(w, solo);
+    }
+}
+
+/// The solo bits of up to 64 adjacent mapper counts.
+fn solo_word(counts: &[u32]) -> u64 {
+    counts.chunks(8).enumerate().fold(0, |word, (i, eight)| {
+        let byte = eight
+            .iter()
+            .enumerate()
+            .fold(0u8, |byte, (j, &c)| byte | u8::from(c == 1) << j);
+        word | u64::from(byte) << (8 * i)
+    })
 }
 
 /// The global file registry and page cache.
@@ -33,7 +105,8 @@ struct FileInfo {
 /// Tracks, for every page of every registered file, how many processes
 /// currently map it clean. A count of one means the page is *private*
 /// to its process in `smaps` terms (and thus part of its USS); two or
-/// more means it is *shared*.
+/// more means it is *shared*. Counts move a 64-page word at a time,
+/// mirroring the mapping bitmaps they are driven from.
 #[derive(Debug, Clone, Default)]
 pub struct FileRegistry {
     files: Vec<FileInfo>,
@@ -49,11 +122,24 @@ impl FileRegistry {
     /// returns its id.
     pub fn register(&mut self, name: &str, size: u64) -> FileId {
         let npages = size.div_ceil(PAGE_SIZE) as usize;
-        self.files.push(FileInfo {
-            name: name.to_string(),
-            mapper_counts: vec![0; npages],
-        });
+        self.files
+            .push(FileInfo::new(name.to_string(), vec![0; npages]));
         FileId(self.files.len() as u32 - 1)
+    }
+
+    /// `file`'s entry, or [`SimOsError::NoSuchFile`].
+    fn lookup(&self, file: FileId) -> SimOsResult<&FileInfo> {
+        self.files
+            .get(file.0 as usize)
+            .ok_or(SimOsError::NoSuchFile(u64::from(file.0)))
+    }
+
+    fn info(&self, file: FileId) -> &FileInfo {
+        &self.files[file.0 as usize] // tidy:allow(panic-reachability) -- file ids are checked against the registry when a mapping is created (`System::mmap_named`) or restored (`System::restore`)
+    }
+
+    fn info_mut(&mut self, file: FileId) -> &mut FileInfo {
+        &mut self.files[file.0 as usize] // tidy:allow(panic-reachability) -- file ids are checked against the registry when a mapping is created (`System::mmap_named`) or restored (`System::restore`)
     }
 
     /// The registered name of `file`.
@@ -62,29 +148,93 @@ impl FileRegistry {
     ///
     /// Panics if `file` was not produced by this registry.
     pub fn name(&self, file: FileId) -> &str {
-        &self.files[file.0 as usize].name // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        &self.info(file).name
     }
 
     /// Size of `file` in bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `file` was not produced by this registry.
     pub fn size(&self, file: FileId) -> u64 {
-        self.files[file.0 as usize].mapper_counts.len() as u64 * PAGE_SIZE // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        self.info(file).size()
     }
 
-    /// How many processes map page `page` of `file` clean.
+    /// How many processes map page `page` of `file` clean (zero past
+    /// the end of the file).
     pub fn mapper_count(&self, file: FileId, page: usize) -> u32 {
-        self.files[file.0 as usize].mapper_counts[page] // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        self.info(file).mapper_counts.get(page).copied().unwrap_or(0)
     }
 
-    /// Records one more clean mapper of a file page.
-    pub(crate) fn inc_mapper(&mut self, file: FileId, page: usize) {
-        self.files[file.0 as usize].mapper_counts[page] += 1; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+    /// The pages of `file` that exactly one process maps clean.
+    pub fn solo(&self, file: FileId) -> &PageBits {
+        &self.info(file).solo
     }
 
-    /// Records one fewer clean mapper of a file page.
-    pub(crate) fn dec_mapper(&mut self, file: FileId, page: usize) {
-        let c = &mut self.files[file.0 as usize].mapper_counts[page]; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
-        debug_assert!(*c > 0, "mapper count underflow");
-        *c = c.saturating_sub(1);
+    /// Checks that a mapping of `len` bytes and `kind` may be created:
+    /// a file mapping must name a registered file and fit inside it.
+    pub(crate) fn check_mapping(&self, kind: MappingKind, len: u64) -> SimOsResult<()> {
+        let MappingKind::PrivateFile(file) = kind else {
+            return Ok(());
+        };
+        let size = self.lookup(file)?.size();
+        let len = page_align_up(len.max(1));
+        if len > size {
+            return Err(SimOsError::PastEndOfFile {
+                file: u64::from(file.0),
+                len,
+                size,
+            });
+        }
+        Ok(())
+    }
+
+    /// Records one more clean mapper of every page of `file` selected
+    /// by `bits` in word `w`.
+    pub(crate) fn inc_mappers(&mut self, file: FileId, w: usize, bits: u64) {
+        self.info_mut(file).step_mappers(w, bits, |c| c + 1);
+    }
+
+    /// Records one fewer clean mapper of every page of `file` selected
+    /// by `bits` in word `w`.
+    pub(crate) fn dec_mappers(&mut self, file: FileId, w: usize, bits: u64) {
+        self.info_mut(file).step_mappers(w, bits, |c| {
+            debug_assert!(c > 0, "mapper count underflow");
+            c.saturating_sub(1)
+        });
+    }
+
+    /// Checks the page cache against the processes that hold it: every
+    /// file mapping names a registered file and fits inside it, and
+    /// every page's mapper count equals the number of mappings holding
+    /// that page clean and resident.
+    fn check_coherent(&self, spaces: &BTreeMap<Pid, AddressSpace>) -> Result<(), &'static str> {
+        let mut held = FileRegistry {
+            files: self
+                .files
+                .iter()
+                .map(|f| FileInfo::new(String::new(), vec![0; f.mapper_counts.len()]))
+                .collect(),
+        };
+        for m in spaces.values().flat_map(AddressSpace::mappings) {
+            if let MappingKind::PrivateFile(file) = m.kind {
+                if self.check_mapping(m.kind, m.len()).is_err() {
+                    return Err("file mapping names an unknown file or runs past its end");
+                }
+                for (w, bits) in m.clean_resident_words(0, m.page_count()) {
+                    held.inc_mappers(file, w, bits);
+                }
+            }
+        }
+        if held
+            .files
+            .iter()
+            .zip(&self.files)
+            .any(|(held, have)| held.mapper_counts != have.mapper_counts)
+        {
+            return Err("file page mapper count disagrees with its clean resident mappers");
+        }
+        Ok(())
     }
 }
 
@@ -122,12 +272,10 @@ impl System {
             .remove(&pid)
             .ok_or(SimOsError::NoSuchProcess(pid))?;
         self.removed_pids.insert(pid);
-        // Walk the mappings to release clean file pages from the cache;
-        // the candidate pages come straight off the packed bitmaps.
+        // Release the clean file pages from the cache a word at a time,
+        // straight off the packed bitmaps.
         for m in space.mappings() {
-            if let MappingKind::PrivateFile(file) = m.kind {
-                m.for_each_clean_resident_page(|idx| self.files.dec_mapper(file, idx));
-            }
+            m.drop_cache_refs(&mut self.files, 0, m.page_count());
         }
         Ok(())
     }
@@ -179,7 +327,9 @@ impl System {
         self.mmap_named(pid, len, kind, prot, "[anon]")
     }
 
-    /// `mmap` with an explicit `smaps` name.
+    /// `mmap` with an explicit `smaps` name. A file mapping must name a
+    /// registered file ([`SimOsError::NoSuchFile`]) and fit inside it
+    /// ([`SimOsError::PastEndOfFile`]).
     pub fn mmap_named(
         &mut self,
         pid: Pid,
@@ -188,7 +338,8 @@ impl System {
         prot: Prot,
         name: &str,
     ) -> SimOsResult<VirtAddr> {
-        let (space, _files) = self.space_and_files(pid)?;
+        let (space, files) = self.space_and_files(pid)?;
+        files.check_mapping(kind, len)?;
         space.mmap(len, kind, prot, name)
     }
 
@@ -196,11 +347,10 @@ impl System {
     /// in all of it read-only, as the dynamic loader effectively does
     /// for a hot library.
     pub fn map_library(&mut self, pid: Pid, file: FileId) -> SimOsResult<VirtAddr> {
-        let size = self.files.size(file);
-        let name = self.files.name(file).to_string();
-        let (space, files) = self.space_and_files(pid)?;
-        let addr = space.mmap(size, MappingKind::PrivateFile(file), Prot::Read, &name)?;
-        space.touch(files, addr, size, false)?;
+        let info = self.files.lookup(file)?;
+        let (size, name) = (info.size(), info.name.clone());
+        let addr = self.mmap_named(pid, size, MappingKind::PrivateFile(file), Prot::Read, &name)?;
+        self.touch(pid, addr, size, false)?;
         Ok(addr)
     }
 
@@ -333,19 +483,21 @@ mod snap_impls {
 
     impl Snapshot for FileInfo {
         fn snap(&self, w: &mut Writer) {
+            // `solo` is derived from `mapper_counts`; restore rebuilds
+            // it, so it stays out of the canonical bytes.
             let Self {
                 name,
                 mapper_counts,
+                solo: _,
             } = self;
             w.str(name);
             mapper_counts.snap(w);
         }
 
         fn restore(r: &mut Reader<'_>) -> Result<FileInfo, SnapError> {
-            Ok(FileInfo {
-                name: r.str()?,
-                mapper_counts: Vec::<u32>::restore(r)?,
-            })
+            let name = r.str()?;
+            let mapper_counts = Vec::<u32>::restore(r)?;
+            Ok(FileInfo::new(name, mapper_counts))
         }
     }
 
@@ -388,6 +540,7 @@ mod snap_impls {
             if spaces.keys().any(|pid| pid.0 >= next_pid) {
                 return Err(SnapError::Corrupt("System pid at or past next_pid"));
             }
+            files.check_coherent(&spaces).map_err(SnapError::Corrupt)?;
             Ok(System {
                 files,
                 spaces,
@@ -437,6 +590,135 @@ mod tests {
             .unwrap();
         sys.touch(pid, a, 4 * PAGE_SIZE, true).unwrap();
         assert_eq!(sys.pmap(pid, a, 16 * PAGE_SIZE).unwrap(), 4 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn file_mapping_of_unknown_file_is_rejected() {
+        let mut sys = System::new();
+        let pid = sys.spawn_process();
+        let ghost = MappingKind::PrivateFile(FileId(7));
+        let err = sys
+            .mmap_named(pid, PAGE_SIZE, ghost, Prot::Read, "ghost.so")
+            .unwrap_err();
+        assert_eq!(err, SimOsError::NoSuchFile(7));
+        assert!(err.is_fatal());
+        assert!(matches!(
+            sys.map_library(pid, FileId(7)),
+            Err(SimOsError::NoSuchFile(7))
+        ));
+        assert_eq!(sys.space(pid).unwrap().mappings().count(), 0);
+    }
+
+    #[test]
+    fn file_mapping_past_end_of_file_is_rejected() {
+        let mut sys = System::new();
+        let lib = sys.register_file("libc.so", 4 * PAGE_SIZE);
+        let pid = sys.spawn_process();
+        let kind = MappingKind::PrivateFile(lib);
+        let err = sys
+            .mmap_named(pid, 4 * PAGE_SIZE + 1, kind, Prot::Read, "libc.so")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimOsError::PastEndOfFile {
+                file: 0,
+                len: 5 * PAGE_SIZE,
+                size: 4 * PAGE_SIZE
+            }
+        );
+        assert!(err.is_fatal());
+        assert_eq!(sys.space(pid).unwrap().mappings().count(), 0);
+        // A prefix of the file maps and faults in normally.
+        let a = sys
+            .mmap_named(pid, 2 * PAGE_SIZE, kind, Prot::Read, "libc.so")
+            .unwrap();
+        sys.touch(pid, a, 2 * PAGE_SIZE, false).unwrap();
+        assert_eq!(sys.files().mapper_count(lib, 1), 1);
+        assert_eq!(sys.files().mapper_count(lib, 2), 0);
+    }
+
+    #[test]
+    fn solo_bits_follow_mapper_counts() {
+        let mut sys = System::new();
+        // 130 pages: two full words and a partial one.
+        let lib = sys.register_file("node", 130 * PAGE_SIZE);
+        let p1 = sys.spawn_process();
+        let p2 = sys.spawn_process();
+        let a1 = sys.map_library(p1, lib).unwrap();
+        assert_eq!(sys.files().solo(lib).count(), 130);
+        let a2 = sys.map_library(p2, lib).unwrap();
+        assert_eq!(sys.files().solo(lib).count(), 0);
+        // p2 drops pages [60, 70): they become solo to p1.
+        sys.release(p2, a2.offset(60 * PAGE_SIZE), 10 * PAGE_SIZE)
+            .unwrap();
+        assert_eq!(sys.files().solo(lib).count_range(60, 70), 10);
+        assert_eq!(sys.files().solo(lib).count(), 10);
+        // p1 writes page 65 (CoW): it leaves the cache entirely.
+        sys.touch(p1, a1.offset(65 * PAGE_SIZE), PAGE_SIZE, true)
+            .unwrap();
+        assert_eq!(sys.files().mapper_count(lib, 65), 0);
+        assert!(!sys.files().solo(lib).get(65));
+        sys.kill_process(p1).unwrap();
+        let solo = sys.files().solo(lib);
+        assert_eq!(solo.count(), 120);
+        assert!((60..70).all(|idx| !solo.get(idx)));
+    }
+
+    /// Encodes `sys` and decodes the bytes back.
+    fn round_trip(sys: &System) -> Result<System, snapshot::SnapError> {
+        use snapshot::Snapshot;
+        let mut w = snapshot::Writer::new();
+        sys.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = snapshot::Reader::new(&bytes);
+        let restored = System::restore(&mut r)?;
+        r.finish()?;
+        Ok(restored)
+    }
+
+    fn shared_library_system() -> System {
+        let mut sys = System::new();
+        let lib = sys.register_file("libjvm.so", 70 * PAGE_SIZE);
+        for _ in 0..2 {
+            let pid = sys.spawn_process();
+            sys.map_library(pid, lib).unwrap();
+        }
+        sys
+    }
+
+    #[test]
+    fn restore_rejects_incoherent_mapper_counts() {
+        let sys = shared_library_system();
+        let restored = round_trip(&sys).unwrap();
+        assert_eq!(restored.files().solo(FileId(0)).count(), 0);
+        // One count off by one is a validly encoded byte string whose
+        // page cache disagrees with the processes holding it.
+        let mut bad = sys.clone();
+        bad.files.files[0].mapper_counts[3] += 1;
+        assert!(matches!(
+            round_trip(&bad),
+            Err(snapshot::SnapError::Corrupt(msg)) if msg.contains("mapper count")
+        ));
+        let mut bad = sys.clone();
+        bad.files.files[0].mapper_counts[69] -= 1;
+        assert!(round_trip(&bad).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_invalid_file_mappings() {
+        for (file, pages) in [(FileId(5), 1), (FileId(0), 71)] {
+            let mut bad = shared_library_system();
+            let pid = bad.spawn_process();
+            let mut space = AddressSpace::new();
+            space
+                .mmap(pages * PAGE_SIZE, MappingKind::PrivateFile(file), Prot::Read, "bad")
+                .unwrap();
+            bad.spaces.insert(pid, space);
+            assert!(matches!(
+                round_trip(&bad),
+                Err(snapshot::SnapError::Corrupt(msg)) if msg.contains("unknown file")
+            ));
+        }
     }
 
     #[test]
