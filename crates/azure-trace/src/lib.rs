@@ -50,4 +50,4 @@ pub mod resume;
 pub use cluster_replay::{replay_cluster, ClusterReplayOutcome};
 pub use generate::{build_trace, generate_arrivals, ArrivalPattern, TraceFunction};
 pub use replay::{replay, ReplayConfig, ReplayOutcome};
-pub use resume::{replay_resumable, RequestJournal, ResumeOptions, ResumeOutcome};
+pub use resume::{replay_resumable, ResumeOptions, ResumeOutcome};

@@ -1,7 +1,7 @@
 //! The §5.3 replay protocol: warm-up, then a measured window.
 
 use faas::platform::Platform;
-use simos::SimDuration;
+use simos::{SimDuration, SimTime};
 
 use crate::generate::{generate_arrivals, TraceFunction};
 
@@ -37,7 +37,7 @@ impl Default for ReplayConfig {
 }
 
 /// Measured results of one replay.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Requests submitted in the measured window.
     pub submitted: u64,
@@ -84,39 +84,63 @@ pub fn replay(platform: &mut Platform, trace: &[TraceFunction], config: &ReplayC
         platform.submit(t, f);
     }
     platform.run_until(replay_end);
-    let cores = platform.config().cores;
     // Snapshot rates at the window end, then drain in-flight requests
     // so tail latencies are complete.
-    let submitted = platform.stats().submitted;
-    let cold_boot_rate = platform.stats().cold_boot_rate(replay_end);
-    let throughput = platform.stats().throughput(replay_end);
-    let cpu_utilization = platform.stats().cpu_utilization(replay_end, cores);
-    let reclaim_cpu_fraction = platform.stats().reclaim_cpu_fraction(replay_end, cores);
+    let rates = WindowRates::capture(platform, replay_end);
     platform.run_until(replay_end + config.drain);
+    rates.outcome(platform)
+}
 
-    let stats = platform.stats();
-    let mut latency = stats.latency.clone();
-    let pct = |l: &mut faas::LatencyHistogram, q| {
-        l.percentile(q).map(|d| d.as_millis_f64()).unwrap_or(0.0)
-    };
-    ReplayOutcome {
-        submitted,
-        completed: stats.completed,
-        cold_boot_rate,
-        cold_boot_fraction: stats.cold_boot_fraction(),
-        throughput,
-        cpu_utilization,
-        reclaim_cpu_fraction,
-        evictions: stats.evictions,
-        failed: stats.failed,
-        retries: stats.retries,
-        fault_events: stats.fault_events(),
-        latency_ms: (
-            pct(&mut latency, 0.50),
-            pct(&mut latency, 0.90),
-            pct(&mut latency, 0.95),
-            pct(&mut latency, 0.99),
-        ),
+/// The §5.3 rates, captured when the measured window closes (before the
+/// drain).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowRates {
+    submitted: u64,
+    cold_boot_rate: f64,
+    throughput: f64,
+    cpu_utilization: f64,
+    reclaim_cpu_fraction: f64,
+}
+
+impl WindowRates {
+    pub(crate) fn capture(platform: &Platform, replay_end: SimTime) -> WindowRates {
+        let cores = platform.config().cores;
+        let stats = platform.stats();
+        WindowRates {
+            submitted: stats.submitted,
+            cold_boot_rate: stats.cold_boot_rate(replay_end),
+            throughput: stats.throughput(replay_end),
+            cpu_utilization: stats.cpu_utilization(replay_end, cores),
+            reclaim_cpu_fraction: stats.reclaim_cpu_fraction(replay_end, cores),
+        }
+    }
+
+    /// Completes the outcome from the drained platform.
+    pub(crate) fn outcome(self, platform: &Platform) -> ReplayOutcome {
+        let stats = platform.stats();
+        let mut latency = stats.latency.clone();
+        let pct = |l: &mut faas::LatencyHistogram, q| {
+            l.percentile(q).map(|d| d.as_millis_f64()).unwrap_or(0.0)
+        };
+        ReplayOutcome {
+            submitted: self.submitted,
+            completed: stats.completed,
+            cold_boot_rate: self.cold_boot_rate,
+            cold_boot_fraction: stats.cold_boot_fraction(),
+            throughput: self.throughput,
+            cpu_utilization: self.cpu_utilization,
+            reclaim_cpu_fraction: self.reclaim_cpu_fraction,
+            evictions: stats.evictions,
+            failed: stats.failed,
+            retries: stats.retries,
+            fault_events: stats.fault_events(),
+            latency_ms: (
+                pct(&mut latency, 0.50),
+                pct(&mut latency, 0.90),
+                pct(&mut latency, 0.95),
+                pct(&mut latency, 0.99),
+            ),
+        }
     }
 }
 

@@ -25,7 +25,9 @@
 //! and each death is recovered from the newest verifiable checkpoint
 //! chain plus the journaled requests. The gate passes only if the
 //! recovered run's final state digests byte-identical to an
-//! uninterrupted control — crashes must be invisible in the results.
+//! uninterrupted control — crashes must be invisible in the results —
+//! and the control itself must end in the same state and outcome as a
+//! plain `replay` of the same configuration.
 //!
 //! `--torn-write` additionally tears checkpoint writes at frame
 //! boundaries on a seeded schedule, and `--corrupt-at N` flips a bit
@@ -186,6 +188,15 @@ fn kill_recover_gate(flags: &Flags, crash: CrashPlan, storage: Option<StorageFau
             ..ReplayConfig::default()
         };
         let control = replay_resumable(make, &trace, &config, &ResumeOptions::default(), None);
+        // The resumable protocol is the plain one, cut into rounds: the
+        // uninterrupted control must end where a plain `replay` does.
+        let mut plain = make();
+        let plain_outcome = replay(&mut plain, &trace, &config);
+        check(
+            flags,
+            control.final_state == plain.checkpoint() && control.outcome == plain_outcome,
+            &format!("{mode}: uninterrupted control matches plain replay"),
+        );
         let opts = ResumeOptions {
             storage_faults: storage,
             ..ResumeOptions::default()

@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use faas::fault::{CrashPlan, OutageKind, OutagePlan};
-use faas::LatencyHistogram;
+use faas::{Cadence, LatencyHistogram};
 use simos::{SimDuration, SimTime};
 use snapshot::{Reader, SnapError, Writer};
 
@@ -51,7 +51,7 @@ use crate::frontend::{AvailabilityReport, FrontEnd, FrontEndConfig, FrontReq, Fr
 use crate::health::HealthState;
 use crate::msg::{ClusterTotals, ShardReport};
 use crate::router::{Placement, Router, Routing};
-use crate::shard::{Shard, ShardDurability, ShardSetup};
+use crate::shard::{Shard, ShardSetup};
 
 /// Shape of a cluster run.
 #[derive(Debug, Clone, Copy)]
@@ -67,8 +67,8 @@ pub struct ClusterConfig {
     /// Worker threads draining shards each round (`1` = serial). Has
     /// no effect on any simulation outcome, only on wall time.
     pub jobs: usize,
-    /// Per-shard checkpoint cadence.
-    pub durability: ShardDurability,
+    /// Per-shard checkpoint cadence, in barrier rounds.
+    pub cadence: Cadence,
     /// Cache-occupancy fraction above which a shard offers migrations.
     pub pressure: f64,
     /// Migration offers per shard per barrier.
@@ -85,7 +85,10 @@ impl Default for ClusterConfig {
             round: SimDuration::from_secs(2),
             policy: Placement::HashAffinity,
             jobs: 1,
-            durability: ShardDurability::default(),
+            cadence: Cadence {
+                checkpoint_every: 4,
+                base_every: 4,
+            },
             pressure: 0.85,
             max_offers: 2,
             frontend: FrontEndConfig::default(),
@@ -147,7 +150,7 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig, setup: &ShardSetup) -> Cluster {
         assert!(cfg.shards > 0, "a cluster needs at least one shard");
         let shards: Vec<Mutex<Shard>> = (0..cfg.shards)
-            .map(|id| Mutex::new(Shard::new(id, setup.clone(), cfg.durability)))
+            .map(|id| Mutex::new(Shard::new(id, setup.clone(), cfg.cadence)))
             .collect();
         let now = shards[0].lock().expect("shard lock").now();
         Cluster {
@@ -272,7 +275,7 @@ impl Cluster {
         // *before* placement mutates router or front end — a heal's
         // journal replay re-cuts byte-identical checkpoints.
         let front_frame = round
-            .is_multiple_of(self.cfg.durability.checkpoint_every)
+            .is_multiple_of(self.cfg.cadence.checkpoint_every)
             .then(|| self.frontend_bytes());
         // Intake: stranded retries first (they were re-timed to the
         // stranding barrier, which is `self.now`, so batch time order

@@ -17,9 +17,9 @@
 //! — FNV-1a over every shard's canonical checkpoint bytes plus the
 //! fleet-level front-end bytes — is the oracle the determinism gates
 //! compare at `--jobs 1/2/N`, and it also survives killing any shard
-//! mid-round: each shard carries its own incremental-checkpoint store
-//! and write-ahead round journal, and recovers through the same
-//! lattice the single-machine resumable replay uses.
+//! mid-round: each shard is a `faas::durable` driver (incremental
+//! checkpoint store plus write-ahead round journal), the same driver
+//! the single-machine resumable replay uses.
 //!
 //! # Failure domains
 //!
@@ -54,7 +54,7 @@ pub use frontend::{
 pub use health::{Health, HealthPolicy, HealthState};
 pub use msg::{ClusterTotals, MigrationOffer, ShardReport};
 pub use router::{Placement, Router, Routing};
-pub use shard::{ManagerFn, Shard, ShardDurability, ShardSetup};
+pub use shard::{ManagerFn, Shard, ShardSetup};
 
 /// FNV-1a over `bytes` from the standard offset basis.
 pub fn fnv64_bytes(bytes: &[u8]) -> u64 {

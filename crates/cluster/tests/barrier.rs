@@ -4,12 +4,10 @@
 //! failover, deadlines/retries/hedging, admission control, and the
 //! durability of fleet state across checkpoint cuts.
 
-use cluster::{
-    Cluster, ClusterConfig, FrontEndConfig, Placement, ShardDurability, ShardSetup,
-};
+use cluster::{Cluster, ClusterConfig, FrontEndConfig, Placement, ShardSetup};
 use desiccant::{Desiccant, DesiccantConfig};
 use faas::{
-    CrashPlan, MemoryManager, OutageKind, OutagePlan, OutageWindow, PlatformConfig,
+    Cadence, CrashPlan, MemoryManager, OutageKind, OutagePlan, OutageWindow, PlatformConfig,
     StorageFaultPlan,
 };
 use simos::{SimDuration, SimTime};
@@ -120,7 +118,7 @@ fn storage_faults_on_one_shard_cost_recency_not_correctness() {
     let cfg = ClusterConfig {
         shards: 3,
         jobs: 3,
-        durability: ShardDurability {
+        cadence: Cadence {
             checkpoint_every: 2,
             base_every: 2,
         },
@@ -440,7 +438,7 @@ fn fleet_state_rides_shard_zero_checkpoints() {
     let (router, front, rounds) = Cluster::decode_front(&bytes).expect("front frame decodes");
     assert!(rounds > 0, "recovery restored the round-zero cut");
     assert!(
-        rounds.is_multiple_of(cfg.durability.checkpoint_every as u64),
+        rounds.is_multiple_of(cfg.cadence.checkpoint_every as u64),
         "front frame must come from a cut round (got round {rounds})"
     );
     assert!(front.stats.routed > 0, "checkpointed front end saw no traffic");

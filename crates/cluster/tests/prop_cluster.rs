@@ -3,8 +3,8 @@
 //! `jobs = 1` and `jobs = N` — with an arbitrary mid-run shard kill
 //! recovered through the checkpoint lattice along the way.
 
-use cluster::{Cluster, ClusterConfig, Placement, ShardDurability, ShardSetup};
-use faas::{CrashPlan, PlatformConfig};
+use cluster::{Cluster, ClusterConfig, Placement, ShardSetup};
+use faas::{Cadence, CrashPlan, PlatformConfig};
 use proptest::prelude::*;
 use simos::{SimDuration, SimTime};
 
@@ -61,7 +61,7 @@ fn run(s: &Schedule, jobs: usize) -> (u64, u64, u64) {
         policy: s.policy,
         jobs,
         round: SimDuration::from_millis(s.round_ms),
-        durability: ShardDurability {
+        cadence: Cadence {
             checkpoint_every: 2,
             base_every: 3,
         },

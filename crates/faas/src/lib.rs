@@ -29,6 +29,10 @@
 //!   virtual-clock-driven fault schedule (boot failures, crashes,
 //!   thaw/reclaim failures, OOM kills); off by default and
 //!   byte-identical to a fault-free build when disabled;
+//! * [`durable::Durable`] — the one durability driver: a platform
+//!   behind a write-ahead round journal and a faultable checkpoint
+//!   store ([`store::CheckpointStore`]), recovering from kills
+//!   ([`fault::CrashPlan`]) and outages by journal replay;
 //! * [`error::PlatformError`] — typed errors for event-loop and
 //!   teardown invariants (stale events, cache/process residue).
 //!
@@ -52,6 +56,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod durable;
 pub mod error;
 pub mod fault;
 pub mod histogram;
@@ -63,6 +68,7 @@ pub mod stats;
 pub mod store;
 
 pub use config::{EnvFlavor, PlatformConfig};
+pub use durable::{Cadence, Durable, RecoveryCounts};
 pub use error::{PlatformError, PlatformResult};
 pub use fault::{
     CrashPlan, FaultInjector, FaultPlan, OutageKind, OutagePlan, OutageWindow, StorageFault,
