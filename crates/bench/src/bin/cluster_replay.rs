@@ -116,7 +116,6 @@ fn desiccant_manager(_shard: u32) -> Option<Box<dyn MemoryManager>> {
 
 /// Wall-clock seconds spent in `f` (host measurement, not sim state).
 fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    #[allow(clippy::disallowed_methods)]
     // tidy:allow(wall-clock) -- this harness measures host scaling; wall time never enters simulation state
     let t0 = std::time::Instant::now();
     let out = f();

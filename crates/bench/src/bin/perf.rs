@@ -32,7 +32,6 @@ use simos::{SimDuration, SimTime};
 
 /// Wall-clock seconds spent in `f` (host measurement, not sim state).
 fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    #[allow(clippy::disallowed_methods)]
     // tidy:allow(wall-clock) -- this harness measures host perf; wall time never enters simulation state
     let t0 = std::time::Instant::now();
     let out = f();

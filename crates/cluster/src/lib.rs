@@ -33,10 +33,10 @@
 //! (`routed == delivered + shed + failed + pending`) checked in
 //! [`ClusterTotals`] and asserted by the chaos gates.
 //!
-//! Module layout mirrors the isolation boundary the `shard-isolation`
-//! tidy rule enforces: [`shard`] is the only module allowed to name
-//! the platform; [`router`], [`msg`], [`health`], [`frontend`], and
-//! [`engine`] deal in plain data.
+//! Module layout mirrors the isolation boundary field privacy
+//! enforces: [`shard`] is the only module that names the platform;
+//! [`router`], [`msg`], [`health`], [`frontend`], and [`engine`] deal
+//! in plain data.
 
 #![forbid(unsafe_code)]
 

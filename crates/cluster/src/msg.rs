@@ -4,8 +4,8 @@
 //! summarizes itself into a [`ShardReport`] at each barrier; the
 //! router folds the reports in canonical shard order. Nothing in here
 //! names an instance or any other piece of shard-local simulation
-//! state — placement works on aggregates, which is what makes the
-//! `shard-isolation` tidy rule enforceable at the token level.
+//! state — placement works on aggregates, which is what lets
+//! [`crate::shard::Shard`] keep its platform private.
 
 use std::collections::BTreeMap;
 

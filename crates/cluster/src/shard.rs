@@ -1,12 +1,12 @@
 //! One simulated machine: a [`Platform`] plus its durability envelope.
 //!
 //! This is the **only** module in the crate that names the platform or
-//! drives its event loop — the `shard-isolation` tidy rule bans those
-//! tokens everywhere else under `crates/cluster/src/`, so the engine
-//! and router are statically incapable of reaching into shard-local
-//! simulation state. Everything a shard exposes goes out as plain
-//! data: a [`ShardReport`] at each barrier, canonical state bytes for
-//! the digest, and aggregate totals.
+//! drives its event loop. The platform lives in a private field and no
+//! method hands out a `&Platform`, so the compiler keeps the engine
+//! and router from reaching into shard-local simulation state.
+//! Everything a shard exposes goes out as plain data: a
+//! [`ShardReport`] at each barrier, canonical state bytes for the
+//! digest, and aggregate totals.
 //!
 //! # Rounds, outages, and recovery
 //!
@@ -73,6 +73,16 @@ impl ShardSetup {
 type Rebuild = Box<dyn Fn() -> Platform + Send>;
 
 /// One simulated machine of the cluster.
+///
+/// Opaque outside this module: the durability driver that owns the
+/// platform is a private field, so reading it from the engine does not
+/// compile.
+///
+/// ```compile_fail,E0616
+/// fn peek(shard: &cluster::shard::Shard) {
+///     let _ = &shard.durable;
+/// }
+/// ```
 pub struct Shard {
     id: u32,
     durable: Durable<Rebuild>,

@@ -51,7 +51,6 @@ const CRC64_TABLE: [u64; 256] = {
             crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
             bit += 1;
         }
-        // tidy:allow(unchecked-index) -- const-eval table build; i < 256 by the loop bound
         table[i] = crc;
         i += 1;
     }
@@ -64,7 +63,6 @@ pub fn crc64(bytes: &[u8]) -> u64 {
     let mut crc = !0u64;
     for &b in bytes {
         let idx = ((crc ^ u64::from(b)) & 0xFF) as usize;
-        // tidy:allow(unchecked-index) -- idx is masked to 0xFF into a 256-entry table
         crc = CRC64_TABLE[idx] ^ (crc >> 8); // tidy:allow(panic-reachability) -- idx is a byte and the CRC table has 256 entries
     }
     !crc

@@ -240,8 +240,9 @@ impl<'a> Reader<'a> {
     /// Takes exactly `n` bytes.
     ///
     /// Every access goes through `slice::get` — the decode path must
-    /// hold against arbitrary bytes, so the `unchecked-index` tidy rule
-    /// bans plain indexing in this crate.
+    /// hold against arbitrary bytes, and the `panic-reachability` tidy
+    /// rule flags any plain index reachable from `decode` or
+    /// `Container::open`.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         let end = self
             .pos

@@ -21,8 +21,8 @@
 //! * **determinism-dataflow** — functions that canonical byte
 //!   producers (`state_bytes`, `digest`, `snap`, checkpoint encoders)
 //!   transitively call must not accumulate `f64`s over unordered
-//!   iteration, compare floats non-totally, or touch hash collections:
-//!   their results flow into the bytes and can differ run-to-run.
+//!   iteration or compare floats non-totally: their results flow into
+//!   the bytes and can differ run-to-run.
 //! * **barrier-discipline** — inside `crates/cluster` (outside
 //!   `shard.rs`), shard-mutating calls may only occur in the functions
 //!   that own the barrier protocol: `advance` in the round drain,
@@ -271,7 +271,7 @@ pub fn panic_reachability(graph: &Graph<'_>, roots: &[Root]) -> Vec<Finding> {
         // A root only counts as drifted when its file was scanned:
         // fixture/self-test runs hand the analysis a partial world.
         if matched.is_empty() && graph.paths.contains(root.path) {
-            out.push(Finding::raw(
+            out.push(Finding::new(
                 root.path,
                 1,
                 "panic-reachability",
@@ -291,7 +291,7 @@ pub fn panic_reachability(graph: &Graph<'_>, roots: &[Root]) -> Vec<Finding> {
             continue;
         }
         for site in &n.info.panics {
-            out.push(Finding::raw(
+            out.push(Finding::new(
                 n.path,
                 site.line,
                 "panic-reachability",
@@ -306,9 +306,9 @@ pub fn panic_reachability(graph: &Graph<'_>, roots: &[Root]) -> Vec<Finding> {
     out
 }
 
-/// Runs determinism-dataflow: flags unordered float accumulation,
-/// non-total float comparison, and hash collections in functions from
-/// which a canonical-byte sink is reachable.
+/// Runs determinism-dataflow: flags unordered float accumulation and
+/// non-total float comparison in functions from which a canonical-byte
+/// sink is reachable.
 pub fn determinism_dataflow(graph: &Graph<'_>, sinks: &[&str]) -> Vec<Finding> {
     // Forward BFS *from* the sink nodes: data flows into canonical
     // bytes through the sink's callees (their return values and the
@@ -334,39 +334,20 @@ pub fn determinism_dataflow(graph: &Graph<'_>, sinks: &[&str]) -> Vec<Finding> {
         }
         let sink = graph.label(j);
         for site in &n.info.dataflow {
-            let (skip, msg) = match site.kind {
-                // Hash collections in sim-state crates are already
-                // banned wholesale by `hash-collections`.
-                DataflowKind::HashIdent => (
-                    in_sim_state_crate(n.path),
-                    format!(
-                        "{} in `{}`, whose results feed canonical bytes (`{sink}`): \
-                         iteration order varies run-to-run",
-                        site.what,
-                        graph.label(i)
-                    ),
+            let msg = match site.kind {
+                DataflowKind::UnorderedFloatAccum => format!(
+                    "{} in `{}` feeds canonical bytes (`{sink}`): f64 addition is not \
+                     associative, so a varying order changes the digest",
+                    site.what,
+                    graph.label(i)
                 ),
-                DataflowKind::UnorderedFloatAccum => (
-                    false,
-                    format!(
-                        "{} in `{}` feeds canonical bytes (`{sink}`): f64 addition is not \
-                         associative, so a varying order changes the digest",
-                        site.what,
-                        graph.label(i)
-                    ),
-                ),
-                DataflowKind::PartialCmp => (
-                    false,
-                    format!(
-                        "{} in `{}` feeds canonical bytes (`{sink}`): use total_cmp",
-                        site.what,
-                        graph.label(i)
-                    ),
+                DataflowKind::PartialCmp => format!(
+                    "{} in `{}` feeds canonical bytes (`{sink}`): use total_cmp",
+                    site.what,
+                    graph.label(i)
                 ),
             };
-            if !skip {
-                out.push(Finding::raw(n.path, site.line, "determinism-dataflow", msg));
-            }
+            out.push(Finding::new(n.path, site.line, "determinism-dataflow", msg));
         }
     }
     out
@@ -396,7 +377,7 @@ pub fn barrier_discipline(files: &[(String, FileSummary)]) -> Vec<Finding> {
                     CallKind::Free => false,
                 };
                 if relevant && !allowed.contains(&info.name.as_str()) {
-                    out.push(Finding::raw(
+                    out.push(Finding::new(
                         path,
                         call.line,
                         "barrier-discipline",

@@ -16,13 +16,14 @@
 //! ([`parse`]) feeds a workspace call graph ([`graph`]) whose
 //! analyses see *across* files: panic-reachability from hot-path
 //! roots, determinism dataflow into canonical bytes, and barrier
-//! discipline in the cluster layer. An incremental content-hash cache
-//! ([`cache`]) keeps warm runs fast. Run it with
+//! discipline in the cluster layer. A full run over the workspace
+//! takes well under a second, so tidy keeps no cache. Each
+//! invariant has one enforcement point: where clippy, the compiler or
+//! another rule already checks it, tidy does not. Run it with
 //! `cargo run -p xtask -- tidy` (tier1.sh does, before the tests).
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod parse;
@@ -30,17 +31,12 @@ pub mod rules;
 pub mod walk;
 
 pub use rules::{check_manifest, check_source, Finding, Rule, RULES};
-pub use walk::{check_files, RunOpts, TidyReport};
+pub use walk::check_files;
 
 use std::path::Path;
 
-/// Runs the full audit over `root` with no cache; findings come back
-/// sorted by (path, line, rule, message).
+/// Runs the full audit over `root`; findings come back sorted by
+/// (path, line, rule, message).
 pub fn tidy(root: &Path) -> Result<Vec<Finding>, String> {
     walk::run(root)
-}
-
-/// Runs the full audit with explicit options (cache location).
-pub fn tidy_with(root: &Path, opts: &RunOpts) -> Result<TidyReport, String> {
-    walk::run_with(root, opts)
 }

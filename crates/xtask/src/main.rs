@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{RunOpts, TidyReport, RULES};
+use xtask::{Finding, RULES};
 
 const USAGE: &str = "usage: cargo run -p xtask -- <command>
 
@@ -18,11 +18,8 @@ tidy flags:
   --root DIR         audit DIR instead of this workspace
   --format text|json findings format (default text)
   --out FILE         also write the findings (in --format) to FILE
-  --no-cache         disable the incremental cache (cold run)
-  --cache-file FILE  cache location (default target/tidy-cache.tsv under the root)
-  --budget-ms N      exit 3 if the run exceeds N milliseconds
 
-exit codes: 0 clean, 1 findings, 2 usage/io error, 3 over time budget";
+exit codes: 0 clean, 1 findings, 2 usage/io error";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,15 +43,11 @@ fn tidy(flags: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = "text".to_string();
     let mut out_file: Option<PathBuf> = None;
-    let mut no_cache = false;
-    let mut cache_file: Option<PathBuf> = None;
-    let mut budget_ms: Option<u64> = None;
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--fix-hints" => fix_hints = true,
-            "--no-cache" => no_cache = true,
-            "--root" | "--format" | "--out" | "--cache-file" | "--budget-ms" => {
+            "--root" | "--format" | "--out" => {
                 let Some(value) = it.next() else {
                     eprintln!("{flag} needs a value\n{USAGE}");
                     return ExitCode::from(2);
@@ -62,7 +55,6 @@ fn tidy(flags: &[String]) -> ExitCode {
                 match flag.as_str() {
                     "--root" => root = Some(PathBuf::from(value)),
                     "--out" => out_file = Some(PathBuf::from(value)),
-                    "--cache-file" => cache_file = Some(PathBuf::from(value)),
                     "--format" => {
                         if value != "text" && value != "json" {
                             eprintln!("--format must be text or json\n{USAGE}");
@@ -70,13 +62,6 @@ fn tidy(flags: &[String]) -> ExitCode {
                         }
                         format = value.clone();
                     }
-                    "--budget-ms" => match value.parse() {
-                        Ok(ms) => budget_ms = Some(ms),
-                        Err(_) => {
-                            eprintln!("--budget-ms needs an integer\n{USAGE}");
-                            return ExitCode::from(2);
-                        }
-                    },
                     _ => unreachable!(),
                 }
             }
@@ -92,29 +77,17 @@ fn tidy(flags: &[String]) -> ExitCode {
             .join("..")
             .join("..")
     });
-    let opts = RunOpts {
-        cache_file: if no_cache {
-            None
-        } else {
-            Some(cache_file.unwrap_or_else(|| root.join("target").join("tidy-cache.tsv")))
-        },
-    };
-
-    #[allow(clippy::disallowed_methods)]
-    // tidy:allow(wall-clock) -- measuring the analyzer itself, not simulation time
-    let started = std::time::Instant::now();
-    let report = match xtask::tidy_with(&root, &opts) {
-        Ok(r) => r,
+    let findings = match xtask::tidy(&root) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("tidy: {e}");
             return ExitCode::from(2);
         }
     };
-    let elapsed_ms = started.elapsed().as_millis();
 
     let rendered = match format.as_str() {
-        "json" => render_json(&report),
-        _ => render_text(&report, fix_hints),
+        "json" => render_json(&findings),
+        _ => render_text(&findings, fix_hints),
     };
     print!("{rendered}");
     if let Some(out) = out_file {
@@ -126,51 +99,40 @@ fn tidy(flags: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    eprintln!(
-        "tidy: {} file(s), {} cache hit(s), {} miss(es), {elapsed_ms} ms",
-        report.files, report.cache_hits, report.cache_misses
-    );
-    if let Some(budget) = budget_ms {
-        if elapsed_ms > u128::from(budget) {
-            eprintln!("tidy: exceeded --budget-ms {budget} ({elapsed_ms} ms)");
-            return ExitCode::from(3);
-        }
-    }
-    if report.findings.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-fn render_text(report: &TidyReport, fix_hints: bool) -> String {
+fn render_text(findings: &[Finding], fix_hints: bool) -> String {
     let mut out = String::new();
-    if report.findings.is_empty() {
+    if findings.is_empty() {
         out.push_str(&format!("tidy: OK ({} rules enforced)\n", RULES.len()));
         return out;
     }
-    for f in &report.findings {
+    for f in findings {
         out.push_str(&format!("{}:{}: [{}] {}\n", f.path, f.line, f.rule, f.message));
         if fix_hints && !f.hint.is_empty() {
             out.push_str(&format!("    fix: {}\n", f.hint));
         }
     }
     let files: std::collections::BTreeSet<&str> =
-        report.findings.iter().map(|f| f.path.as_str()).collect();
+        findings.iter().map(|f| f.path.as_str()).collect();
     out.push_str(&format!(
         "tidy: {} violation(s) across {} file(s)\n",
-        report.findings.len(),
+        findings.len(),
         files.len()
     ));
     out
 }
 
-/// Renders findings as a deterministic JSON document. Deliberately
-/// excludes timing and cache statistics so artifacts from identical
-/// trees are byte-identical and diff cleanly.
-fn render_json(report: &TidyReport) -> String {
+/// Renders findings as a deterministic JSON document, so artifacts
+/// from identical trees are byte-identical and diff cleanly.
+fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -183,12 +145,12 @@ fn render_json(report: &TidyReport) -> String {
             json_str(f.hint)
         ));
     }
-    if !report.findings.is_empty() {
+    if !findings.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str(&format!(
         "],\n  \"total\": {},\n  \"rules_enforced\": {}\n}}\n",
-        report.findings.len(),
+        findings.len(),
         RULES.len()
     ));
     out

@@ -19,9 +19,8 @@
 //!   hints (`f64` accumulation, `.values()`/`.keys()` iteration,
 //!   `partial_cmp`) are recorded with their line numbers.
 //!
-//! The output is a [`FileSummary`] per file: small, serializable (the
-//! incremental cache stores it), and sufficient for
-//! [`crate::graph`] to build the workspace call graph.
+//! The output is a [`FileSummary`] per file: small, and sufficient
+//! for [`crate::graph`] to build the workspace call graph.
 
 use crate::lexer;
 use crate::rules::test_mask;
@@ -59,8 +58,6 @@ pub struct PanicSite {
 /// A determinism-dataflow hint inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DataflowKind {
-    /// `HashMap`/`HashSet` named in the function.
-    HashIdent,
     /// A `for … in ….values()/.keys()` loop in a function that also
     /// accumulates `f64`s (`+=` with `f64` in scope, or `.sum::<f64>()`).
     UnorderedFloatAccum,
@@ -390,9 +387,10 @@ fn after_for_path_done(text: &str, start: usize) -> bool {
 }
 
 /// Records a bare-index panic site: a `[` whose immediately preceding
-/// byte is an identifier character, `)`, or `]` (same detection as the
-/// `unchecked-index` token rule — types, attributes, and `vec![…]` all
-/// have a different predecessor).
+/// byte is an identifier character, `)`, or `]` — slice types
+/// (`&[u8]`), array literals, attributes, and `vec![…]` all have a
+/// different predecessor, and not skipping whitespace keeps `&'a [u8]`
+/// out.
 fn harvest_index(
     text: &str,
     bytes: &[u8],
@@ -452,16 +450,6 @@ fn harvest_ident(
     {
         if let Some(state) = innermost_fn(scopes) {
             state.has_f64 = true;
-        }
-        return;
-    }
-    if word == "HashMap" || word == "HashSet" {
-        if !masked {
-            fns[fn_idx].dataflow.push(DataflowSite {
-                kind: DataflowKind::HashIdent,
-                line,
-                what: format!("`{word}`"),
-            });
         }
         return;
     }
@@ -775,13 +763,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_ident_and_partial_cmp_are_dataflow_sites() {
-        let s = summary(
-            "fn f(a: f64, b: f64) { let m: HashMap<u32, u32> = make();\n\
-             let _ = a.partial_cmp(&b); }\n",
-        );
+    fn partial_cmp_is_a_dataflow_site() {
+        let s = summary("fn f(a: f64, b: f64) { let _ = a.partial_cmp(&b); }\n");
         let kinds: Vec<&DataflowKind> = s.fns[0].dataflow.iter().map(|d| &d.kind).collect();
-        assert!(kinds.contains(&&DataflowKind::HashIdent));
         assert!(kinds.contains(&&DataflowKind::PartialCmp));
     }
 

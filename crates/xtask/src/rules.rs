@@ -2,13 +2,13 @@
 //!
 //! Every rule scans the blanked token text produced by
 //! [`crate::lexer`]; rule applicability is decided from the
-//! workspace-relative path (forward slashes). Three families:
+//! workspace-relative path (forward slashes). Four families:
 //!
-//! * **determinism** — `hash-collections`, `wall-clock`, `ambient-rng`,
-//!   `raw-threads`, plus the call-graph rules `determinism-dataflow`
-//!   and `barrier-discipline` (see [`crate::graph`]): nothing
-//!   order-sensitive or wall-clock-dependent may leak into simulation
-//!   state, selection, or canonical byte production.
+//! * **determinism** — `wall-clock`, `raw-threads`, plus the call-graph
+//!   rules `determinism-dataflow` and `barrier-discipline` (see
+//!   [`crate::graph`]): nothing order-sensitive or wall-clock-dependent
+//!   may leak into simulation state, selection, or canonical byte
+//!   production.
 //! * **robustness** — `panic-reachability` (call-graph, see
 //!   [`crate::graph`]), `lossy-casts`, `snapshot-coverage`: nothing a
 //!   hot-path root can reach may panic; memory accounting must use
@@ -31,6 +31,12 @@
 //! The justification is mandatory, the rule name must exist, and a
 //! marker that suppresses nothing is itself an error (`stale-allow`),
 //! so the allowlist cannot rot.
+//!
+//! Invariants another mechanism already enforces have no rule here:
+//! clippy's `disallowed-types` bans `HashMap`/`HashSet` workspace-wide,
+//! the vendored `rand` shim has no `thread_rng`, `panic-reachability`
+//! covers bare indexing in the snapshot decode paths, and field
+//! privacy keeps the cluster engine out of a shard's platform.
 
 use crate::lexer::{self, AllowSite};
 
@@ -46,31 +52,17 @@ pub struct Rule {
 /// this list).
 pub const RULES: &[Rule] = &[
     Rule {
-        name: "hash-collections",
-        family: "determinism",
-        summary: "HashMap/HashSet in sim-state crates (iteration order leaks)",
-        hint: "use BTreeMap/BTreeSet or a sorted Vec; if iteration is provably \
-               order-insensitive, add `// tidy:allow(hash-collections) -- why`",
-    },
-    Rule {
         name: "wall-clock",
         family: "determinism",
-        summary: "Instant::now/SystemTime::now outside bench::parallel",
+        summary: "Instant::now/SystemTime::now outside the parallel crate",
         hint: "use the simulated clock (simos::SimTime); wall time makes replays \
                non-reproducible",
     },
     Rule {
-        name: "ambient-rng",
-        family: "determinism",
-        summary: "thread_rng (ambient, unseeded randomness)",
-        hint: "thread a seeded rng (rand::rngs::StdRng::seed_from_u64) through the caller",
-    },
-    Rule {
         name: "raw-threads",
         family: "determinism",
-        summary: "std::thread::{spawn,scope} outside bench::parallel",
-        hint: "use bench::parallel::run_indexed, which preserves output ordering \
-               at any --jobs N",
+        summary: "std::thread::{spawn,scope} outside the parallel crate",
+        hint: "use parallel::run_jobs, which preserves output ordering at any --jobs N",
     },
     Rule {
         name: "panic-reachability",
@@ -110,27 +102,11 @@ pub const RULES: &[Rule] = &[
                adding a field is a compile error at the codec instead of silent state loss",
     },
     Rule {
-        name: "unchecked-index",
-        family: "robustness",
-        summary: "bare `[...]` slice indexing in snapshot decode paths",
-        hint: "decode paths face arbitrary bytes: use .get()/.get_mut() and return a \
-               typed SnapError; for provably-in-bounds indexes add \
-               `// tidy:allow(unchecked-index) -- why`",
-    },
-    Rule {
         name: "hot-containers",
         family: "performance",
         summary: "BTreeMap<InstanceId, _> on a sim-state hot path",
         hint: "use faas::slab::{Slab, IdMap} for per-instance state; if the map is \
                provably off the per-event path, add `// tidy:allow(hot-containers) -- why`",
-    },
-    Rule {
-        name: "shard-isolation",
-        family: "hygiene",
-        summary: "cluster code outside shard.rs touching Platform internals",
-        hint: "the barrier protocol is the only legal cross-shard channel: route the \
-               access through cluster::shard::Shard's API (advance/report/state_bytes) \
-               instead of reaching into the platform",
     },
     Rule {
         name: "forbid-unsafe",
@@ -159,18 +135,9 @@ pub fn rule(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
 }
 
-/// Interns a rule name back to its `&'static str` form (the incremental
-/// cache stores names as text). `stale-allow` is the one finding kind
-/// that is not itself a catalogued rule.
-pub fn static_rule_name(name: &str) -> Option<&'static str> {
-    if name == "stale-allow" {
-        return Some("stale-allow");
-    }
-    rule(name).map(|r| r.name)
-}
-
-/// One violation (or marker problem) the auditor found.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One violation (or marker problem) the auditor found. Ordered by
+/// (path, line, rule, message); the hint follows from the rule.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub path: String,
     pub line: usize,
@@ -180,7 +147,8 @@ pub struct Finding {
 }
 
 impl Finding {
-    fn new(path: &str, line: usize, rule: &'static str, message: String) -> Finding {
+    /// A finding of `rule`, carrying that rule's fix hint.
+    pub fn new(path: &str, line: usize, rule: &'static str, message: String) -> Finding {
         let hint = crate::rules::rule(rule).map_or("", |r| r.hint);
         Finding {
             path: path.to_string(),
@@ -190,19 +158,15 @@ impl Finding {
             hint,
         }
     }
-
-    /// Public constructor for the cross-file passes (`crate::graph`).
-    pub fn raw(path: &str, line: usize, rule: &'static str, message: String) -> Finding {
-        Finding::new(path, line, rule, message)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Path scoping
 // ---------------------------------------------------------------------------
 
-/// Crates whose state feeds simulation outcomes: HashMap/HashSet
-/// iteration order there can leak into stats or selection.
+/// Crates whose state feeds simulation outcomes: the per-event hot
+/// paths `hot-containers` guards and the digest-feeding code
+/// `determinism-dataflow` governs.
 const SIM_STATE_CRATES: &[&str] = &[
     "simos",
     "faas",
@@ -216,37 +180,9 @@ const SIM_STATE_CRATES: &[&str] = &[
     "cluster",
 ];
 
-/// Files allowed to touch real threads and wall clocks (the scoped
-/// worker pool whose output is byte-identical at any job count, plus
-/// its historical re-export site in bench).
-const THREAD_EXEMPT: &[&str] = &[
-    "crates/parallel/src/lib.rs",
-    "crates/bench/src/parallel.rs",
-];
-
-/// The quarantine boundary of the cluster crate: every module except
-/// `shard.rs` must treat a shard as opaque. These idents are the
-/// platform surface `shard.rs` wraps; seeing one elsewhere in the
-/// crate means the barrier protocol has been bypassed.
-const SHARD_INTERNAL_IDENTS: &[&str] = &[
-    "Platform",
-    "submit",
-    "run_until",
-    "try_run_until",
-    "checkpoint_base",
-    "checkpoint_delta",
-    "restore_chain",
-    "arm_kill",
-    "disarm_kill",
-    "checkpoint",
-    "events_handled",
-    "frozen_by_function",
-    "request_totals",
-];
-
-fn in_shard_isolation_scope(path: &str) -> bool {
-    path.starts_with("crates/cluster/src/") && path != "crates/cluster/src/shard.rs"
-}
+/// Files allowed to touch real threads and wall clocks: the scoped
+/// worker pool whose output is byte-identical at any job count.
+const THREAD_EXEMPT: &[&str] = &["crates/parallel/src/lib.rs"];
 
 /// Memory-accounting modules where a silently-truncating `as` cast can
 /// corrupt byte totals: simos::mem, the stats modules, and the four
@@ -286,16 +222,6 @@ const SNAPSHOT_EXTRA_DIRS: &[&str] = &["crates/gc-core/src/", "crates/workloads/
 
 fn in_snapshot_scope(path: &str) -> bool {
     in_sim_state_crate(path) || SNAPSHOT_EXTRA_DIRS.iter().any(|d| path.starts_with(d))
-}
-
-/// Decode paths that face arbitrary (possibly corrupt) bytes: the
-/// snapshot crate's flat codec and framed containers. A bare `[` index
-/// there turns a corrupt length into a panic instead of a typed
-/// `SnapError`.
-const UNCHECKED_INDEX_DIRS: &[&str] = &["crates/snapshot/src/"];
-
-fn in_unchecked_index_scope(path: &str) -> bool {
-    UNCHECKED_INDEX_DIRS.iter().any(|d| path.starts_with(d))
 }
 
 /// Crate roots that must carry `#![forbid(unsafe_code)]`: lib roots,
@@ -513,10 +439,6 @@ pub fn scan_blanked(path: &str, blanked: &lexer::Blanked) -> Vec<Finding> {
         check_snapshot_impls(path, &blanked.text, &starts, &mask, &mut raw);
     }
 
-    if in_unchecked_index_scope(path) {
-        check_unchecked_index(path, &blanked.text, &starts, &mask, &mut raw);
-    }
-
     if is_crate_root(path) && !has_forbid_unsafe(&blanked.text) {
         raw.push(Finding::new(
             path,
@@ -539,19 +461,10 @@ fn scan_tokens(
     let sim_state = in_sim_state_crate(path);
     let casts = in_cast_scope(path);
     let threads_ok = thread_exempt(path);
-    let shard_iso = in_shard_isolation_scope(path);
     for (s, e) in idents(text) {
         let word = &text[s..e];
         let line = lexer::line_of(starts, s);
         match word {
-            "HashMap" | "HashSet" if sim_state => {
-                out.push(Finding::new(
-                    path,
-                    line,
-                    "hash-collections",
-                    format!("`{word}` in a sim-state crate: iteration order is nondeterministic"),
-                ));
-            }
             "Instant" | "SystemTime"
                 if !threads_ok && path_segment_after(text, e) == Some("now") =>
             {
@@ -562,14 +475,6 @@ fn scan_tokens(
                     format!("`{word}::now` reads the wall clock in a simulation path"),
                 ));
             }
-            "thread_rng" => {
-                out.push(Finding::new(
-                    path,
-                    line,
-                    "ambient-rng",
-                    "`thread_rng` is ambient, unseeded randomness".to_string(),
-                ));
-            }
             "thread" if !threads_ok => {
                 if let Some(seg) = path_segment_after(text, e) {
                     if seg == "spawn" || seg == "scope" {
@@ -577,7 +482,7 @@ fn scan_tokens(
                             path,
                             line,
                             "raw-threads",
-                            format!("`thread::{seg}` outside bench::parallel"),
+                            format!("`thread::{seg}` outside the parallel crate"),
                         ));
                     }
                 }
@@ -594,14 +499,6 @@ fn scan_tokens(
                     "`BTreeMap<InstanceId, _>` per-event lookup table \
                      (the slab arena replaced it)"
                         .to_string(),
-                ));
-            }
-            w if shard_iso && SHARD_INTERNAL_IDENTS.contains(&w) => {
-                out.push(Finding::new(
-                    path,
-                    line,
-                    "shard-isolation",
-                    format!("`{w}` outside shard.rs pierces the shard quarantine"),
                 ));
             }
             "as" if casts && !is_test_line(mask, line) => {
@@ -774,49 +671,6 @@ fn destructure_style(block: &str, ty: &str) -> DestructureStyle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Unchecked-index checking
-// ---------------------------------------------------------------------------
-
-/// Flags bare `expr[...]` indexing in decode paths. Every such index
-/// panics when a corrupt length or offset lands out of bounds; decode
-/// code must use `.get()`/`.get_mut()` and surface a typed `SnapError`
-/// instead. Detection: a `[` whose *immediately* preceding byte is an
-/// identifier character, `)`, or `]` is an index expression — slice
-/// types (`&[u8]`), array literals, attributes, and `vec![…]` all have
-/// a different predecessor, and the no-whitespace-skip rule keeps
-/// `&'a [u8]` out.
-fn check_unchecked_index(
-    path: &str,
-    text: &str,
-    starts: &[usize],
-    mask: &[bool],
-    out: &mut Vec<Finding>,
-) {
-    let bytes = text.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' || i == 0 {
-            continue;
-        }
-        let prev = bytes[i - 1];
-        if !is_ident_byte(prev) && prev != b')' && prev != b']' {
-            continue;
-        }
-        let line = lexer::line_of(starts, i);
-        if is_test_line(mask, line) {
-            continue;
-        }
-        out.push(Finding::new(
-            path,
-            line,
-            "unchecked-index",
-            "bare slice index in a decode path: corrupt input panics here \
-             instead of returning a typed error"
-                .to_string(),
-        ));
-    }
-}
-
 /// The ident directly after `end` (the cast target position).
 fn path_or_ident_after(text: &str, end: usize) -> Option<&str> {
     let bytes = text.as_bytes();
@@ -985,13 +839,11 @@ pub struct ShimItem {
     pub line: usize,
 }
 
-/// Extracts exported item names from a shim source: `pub fn|struct|
-/// enum|trait|type|const|static|mod` plus `#[macro_export]` macros.
-/// `pub use` re-exports are skipped (their targets are counted at the
-/// definition).
-pub fn shim_items(source: &str) -> Vec<ShimItem> {
-    let blanked = lexer::blank(source);
-    let text = &blanked.text;
+/// Extracts exported item names from a blanked shim source: `pub fn|
+/// struct|enum|trait|type|const|static|mod` plus `#[macro_export]`
+/// macros. `pub use` re-exports are skipped (their targets are counted
+/// at the definition).
+pub fn shim_items(text: &str) -> Vec<ShimItem> {
     let starts = lexer::line_starts(text);
     let toks = idents(text);
     let mut out = Vec::new();
@@ -1050,11 +902,7 @@ pub fn shim_items(source: &str) -> Vec<ShimItem> {
     out
 }
 
-/// All identifier tokens of a source, for usage counting.
-pub fn ident_set(source: &str) -> Vec<String> {
-    let blanked = lexer::blank(source);
-    idents(&blanked.text)
-        .into_iter()
-        .map(|(s, e)| blanked.text[s..e].to_string())
-        .collect()
+/// All identifier tokens of a blanked source, for usage counting.
+pub fn ident_tokens(text: &str) -> impl Iterator<Item = &str> {
+    idents(text).into_iter().map(move |(s, e)| &text[s..e])
 }

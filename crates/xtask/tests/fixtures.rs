@@ -38,17 +38,7 @@ fn assert_single(findings: &[Finding], rule: &str) {
 fn every_source_rule_fires_on_its_seeded_fixture() {
     // (rule, fixture file, pretend in-scope path)
     let cases = [
-        (
-            "hash-collections",
-            "hash_collections.rs",
-            "crates/simos/src/fake.rs",
-        ),
         ("wall-clock", "wall_clock.rs", "crates/faas/src/fake.rs"),
-        (
-            "ambient-rng",
-            "ambient_rng.rs",
-            "crates/workloads/src/fake.rs",
-        ),
         ("raw-threads", "raw_threads.rs", "crates/bench/src/fake.rs"),
         ("lossy-casts", "lossy_casts.rs", "crates/v8heap/src/fake.rs"),
         (
@@ -56,22 +46,7 @@ fn every_source_rule_fires_on_its_seeded_fixture() {
             "snapshot_coverage.rs",
             "crates/faas/src/fake.rs",
         ),
-        (
-            "unchecked-index",
-            "unchecked_index.rs",
-            "crates/snapshot/src/fake.rs",
-        ),
         ("forbid-unsafe", "forbid_unsafe.rs", "crates/fake/src/lib.rs"),
-        (
-            "shard-isolation",
-            "shard_isolation.rs",
-            "crates/cluster/src/fake.rs",
-        ),
-        (
-            "shard-isolation",
-            "shard_isolation_health.rs",
-            "crates/cluster/src/health.rs",
-        ),
         (
             "hot-containers",
             "hot_containers.rs",
@@ -87,23 +62,13 @@ fn every_source_rule_fires_on_its_seeded_fixture() {
 #[test]
 fn seeded_violations_vanish_outside_their_rule_scope() {
     // The same sources are clean where the rule does not apply: a
-    // HashMap outside the sim-state crates, a cast outside the
-    // accounting modules. (The forbid-unsafe fixture is scanned as a
+    // cast outside the accounting modules, a codec outside the
+    // checkpointed crates. (The forbid-unsafe fixture is scanned as a
     // non-root file.)
     let cases = [
-        ("hash_collections.rs", "crates/xtask/src/fake.rs"),
         ("lossy_casts.rs", "crates/faas/src/fake.rs"),
         ("snapshot_coverage.rs", "crates/xtask/src/fake.rs"),
-        ("unchecked_index.rs", "crates/xtask/src/fake.rs"),
         ("forbid_unsafe.rs", "crates/fake/src/notroot.rs"),
-        // Inside shard.rs — the quarantine's one legal home — and in
-        // any other crate, the platform surface is fair game.
-        ("shard_isolation.rs", "crates/cluster/src/shard.rs"),
-        ("shard_isolation.rs", "crates/faas/src/fake.rs"),
-        // The cursor peek is legal in shard.rs (its one home) and in
-        // any crate outside the cluster quarantine.
-        ("shard_isolation_health.rs", "crates/cluster/src/shard.rs"),
-        ("shard_isolation_health.rs", "crates/faas/src/fake.rs"),
         ("hot_containers.rs", "crates/xtask/src/fake.rs"),
     ];
     for (file, path) in cases {
@@ -125,12 +90,11 @@ fn path_deps_fires_on_versioned_dependency() {
 #[test]
 fn shim_surface_flags_only_the_dead_export() {
     let shim_text = fixture("shim_surface.rs");
-    let workspace = [(
-        "crates/faas/src/fake.rs",
-        "fn caller() -> u64 { used_helper() }",
-    )];
-    let shims = [("crates/shims/fake/src/lib.rs", shim_text.as_str())];
-    let findings = xtask::walk::check_shim_surface(&workspace, &shims);
+    let files = [
+        ("crates/faas/src/fake.rs", "fn caller() -> u64 { used_helper() }"),
+        ("crates/shims/fake/src/lib.rs", shim_text.as_str()),
+    ];
+    let findings = check_files(&files);
     assert_single(&findings, "shim-surface");
     assert!(findings[0].message.contains("dead_helper"), "{findings:?}");
 }
@@ -152,20 +116,20 @@ fn stale_allow_fires_for_unknown_unjustified_and_unconsumed_markers() {
 #[test]
 fn justified_marker_suppresses_the_violation() {
     let src = "\
-// tidy:allow(hash-collections) -- never iterated, lookups only
-use std::collections::HashMap;
-pub type T = HashMap<u64, u64>;
+// tidy:allow(wall-clock) -- host timing, never reaches simulation state
+pub fn started() -> Instant { Instant::now() }
+pub fn stopped() -> Instant { Instant::now() }
 ";
-    // Marker covers its own line and the next; the second HashMap
-    // token on the `type` line is NOT covered.
-    let findings = check_source("crates/simos/src/fake.rs", src);
-    assert_single(&findings, "hash-collections");
+    // Marker covers its own line and the next; the second clock read
+    // on line 3 is NOT covered.
+    let findings = check_source("crates/faas/src/fake.rs", src);
+    assert_single(&findings, "wall-clock");
     assert_eq!(findings[0].line, 3, "{findings:?}");
 }
 
 #[test]
 fn every_rule_in_the_catalogue_has_family_and_hint() {
-    assert_eq!(RULES.len(), 15);
+    assert_eq!(RULES.len(), 11);
     for r in RULES {
         assert!(
             ["determinism", "robustness", "hygiene", "performance"].contains(&r.family),
@@ -186,6 +150,18 @@ fn panic_reachability_fires_through_the_call_graph() {
     assert!(findings[0].message.contains(".unwrap()"), "{findings:?}");
     assert!(
         findings[0].message.contains("try_run_until"),
+        "finding should carry the call chain from the root: {findings:?}"
+    );
+}
+
+#[test]
+fn panic_reachability_flags_a_bare_index_below_container_open() {
+    let src = fixture("panic_reachability_decode.rs");
+    let findings = check_files(&[("crates/snapshot/src/frame.rs", &src)]);
+    assert_single(&findings, "panic-reachability");
+    assert!(findings[0].message.contains("bare index"), "{findings:?}");
+    assert!(
+        findings[0].message.contains("Container::open"),
         "finding should carry the call chain from the root: {findings:?}"
     );
 }
@@ -213,6 +189,7 @@ fn graph_rules_respect_their_scopes() {
     // outside the dataflow scope, and shard.rs owns the barrier.
     let cases = [
         ("panic_reachability.rs", "crates/bench/src/fake.rs"),
+        ("panic_reachability_decode.rs", "crates/xtask/src/fake.rs"),
         ("determinism_dataflow.rs", "crates/parallel/src/fake.rs"),
         ("barrier_discipline.rs", "crates/faas/src/fake.rs"),
     ];

@@ -12,14 +12,9 @@ echo "== build =="
 cargo build --release --workspace
 
 echo "== tidy (determinism / robustness / hygiene audit) =="
-# Cold-ish run (whatever the cache holds): emit the findings artifact
-# alongside the other bench artifacts. Exit 1 = findings, 2 = error.
+# Emit the findings artifact alongside the other bench artifacts.
+# Exit 1 = findings, 2 = error.
 cargo run -q -p xtask -- tidy --format json --out target/tidy-findings.json
-# Warm run straight from the incremental cache, under a wall-clock
-# budget (exit 3 if exceeded): keeps the gate cheap enough to run
-# everywhere and catches cache regressions that silently re-analyze
-# the world.
-cargo run -q -p xtask -- tidy --budget-ms 2000
 
 echo "== lint =="
 cargo clippy --workspace --all-targets -q -- -D warnings
