@@ -44,6 +44,8 @@ use crate::queue::EventQueue;
 use crate::slab::{IdMap, Slab};
 use crate::stats::{CoreTimeKind, PlatformStats, StatsBatch};
 
+mod checkpoint;
+
 /// Identifies an instance across its whole life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(pub u64);
@@ -109,9 +111,9 @@ enum Status {
 }
 
 struct Slot {
-    /// The instance's public identity. Not serialized by the slot
-    /// codec — the checkpoint writes it as the table key, exactly as
-    /// the old `BTreeMap<InstanceId, Slot>` wire format did.
+    /// The instance's public identity. The slot codec writes it
+    /// first, as the row key of the instance table and of a `SLOT`
+    /// frame.
     id: InstanceId,
     fn_idx: usize,
     stage: u8,
@@ -1357,941 +1359,6 @@ impl Platform {
     pub fn disarm_kill(&mut self) {
         self.kill_at = None;
     }
-
-    /// A configuration fingerprint: checkpoints only restore into a
-    /// platform built with the same config, catalog, GC mode, and
-    /// manager. FNV-1a over every config field, keeping restore from
-    /// silently continuing a different simulation.
-    fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut put = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        let c = &self.config;
-        put(c.cache_budget);
-        put(c.instance_budget);
-        put(c.cpu_share.to_bits());
-        put(c.cores.to_bits());
-        put(c.container_create.as_nanos());
-        put(c.thaw.as_nanos());
-        put(match c.env {
-            EnvFlavor::OpenWhisk => 0,
-            EnvFlavor::Lambda => 1,
-        });
-        put(c.sweep_interval.as_nanos());
-        put(c.seed);
-        put(u64::from(c.max_retries));
-        put(c.retry_backoff.as_nanos());
-        put(c.retry_backoff_cap.as_nanos());
-        put(c.request_deadline.as_nanos());
-        put(u64::from(c.breaker_threshold));
-        put(c.breaker_cooldown.as_nanos());
-        put(c.reclaim_timeout.as_nanos());
-        match &c.faults {
-            None => put(0),
-            Some(p) => {
-                put(1);
-                put(p.seed);
-                put(p.boot_fail.to_bits());
-                put(p.crash.to_bits());
-                put(p.thaw_fail.to_bits());
-                put(p.reclaim_fail.to_bits());
-                put(p.oom_kill.to_bits());
-            }
-        }
-        put(match self.mode {
-            GcMode::Vanilla => 0,
-            GcMode::Eager => 1,
-        });
-        let mut put_str = |s: &str| {
-            for &b in s.as_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for spec in &self.catalog {
-            put_str(spec.name);
-            put_str(spec.language.name());
-        }
-        match self.manager.as_ref() {
-            Some(m) => put_str(m.name()),
-            None => put_str("-"),
-        }
-        h
-    }
-
-    /// Serializes the complete simulation state — OS, every instance
-    /// (heap object graphs included), request table, event queue,
-    /// statistics, fault-stream cursor, breakers, and the manager's
-    /// state — into a versioned, self-validating binary snapshot.
-    ///
-    /// Equal states produce byte-identical snapshots: the event queue
-    /// is written in canonical `(time, sequence)` order, and every
-    /// float is written bit-exactly.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        use snapshot::Snapshot;
-        debug_assert!(
-            self.batch.is_empty(),
-            "counter batch must be flushed before a checkpoint"
-        );
-        let mut w = snapshot::Writer::new();
-        snapshot::write_header(&mut w, SNAP_MAGIC, SNAP_VERSION);
-        self.fingerprint().snap(&mut w);
-        self.sys.snap(&mut w);
-        // The instance table, in the old `BTreeMap<InstanceId, Slot>`
-        // wire format: length, then (id, slot) pairs lowest-id first.
-        let mut live: Vec<&Slot> = self.slots.iter().map(|(_, s)| s).collect();
-        live.sort_unstable_by_key(|s| s.id);
-        w.usize(live.len());
-        for s in live {
-            s.id.snap(&mut w);
-            s.snap(&mut w);
-        }
-        self.pools.snap(&mut w);
-        self.shared_libs.snap(&mut w);
-        self.requests.snap(&mut w);
-        // The event queue, in canonical (time, seq) order — independent
-        // of the heap's internal layout.
-        w.usize(self.events.len());
-        for (at, seq, ev) in self.events.sorted_entries() {
-            at.snap(&mut w);
-            seq.snap(&mut w);
-            ev.snap(&mut w);
-        }
-        self.pending.snap(&mut w);
-        self.now.snap(&mut w);
-        self.seq.snap(&mut w);
-        self.next_instance.snap(&mut w);
-        self.used_cores.snap(&mut w);
-        self.cache_used.snap(&mut w);
-        self.stats.snap(&mut w);
-        self.sweep_scheduled.snap(&mut w);
-        self.next_seed.snap(&mut w);
-        self.boot_footprint.snap(&mut w);
-        self.injector.snap(&mut w);
-        self.breakers.snap(&mut w);
-        self.events_handled.snap(&mut w);
-        let blob = match self.manager.as_ref() {
-            Some(m) => m.snapshot_state(),
-            None => Vec::new(),
-        };
-        w.blob(&blob);
-        w.into_bytes()
-    }
-
-    /// Restores a [`Platform::checkpoint`] into this platform, which
-    /// must have been constructed with the same configuration, catalog,
-    /// GC mode, and manager (enforced by fingerprint). All-or-nothing:
-    /// on any decode error the platform is left untouched. An armed
-    /// kill point stays armed — the recovery driver owns it.
-    pub fn restore(&mut self, bytes: &[u8]) -> PlatformResult<()> {
-        use snapshot::{SnapError, Snapshot};
-        let mut r = snapshot::Reader::new(bytes);
-        snapshot::read_header(&mut r, SNAP_MAGIC, SNAP_VERSION)?;
-        let fp = u64::restore(&mut r)?;
-        if fp != self.fingerprint() {
-            return Err(SnapError::mismatch(
-                "platform configuration fingerprint",
-                format!("{:016x}", self.fingerprint()),
-                format!("{fp:016x}"),
-            )
-            .into());
-        }
-        let sys = System::restore(&mut r)?;
-        let n_slots = r.seq_len()?;
-        let mut slot_rows: Vec<Slot> = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let id = InstanceId::restore(&mut r)?;
-            let mut slot = Slot::restore(&mut r)?;
-            slot.id = id;
-            slot_rows.push(slot);
-        }
-        let pools: BTreeMap<(usize, u8), Vec<InstanceId>> = BTreeMap::restore(&mut r)?;
-        let shared_libs: BTreeMap<Language, SharedLibs> = BTreeMap::restore(&mut r)?;
-        let requests: Vec<Request> = Vec::restore(&mut r)?;
-        let n_events = r.seq_len()?;
-        let mut event_rows: Vec<(SimTime, u64, Event)> = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            let at = SimTime::restore(&mut r)?;
-            let seq = u64::restore(&mut r)?;
-            let ev = Event::restore(&mut r)?;
-            event_rows.push((at, seq, ev));
-        }
-        let pending: VecDeque<PendingStage> = VecDeque::restore(&mut r)?;
-        let now = SimTime::restore(&mut r)?;
-        let seq = u64::restore(&mut r)?;
-        let next_instance = u64::restore(&mut r)?;
-        let used_cores = f64::restore(&mut r)?;
-        let cache_used = u64::restore(&mut r)?;
-        let stats = PlatformStats::restore(&mut r)?;
-        let sweep_scheduled = bool::restore(&mut r)?;
-        let next_seed = u64::restore(&mut r)?;
-        let boot_footprint = u64::restore(&mut r)?;
-        let injector: Option<FaultInjector> = Option::restore(&mut r)?;
-        let breakers: Vec<Breaker> = Vec::restore(&mut r)?;
-        let events_handled = u64::restore(&mut r)?;
-        let manager_blob = r.blob()?.to_vec();
-        r.finish()?;
-
-        // Cross-checks before committing anything.
-        if breakers.len() != self.catalog.len() {
-            return Err(SnapError::Corrupt("breaker table size != catalog").into());
-        }
-        if self.config.faults.is_some() != injector.is_some() {
-            return Err(SnapError::Corrupt("fault-injector presence flipped").into());
-        }
-        if !used_cores.is_finite() || used_cores < 0.0 {
-            return Err(SnapError::Corrupt("used_cores out of range").into());
-        }
-        for req in &requests {
-            if req.fn_idx >= self.catalog.len() {
-                return Err(SnapError::Corrupt("request names unknown function").into());
-            }
-        }
-        let mut charge_sum = 0u64;
-        for (i, slot) in slot_rows.iter().enumerate() {
-            if i.checked_sub(1).and_then(|j| slot_rows.get(j)).is_some_and(|p| p.id >= slot.id) {
-                return Err(SnapError::Corrupt("instance table not id-sorted").into());
-            }
-            if slot.id.0 >= next_instance {
-                return Err(SnapError::Corrupt("instance id >= next_instance").into());
-            }
-            if self
-                .catalog
-                .get(slot.fn_idx)
-                .is_none_or(|spec| slot.stage >= spec.chain_len)
-            {
-                return Err(SnapError::Corrupt("slot names unknown function/stage").into());
-            }
-            charge_sum = charge_sum.saturating_add(slot.charge);
-        }
-        if charge_sum != cache_used {
-            return Err(SnapError::Corrupt("cache charge does not sum").into());
-        }
-        let mut slots: Slab<Slot> = Slab::new();
-        let mut by_id = IdMap::new();
-        for slot in slot_rows {
-            let id = slot.id;
-            let h = slots.insert(slot);
-            by_id.set(id, h);
-        }
-        for (&(fn_idx, stage), ids) in &pools {
-            for id in ids {
-                let ok = by_id
-                    .get(*id)
-                    .and_then(|h| slots.get(h))
-                    .is_some_and(|s| s.fn_idx == fn_idx && s.stage == stage);
-                if !ok {
-                    return Err(SnapError::Corrupt("pool entry has no matching slot").into());
-                }
-            }
-        }
-        let ev_ok = |req: usize| req < requests.len();
-        for (_, ev_seq, ev) in &event_rows {
-            if *ev_seq > seq {
-                return Err(SnapError::Corrupt("event seq above cursor").into());
-            }
-            let ok = match ev {
-                Event::Arrival { req }
-                | Event::BootDone { req, .. }
-                | Event::BootFailed { req, .. }
-                | Event::StageDone { req, .. }
-                | Event::Crash { req, .. }
-                | Event::Retry { req, .. } => ev_ok(*req),
-                Event::GcDone { .. } | Event::ReclaimDone { .. } | Event::Sweep => true,
-            };
-            if !ok {
-                return Err(SnapError::Corrupt("event names unknown request").into());
-            }
-        }
-        let events = EventQueue::from_sorted(event_rows)
-            .map_err(SnapError::Corrupt)?;
-        for p in &pending {
-            if !ev_ok(p.req) {
-                return Err(SnapError::Corrupt("pending stage names unknown request").into());
-            }
-        }
-        match self.manager.as_mut() {
-            Some(m) => m.restore_state(&manager_blob)?,
-            None if !manager_blob.is_empty() => {
-                return Err(SnapError::mismatch(
-                    "manager state blob",
-                    "empty (no manager installed)",
-                    format!("{} bytes", manager_blob.len()),
-                )
-                .into());
-            }
-            None => {}
-        }
-
-        debug_assert!(
-            self.batch.is_empty(),
-            "restore with unflushed stats batch"
-        );
-        self.sys = sys;
-        self.slots = slots;
-        self.by_id = by_id;
-        self.pools = pools;
-        self.shared_libs = shared_libs;
-        self.requests = requests;
-        self.events = events;
-        self.pending = pending;
-        self.now = now;
-        self.seq = seq;
-        self.next_instance = next_instance;
-        self.used_cores = used_cores;
-        self.cache_used = cache_used;
-        self.stats = stats;
-        self.sweep_scheduled = sweep_scheduled;
-        self.next_seed = next_seed;
-        self.boot_footprint = boot_footprint;
-        self.injector = injector;
-        self.breakers = breakers;
-        self.events_handled = events_handled;
-        // A restore is a checkpoint cut: the restored state *is* the
-        // new epoch's baseline (the restored `sys` starts clean too),
-        // so a later delta may chain to the restored checkpoint.
-        self.dirty_slots.clear();
-        self.dead_slots.clear();
-        Ok(())
-    }
-
-    /// Frame kind: the configuration fingerprint (every container).
-    pub const FRAME_META: u32 = 1;
-    /// Frame kind: the always-full control section (every container).
-    pub const FRAME_CONTROL: u32 = 2;
-    /// Frame kind: one full address space, keyed by pid (bases only).
-    pub const FRAME_PROC: u32 = 3;
-    /// Frame kind: pids destroyed since the parent (deltas only).
-    pub const FRAME_PROC_TOMB: u32 = 4;
-    /// Frame kind: one address-space delta, keyed by pid (deltas only).
-    pub const FRAME_PROC_DELTA: u32 = 5;
-    /// Frame kind: one full instance slot, keyed by instance id.
-    pub const FRAME_SLOT: u32 = 6;
-    /// Frame kind: instance ids destroyed since the parent.
-    pub const FRAME_SLOT_TOMB: u32 = 7;
-    /// Frame kinds at or above this are opaque to the platform:
-    /// drivers may attach their own frames and get them back from
-    /// [`Platform::restore_chain`].
-    pub const FRAME_EXTRA_BASE: u32 = 0x100;
-
-    /// Serializes the canonical control section of an incremental
-    /// checkpoint: everything a delta always carries in full — the file
-    /// registry, the pid cursor, and the whole platform tail (pools,
-    /// requests, events, scalars, statistics, fault cursor, breakers,
-    /// manager blob). Only address spaces and instance slots — the two
-    /// large, sparsely-mutated tables — are delta-encoded.
-    fn control_section(&self) -> Vec<u8> {
-        use snapshot::Snapshot;
-        let mut files = snapshot::Writer::new();
-        self.sys.files().snap(&mut files);
-        let mut tail = snapshot::Writer::new();
-        self.pools.snap(&mut tail);
-        self.shared_libs.snap(&mut tail);
-        self.requests.snap(&mut tail);
-        tail.usize(self.events.len());
-        for (at, seq, ev) in self.events.sorted_entries() {
-            at.snap(&mut tail);
-            seq.snap(&mut tail);
-            ev.snap(&mut tail);
-        }
-        self.pending.snap(&mut tail);
-        self.now.snap(&mut tail);
-        self.seq.snap(&mut tail);
-        self.next_instance.snap(&mut tail);
-        self.used_cores.snap(&mut tail);
-        self.cache_used.snap(&mut tail);
-        self.stats.snap(&mut tail);
-        self.sweep_scheduled.snap(&mut tail);
-        self.next_seed.snap(&mut tail);
-        self.boot_footprint.snap(&mut tail);
-        self.injector.snap(&mut tail);
-        self.breakers.snap(&mut tail);
-        self.events_handled.snap(&mut tail);
-        let blob = match self.manager.as_ref() {
-            Some(m) => m.snapshot_state(),
-            None => Vec::new(),
-        };
-        tail.blob(&blob);
-        let mut w = snapshot::Writer::new();
-        w.blob(&files.into_bytes());
-        w.u32(self.sys.next_pid());
-        w.blob(&tail.into_bytes());
-        w.into_bytes()
-    }
-
-    /// Marks the current state as checkpointed: every dirty-tracking
-    /// structure resets, so the next [`Platform::checkpoint_delta`]
-    /// carries only mutations from this point on.
-    fn clear_epoch_tracking(&mut self) {
-        self.sys.clear_epoch_dirty();
-        self.dirty_slots.clear();
-        self.dead_slots.clear();
-    }
-
-    /// A *base* checkpoint in the framed container format: the complete
-    /// state as one `META` + `CONTROL` + per-process `PROC` + per-slot
-    /// `SLOT` frame set, sealed by a commit record carrying `epoch`.
-    /// `extra` frames (driver state; kinds at or above
-    /// [`Platform::FRAME_EXTRA_BASE`]) ride along verbatim and come
-    /// back from [`Platform::restore_chain`].
-    ///
-    /// Unlike [`Platform::checkpoint`] this is a checkpoint *cut*: it
-    /// clears the dirty-epoch tracking so a following
-    /// [`Platform::checkpoint_delta`] is relative to it.
-    pub fn checkpoint_base(&mut self, epoch: u64, extra: &[(u32, Vec<u8>)]) -> Vec<u8> {
-        use snapshot::frame::ContainerWriter;
-        use snapshot::Snapshot;
-        debug_assert!(
-            self.batch.is_empty(),
-            "counter batch must be flushed before a checkpoint"
-        );
-        let mut cw = ContainerWriter::new();
-        let mut meta = snapshot::Writer::new();
-        self.fingerprint().snap(&mut meta);
-        cw.frame(Self::FRAME_META, &meta.into_bytes());
-        cw.frame(Self::FRAME_CONTROL, &self.control_section());
-        for pid in self.sys.pids().collect::<Vec<_>>() {
-            let Ok(space) = self.sys.space(pid) else {
-                continue;
-            };
-            let mut w = snapshot::Writer::new();
-            pid.snap(&mut w);
-            space.snap(&mut w);
-            cw.frame(Self::FRAME_PROC, &w.into_bytes());
-        }
-        let mut live: Vec<&Slot> = self.slots.iter().map(|(_, s)| s).collect();
-        live.sort_unstable_by_key(|s| s.id);
-        for s in live {
-            let mut w = snapshot::Writer::new();
-            s.id.snap(&mut w);
-            s.snap(&mut w);
-            cw.frame(Self::FRAME_SLOT, &w.into_bytes());
-        }
-        for (kind, payload) in extra {
-            cw.frame(*kind, payload);
-        }
-        self.clear_epoch_tracking();
-        cw.commit(epoch, None)
-    }
-
-    /// A *delta* checkpoint against the checkpoint at `parent`: the
-    /// control section in full (it is small and densely mutated), but
-    /// only the address spaces and instance slots mutated since the
-    /// last checkpoint cut — O(dirty), not O(state). Tombstone frames
-    /// carry the processes and instances destroyed since.
-    pub fn checkpoint_delta(&mut self, epoch: u64, parent: u64, extra: &[(u32, Vec<u8>)]) -> Vec<u8> {
-        use snapshot::frame::ContainerWriter;
-        use snapshot::Snapshot;
-        debug_assert!(
-            self.batch.is_empty(),
-            "counter batch must be flushed before a checkpoint"
-        );
-        let mut cw = ContainerWriter::new();
-        let mut meta = snapshot::Writer::new();
-        self.fingerprint().snap(&mut meta);
-        cw.frame(Self::FRAME_META, &meta.into_bytes());
-        cw.frame(Self::FRAME_CONTROL, &self.control_section());
-        // Tombstones before upserts: ids are never reused, so the
-        // order only matters for readability of the container.
-        if !self.sys.removed_pids().is_empty() {
-            let mut w = snapshot::Writer::new();
-            w.usize(self.sys.removed_pids().len());
-            for pid in self.sys.removed_pids() {
-                pid.snap(&mut w);
-            }
-            cw.frame(Self::FRAME_PROC_TOMB, &w.into_bytes());
-        }
-        for (pid, space) in self.sys.epoch_dirty_spaces() {
-            let mut w = snapshot::Writer::new();
-            pid.snap(&mut w);
-            space.snap_delta(&mut w);
-            cw.frame(Self::FRAME_PROC_DELTA, &w.into_bytes());
-        }
-        if !self.dead_slots.is_empty() {
-            let mut w = snapshot::Writer::new();
-            w.usize(self.dead_slots.len());
-            for id in &self.dead_slots {
-                id.snap(&mut w);
-            }
-            cw.frame(Self::FRAME_SLOT_TOMB, &w.into_bytes());
-        }
-        for id in self.dirty_slots.clone() {
-            // Dirt recorded for an instance that died later in the
-            // epoch is stale — the tombstone covers it.
-            let Some(slot) = self.slot(id) else {
-                continue;
-            };
-            let mut w = snapshot::Writer::new();
-            id.snap(&mut w);
-            slot.snap(&mut w);
-            cw.frame(Self::FRAME_SLOT, &w.into_bytes());
-        }
-        for (kind, payload) in extra {
-            cw.frame(*kind, payload);
-        }
-        self.clear_epoch_tracking();
-        cw.commit(epoch, Some(parent))
-    }
-
-    /// Restores a base-plus-deltas chain (oldest first, base at the
-    /// head) produced by [`Platform::checkpoint_base`] and
-    /// [`Platform::checkpoint_delta`].
-    ///
-    /// The fold reassembles the *exact canonical bytes* a full
-    /// [`Platform::checkpoint`] of the final state would produce —
-    /// replaying tombstones and upserts over the base's per-process
-    /// and per-slot sections — and then restores those bytes, so every
-    /// cross-validation of [`Platform::restore`] (fingerprint, charge
-    /// sums, pool coherence, event/request bounds, and `System`'s
-    /// page-cache coherence) applies to the folded state too.
-    ///
-    /// Returns the epoch of the chain head and the head's extra
-    /// (driver) frames.
-    pub fn restore_chain(&mut self, chain: &[Vec<u8>]) -> PlatformResult<(u64, ExtraFrames)> {
-        use simos::AddressSpace;
-        use snapshot::frame::Container;
-        use snapshot::{SnapError, Snapshot};
-        if chain.is_empty() {
-            return Err(SnapError::Corrupt("empty checkpoint chain").into());
-        }
-        let containers: Vec<Container> = chain
-            .iter()
-            .map(|bytes| Container::open(bytes))
-            .collect::<Result<_, _>>()?;
-        let head = containers.first().ok_or(SnapError::Corrupt("empty checkpoint chain"))?;
-        if let Some(p) = head.parent {
-            return Err(SnapError::mismatch(
-                "chain head",
-                "a base checkpoint (no parent)",
-                format!("a delta chained to epoch {p}"),
-            )
-            .into());
-        }
-        for pair in containers.windows(2) {
-            let [prev, next] = pair else { continue };
-            if next.parent != Some(prev.epoch) {
-                return Err(SnapError::mismatch(
-                    "delta parent epoch",
-                    prev.epoch,
-                    format!("{:?}", next.parent),
-                )
-                .into());
-            }
-        }
-        let mut fingerprint: Option<u64> = None;
-        let mut control: Option<Vec<u8>> = None;
-        let mut spaces: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        let mut slot_blobs: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        let mut extra: Vec<(u32, Vec<u8>)> = Vec::new();
-        for container in &containers {
-            extra.clear();
-            for (kind, payload) in &container.frames {
-                let mut r = snapshot::Reader::new(payload);
-                match *kind {
-                    Self::FRAME_META => {
-                        let fp = u64::restore(&mut r)?;
-                        r.finish()?;
-                        if fingerprint.is_some_and(|have| have != fp) {
-                            return Err(SnapError::Corrupt(
-                                "chain mixes differently-configured checkpoints",
-                            )
-                            .into());
-                        }
-                        fingerprint = Some(fp);
-                    }
-                    Self::FRAME_CONTROL => control = Some(payload.clone()),
-                    Self::FRAME_PROC => {
-                        let pid = simos::Pid::restore(&mut r)?;
-                        let body = r.take(r.remaining())?.to_vec();
-                        spaces.insert(pid.0, body);
-                    }
-                    Self::FRAME_PROC_TOMB => {
-                        let n = r.seq_len()?;
-                        for _ in 0..n {
-                            let pid = simos::Pid::restore(&mut r)?;
-                            spaces.remove(&pid.0);
-                        }
-                        r.finish()?;
-                    }
-                    Self::FRAME_PROC_DELTA => {
-                        let pid = simos::Pid::restore(&mut r)?;
-                        let base = match spaces.get(&pid.0) {
-                            Some(bytes) => {
-                                let mut br = snapshot::Reader::new(bytes);
-                                let space = AddressSpace::restore(&mut br)?;
-                                br.finish()?;
-                                Some(space)
-                            }
-                            None => None,
-                        };
-                        let folded = AddressSpace::restore_delta(base, &mut r)?;
-                        r.finish()?;
-                        let mut w = snapshot::Writer::new();
-                        folded.snap(&mut w);
-                        spaces.insert(pid.0, w.into_bytes());
-                    }
-                    Self::FRAME_SLOT => {
-                        let id = InstanceId::restore(&mut r)?;
-                        let body = r.take(r.remaining())?.to_vec();
-                        slot_blobs.insert(id.0, body);
-                    }
-                    Self::FRAME_SLOT_TOMB => {
-                        let n = r.seq_len()?;
-                        for _ in 0..n {
-                            let id = InstanceId::restore(&mut r)?;
-                            slot_blobs.remove(&id.0);
-                        }
-                        r.finish()?;
-                    }
-                    other if other >= Self::FRAME_EXTRA_BASE => {
-                        extra.push((other, payload.clone()));
-                    }
-                    _ => {
-                        return Err(SnapError::Corrupt(
-                            "unknown platform frame kind in checkpoint chain",
-                        )
-                        .into());
-                    }
-                }
-            }
-        }
-        let fingerprint =
-            fingerprint.ok_or(SnapError::Corrupt("chain carries no fingerprint frame"))?;
-        let control = control.ok_or(SnapError::Corrupt("chain carries no control frame"))?;
-        let mut cr = snapshot::Reader::new(&control);
-        let files = cr.blob()?.to_vec();
-        let next_pid = cr.u32()?;
-        let tail = cr.blob()?.to_vec();
-        cr.finish()?;
-        // Reassemble the canonical full-checkpoint byte stream; the
-        // layout here mirrors `Platform::checkpoint` and the `System` /
-        // `AddressSpace` snapshot impls in lockstep.
-        let mut w = snapshot::Writer::new();
-        snapshot::write_header(&mut w, SNAP_MAGIC, SNAP_VERSION);
-        fingerprint.snap(&mut w);
-        w.raw(&files);
-        w.usize(spaces.len());
-        for (pid, bytes) in &spaces {
-            w.u32(*pid);
-            w.raw(bytes);
-        }
-        w.u32(next_pid);
-        w.usize(slot_blobs.len());
-        for (id, bytes) in &slot_blobs {
-            w.u64(*id);
-            w.raw(bytes);
-        }
-        w.raw(&tail);
-        self.restore(&w.into_bytes())?;
-        let head_epoch = containers.last().map_or(0, |c| c.epoch);
-        Ok((head_epoch, extra))
-    }
-}
-
-/// Magic of a [`Platform::checkpoint`] blob (`"FPCK"`).
-const SNAP_MAGIC: u32 = 0x4650_434b;
-/// Version of the checkpoint format. Bump on any layout change: old
-/// snapshots are rejected, never misread.
-const SNAP_VERSION: u32 = 1;
-
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for InstanceId {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            raw.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<InstanceId, SnapError> {
-            Ok(InstanceId(u64::restore(r)?))
-        }
-    }
-
-    impl Snapshot for Status {
-        fn snap(&self, w: &mut Writer) {
-            let tag: u8 = match self {
-                Status::Starting => 0,
-                Status::Running => 1,
-                Status::GcAfterExit => 2,
-                Status::Reclaiming => 3,
-                Status::Frozen => 4,
-            };
-            tag.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Status, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(Status::Starting),
-                1 => Ok(Status::Running),
-                2 => Ok(Status::GcAfterExit),
-                3 => Ok(Status::Reclaiming),
-                4 => Ok(Status::Frozen),
-                _ => Err(SnapError::Corrupt("unknown Status tag")),
-            }
-        }
-    }
-
-    impl Snapshot for Slot {
-        // `id` is deliberately not serialized here: the instance table
-        // writes it as the row key, exactly where the old
-        // `BTreeMap<InstanceId, Slot>` wire format put it. The restore
-        // side writes a placeholder the caller overwrites with the key.
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                id: _,
-                fn_idx,
-                stage,
-                inst,
-                state,
-                status,
-                frozen_since,
-                last_used,
-                charge,
-                reclaimed_since_use,
-            } = self;
-            fn_idx.snap(w);
-            stage.snap(w);
-            inst.snap(w);
-            state.snap(w);
-            status.snap(w);
-            frozen_since.snap(w);
-            last_used.snap(w);
-            charge.snap(w);
-            reclaimed_since_use.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Slot, SnapError> {
-            Ok(Slot {
-                id: InstanceId(u64::MAX),
-                fn_idx: usize::restore(r)?,
-                stage: u8::restore(r)?,
-                inst: Instance::restore(r)?,
-                state: FunctionState::restore(r)?,
-                status: Status::restore(r)?,
-                frozen_since: SimTime::restore(r)?,
-                last_used: SimTime::restore(r)?,
-                charge: u64::restore(r)?,
-                reclaimed_since_use: bool::restore(r)?,
-            })
-        }
-    }
-
-    impl Snapshot for FailReason {
-        fn snap(&self, w: &mut Writer) {
-            let tag: u8 = match self {
-                FailReason::BootFailure => 0,
-                FailReason::Crash => 1,
-                FailReason::HeapExhausted => 2,
-                FailReason::BreakerOpen => 3,
-                FailReason::DeadlineExceeded => 4,
-                FailReason::TooLargeForCache => 5,
-            };
-            tag.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<FailReason, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(FailReason::BootFailure),
-                1 => Ok(FailReason::Crash),
-                2 => Ok(FailReason::HeapExhausted),
-                3 => Ok(FailReason::BreakerOpen),
-                4 => Ok(FailReason::DeadlineExceeded),
-                5 => Ok(FailReason::TooLargeForCache),
-                _ => Err(SnapError::Corrupt("unknown FailReason tag")),
-            }
-        }
-    }
-
-    impl Snapshot for Outcome {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                Outcome::Pending => 0u8.snap(w),
-                Outcome::Completed => 1u8.snap(w),
-                Outcome::Failed(why) => {
-                    2u8.snap(w);
-                    why.snap(w);
-                }
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Outcome, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(Outcome::Pending),
-                1 => Ok(Outcome::Completed),
-                2 => Ok(Outcome::Failed(FailReason::restore(r)?)),
-                _ => Err(SnapError::Corrupt("unknown Outcome tag")),
-            }
-        }
-    }
-
-    impl Snapshot for Request {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                fn_idx,
-                arrival,
-                attempts,
-                outcome,
-            } = self;
-            fn_idx.snap(w);
-            arrival.snap(w);
-            attempts.snap(w);
-            outcome.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Request, SnapError> {
-            Ok(Request {
-                fn_idx: usize::restore(r)?,
-                arrival: SimTime::restore(r)?,
-                attempts: u32::restore(r)?,
-                outcome: Outcome::restore(r)?,
-            })
-        }
-    }
-
-    impl Snapshot for Event {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                Event::Arrival { req } => {
-                    0u8.snap(w);
-                    req.snap(w);
-                }
-                Event::BootDone { id, req } => {
-                    1u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::BootFailed { id, req } => {
-                    2u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::StageDone { id, req } => {
-                    3u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::Crash { id, req } => {
-                    4u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::GcDone { id } => {
-                    5u8.snap(w);
-                    id.snap(w);
-                }
-                Event::ReclaimDone { id, cpus, ok } => {
-                    6u8.snap(w);
-                    id.snap(w);
-                    cpus.snap(w);
-                    ok.snap(w);
-                }
-                Event::Retry { req, stage } => {
-                    7u8.snap(w);
-                    req.snap(w);
-                    stage.snap(w);
-                }
-                Event::Sweep => 8u8.snap(w),
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Event, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(Event::Arrival {
-                    req: usize::restore(r)?,
-                }),
-                1 => Ok(Event::BootDone {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                2 => Ok(Event::BootFailed {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                3 => Ok(Event::StageDone {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                4 => Ok(Event::Crash {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                5 => Ok(Event::GcDone {
-                    id: InstanceId::restore(r)?,
-                }),
-                6 => Ok(Event::ReclaimDone {
-                    id: InstanceId::restore(r)?,
-                    cpus: f64::restore(r)?,
-                    ok: bool::restore(r)?,
-                }),
-                7 => Ok(Event::Retry {
-                    req: usize::restore(r)?,
-                    stage: u8::restore(r)?,
-                }),
-                8 => Ok(Event::Sweep),
-                _ => Err(SnapError::Corrupt("unknown Event tag")),
-            }
-        }
-    }
-
-    impl Snapshot for PendingStage {
-        fn snap(&self, w: &mut Writer) {
-            let Self { req, stage } = self;
-            req.snap(w);
-            stage.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<PendingStage, SnapError> {
-            Ok(PendingStage {
-                req: usize::restore(r)?,
-                stage: u8::restore(r)?,
-            })
-        }
-    }
-
-    impl Snapshot for BreakerState {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                BreakerState::Closed => 0u8.snap(w),
-                BreakerState::Open(until) => {
-                    1u8.snap(w);
-                    until.snap(w);
-                }
-                BreakerState::HalfOpen => 2u8.snap(w),
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<BreakerState, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(BreakerState::Closed),
-                1 => Ok(BreakerState::Open(SimTime::restore(r)?)),
-                2 => Ok(BreakerState::HalfOpen),
-                _ => Err(SnapError::Corrupt("unknown BreakerState tag")),
-            }
-        }
-    }
-
-    impl Snapshot for Breaker {
-        fn snap(&self, w: &mut Writer) {
-            let Self { consecutive, state } = self;
-            consecutive.snap(w);
-            state.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Breaker, SnapError> {
-            Ok(Breaker {
-                consecutive: u32::restore(r)?,
-                state: BreakerState::restore(r)?,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2299,7 +1366,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
 
-    fn small_config() -> PlatformConfig {
+    pub(super) fn small_config() -> PlatformConfig {
         PlatformConfig {
             cache_budget: 1 << 30,
             cores: 4.0,
@@ -2307,7 +1374,7 @@ mod tests {
         }
     }
 
-    fn submit_n(p: &mut Platform, name: &str, n: u64, gap_ms: u64) {
+    pub(super) fn submit_n(p: &mut Platform, name: &str, n: u64, gap_ms: u64) {
         let idx = p.function_index(name).unwrap();
         for i in 0..n {
             p.submit(SimTime(i * gap_ms * 1_000_000), idx);
@@ -2467,53 +1534,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restores_into_identical_platform() {
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        let mut a = make();
-        submit_n(&mut a, "mapreduce", 3, 2000);
-        a.run_until(SimTime(7_000_000_000));
-        let snap = a.checkpoint();
-        let mut b = make();
-        b.restore(&snap).expect("restore");
-        assert_eq!(b.checkpoint(), snap, "restore must reproduce the checkpoint bytes");
-        // Both continue to the same final state.
-        a.run_until(SimTime(60_000_000_000));
-        b.run_until(SimTime(60_000_000_000));
-        assert_eq!(a.checkpoint(), b.checkpoint());
-        assert_eq!(a.stats().completed, 3);
-    }
-
-    #[test]
-    fn checkpoint_rejects_wrong_configuration() {
-        let mut a = Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        submit_n(&mut a, "sort", 1, 1);
-        a.run_until(SimTime(5_000_000_000));
-        let snap = a.checkpoint();
-        let mut config = small_config();
-        config.cores = 8.0;
-        let mut b = Platform::new(config, workloads::catalog(), GcMode::Vanilla, None);
-        assert!(matches!(
-            b.restore(&snap),
-            Err(PlatformError::Snapshot(snapshot::SnapError::Mismatch { .. }))
-        ));
-        let mut c = Platform::new(small_config(), workloads::catalog(), GcMode::Eager, None);
-        assert!(c.restore(&snap).is_err(), "GC mode is part of the fingerprint");
-    }
-
-    #[test]
-    fn corrupt_checkpoint_leaves_platform_untouched() {
-        let mut a = Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        submit_n(&mut a, "file-hash", 2, 3000);
-        a.run_until(SimTime(20_000_000_000));
-        let before = a.checkpoint();
-        let mut bad = before.clone();
-        let last = bad.len() - 1;
-        bad.truncate(last);
-        assert!(a.restore(&bad).is_err());
-        assert_eq!(a.checkpoint(), before, "failed restore must not mutate");
-    }
-
-    #[test]
     fn armed_kill_aborts_and_recovery_matches_control() {
         let run_cfg = || PlatformConfig {
             faults: Some(FaultPlan::uniform(5, 0.1)),
@@ -2543,21 +1563,6 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_after_restore_reports_zero_residue() {
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        let mut a = make();
-        submit_n(&mut a, "mapreduce", 2, 2000);
-        a.run_until(SimTime(30_000_000_000));
-        let snap = a.checkpoint();
-        let mut b = make();
-        b.restore(&snap).expect("restore");
-        assert!(b.cache_used() > 0);
-        b.shutdown().expect("shutdown after restore must be clean");
-        assert_eq!(b.cache_used(), 0);
-        assert_eq!(b.system().process_count(), 0);
-    }
-
-    #[test]
     fn faulty_run_is_deterministic() {
         let run = |seed: u64| {
             let config = PlatformConfig {
@@ -2579,136 +1584,5 @@ mod tests {
         assert_eq!(a, run(7), "same fault seed must replay identically");
         assert!(a.2 > 0, "20% fault rate produced no fault events");
         assert_eq!(a.0 + a.1, 20, "every request must terminate");
-    }
-
-    #[test]
-    fn base_checkpoint_folds_to_canonical_bytes() {
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        let mut a = make();
-        submit_n(&mut a, "mapreduce", 3, 2000);
-        a.run_until(SimTime(7_000_000_000));
-        let full = a.checkpoint();
-        let base = a.checkpoint_base(1, &[]);
-        let mut b = make();
-        let (epoch, extra) = b.restore_chain(&[base]).expect("restore base");
-        assert_eq!(epoch, 1);
-        assert!(extra.is_empty());
-        assert_eq!(
-            b.checkpoint(),
-            full,
-            "a folded base must reproduce the canonical checkpoint bytes"
-        );
-    }
-
-    #[test]
-    fn delta_chain_folds_to_canonical_bytes() {
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        let mut a = make();
-        submit_n(&mut a, "mapreduce", 6, 1500);
-        a.run_until(SimTime(5_000_000_000));
-        let base = a.checkpoint_base(1, &[]);
-        a.run_until(SimTime(9_000_000_000));
-        let mid = a.checkpoint();
-        let delta = a.checkpoint_delta(2, 1, &[]);
-        a.run_until(SimTime(14_000_000_000));
-        let full = a.checkpoint();
-        let delta2 = a.checkpoint_delta(3, 2, &[]);
-        let mut b = make();
-        let (epoch, _) = b.restore_chain(&[base.clone(), delta.clone()]).expect("restore");
-        assert_eq!(epoch, 2);
-        assert_eq!(b.checkpoint(), mid, "base+delta must fold to the mid-run state");
-        let mut c = make();
-        let (epoch, _) = c.restore_chain(&[base, delta, delta2]).expect("restore");
-        assert_eq!(epoch, 3);
-        assert_eq!(c.checkpoint(), full, "a two-delta chain must fold to the final state");
-        // The folded platform keeps simulating identically.
-        a.run_until(SimTime(120_000_000_000));
-        c.run_until(SimTime(120_000_000_000));
-        assert_eq!(a.checkpoint(), c.checkpoint());
-    }
-
-    #[test]
-    fn delta_chain_folds_at_arbitrary_cut_points() {
-        // Whatever instant a delta is cut at — mid-boot, mid-freeze,
-        // mid-reclaim — the fold must land on the canonical bytes.
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        for cut_ms in [1_700u64, 3_300, 6_100, 8_900, 23_000] {
-            let mut a = make();
-            submit_n(&mut a, "mapreduce", 5, 1100);
-            a.run_until(SimTime(1_000_000_000));
-            let base = a.checkpoint_base(1, &[]);
-            a.run_until(SimTime(cut_ms * 1_000_000));
-            let full = a.checkpoint();
-            let delta = a.checkpoint_delta(2, 1, &[]);
-            let mut b = make();
-            b.restore_chain(&[base, delta]).expect("restore");
-            assert_eq!(b.checkpoint(), full, "cut at {cut_ms}ms diverged");
-        }
-    }
-
-    #[test]
-    fn delta_is_smaller_than_base() {
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        let mut a = make();
-        submit_n(&mut a, "mapreduce", 8, 1500);
-        a.run_until(SimTime(30_000_000_000));
-        let base = a.checkpoint_base(1, &[]);
-        // A quiet tail: little mutated since the base.
-        a.run_until(SimTime(30_050_000_000));
-        let delta = a.checkpoint_delta(2, 1, &[]);
-        assert!(
-            delta.len() < base.len(),
-            "delta ({}) must be smaller than base ({})",
-            delta.len(),
-            base.len()
-        );
-    }
-
-    #[test]
-    fn restore_chain_carries_extra_frames_from_head() {
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        let mut a = make();
-        submit_n(&mut a, "mapreduce", 2, 2000);
-        a.run_until(SimTime(5_000_000_000));
-        let base = a.checkpoint_base(1, &[(Platform::FRAME_EXTRA_BASE, b"old".to_vec())]);
-        a.run_until(SimTime(8_000_000_000));
-        let delta = a.checkpoint_delta(2, 1, &[(Platform::FRAME_EXTRA_BASE, b"new".to_vec())]);
-        let mut b = make();
-        let (_, extra) = b.restore_chain(&[base, delta]).expect("restore");
-        assert_eq!(
-            extra,
-            vec![(Platform::FRAME_EXTRA_BASE, b"new".to_vec())],
-            "only the chain head's driver frames come back"
-        );
-    }
-
-    #[test]
-    fn restore_chain_rejects_corruption_and_bad_linkage() {
-        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
-        let mut a = make();
-        submit_n(&mut a, "mapreduce", 3, 2000);
-        a.run_until(SimTime(5_000_000_000));
-        let base = a.checkpoint_base(1, &[]);
-        a.run_until(SimTime(8_000_000_000));
-        let delta = a.checkpoint_delta(2, 1, &[]);
-
-        // A flipped byte anywhere in either container must be caught.
-        for (i, source) in [&base, &delta].into_iter().enumerate() {
-            let mut bad = source.clone();
-            let at = bad.len() / 2;
-            bad[at] ^= 0x10;
-            let chain = if i == 0 {
-                vec![bad, delta.clone()]
-            } else {
-                vec![base.clone(), bad]
-            };
-            assert!(make().restore_chain(&chain).is_err(), "corrupt container {i} accepted");
-        }
-        // A delta cannot head a chain, and linkage must be contiguous.
-        assert!(make().restore_chain(std::slice::from_ref(&delta)).is_err());
-        assert!(make().restore_chain(&[delta.clone(), delta.clone()]).is_err());
-        assert!(make().restore_chain(&[]).is_err());
-        // The happy path still works after all the rejected attempts.
-        make().restore_chain(&[base, delta]).expect("valid chain");
     }
 }

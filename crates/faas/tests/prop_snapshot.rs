@@ -1,8 +1,8 @@
 //! Property tests for checkpoint/restore: at an arbitrary cut point in
-//! an arbitrary load, a checkpoint must round-trip to the identical
-//! byte string, the restored platform must continue exactly like the
-//! original, and the restored state must satisfy the memory-metric and
-//! request-conservation invariants.
+//! an arbitrary load, a checkpoint — flat, or a base-plus-delta chain —
+//! must round-trip to the identical byte string, the restored platform
+//! must continue exactly like the original, and the restored state must
+//! satisfy the memory-metric and request-conservation invariants.
 
 use faas::config::PlatformConfig;
 use faas::platform::{GcMode, Platform};
@@ -84,6 +84,39 @@ proptest! {
             "restored run diverged from the original"
         );
         prop_assert_eq!(restored.stats().completed, original.stats().completed);
+    }
+
+    /// A base cut at one random instant and a delta cut at a later one
+    /// fold back to the state at the second cut: the chain restores to
+    /// the bytes of a flat `checkpoint()` taken there, and the folded
+    /// platform runs on to the identical final state.
+    #[test]
+    fn chain_fold_at_random_cuts_is_identity(
+        l in load(),
+        cut_a_ms in 0u64..70_000,
+        cut_b_ms in 0u64..70_000,
+    ) {
+        let (base_ms, delta_ms) = (cut_a_ms.min(cut_b_ms), cut_a_ms.max(cut_b_ms));
+        let mut original = build(&l);
+        submit_all(&mut original, &l);
+        original.run_until(SimTime(base_ms * 1_000_000));
+        let base = original.checkpoint_base(1, &[]);
+        original.run_until(SimTime(delta_ms * 1_000_000));
+        let delta = original.checkpoint_delta(2, 1, &[]);
+        let bytes = original.checkpoint();
+
+        let mut folded = build(&l);
+        folded.restore_chain(&[base, delta]).expect("self-produced chain restores");
+        prop_assert_eq!(folded.checkpoint(), bytes, "chain fold is not the cut state");
+
+        let horizon = SimTime(60_000_000_000) + SimDuration::from_secs(600);
+        original.run_until(horizon);
+        folded.run_until(horizon);
+        prop_assert_eq!(
+            folded.checkpoint(),
+            original.checkpoint(),
+            "folded run diverged from the original"
+        );
     }
 
     /// A restored platform satisfies the same physical invariants as a

@@ -1508,11 +1508,7 @@ mod snap_impls {
 
     impl Snapshot for AddressSpace {
         fn snap(&self, w: &mut Writer) {
-            // Tracking fields excluded — see the Mapping impl. NOTE:
-            // the platform's delta-checkpoint fold re-synthesizes this
-            // exact layout (mappings map, next_addr, limit) from
-            // per-mapping blobs; changing the order here requires
-            // changing `faas::platform`'s fold in lockstep.
+            // Tracking fields excluded — see the Mapping impl.
             let Self {
                 mappings,
                 next_addr,
@@ -1567,25 +1563,22 @@ mod snap_impls {
             }
         }
 
-        /// Folds a [`AddressSpace::snap_delta`] payload over `base` (or
-        /// an empty space, for a process spawned since the parent
-        /// epoch): removals apply first, then upserts — a mapping
-        /// unmapped and re-mapped at the same address within one epoch
-        /// ends up at its new contents. The result re-encodes (via
-        /// [`Snapshot::snap`]) byte-identically to a full checkpoint of
-        /// the same state; removing a start the base never had is a
-        /// tolerated no-op for exactly that reason.
-        pub fn restore_delta(
-            base: Option<AddressSpace>,
-            r: &mut Reader<'_>,
-        ) -> Result<AddressSpace, SnapError> {
-            let mut space = base.unwrap_or_default();
-            space.next_addr = r.u64()?;
-            space.limit = r.u64()?;
+        /// Folds a [`AddressSpace::snap_delta`] payload into this space
+        /// in place (an empty space, for a process spawned since the
+        /// parent epoch): removals apply first, then upserts — a
+        /// mapping unmapped and re-mapped at the same address within
+        /// one epoch ends up at its new contents. The result equals the
+        /// space a full checkpoint of the same state decodes to;
+        /// removing a start the base never had is a tolerated no-op for
+        /// exactly that reason. On error the space is partly folded and
+        /// must be discarded.
+        pub fn restore_delta(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+            self.next_addr = r.u64()?;
+            self.limit = r.u64()?;
             let removed = r.seq_len()?;
             for _ in 0..removed {
                 let start = r.u64()?;
-                space.mappings.remove(&start);
+                self.mappings.remove(&start);
             }
             let upserts = r.seq_len()?;
             for _ in 0..upserts {
@@ -1594,11 +1587,11 @@ mod snap_impls {
                 if m.start.0 != start {
                     return Err(SnapError::Corrupt("delta mapping key disagrees with start"));
                 }
-                space.mappings.insert(start, m);
+                self.mappings.insert(start, m);
             }
-            space.structure_dirty = false;
-            space.removed_since_epoch.clear();
-            Ok(space)
+            self.structure_dirty = false;
+            self.removed_since_epoch.clear();
+            Ok(())
         }
     }
 }

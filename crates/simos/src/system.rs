@@ -135,11 +135,11 @@ impl FileRegistry {
     }
 
     fn info(&self, file: FileId) -> &FileInfo {
-        &self.files[file.0 as usize] // tidy:allow(panic-reachability) -- file ids are checked against the registry when a mapping is created (`System::mmap_named`) or restored (`System::restore`)
+        &self.files[file.0 as usize] // tidy:allow(panic-reachability) -- file ids are checked against the registry when a mapping is created (`System::mmap_named`) or restored (`System::from_parts`)
     }
 
     fn info_mut(&mut self, file: FileId) -> &mut FileInfo {
-        &mut self.files[file.0 as usize] // tidy:allow(panic-reachability) -- file ids are checked against the registry when a mapping is created (`System::mmap_named`) or restored (`System::restore`)
+        &mut self.files[file.0 as usize] // tidy:allow(panic-reachability) -- file ids are checked against the registry when a mapping is created (`System::mmap_named`) or restored (`System::from_parts`)
     }
 
     /// The registered name of `file`.
@@ -316,6 +316,11 @@ impl System {
         self.spaces.keys().copied()
     }
 
+    /// Every live process's address space, in pid order.
+    pub fn spaces(&self) -> impl Iterator<Item = (Pid, &AddressSpace)> {
+        self.spaces.iter().map(|(pid, s)| (*pid, s))
+    }
+
     /// `mmap` in process `pid`.
     pub fn mmap(
         &mut self,
@@ -416,10 +421,7 @@ impl System {
     /// Address spaces with any change since the last checkpoint epoch,
     /// in pid order — the delta-checkpoint upsert set.
     pub fn epoch_dirty_spaces(&self) -> impl Iterator<Item = (Pid, &AddressSpace)> {
-        self.spaces
-            .iter()
-            .filter(|(_, s)| s.is_epoch_dirty())
-            .map(|(pid, s)| (*pid, s))
+        self.spaces().filter(|(_, s)| s.is_epoch_dirty())
     }
 
     /// Pids killed since the last checkpoint epoch — the
@@ -517,11 +519,7 @@ mod snap_impls {
     impl Snapshot for System {
         fn snap(&self, w: &mut Writer) {
             // `removed_pids` is checkpoint tracking, excluded from the
-            // canonical bytes (see the Mapping impl in `mem`). NOTE:
-            // the platform's delta-checkpoint fold re-synthesizes this
-            // exact layout (files, spaces map, next_pid) from
-            // per-space blobs; change the order here and the fold in
-            // `faas::platform` in lockstep.
+            // canonical bytes (see the Mapping impl in `mem`).
             let Self {
                 files,
                 spaces,
@@ -537,6 +535,20 @@ mod snap_impls {
             let files = FileRegistry::restore(r)?;
             let spaces = BTreeMap::<Pid, AddressSpace>::restore(r)?;
             let next_pid = r.u32()?;
+            System::from_parts(files, spaces, next_pid)
+        }
+    }
+
+    impl System {
+        /// Assembles a system from decoded parts — a full snapshot's,
+        /// or a checkpoint chain's folded address spaces — after
+        /// checking that every pid is below `next_pid` and that the page
+        /// cache's mapper counts match the spaces that hold its pages.
+        pub fn from_parts(
+            files: FileRegistry,
+            spaces: BTreeMap<Pid, AddressSpace>,
+            next_pid: u32,
+        ) -> Result<System, SnapError> {
             if spaces.keys().any(|pid| pid.0 >= next_pid) {
                 return Err(SnapError::Corrupt("System pid at or past next_pid"));
             }

@@ -57,8 +57,8 @@ const CRC64_TABLE: [u64; 256] = {
     table
 };
 
-/// CRC-64/XZ of `bytes`. Also used for the per-record journal
-/// checksums in the resumable-replay write-ahead log.
+/// CRC-64/XZ of `bytes`. Also seals each record of the `faas::durable`
+/// round journal, which resumable replay and cluster shards share.
 pub fn crc64(bytes: &[u8]) -> u64 {
     let mut crc = !0u64;
     for &b in bytes {

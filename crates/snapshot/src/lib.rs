@@ -211,8 +211,7 @@ impl Writer {
 
     /// Appends bytes verbatim, with no length prefix. For splicing a
     /// canonical sub-encoding (produced by another `Writer`) into a
-    /// larger stream — the delta-checkpoint fold reassembles full
-    /// checkpoints from per-section byte blobs this way.
+    /// larger stream — a container frame's payload, for one.
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }

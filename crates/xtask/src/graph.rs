@@ -261,6 +261,34 @@ impl<'a> Graph<'a> {
     }
 }
 
+/// The finding for a declared root the code no longer has.
+fn drift(root: &Root) -> Finding {
+    Finding::new(
+        root.path,
+        1,
+        "panic-reachability",
+        format!(
+            "declared hot-path root `{}{}` not found — the analyzer's root set \
+             has drifted from the code",
+            root.owner.map(|o| format!("{o}::")).unwrap_or_default(),
+            root.name
+        ),
+    )
+}
+
+/// Full-tree drift: one finding per root whose file is not among the
+/// `scanned` paths. [`panic_reachability`] cannot see these — it only
+/// checks roots against files in the graph, because fixture runs
+/// (`check_files`) hand it a partial world — so a renamed or moved
+/// root file would otherwise drop its whole reachable set silently.
+pub fn vanished_roots(scanned: &[&str], roots: &[Root]) -> Vec<Finding> {
+    roots
+        .iter()
+        .filter(|root| !scanned.contains(&root.path))
+        .map(drift)
+        .collect()
+}
+
 /// Runs panic-reachability over the graph with the given root set.
 /// Returns raw findings (allow markers are applied by the caller).
 pub fn panic_reachability(graph: &Graph<'_>, roots: &[Root]) -> Vec<Finding> {
@@ -268,20 +296,10 @@ pub fn panic_reachability(graph: &Graph<'_>, roots: &[Root]) -> Vec<Finding> {
     let mut starts = Vec::new();
     for root in roots {
         let matched = graph.resolve_root(root);
-        // A root only counts as drifted when its file was scanned:
-        // fixture/self-test runs hand the analysis a partial world.
+        // Only a scanned file's roots count here; [`vanished_roots`]
+        // covers files the full tree lacks.
         if matched.is_empty() && graph.paths.contains(root.path) {
-            out.push(Finding::new(
-                root.path,
-                1,
-                "panic-reachability",
-                format!(
-                    "declared hot-path root `{}{}` not found — the analyzer's root set \
-                     has drifted from the code",
-                    root.owner.map(|o| format!("{o}::")).unwrap_or_default(),
-                    root.name
-                ),
-            ));
+            out.push(drift(root));
         }
         starts.extend(matched);
     }
@@ -481,6 +499,19 @@ mod tests {
             }],
         );
         assert_eq!(findings.len(), 1);
+        assert!(findings[0].message.contains("drifted"), "{findings:?}");
+    }
+
+    #[test]
+    fn vanished_root_file_reports_drift() {
+        let roots = [
+            Root { path: "crates/faas/src/queue.rs", owner: Some("EventQueue"), name: "push" },
+            Root { path: "crates/faas/src/gone.rs", owner: Some("Platform"), name: "run_until" },
+        ];
+        let scanned = ["crates/faas/src/lib.rs", "crates/faas/src/queue.rs"];
+        let findings = vanished_roots(&scanned, &roots);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].path, "crates/faas/src/gone.rs");
         assert!(findings[0].message.contains("drifted"), "{findings:?}");
     }
 

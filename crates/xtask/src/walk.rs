@@ -91,13 +91,19 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     };
     let sources = rs.iter().map(read).collect::<Result<Vec<_>, String>>()?;
     let manifests = tomls.iter().map(read).collect::<Result<Vec<_>, String>>()?;
-    Ok(audit(&sources, &manifests))
+    let scanned: Vec<&str> = sources.iter().map(|(rel, _)| rel.as_str()).collect();
+    let mut findings = audit(&sources, &manifests);
+    findings.extend(graph::vanished_roots(&scanned, graph::HOT_PATH_ROOTS));
+    findings.sort();
+    Ok(findings)
 }
 
 /// The full in-memory pipeline over `(path, source)` pairs: per-file
 /// scans, the call-graph analyses, shim surface (for paths under
 /// `crates/shims/`), and allow-marker application. The fixture
-/// self-tests drive the rules through this.
+/// self-tests drive the rules through this; unlike [`run`], it treats
+/// the sources as a partial world, so a hot-path root whose file is
+/// absent is not reported.
 pub fn check_files(files: &[(&str, &str)]) -> Vec<Finding> {
     audit(files, &[])
 }
