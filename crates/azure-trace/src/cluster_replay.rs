@@ -1,12 +1,13 @@
 //! Cluster-scale replay: the §5.3 protocol fanned over N shards.
 //!
-//! Same three phases as [`replay`](crate::replay::replay) — warm-up,
-//! measured window, drain — but arrivals flow through a
-//! [`Cluster`]'s front end instead of a single platform's submit
-//! call. The trace is *not* pre-partitioned: every arrival is placed
-//! by the router at the barrier round it falls into, so the partition
-//! of work across shards is itself an output of the placement policy
-//! under test.
+//! The rounds come from the same one-step-per-phase schedule that
+//! drives [`replay`](crate::replay::replay): each phase's arrivals are
+//! enqueued at its start, and the cluster advances to the phase end in
+//! barrier rounds. Arrivals flow through a [`Cluster`]'s front end
+//! instead of a single platform's submit call. The trace is *not*
+//! pre-partitioned: every arrival is placed by the router at the
+//! barrier round it falls into, so the partition of work across shards
+//! is itself an output of the placement policy under test.
 //!
 //! The outcome carries the cluster digest (shard checkpoints plus the
 //! fleet-level front-end bytes). Two runs of the same configuration
@@ -16,10 +17,10 @@
 //! request-conservation invariant: each routed request terminated in
 //! exactly one typed outcome (or is still queued for retry).
 
-use cluster::Cluster;
+use cluster::{Cluster, ClusterTotals};
 
-use crate::generate::{generate_arrivals, TraceFunction};
-use crate::replay::ReplayConfig;
+use crate::generate::TraceFunction;
+use crate::replay::{schedule, ReplayConfig};
 
 /// Aggregate outcome of one cluster replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,44 +28,14 @@ pub struct ClusterReplayOutcome {
     /// The determinism oracle: FNV-1a over shard states and fleet
     /// front-end state at the final barrier.
     pub digest: u64,
-    /// Requests that entered front-end placement (warm-up + measured
-    /// window).
-    pub submitted: u64,
-    /// Requests completed across all shards (since the measured-window
-    /// stats reset).
-    pub completed: u64,
-    /// Requests that terminated with a failure inside a platform.
-    pub failed: u64,
-    /// Cold boots started since the reset.
-    pub cold_boots: u64,
-    /// Frozen instances evicted under pressure since the reset.
-    pub evictions: u64,
-    /// Kill-recoveries across all shards.
-    pub recoveries: u64,
-    /// Recoveries that restarted a shard from nothing.
-    pub scratch_recoveries: u64,
-    /// Outage heals: durable-store re-admissions after `Down` windows.
-    pub heals: u64,
-    /// Shard-rounds spent unreachable.
-    pub outage_rounds: u64,
     /// Migration overrides the router accepted.
     pub migrations: u64,
     /// Barrier rounds executed.
     pub rounds: u64,
-    /// Requests handed to a reachable shard.
-    pub delivered: u64,
-    /// Requests shed at admission (overload + unroutable).
-    pub shed: u64,
-    /// Requests failed at the front end (deadline + retry cap).
-    pub failed_frontend: u64,
-    /// Retry placements performed.
-    pub retries: u64,
-    /// Hedge copies placed.
-    pub hedges: u64,
-    /// Deliveries that succeeded only through the hedge copy.
-    pub hedge_wins: u64,
-    /// Requests still queued for retry at the final barrier.
-    pub pending_retries: u64,
+    /// Shard counters (completions since the measured-window stats
+    /// reset) and the run-lifetime front-end lifecycle counters at the
+    /// final barrier.
+    pub totals: ClusterTotals,
 }
 
 /// Runs the warm-up / measured-window / drain protocol over `cluster`.
@@ -79,27 +50,15 @@ pub fn replay_cluster(
     trace: &[TraceFunction],
     config: &ReplayConfig,
 ) -> ClusterReplayOutcome {
-    let t0 = cluster.now();
-    let warm_end = t0 + config.warmup;
-    let replay_end = warm_end + config.duration;
-    let drain_end = replay_end + config.drain;
-
-    for &(t, fn_idx) in &generate_arrivals(trace, config.warmup_scale, t0, warm_end, config.seed) {
-        cluster.enqueue(t, fn_idx);
+    for round in schedule(trace, config, cluster.now(), 1) {
+        if round.reset {
+            cluster.reset_stats();
+        }
+        for (t, fn_idx) in round.arrivals {
+            cluster.enqueue(t, fn_idx);
+        }
+        cluster.advance_to(round.window.end);
     }
-    cluster.advance_to(warm_end);
-    cluster.reset_stats();
-    for &(t, fn_idx) in &generate_arrivals(
-        trace,
-        config.scale,
-        warm_end,
-        replay_end,
-        config.seed ^ 0xA5A5,
-    ) {
-        cluster.enqueue(t, fn_idx);
-    }
-    cluster.advance_to(replay_end);
-    cluster.advance_to(drain_end);
 
     let totals = cluster.totals();
     assert!(
@@ -113,24 +72,9 @@ pub fn replay_cluster(
     );
     ClusterReplayOutcome {
         digest: cluster.digest(),
-        submitted: cluster.routed(),
-        completed: totals.completed,
-        failed: totals.failed,
-        cold_boots: totals.cold_boots,
-        evictions: totals.evictions,
-        recoveries: totals.recoveries,
-        scratch_recoveries: totals.scratch_recoveries,
-        heals: totals.heals,
-        outage_rounds: totals.outage_rounds,
         migrations: cluster.migrations(),
         rounds: cluster.rounds() as u64,
-        delivered: totals.delivered,
-        shed: totals.shed(),
-        failed_frontend: totals.frontend_failed(),
-        retries: totals.retries,
-        hedges: totals.hedges,
-        hedge_wins: totals.hedge_wins,
-        pending_retries: totals.pending_retries,
+        totals,
     }
 }
 
@@ -174,7 +118,7 @@ mod tests {
         ] {
             let serial = run_once(policy, 1);
             let parallel = run_once(policy, 4);
-            assert!(serial.completed > 0, "{policy:?} completed nothing");
+            assert!(serial.totals.completed > 0, "{policy:?} completed nothing");
             assert_eq!(
                 serial, parallel,
                 "{policy:?} outcome diverged between 1 and 4 jobs"
@@ -212,12 +156,14 @@ mod tests {
             let serial = run_outage(kind, 1);
             let parallel = run_outage(kind, 4);
             assert_eq!(serial, parallel, "{kind:?} outcome diverged between job counts");
-            assert!(serial.outage_rounds == 3, "{kind:?}: expected 3 dark rounds");
-            assert!(serial.retries > 0, "{kind:?}: stranded requests must retry");
+            assert!(serial.totals.outage_rounds == 3, "{kind:?}: expected 3 dark rounds");
+            assert!(serial.totals.retries > 0, "{kind:?}: stranded requests must retry");
             match kind {
-                OutageKind::Down => assert!(serial.heals > 0, "Down must heal via the store"),
+                OutageKind::Down => {
+                    assert!(serial.totals.heals > 0, "Down must heal via the store")
+                }
                 OutageKind::Partitioned => {
-                    assert_eq!(serial.heals, 0, "a partition needs no state rebuild")
+                    assert_eq!(serial.totals.heals, 0, "a partition needs no state rebuild")
                 }
             }
         }

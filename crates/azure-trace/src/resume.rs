@@ -1,22 +1,15 @@
 //! Crash-consistent, resumable replay: the §5.3 protocol as a
 //! one-machine use of the [`Durable`] driver.
 //!
-//! [`replay`](crate::replay::replay) drives the protocol in three
-//! monolithic `run_until` spans; if the process dies mid-run the whole
-//! simulation is lost. This module maps the same protocol onto the
-//! driver's rounds:
-//!
-//! * each phase — warm-up, measured window, drain — is cut into
-//!   [`ResumeOptions::steps_per_phase`] rounds, so every phase edge is
-//!   a round barrier; a round's batch is the trace arrivals in its
-//!   window;
-//! * the round starting at the end of the warm-up carries the journaled
-//!   stats-reset flag, and the §5.3 rates are captured after the round
-//!   that ends at the close of the measured window;
-//! * the driver journals every round write-ahead, cuts checkpoints on
-//!   [`ResumeOptions::cadence`], and recovers from kills and storage
-//!   faults inside the round, so the captured rates never need to ride
-//!   a checkpoint.
+//! The rounds come from the same schedule that drives
+//! [`replay`](crate::replay::replay) and
+//! [`replay_cluster`](crate::cluster_replay::replay_cluster), cut finer:
+//! each phase — warm-up, measured window, drain — is eight rounds
+//! instead of one. Every round is journaled write-ahead and caught up
+//! through the driver, which cuts a checkpoint every third round and
+//! recovers from kills and storage faults inside the round, so the
+//! rates captured after the round that closes the measured window
+//! never need to ride a checkpoint.
 //!
 //! Because the platform is deterministic, a recovered run's final state
 //! is byte-identical to an uninterrupted control — and to plain
@@ -27,39 +20,19 @@
 use faas::fault::CrashPlan;
 use faas::platform::Platform;
 use faas::{Cadence, Durable, StorageFaultPlan};
-use simos::SimTime;
 
-use crate::generate::{generate_arrivals, TraceFunction};
-use crate::replay::{ReplayConfig, ReplayOutcome, WindowRates};
+use crate::generate::TraceFunction;
+use crate::replay::{schedule, ReplayConfig, ReplayOutcome, WindowRates};
 
-/// Knobs of the resumable driver.
-#[derive(Debug, Clone, Copy)]
-pub struct ResumeOptions {
-    /// Number of steps the protocol is divided into (on top of the
-    /// mandatory warm-up / measured-window / drain boundaries). More
-    /// steps mean finer-grained journal batches and more potential
-    /// checkpoint sites.
-    pub steps_per_phase: usize,
-    /// Checkpoint cadence, in steps.
-    pub cadence: Cadence,
-    /// Storage faults to inject into checkpoint writes, if any. The
-    /// request journal is not subjected to the plan, so every fault
-    /// lands on the recovery lattice.
-    pub storage_faults: Option<StorageFaultPlan>,
-}
+/// Rounds per protocol phase: finer rounds mean smaller journal
+/// batches and more checkpoint sites.
+const STEPS_PER_PHASE: usize = 8;
 
-impl Default for ResumeOptions {
-    fn default() -> ResumeOptions {
-        ResumeOptions {
-            steps_per_phase: 8,
-            cadence: Cadence {
-                checkpoint_every: 3,
-                base_every: 4,
-            },
-            storage_faults: None,
-        }
-    }
-}
+/// Checkpoint cadence, in rounds and cuts.
+const CADENCE: Cadence = Cadence {
+    checkpoint_every: 3,
+    base_every: 4,
+};
 
 /// Result of a resumable (possibly killed-and-recovered) replay.
 #[derive(Debug, Clone)]
@@ -79,10 +52,11 @@ pub struct ResumeOutcome {
     pub final_state: Vec<u8>,
 }
 
-/// Runs the §5.3 protocol step by step through a [`Durable`] driver,
+/// Runs the §5.3 protocol round by round through a [`Durable`] driver,
 /// killing and recovering wherever `crash` dictates and corrupting
-/// checkpoint writes wherever [`ResumeOptions::storage_faults`]
-/// dictates.
+/// checkpoint writes wherever `storage_faults` dictates. The request
+/// journal is not subjected to the storage plan, so every fault lands
+/// on the recovery lattice.
 ///
 /// `make_platform` must build identically-configured platforms — the
 /// recovery path constructs a fresh one and restores the best
@@ -101,66 +75,26 @@ pub fn replay_resumable<F>(
     make_platform: F,
     trace: &[TraceFunction],
     config: &ReplayConfig,
-    opts: &ResumeOptions,
+    storage_faults: Option<StorageFaultPlan>,
     crash: Option<CrashPlan>,
 ) -> ResumeOutcome
 where
     F: Fn() -> Platform,
 {
-    assert!(opts.steps_per_phase > 0, "need at least one step per phase");
-    let mut durable = Durable::new(make_platform, opts.cadence, opts.storage_faults);
+    let mut durable = Durable::new(make_platform, CADENCE, storage_faults);
     if let Some(plan) = crash {
         durable.plan_kill(plan);
     }
-    let t0 = durable.platform().now();
-    let warm_end = t0 + config.warmup;
-    let replay_end = warm_end + config.duration;
-    let drain_end = replay_end + config.drain;
-
-    // Step boundaries: the three protocol phases, each cut into
-    // `steps_per_phase` windows. Phase edges are always boundaries, so
-    // the reset/capture actions land at exactly the times `replay` uses.
-    let mut bounds: Vec<SimTime> = Vec::new();
-    for (lo, hi) in [(t0, warm_end), (warm_end, replay_end), (replay_end, drain_end)] {
-        let span = hi.since(lo).as_nanos();
-        for i in 0..opts.steps_per_phase {
-            let off = span * i as u64 / opts.steps_per_phase as u64;
-            let b = SimTime(lo.0 + off);
-            if bounds.last() != Some(&b) {
-                bounds.push(b);
-            }
-        }
-    }
-    bounds.push(drain_end);
-    let n_steps = bounds.len() - 1;
-
-    let mut arrivals = generate_arrivals(trace, config.warmup_scale, t0, warm_end, config.seed);
-    arrivals.extend(generate_arrivals(
-        trace,
-        config.scale,
-        warm_end,
-        replay_end,
-        config.seed ^ 0xA5A5,
-    ));
-    let mut batches: Vec<Vec<(SimTime, usize)>> = vec![Vec::new(); n_steps];
-    for &(t, f) in &arrivals {
-        let step = match bounds.binary_search(&t) {
-            Ok(i) => i.min(n_steps - 1),
-            Err(i) => i - 1,
-        };
-        batches[step].push((t, f));
-    }
-
     let mut rates = None;
-    for (step, (window, batch)) in bounds.windows(2).zip(&batches).enumerate() {
-        let (start, end) = (window[0], window[1]);
-        durable.journal_round(step, end, start == warm_end, batch, None);
+    let rounds = schedule(trace, config, durable.platform().now(), STEPS_PER_PHASE);
+    for (r, round) in rounds.into_iter().enumerate() {
+        durable.journal_round(r, round.window.end, round.reset, &round.arrivals, None);
         durable.catch_up();
-        if end == replay_end {
-            rates = Some(WindowRates::capture(durable.platform(), replay_end));
+        if round.capture {
+            rates = Some(WindowRates::capture(durable.platform(), round.window.end));
         }
     }
-    let rates = rates.expect("the measured window always closes on a step boundary");
+    let rates = rates.expect("the measured window always closes on a barrier");
     let counts = durable.counts();
     ResumeOutcome {
         outcome: rates.outcome(durable.platform()),
@@ -203,8 +137,8 @@ mod tests {
     fn uninterrupted_resumable_matches_itself() {
         let trace = build_trace(&workloads::catalog(), 5);
         let cfg = quick_config();
-        let a = replay_resumable(make, &trace, &cfg, &ResumeOptions::default(), None);
-        let b = replay_resumable(make, &trace, &cfg, &ResumeOptions::default(), None);
+        let a = replay_resumable(make, &trace, &cfg, None, None);
+        let b = replay_resumable(make, &trace, &cfg, None, None);
         assert_eq!(a.recoveries, 0);
         assert_eq!(a.final_state, b.final_state);
         assert!(a.outcome.completed > 0);
@@ -215,9 +149,8 @@ mod tests {
     fn crashed_run_recovers_to_identical_state() {
         let trace = build_trace(&workloads::catalog(), 5);
         let cfg = quick_config();
-        let opts = ResumeOptions::default();
-        let control = replay_resumable(make, &trace, &cfg, &opts, None);
-        let chaos = replay_resumable(make, &trace, &cfg, &opts, Some(CrashPlan::every(400)));
+        let control = replay_resumable(make, &trace, &cfg, None, None);
+        let chaos = replay_resumable(make, &trace, &cfg, None, Some(CrashPlan::every(400)));
         assert!(chaos.recoveries > 0, "crash schedule never fired");
         assert_eq!(
             chaos.final_state, control.final_state,
@@ -231,9 +164,8 @@ mod tests {
     fn single_crash_point_recovers_once() {
         let trace = build_trace(&workloads::catalog(), 5);
         let cfg = quick_config();
-        let opts = ResumeOptions::default();
-        let control = replay_resumable(make, &trace, &cfg, &opts, None);
-        let chaos = replay_resumable(make, &trace, &cfg, &opts, Some(CrashPlan::at(300)));
+        let control = replay_resumable(make, &trace, &cfg, None, None);
+        let chaos = replay_resumable(make, &trace, &cfg, None, Some(CrashPlan::at(300)));
         assert_eq!(chaos.recoveries, 1);
         assert_eq!(chaos.final_state, control.final_state);
     }
@@ -242,12 +174,9 @@ mod tests {
     fn storage_faults_cost_recency_not_correctness() {
         let trace = build_trace(&workloads::catalog(), 5);
         let cfg = quick_config();
-        let control = replay_resumable(make, &trace, &cfg, &ResumeOptions::default(), None);
-        let opts = ResumeOptions {
-            storage_faults: Some(StorageFaultPlan::uniform(41, 0.4)),
-            ..ResumeOptions::default()
-        };
-        let chaos = replay_resumable(make, &trace, &cfg, &opts, Some(CrashPlan::every(500)));
+        let control = replay_resumable(make, &trace, &cfg, None, None);
+        let faults = Some(StorageFaultPlan::uniform(41, 0.4));
+        let chaos = replay_resumable(make, &trace, &cfg, faults, Some(CrashPlan::every(500)));
         assert!(chaos.recoveries > 0, "crash schedule never fired");
         assert!(chaos.storage_faults_injected > 0, "fault plan never fired");
         assert_eq!(
@@ -260,14 +189,11 @@ mod tests {
     fn total_checkpoint_loss_recovers_from_journal_alone() {
         let trace = build_trace(&workloads::catalog(), 5);
         let cfg = quick_config();
-        let control = replay_resumable(make, &trace, &cfg, &ResumeOptions::default(), None);
+        let control = replay_resumable(make, &trace, &cfg, None, None);
         // Every checkpoint write gets a bit flipped: recovery can never
         // use the store and must replay the journal from nothing.
-        let opts = ResumeOptions {
-            storage_faults: Some(StorageFaultPlan::corrupt_at(13, 100)),
-            ..ResumeOptions::default()
-        };
-        let chaos = replay_resumable(make, &trace, &cfg, &opts, Some(CrashPlan::at(300)));
+        let faults = Some(StorageFaultPlan::corrupt_at(13, 100));
+        let chaos = replay_resumable(make, &trace, &cfg, faults, Some(CrashPlan::at(300)));
         assert_eq!(chaos.recoveries, 1);
         assert_eq!(chaos.scratch_recoveries, 1);
         assert_eq!(chaos.final_state, control.final_state);

@@ -41,10 +41,10 @@
 
 #![forbid(unsafe_code)]
 
-use azure_trace::{build_trace, replay, replay_resumable, ReplayConfig, ResumeOptions};
+use azure_trace::{build_trace, replay, replay_resumable, ReplayConfig};
 use bench::cli::{check, Flags};
-use bench::golden::Fnv1a;
 use bench::report;
+use cluster::{fnv64_bytes, fnv64_update};
 use desiccant::{Desiccant, DesiccantConfig};
 use faas::platform::{GcMode, Platform};
 use faas::{CrashPlan, FaultPlan, MemoryManager, PlatformConfig, StorageFaultPlan};
@@ -134,26 +134,29 @@ fn run_one(mode: &str, quick: bool, faults: Option<FaultPlan>) -> RunProbe {
 /// reported metric, so a recovered run must match the control in both
 /// simulation state and measured results.
 fn resume_digest(out: &azure_trace::ResumeOutcome) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(&out.final_state);
     let o = &out.outcome;
-    h.write_u64(o.submitted);
-    h.write_u64(o.completed);
-    h.write_f64(o.cold_boot_rate);
-    h.write_f64(o.cold_boot_fraction);
-    h.write_f64(o.throughput);
-    h.write_f64(o.cpu_utilization);
-    h.write_f64(o.reclaim_cpu_fraction);
-    h.write_u64(o.evictions);
-    h.write_u64(o.failed);
-    h.write_u64(o.retries);
-    h.write_u64(o.fault_events);
     let (p50, p90, p95, p99) = o.latency_ms;
-    h.write_f64(p50);
-    h.write_f64(p90);
-    h.write_f64(p95);
-    h.write_f64(p99);
-    h.finish()
+    let mut h = fnv64_bytes(&out.final_state);
+    for word in [
+        o.submitted,
+        o.completed,
+        o.cold_boot_rate.to_bits(),
+        o.cold_boot_fraction.to_bits(),
+        o.throughput.to_bits(),
+        o.cpu_utilization.to_bits(),
+        o.reclaim_cpu_fraction.to_bits(),
+        o.evictions,
+        o.failed,
+        o.retries,
+        o.fault_events,
+        p50.to_bits(),
+        p90.to_bits(),
+        p95.to_bits(),
+        p99.to_bits(),
+    ] {
+        fnv64_update(&mut h, &word.to_le_bytes());
+    }
+    h
 }
 
 /// The kill–recover gate: drive the resumable replay, kill it on
@@ -187,7 +190,7 @@ fn kill_recover_gate(flags: &Flags, crash: CrashPlan, storage: Option<StorageFau
             drain: SimDuration::from_secs(20),
             ..ReplayConfig::default()
         };
-        let control = replay_resumable(make, &trace, &config, &ResumeOptions::default(), None);
+        let control = replay_resumable(make, &trace, &config, None, None);
         // The resumable protocol is the plain one, cut into rounds: the
         // uninterrupted control must end where a plain `replay` does.
         let mut plain = make();
@@ -197,11 +200,7 @@ fn kill_recover_gate(flags: &Flags, crash: CrashPlan, storage: Option<StorageFau
             control.final_state == plain.checkpoint() && control.outcome == plain_outcome,
             &format!("{mode}: uninterrupted control matches plain replay"),
         );
-        let opts = ResumeOptions {
-            storage_faults: storage,
-            ..ResumeOptions::default()
-        };
-        let recovered = replay_resumable(make, &trace, &config, &opts, Some(crash));
+        let recovered = replay_resumable(make, &trace, &config, storage, Some(crash));
         let (dc, dr) = (resume_digest(&control), resume_digest(&recovered));
         report::row(&[
             mode.into(),

@@ -285,7 +285,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
         println!(
             "{kind_name} outage ({jobs} jobs): {} delivered, {} retries, \
              {} heals, digest {:#018x}",
-            out.delivered, out.retries, out.heals, out.digest
+            out.totals.delivered, out.totals.retries, out.totals.heals, out.digest
         );
         check(flags, avail.conservation_holds(), "outage run conserves every request");
         events = ev;
@@ -302,22 +302,22 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
             eprintln!("jobs={jobs} diverged under {kind_name}: {out:?} vs {base:?}");
         }
     }
-    check(flags, base.outage_rounds > 0, "the outage window darkened rounds");
-    check(flags, base.retries > 0, "stranded requests retried");
+    check(flags, base.totals.outage_rounds > 0, "the outage window darkened rounds");
+    check(flags, base.totals.retries > 0, "stranded requests retried");
     check(
         flags,
-        base.pending_retries == 0,
+        base.totals.pending_retries == 0,
         "no request is still stranded after the drain",
     );
     match kind {
         OutageKind::Down => check(
             flags,
-            base.heals > 0,
+            base.totals.heals > 0,
             "a Down shard healed through its durable checkpoint store",
         ),
         OutageKind::Partitioned => check(
             flags,
-            base.heals == 0,
+            base.totals.heals == 0,
             "a partition needs no state rebuild (heals stay zero)",
         ),
     }
@@ -329,18 +329,18 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
     println!(
         "{kind_name} + kill (shard {OUT_SHARD} every {kill_every} events): \
          {} recoveries, digest {:#018x}",
-        chaos.recoveries, chaos.digest
+        chaos.totals.recoveries, chaos.digest
     );
     check(flags, chaos_avail.conservation_holds(), "kill+outage run conserves every request");
-    check(flags, chaos.recoveries > 0, "the kill schedule fired at least once");
+    check(flags, chaos.totals.recoveries > 0, "the kill schedule fired at least once");
     // The recovery counters themselves differ by construction; every
     // state-derived field must not.
     check(
         flags,
         chaos.digest == base.digest
-            && chaos.completed == base.completed
-            && chaos.delivered == base.delivered
-            && chaos.retries == base.retries,
+            && chaos.totals.completed == base.totals.completed
+            && chaos.totals.delivered == base.totals.delivered
+            && chaos.totals.retries == base.totals.retries,
         "kill + outage digests identical to the kill-free control with the same plan",
     );
 
@@ -382,7 +382,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
         ms(base_avail.p99),
         base_avail.stats.hedge_wins,
         bare_avail.success_rate,
-        bare_out.failed_frontend,
+        bare_out.totals.frontend_failed(),
     );
     check(flags, bare_avail.conservation_holds(), "bare run conserves every request");
     check(flags, ctrl_avail.conservation_holds(), "fault-free control conserves every request");
@@ -398,7 +398,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
     );
     check(
         flags,
-        bare_out.failed_frontend > 0,
+        bare_out.totals.frontend_failed() > 0,
         "without retries or hedging the outage visibly loses requests",
     );
 
@@ -422,9 +422,9 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
              \"outage_bare\": {},\n  \
              \"digest\": \"{:#018x}\"\n}}\n",
             flags.quick,
-            base.outage_rounds,
-            base.heals,
-            chaos.recoveries,
+            base.totals.outage_rounds,
+            base.totals.heals,
+            chaos.totals.recoveries,
             planned.migrations,
             base.migrations,
             json_num(SLO_SUCCESS),
@@ -463,12 +463,12 @@ fn main() {
         println!(
             "cluster_replay ({SHARDS} shards, {jobs} jobs): {ms:.1} ms, \
              {} completed, digest {:#018x}",
-            outcome.completed, outcome.digest
+            outcome.totals.completed, outcome.digest
         );
         sweep.push((jobs, ms, outcome, events));
     }
     let (_, serial_ms, serial, events) = (sweep[0].0, sweep[0].1, sweep[0].2, sweep[0].3);
-    check(&flags, serial.completed > 0, "cluster replay completes requests");
+    check(&flags, serial.totals.completed > 0, "cluster replay completes requests");
     for (jobs, _, outcome, _) in &sweep {
         check(
             &flags,
@@ -494,16 +494,17 @@ fn main() {
     println!(
         "kill-recover (shard 3 every {kill_every} events): {} recoveries, \
          digest {:#018x}",
-        chaos_outcome.recoveries, chaos_outcome.digest
+        chaos_outcome.totals.recoveries, chaos_outcome.digest
     );
     check(
         &flags,
-        chaos_outcome.recoveries > 0,
+        chaos_outcome.totals.recoveries > 0,
         "kill schedule fires at least once",
     );
     check(
         &flags,
-        chaos_outcome.digest == serial.digest && chaos_outcome.completed == serial.completed,
+        chaos_outcome.digest == serial.digest
+            && chaos_outcome.totals.completed == serial.totals.completed,
         "recovered cluster digests identical to the uninterrupted control",
     );
 
@@ -557,9 +558,9 @@ fn main() {
             flags.quick,
             host_cores >= 4,
             json_num(CHECK_FLOOR_SPEEDUP),
-            serial.completed,
+            serial.totals.completed,
             serial.digest,
-            chaos_outcome.recoveries,
+            chaos_outcome.totals.recoveries,
             jobs_blocks.join(",\n"),
         ),
     );

@@ -70,3 +70,17 @@ pub fn fnv64_update(h: &mut u64, bytes: &[u8]) {
         *h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vector() {
+        // FNV-1a("a") = 0xaf63dc4c8601ec8c.
+        assert_eq!(fnv64_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let mut h = fnv64_bytes(b"");
+        fnv64_update(&mut h, b"a");
+        assert_eq!(h, 0xaf63_dc4c_8601_ec8c);
+    }
+}

@@ -259,69 +259,4 @@ impl ClusterTotals {
     pub fn conservation(&self) -> bool {
         self.routed == self.delivered + self.shed() + self.frontend_failed() + self.pending_retries
     }
-
-    /// Serializes every counter (diagnostic codec, not digest-fed, so
-    /// the fault counters are included).
-    pub fn encode(&self, w: &mut Writer) {
-        let ClusterTotals {
-            completed,
-            failed,
-            cold_boots,
-            evictions,
-            instances,
-            frozen,
-            cache_used,
-            recoveries,
-            scratch_recoveries,
-            heals,
-            outage_rounds,
-            routed,
-            delivered,
-            shed_overload,
-            shed_unroutable,
-            failed_deadline,
-            failed_retries,
-            retries,
-            hedges,
-            hedge_wins,
-            hedge_extra,
-            pending_retries,
-        } = self;
-        for v in [
-            completed, failed, cold_boots, evictions, instances, frozen, cache_used, recoveries,
-            scratch_recoveries, heals, outage_rounds, routed, delivered, shed_overload,
-            shed_unroutable, failed_deadline, failed_retries, retries, hedges, hedge_wins,
-            hedge_extra, pending_retries,
-        ] {
-            w.u64(*v);
-        }
-    }
-
-    /// Decodes totals encoded by [`ClusterTotals::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<ClusterTotals, SnapError> {
-        Ok(ClusterTotals {
-            completed: r.u64()?,
-            failed: r.u64()?,
-            cold_boots: r.u64()?,
-            evictions: r.u64()?,
-            instances: r.u64()?,
-            frozen: r.u64()?,
-            cache_used: r.u64()?,
-            recoveries: r.u64()?,
-            scratch_recoveries: r.u64()?,
-            heals: r.u64()?,
-            outage_rounds: r.u64()?,
-            routed: r.u64()?,
-            delivered: r.u64()?,
-            shed_overload: r.u64()?,
-            shed_unroutable: r.u64()?,
-            failed_deadline: r.u64()?,
-            failed_retries: r.u64()?,
-            retries: r.u64()?,
-            hedges: r.u64()?,
-            hedge_wins: r.u64()?,
-            hedge_extra: r.u64()?,
-            pending_retries: r.u64()?,
-        })
-    }
 }

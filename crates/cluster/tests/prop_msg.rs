@@ -1,11 +1,11 @@
-//! Property tests for the barrier-message codecs: arbitrary
-//! [`ShardReport`]s and [`ClusterTotals`] must survive
-//! encode → decode → encode with byte-identical output. The report
+//! Property tests for the barrier-message codec: arbitrary
+//! [`ShardReport`]s must survive encode → decode → encode with
+//! byte-identical output. The report
 //! bytes feed the cluster digest and the router's canonical state, so
 //! a codec asymmetry here would silently break every determinism gate
 //! downstream.
 
-use cluster::{ClusterTotals, MigrationOffer, ShardReport};
+use cluster::{MigrationOffer, ShardReport};
 use faas::FrozenFnSummary;
 use proptest::prelude::*;
 use simos::SimTime;
@@ -66,33 +66,6 @@ fn report() -> impl Strategy<Value = ShardReport> {
         )
 }
 
-fn totals() -> impl Strategy<Value = ClusterTotals> {
-    prop::collection::vec(0u64..1_000_000, 22).prop_map(|v| ClusterTotals {
-        completed: v[0],
-        failed: v[1],
-        cold_boots: v[2],
-        evictions: v[3],
-        instances: v[4],
-        frozen: v[5],
-        cache_used: v[6],
-        recoveries: v[7],
-        scratch_recoveries: v[8],
-        heals: v[9],
-        outage_rounds: v[10],
-        routed: v[11],
-        delivered: v[12],
-        shed_overload: v[13],
-        shed_unroutable: v[14],
-        failed_deadline: v[15],
-        failed_retries: v[16],
-        retries: v[17],
-        hedges: v[18],
-        hedge_wins: v[19],
-        hedge_extra: v[20],
-        pending_retries: v[21],
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -117,21 +90,5 @@ proptest! {
         prop_assert_eq!(back.offers, rep.offers);
         prop_assert_eq!(back.recoveries, 0u64);
         prop_assert_eq!(back.heals, 0u64);
-    }
-
-    /// Cluster totals encode every counter; the round trip is the
-    /// identity on the struct and on the bytes.
-    #[test]
-    fn cluster_totals_codec_round_trips(t in totals()) {
-        let mut w = Writer::new();
-        t.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = ClusterTotals::decode(&mut r).expect("decode");
-        r.finish().expect("no trailing bytes");
-        prop_assert_eq!(back, t);
-        let mut w2 = Writer::new();
-        back.encode(&mut w2);
-        prop_assert_eq!(w2.into_bytes(), bytes);
     }
 }
