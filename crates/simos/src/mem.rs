@@ -466,14 +466,15 @@ pub struct Mapping {
     dirty_pages: u64,
     /// Count of pages with `SWAPPED` set.
     swapped_pages: u64,
-    /// Pages whose flag state may have changed since the last
-    /// checkpoint epoch (set conservatively by every mutating range
-    /// op, cleared by [`Mapping::clear_epoch_dirty`]). This is
-    /// durability-layer *tracking*, not memory state: it is excluded
-    /// from the canonical snapshot encoding so checkpoints of equal
-    /// memory states stay byte-identical whatever their checkpoint
-    /// history, and a restore starts it clean.
-    epoch_dirty: PageBits,
+    /// Whether any page's flag state may have changed since the last
+    /// checkpoint epoch: set by every mutating range op over a
+    /// non-empty range, cleared by [`Mapping::clear_epoch_dirty`].
+    /// A delta re-encodes a dirty mapping whole, so one flag is all it
+    /// needs. This is durability-layer *tracking*, not memory state:
+    /// it is excluded from the canonical snapshot encoding so
+    /// checkpoints of equal memory states stay byte-identical whatever
+    /// their checkpoint history, and a restore starts it clean.
+    epoch_dirty: bool,
 }
 
 impl Mapping {
@@ -496,24 +497,25 @@ impl Mapping {
             swapped_pages: 0,
             // A mapping that did not exist at the last checkpoint is
             // dirty in full.
-            epoch_dirty: PageBits::new_filled(npages),
+            epoch_dirty: npages > 0,
         }
     }
 
     /// True if any page changed since the last checkpoint epoch.
     pub fn is_epoch_dirty(&self) -> bool {
-        self.epoch_dirty.words().iter().any(|&w| w != 0)
+        self.epoch_dirty
     }
 
-    /// Pages marked dirty-since-epoch.
-    pub fn epoch_dirty_pages(&self) -> u64 {
-        self.epoch_dirty.count()
-    }
-
-    /// Marks the whole epoch-dirty bitmap clean: called when a
-    /// checkpoint (full or delta) captures this mapping.
+    /// Marks the mapping clean: called when a checkpoint (full or
+    /// delta) captures it.
     pub fn clear_epoch_dirty(&mut self) {
-        self.epoch_dirty = PageBits::new(self.page_count());
+        self.epoch_dirty = false;
+    }
+
+    /// Records a mutating op over `[first, last)` for the next delta:
+    /// an empty range changes nothing and leaves the flag alone.
+    fn mark_epoch_dirty(&mut self, first: usize, last: usize) {
+        self.epoch_dirty |= first < last;
     }
 
     /// Length of the mapping in bytes.
@@ -576,7 +578,7 @@ impl Mapping {
     }
 
     fn set_flag_range(&mut self, flag: u8, first: usize, last: usize) -> u64 {
-        self.epoch_dirty.set_range(first, last);
+        self.mark_epoch_dirty(first, last);
         match flag {
             page_flags::RESIDENT => {
                 let n = self.resident.set_range(first, last);
@@ -599,7 +601,7 @@ impl Mapping {
     }
 
     fn clear_flag_range(&mut self, flag: u8, first: usize, last: usize) -> u64 {
-        self.epoch_dirty.set_range(first, last);
+        self.mark_epoch_dirty(first, last);
         match flag {
             page_flags::RESIDENT => {
                 let n = self.resident.clear_range(first, last);
@@ -740,7 +742,7 @@ impl Mapping {
             }
         }
         let mut out = TouchOutcome::default();
-        self.epoch_dirty.set_range(first, last);
+        self.mark_epoch_dirty(first, last);
         for (w, mask) in masked_words(first, last) {
             let resident = self.resident.word(w) & mask;
             let absent = mask & !resident;
@@ -815,7 +817,7 @@ impl Mapping {
     /// residency.
     fn swap_out_range(&mut self, files: &mut FileRegistry, first: usize, last: usize) -> u64 {
         let mut swapped_bytes = 0;
-        self.epoch_dirty.set_range(first, last);
+        self.mark_epoch_dirty(first, last);
         for (w, mask) in masked_words(first, last) {
             let resident = self.resident.word(w) & mask;
             if resident == 0 {
@@ -1391,6 +1393,69 @@ mod tests {
         assert_eq!(f.mapper_count(lib, 1), 0);
         assert!(s.mapping_at(a).is_none());
     }
+
+    /// Every mutating range op, with the epoch-dirty flag behaving
+    /// exactly as the per-page bitmap it replaced: an empty range
+    /// leaves a clean mapping clean, and any non-empty range marks it
+    /// dirty.
+    #[test]
+    fn epoch_dirty_flag_tracks_non_empty_range_ops() {
+        type Op = fn(&mut Mapping, &mut FileRegistry, usize, usize);
+        let ops: [(&str, Op); 8] = [
+            ("touch read", |m, f, a, b| {
+                m.touch_range(f, a, b, false).unwrap();
+            }),
+            ("touch write", |m, f, a, b| {
+                m.touch_range(f, a, b, true).unwrap();
+            }),
+            ("release", |m, f, a, b| {
+                m.release_range(f, a, b);
+            }),
+            ("protect none", |m, f, a, b| {
+                m.protect_range(f, a, b, Prot::None);
+            }),
+            ("protect rw", |m, f, a, b| {
+                m.protect_range(f, a, b, Prot::ReadWrite);
+            }),
+            ("swap out", |m, f, a, b| {
+                m.swap_out_range(f, a, b);
+            }),
+            ("set dirty", |m, _, a, b| {
+                m.set_flag_range(page_flags::DIRTY, a, b);
+            }),
+            ("clear resident", |m, _, a, b| {
+                m.clear_flag_range(page_flags::RESIDENT, a, b);
+            }),
+        ];
+        let npages = 130;
+        let mut f = FileRegistry::new();
+        let lib = f.register("lib", crate::cast::to_u64(npages) * PAGE_SIZE);
+        for kind in [MappingKind::Anonymous, MappingKind::PrivateFile(lib)] {
+            for (name, op) in ops {
+                for (first, last) in [(0, 1), (5, 70), (63, 64), (64, 130), (0, 130)] {
+                    let mut m =
+                        Mapping::new(VirtAddr(0x1000_0000), npages, kind, Prot::ReadWrite, "t");
+                    assert!(m.is_epoch_dirty(), "a new mapping starts dirty");
+                    m.clear_epoch_dirty();
+                    for at in [0, first, last, npages] {
+                        op(&mut m, &mut f, at, at);
+                        assert!(!m.is_epoch_dirty(), "{name}: empty range at {at} dirtied");
+                    }
+                    op(&mut m, &mut f, first, last);
+                    assert!(m.is_epoch_dirty(), "{name}: [{first}, {last}) left it clean");
+                    m.clear_epoch_dirty();
+                    assert!(!m.is_epoch_dirty());
+                    // Leave the page cache as the op found it.
+                    m.release_range(&mut f, 0, npages);
+                }
+            }
+        }
+        let empty = Mapping::new(VirtAddr(0x1000_0000), 0, MappingKind::Anonymous, Prot::Read, "e");
+        assert!(!empty.is_epoch_dirty(), "a zero-page mapping has nothing to capture");
+        let m = Mapping::new(VirtAddr(0x1000_0000), 4, MappingKind::Anonymous, Prot::Read, "r");
+        let restored: Mapping = snapshot::decode(&snapshot::encode(&m)).unwrap();
+        assert!(!restored.is_epoch_dirty(), "a restored mapping starts clean");
+    }
 }
 
 /// Checkpoint codec impls, kept in this module so exhaustive
@@ -1501,7 +1566,7 @@ mod snap_impls {
                 resident_pages,
                 dirty_pages,
                 swapped_pages,
-                epoch_dirty: PageBits::new(npages),
+                epoch_dirty: false,
             })
         }
     }
@@ -1540,14 +1605,14 @@ mod snap_impls {
         }
     }
 
-    /// The O(dirty) delta codec: what an incremental checkpoint carries
-    /// for one address space, against the state at the last epoch.
+    /// The delta codec: what an incremental checkpoint carries for one
+    /// address space, against the state at the last epoch.
     impl AddressSpace {
         /// Serializes this space's changes since the last checkpoint
         /// epoch: the scalars, the starts of mappings unmapped since,
-        /// and every epoch-dirty mapping in full (mappings are the
-        /// delta granule; pages are the dirtiness granule). The
-        /// counterpart of [`AddressSpace::restore_delta`].
+        /// and every epoch-dirty mapping in full (the mapping is both
+        /// the dirtiness and the delta granule). The counterpart of
+        /// [`AddressSpace::restore_delta`].
         pub fn snap_delta(&self, w: &mut Writer) {
             w.u64(self.next_addr);
             w.u64(self.limit);
@@ -1555,9 +1620,8 @@ mod snap_impls {
             for a in &self.removed_since_epoch {
                 w.u64(*a);
             }
-            let dirty: Vec<(&u64, &Mapping)> = self.epoch_dirty_mappings().collect();
-            w.usize(dirty.len());
-            for (start, m) in dirty {
+            w.usize(self.epoch_dirty_mappings().count());
+            for (start, m) in self.epoch_dirty_mappings() {
                 w.u64(*start);
                 m.snap(w);
             }

@@ -24,7 +24,7 @@
 //! every such corruption into a typed [`SnapError`] — it never panics,
 //! whatever the bytes.
 //!
-//! The CRC is CRC-64/XZ (reflected ECMA-182 polynomial), table-driven.
+//! The CRC is CRC-64/XZ (reflected ECMA-182 polynomial), slicing-by-8.
 
 use crate::{read_header, write_header, Reader, SnapError, Snapshot, Writer};
 
@@ -41,8 +41,11 @@ pub const COMMIT_KIND: u32 = 0xFFFF_FFFF;
 /// Reflected ECMA-182 polynomial (CRC-64/XZ).
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
-const CRC64_TABLE: [u64; 256] = {
-    let mut table = [0u64; 256];
+/// Slicing-by-8 tables. `CRC64_TABLES[0]` is the bytewise table;
+/// `CRC64_TABLES[k][b]` is entry `b` carried through `k` more zero
+/// bytes, so one step of [`crc64`] folds eight input bytes.
+const CRC64_TABLES: [[u64; 256]; 8] = {
+    let mut tables = [[0u64; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u64;
@@ -51,29 +54,63 @@ const CRC64_TABLE: [u64; 256] = {
             crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// The entry of `table` for the low byte of `x`. A masked byte is
+/// always in range, so the `get` never misses.
+fn lut(table: &[u64; 256], x: u64) -> u64 {
+    table.get((x & 0xFF) as usize).copied().unwrap_or(0)
+}
 
 /// CRC-64/XZ of `bytes`. Also seals each record of the `faas::durable`
 /// round journal, which resumable replay and cluster shards share.
 pub fn crc64(bytes: &[u8]) -> u64 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC64_TABLES;
     let mut crc = !0u64;
-    for &b in bytes {
-        let idx = ((crc ^ u64::from(b)) & 0xFF) as usize;
-        crc = CRC64_TABLE[idx] ^ (crc >> 8); // tidy:allow(panic-reachability) -- idx is a byte and the CRC table has 256 entries
+    let mut words = bytes.chunks_exact(8);
+    for chunk in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        // Byte 0 of the word has seven more bytes to pass through,
+        // byte 7 none: each lands in the table for its distance.
+        let x = crc ^ u64::from_le_bytes(word);
+        crc = lut(t7, x)
+            ^ lut(t6, x >> 8)
+            ^ lut(t5, x >> 16)
+            ^ lut(t4, x >> 24)
+            ^ lut(t3, x >> 32)
+            ^ lut(t2, x >> 40)
+            ^ lut(t1, x >> 48)
+            ^ lut(t0, x >> 56);
+    }
+    for &b in words.remainder() {
+        crc = lut(t0, crc ^ u64::from(b)) ^ (crc >> 8);
     }
     !crc
 }
 
-/// Builds a container frame by frame; [`ContainerWriter::commit`]
-/// seals it. Frames are opaque payloads to this layer — the platform
-/// decides what a `SLOT` or `PROC` frame means.
-#[derive(Debug, Default)]
+/// Builds a container frame by frame into one buffer;
+/// [`ContainerWriter::commit`] seals it. Frames are opaque payloads to
+/// this layer — the platform decides what a `SLOT` or `PROC` frame
+/// means.
+#[derive(Debug)]
 pub struct ContainerWriter {
-    body: Vec<u8>,
+    /// The container so far: the header, then every sealed frame.
+    out: Writer,
     /// Little-endian bytes of every frame's CRC, in order — the input
     /// to the commit record's body CRC (see the module docs for why
     /// the raw body bytes cannot be the input).
@@ -81,28 +118,53 @@ pub struct ContainerWriter {
     frames: usize,
 }
 
+impl Default for ContainerWriter {
+    fn default() -> ContainerWriter {
+        ContainerWriter::new()
+    }
+}
+
 impl ContainerWriter {
     /// Starts an empty container.
     pub fn new() -> ContainerWriter {
-        ContainerWriter::default()
+        let mut out = Writer::new();
+        write_header(&mut out, CONTAINER_MAGIC, CONTAINER_VERSION);
+        ContainerWriter {
+            out,
+            crc_chain: Vec::new(),
+            frames: 0,
+        }
     }
 
-    /// Appends one frame. `kind` must not be [`COMMIT_KIND`] (the
-    /// commit record is written only by [`ContainerWriter::commit`]);
-    /// a reserved kind is remapped to `COMMIT_KIND - 1` rather than
-    /// forging a premature commit.
+    /// Appends one frame whose payload is `payload`, verbatim. See
+    /// [`ContainerWriter::frame_with`].
     pub fn frame(&mut self, kind: u32, payload: &[u8]) {
+        self.frame_with(kind, |w| w.raw(payload));
+    }
+
+    /// Appends one frame whose payload `payload` encodes in place,
+    /// straight into the container. `kind` must not be
+    /// [`COMMIT_KIND`] (the commit record is written only by
+    /// [`ContainerWriter::commit`]); a reserved kind is remapped to
+    /// `COMMIT_KIND - 1` rather than forging a premature commit.
+    pub fn frame_with(&mut self, kind: u32, payload: impl FnOnce(&mut Writer)) {
         let kind = if kind == COMMIT_KIND { COMMIT_KIND - 1 } else { kind };
-        let mut f = Writer::new();
-        f.u32(kind);
-        f.usize(payload.len());
-        f.raw(payload);
-        let head = f.into_bytes();
-        let crc = crc64(&head);
-        self.body.extend_from_slice(&head);
-        self.body.extend_from_slice(&crc.to_le_bytes());
+        let crc = self.seal(kind, payload);
         self.crc_chain.extend_from_slice(&crc.to_le_bytes());
         self.frames += 1;
+    }
+
+    /// Writes one frame — kind, back-patched payload length, the
+    /// payload `payload` encodes, and the CRC of those bytes where
+    /// they sit — and returns that CRC. Data frames and the commit
+    /// record both go through here.
+    fn seal(&mut self, kind: u32, payload: impl FnOnce(&mut Writer)) -> u64 {
+        let start = self.out.len();
+        self.out.u32(kind);
+        self.out.blob_with(payload);
+        let crc = crc64(self.out.buf.get(start..).unwrap_or_default());
+        self.out.u64(crc);
+        crc
     }
 
     /// Number of frames appended so far.
@@ -113,52 +175,41 @@ impl ContainerWriter {
     /// Seals the container: writes the commit frame (epoch, parent
     /// epoch for deltas, frame count, body CRC) last and returns the
     /// full container bytes.
-    pub fn commit(self, epoch: u64, parent: Option<u64>) -> Vec<u8> {
+    pub fn commit(mut self, epoch: u64, parent: Option<u64>) -> Vec<u8> {
         let body_crc = crc64(&self.crc_chain);
-        let mut payload = Writer::new();
-        payload.u64(epoch);
-        parent.snap(&mut payload);
-        payload.usize(self.frames);
-        payload.u64(body_crc);
-
-        let mut f = Writer::new();
-        f.u32(COMMIT_KIND);
-        let payload = payload.into_bytes();
-        f.usize(payload.len());
-        f.raw(&payload);
-        let head = f.into_bytes();
-        let crc = crc64(&head);
-
-        let mut out = Writer::new();
-        write_header(&mut out, CONTAINER_MAGIC, CONTAINER_VERSION);
-        out.raw(&self.body);
-        out.raw(&head);
-        out.raw(&crc.to_le_bytes());
-        out.into_bytes()
+        let frames = self.frames;
+        self.seal(COMMIT_KIND, |w| {
+            w.u64(epoch);
+            parent.snap(w);
+            w.usize(frames);
+            w.u64(body_crc);
+        });
+        self.out.into_bytes()
     }
 }
 
 /// A verified container: opening checked every frame CRC, the commit
-/// record's position, frame count, and body CRC.
+/// record's position, frame count, and body CRC. The frame payloads
+/// borrow the bytes it was opened from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Container {
+pub struct Container<'a> {
     /// Monotonic checkpoint epoch from the commit record.
     pub epoch: u64,
     /// Parent epoch this delta chains to; `None` for a base.
     pub parent: Option<u64>,
     /// The data frames, in write order, commit excluded.
-    pub frames: Vec<(u32, Vec<u8>)>,
+    pub frames: Vec<(u32, &'a [u8])>,
 }
 
-impl Container {
+impl<'a> Container<'a> {
     /// Opens and fully verifies a container. Any corruption — torn
     /// tail, truncation, flipped bit, duplicated frame, stale or
     /// missing commit — yields a typed [`SnapError`]; this function
     /// never panics on arbitrary input.
-    pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
+    pub fn open(bytes: &'a [u8]) -> Result<Container<'a>, SnapError> {
         let mut r = Reader::new(bytes);
         read_header(&mut r, CONTAINER_MAGIC, CONTAINER_VERSION)?;
-        let mut frames: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut frames: Vec<(u32, &'a [u8])> = Vec::new();
         let mut crc_chain: Vec<u8> = Vec::new();
         loop {
             if r.remaining() == 0 {
@@ -180,7 +231,7 @@ impl Container {
                 return Err(SnapError::Corrupt("frame checksum mismatch"));
             }
             if kind != COMMIT_KIND {
-                frames.push((kind, payload.to_vec()));
+                frames.push((kind, payload));
                 crc_chain.extend_from_slice(&stored_crc.to_le_bytes());
                 continue;
             }
@@ -241,8 +292,8 @@ mod tests {
         assert_eq!(c.epoch, 7);
         assert_eq!(c.parent, Some(6));
         assert_eq!(c.frames.len(), 3);
-        assert_eq!(c.frames.first().unwrap(), &(1u32, b"control state".to_vec()));
-        assert_eq!(c.frames.get(2).unwrap().1, vec![0xAB; 100]);
+        assert_eq!(c.frames.first().unwrap(), &(1u32, &b"control state"[..]));
+        assert_eq!(c.frames.get(2).unwrap().1, [0xAB; 100]);
     }
 
     #[test]

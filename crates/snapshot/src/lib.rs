@@ -209,6 +209,21 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends a length-prefixed blob whose bytes `body` encodes in
+    /// place: the `u64` length is written as a placeholder and
+    /// back-patched once `body` returns. Byte-identical to
+    /// [`Writer::blob`] of the same bytes, without building them in a
+    /// second buffer first.
+    pub fn blob_with(&mut self, body: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        if let Some(prefix) = self.buf.get_mut(at..at + 8) {
+            prefix.copy_from_slice(&len.to_le_bytes());
+        }
+    }
+
     /// Appends bytes verbatim, with no length prefix. For splicing a
     /// canonical sub-encoding (produced by another `Writer`) into a
     /// larger stream — a container frame's payload, for one.
@@ -653,6 +668,20 @@ mod tests {
             read_header(&mut wrong_version, 0xD51C_CA17, 4),
             Err(SnapError::BadVersion { expected: 4, found: 3 })
         ));
+    }
+
+    #[test]
+    fn blob_with_writes_the_same_bytes_as_blob() {
+        let inner = encode(&(3u64, String::from("tail")));
+        let mut built = Writer::new();
+        built.u8(7);
+        built.blob(&inner);
+        built.blob(&[]);
+        let mut in_place = Writer::new();
+        in_place.u8(7);
+        in_place.blob_with(|w| (3u64, String::from("tail")).snap(w));
+        in_place.blob_with(|_| {});
+        assert_eq!(in_place.into_bytes(), built.into_bytes());
     }
 
     #[test]

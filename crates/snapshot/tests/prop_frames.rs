@@ -6,7 +6,7 @@
 //! seeded splitmix64 — fixed seeds make every run (and every failure)
 //! reproducible by construction.
 
-use snapshot::frame::{Container, ContainerWriter};
+use snapshot::frame::{crc64, Container, ContainerWriter};
 use snapshot::{decode, Snapshot};
 
 /// splitmix64: tiny, seedable, full-period. Good enough to fuzz byte
@@ -193,4 +193,46 @@ fn round_trip_sanity() {
     let mut r = snapshot::Reader::new(&bytes);
     let back = Vec::<u64>::restore(&mut r).expect("restore");
     assert_eq!(back, v);
+}
+
+/// The bytewise table-driven CRC-64/XZ: one table step per byte. The
+/// oracle for the slicing-by-8 [`crc64`].
+fn crc64_bytewise(bytes: &[u8]) -> u64 {
+    const POLY: u64 = 0xC96C_5795_D787_0F42;
+    let table: Vec<u64> = (0..256u64)
+        .map(|i| (0..8).fold(i, |c, _| if c & 1 == 1 { (c >> 1) ^ POLY } else { c >> 1 }))
+        .collect();
+    !bytes.iter().fold(!0u64, |crc, &b| {
+        table[((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+    })
+}
+
+#[test]
+fn bytewise_oracle_matches_the_check_value() {
+    assert_eq!(crc64_bytewise(b"123456789"), 0x995D_C9BB_DF19_39FA);
+}
+
+#[test]
+fn sliced_crc_matches_bytewise_at_every_short_length_and_offset() {
+    // Every length 0..=64 from every start offset 0..8: covers each
+    // split between the eight-byte steps and the bytewise remainder,
+    // and every alignment of the input.
+    let mut rng = Rng(0x5EED_0007);
+    let buf: Vec<u8> = (0..72).map(|_| rng.next() as u8).collect();
+    for start in 0..8 {
+        for len in 0..=64 {
+            let bytes = &buf[start..start + len];
+            assert_eq!(crc64(bytes), crc64_bytewise(bytes), "start {start} len {len}");
+        }
+    }
+}
+
+#[test]
+fn sliced_crc_matches_bytewise_on_random_buffers() {
+    let mut rng = Rng(0x5EED_0008);
+    for _ in 0..64 {
+        let len = rng.below(64 * 1024 + 1);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        assert_eq!(crc64(&bytes), crc64_bytewise(&bytes), "len {len}");
+    }
 }
