@@ -33,11 +33,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::fs;
 use std::path::Path;
 
 use azure_trace::{build_trace, replay_cluster, ClusterReplayOutcome, ReplayConfig};
 use bench::cli::{check, Flags};
+use bench::report::{json_num, timed, write_json};
 use cluster::{
     AvailabilityReport, Cluster, ClusterConfig, FrontEndConfig, Placement, ShardSetup,
 };
@@ -112,14 +112,6 @@ fn usage() {
 
 fn desiccant_manager(_shard: u32) -> Option<Box<dyn MemoryManager>> {
     Some(Box::new(Desiccant::new(DesiccantConfig::default())))
-}
-
-/// Wall-clock seconds spent in `f` (host measurement, not sim state).
-fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    // tidy:allow(wall-clock) -- this harness measures host scaling; wall time never enters simulation state
-    let t0 = std::time::Instant::now();
-    let out = f();
-    (t0.elapsed().as_secs_f64(), out)
 }
 
 fn scenario(quick: bool) -> ReplayConfig {
@@ -241,27 +233,6 @@ fn slo_block(r: &AvailabilityReport) -> String {
         r.stats.hedges,
         r.stats.hedge_wins,
     )
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_json(dir: &Path, name: &str, body: &str) {
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join(name);
-    if let Err(e) = fs::write(&path, body) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
 }
 
 /// The `--outage` / `--partition` gate: digest invariance, kill

@@ -22,42 +22,13 @@
 
 #![forbid(unsafe_code)]
 
-use std::fs;
 use std::path::Path;
 
 use bench::cli::{check, Flags};
+use bench::report::{json_num, timed, write_json};
 use faas::platform::{GcMode, Platform};
 use faas::PlatformConfig;
 use simos::{SimDuration, SimTime};
-
-/// Wall-clock seconds spent in `f` (host measurement, not sim state).
-fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    // tidy:allow(wall-clock) -- this harness measures host perf; wall time never enters simulation state
-    let t0 = std::time::Instant::now();
-    let out = f();
-    (t0.elapsed().as_secs_f64(), out)
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_json(dir: &Path, name: &str, body: &str) {
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join(name);
-    if let Err(e) = fs::write(&path, body) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
-}
 
 fn main() {
     let flags = Flags::parse();

@@ -44,7 +44,7 @@ use std::sync::Mutex;
 use faas::fault::{CrashPlan, OutageKind, OutagePlan};
 use faas::{Cadence, LatencyHistogram};
 use simos::{SimDuration, SimTime};
-use snapshot::{Reader, SnapError, Writer};
+use snapshot::{Reader, SnapError, Snapshot, Writer};
 
 use crate::fnv64_update;
 use crate::frontend::{AvailabilityReport, FrontEnd, FrontEndConfig, FrontReq, FrontStats, ShedReason};
@@ -436,7 +436,7 @@ impl Cluster {
     pub fn frontend_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.blob(&self.router.state_bytes());
-        self.front.encode(&mut w);
+        self.front.snap(&mut w);
         w.u64(self.rounds as u64);
         w.into_bytes()
     }
@@ -447,7 +447,7 @@ impl Cluster {
     pub fn decode_front(bytes: &[u8]) -> Result<(Router, FrontEnd, u64), SnapError> {
         let mut r = Reader::new(bytes);
         let router_bytes = r.blob()?.to_vec();
-        let front = FrontEnd::decode(&mut r)?;
+        let front = FrontEnd::restore(&mut r)?;
         let rounds = r.u64()?;
         r.finish()?;
         let mut rr = Reader::new(&router_bytes);

@@ -26,7 +26,6 @@
 use std::collections::VecDeque;
 
 use simos::{SimDuration, SimTime};
-use snapshot::{Reader, SnapError, Writer};
 
 use crate::health::HealthPolicy;
 
@@ -98,24 +97,12 @@ pub struct FrontReq {
     pub deadline: SimTime,
 }
 
-impl FrontReq {
-    fn encode(&self, w: &mut Writer) {
-        let FrontReq { t, fn_idx, attempts, deadline } = self;
-        w.u64(t.0);
-        w.usize(*fn_idx);
-        w.u32(*attempts);
-        w.u64(deadline.0);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<FrontReq, SnapError> {
-        Ok(FrontReq {
-            t: SimTime(r.u64()?),
-            fn_idx: r.usize()?,
-            attempts: r.u32()?,
-            deadline: SimTime(r.u64()?),
-        })
-    }
-}
+snapshot::record!(FrontReq {
+    t: SimTime,
+    fn_idx: usize,
+    attempts: u32,
+    deadline: SimTime,
+});
 
 /// Run-lifetime front-end counters. Every routed request lands in
 /// exactly one of `delivered`, `shed_*`, or `failed_*` (or is still
@@ -155,45 +142,21 @@ impl FrontStats {
     pub fn failed(&self) -> u64 {
         self.failed_deadline + self.failed_retries
     }
-
-    /// Serializes the counters (part of the cluster digest).
-    pub fn encode(&self, w: &mut Writer) {
-        let FrontStats {
-            routed,
-            delivered,
-            shed_overload,
-            shed_unroutable,
-            failed_deadline,
-            failed_retries,
-            retries,
-            hedges,
-            hedge_wins,
-            hedge_extra,
-        } = self;
-        for v in [
-            routed, delivered, shed_overload, shed_unroutable, failed_deadline, failed_retries,
-            retries, hedges, hedge_wins, hedge_extra,
-        ] {
-            w.u64(*v);
-        }
-    }
-
-    /// Decodes counters encoded by [`FrontStats::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<FrontStats, SnapError> {
-        Ok(FrontStats {
-            routed: r.u64()?,
-            delivered: r.u64()?,
-            shed_overload: r.u64()?,
-            shed_unroutable: r.u64()?,
-            failed_deadline: r.u64()?,
-            failed_retries: r.u64()?,
-            retries: r.u64()?,
-            hedges: r.u64()?,
-            hedge_wins: r.u64()?,
-            hedge_extra: r.u64()?,
-        })
-    }
 }
+
+// Part of the cluster digest.
+snapshot::record!(FrontStats {
+    routed: u64,
+    delivered: u64,
+    shed_overload: u64,
+    shed_unroutable: u64,
+    failed_deadline: u64,
+    failed_retries: u64,
+    retries: u64,
+    hedges: u64,
+    hedge_wins: u64,
+    hedge_extra: u64,
+});
 
 /// The front end's mutable state: the retry queue and the lifetime
 /// counters. Owned by the engine; placement itself lives in the
@@ -222,29 +185,11 @@ impl FrontEnd {
     pub fn pending(&self) -> u64 {
         self.retry.len() as u64
     }
-
-    /// Serializes queue and counters (part of the cluster digest and
-    /// of the checkpoint frame riding shard 0's cuts).
-    pub fn encode(&self, w: &mut Writer) {
-        let FrontEnd { retry, stats } = self;
-        w.usize(retry.len());
-        for req in retry {
-            req.encode(w);
-        }
-        stats.encode(w);
-    }
-
-    /// Decodes a front end encoded by [`FrontEnd::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<FrontEnd, SnapError> {
-        let n = r.seq_len()?;
-        let mut retry = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            retry.push_back(FrontReq::decode(r)?);
-        }
-        let stats = FrontStats::decode(r)?;
-        Ok(FrontEnd { retry, stats })
-    }
 }
+
+// Part of the cluster digest, and of the checkpoint frame riding shard
+// 0's cuts.
+snapshot::record!(FrontEnd { retry: VecDeque<FrontReq>, stats: FrontStats });
 
 /// The fleet's availability summary over one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -317,16 +262,10 @@ mod tests {
     #[test]
     fn front_end_codec_round_trips() {
         let fe = sample_front();
-        let mut w = Writer::new();
-        fe.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = FrontEnd::decode(&mut r).expect("decode");
-        r.finish().expect("no trailing bytes");
+        let bytes = snapshot::encode(&fe);
+        let back: FrontEnd = snapshot::decode(&bytes).expect("decode");
         assert_eq!(fe, back);
-        let mut w2 = Writer::new();
-        back.encode(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
+        assert_eq!(bytes, snapshot::encode(&back));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! hash-affinity snap back to the home shard the moment it reports
 //! again.
 
-use snapshot::{Reader, SnapError, Writer};
+use snapshot::{Reader, SnapError, Snapshot, Writer};
 
 /// Router-observed availability of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,18 +55,21 @@ impl HealthState {
             HealthState::Probing => "probing",
         }
     }
+}
 
-    fn tag(self) -> u8 {
-        match self {
+impl Snapshot for HealthState {
+    fn snap(&self, w: &mut Writer) {
+        let tag: u8 = match self {
             HealthState::Up => 0,
             HealthState::Suspect => 1,
             HealthState::Down => 2,
             HealthState::Probing => 3,
-        }
+        };
+        tag.snap(w);
     }
 
-    fn from_tag(tag: u8) -> Result<HealthState, SnapError> {
-        match tag {
+    fn restore(r: &mut Reader<'_>) -> Result<HealthState, SnapError> {
+        match u8::restore(r)? {
             0 => Ok(HealthState::Up),
             1 => Ok(HealthState::Suspect),
             2 => Ok(HealthState::Down),
@@ -176,23 +179,11 @@ impl Health {
             self.misses = 0;
         }
     }
-
-    /// Serializes the tracker (part of the router's canonical state).
-    pub fn encode(&self, w: &mut Writer) {
-        let Health { state, misses, probes } = self;
-        w.u8(state.tag());
-        w.u32(*misses);
-        w.u32(*probes);
-    }
-
-    /// Decodes a tracker encoded by [`Health::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Health, SnapError> {
-        let state = HealthState::from_tag(r.u8()?)?;
-        let misses = r.u32()?;
-        let probes = r.u32()?;
-        Ok(Health { state, misses, probes })
-    }
 }
+
+// Both are part of the router's canonical state.
+snapshot::record!(HealthPolicy { suspect_to_down: u32, probe_rounds: u32 });
+snapshot::record!(Health { state: HealthState, misses: u32, probes: u32 });
 
 #[cfg(test)]
 mod tests {
@@ -269,12 +260,7 @@ mod tests {
         for reported in [false, false, false, true] {
             h.observe(reported, policy());
         }
-        let mut w = Writer::new();
-        h.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = Health::decode(&mut r).expect("decode");
-        r.finish().expect("no trailing bytes");
+        let back: Health = snapshot::decode(&snapshot::encode(&h)).expect("decode");
         assert_eq!(h, back);
     }
 }

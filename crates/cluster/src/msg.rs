@@ -10,8 +10,6 @@
 use std::collections::BTreeMap;
 
 use faas::FrozenFnSummary;
-use simos::SimTime;
-use snapshot::{Reader, SnapError, Writer};
 
 /// One shard's barrier summary: load and warm-set signals for the
 /// placement policies, plus any migration offers made under memory
@@ -63,90 +61,28 @@ impl ShardReport {
             heals: 0,
         }
     }
-
-    /// Serializes the report into `w` deterministically — part of the
-    /// cluster digest and of the router's own state bytes.
-    ///
-    /// The recovery and heal counters are deliberately *excluded*:
-    /// they count kills and outages survived, not simulation state,
-    /// and the chaos gates demand a faulted run digest byte-identical
-    /// to its uninterrupted control. Encoding them would make that
-    /// impossible by construction.
-    pub fn encode(&self, w: &mut Writer) {
-        let ShardReport {
-            shard,
-            in_flight,
-            cache_used,
-            cache_budget,
-            instances,
-            frozen,
-            warm,
-            offers,
-            recoveries: _,
-            scratch_recoveries: _,
-            heals: _,
-        } = self;
-        w.u32(*shard);
-        w.u64(*in_flight);
-        w.u64(*cache_used);
-        w.u64(*cache_budget);
-        w.u64(*instances);
-        w.u64(*frozen);
-        w.usize(warm.len());
-        for (fn_idx, s) in warm {
-            w.usize(*fn_idx);
-            w.u64(s.count);
-            w.u64(s.charge);
-            w.u64(s.oldest_frozen.0);
-        }
-        w.usize(offers.len());
-        for o in offers {
-            o.encode(w);
-        }
-    }
-
-    /// Decodes a report encoded by [`ShardReport::encode`]. The
-    /// excluded counters come back zero.
-    pub fn decode(r: &mut Reader<'_>) -> Result<ShardReport, SnapError> {
-        let shard = r.u32()?;
-        let in_flight = r.u64()?;
-        let cache_used = r.u64()?;
-        let cache_budget = r.u64()?;
-        let instances = r.u64()?;
-        let frozen = r.u64()?;
-        let n_warm = r.seq_len()?;
-        let mut warm = BTreeMap::new();
-        for _ in 0..n_warm {
-            let fn_idx = r.usize()?;
-            let summary = FrozenFnSummary {
-                count: r.u64()?,
-                charge: r.u64()?,
-                oldest_frozen: SimTime(r.u64()?),
-            };
-            if warm.insert(fn_idx, summary).is_some() {
-                return Err(SnapError::Corrupt("duplicate warm-set key"));
-            }
-        }
-        let n_offers = r.seq_len()?;
-        let mut offers = Vec::with_capacity(n_offers);
-        for _ in 0..n_offers {
-            offers.push(MigrationOffer::decode(r)?);
-        }
-        Ok(ShardReport {
-            shard,
-            in_flight,
-            cache_used,
-            cache_budget,
-            instances,
-            frozen,
-            warm,
-            offers,
-            recoveries: 0,
-            scratch_recoveries: 0,
-            heals: 0,
-        })
-    }
 }
+
+// Part of the cluster digest and of the router's own state bytes. The
+// recovery and heal counters are deliberately kept out and restore as
+// zero: they count kills and outages survived, not simulation state,
+// and the chaos gates demand a faulted run digest byte-identical to its
+// uninterrupted control. Encoding them would make that impossible by
+// construction.
+snapshot::record!(ShardReport {
+    shard: u32,
+    in_flight: u64,
+    cache_used: u64,
+    cache_budget: u64,
+    instances: u64,
+    frozen: u64,
+    warm: BTreeMap<usize, FrozenFnSummary>,
+    offers: Vec<MigrationOffer>,
+} skip {
+    recoveries,
+    scratch_recoveries,
+    heals,
+});
 
 /// A shard asking the router to re-home one function's *future*
 /// placements elsewhere — because of memory pressure, or because the
@@ -173,24 +109,12 @@ pub struct MigrationOffer {
     pub drain: bool,
 }
 
-impl MigrationOffer {
-    fn encode(&self, w: &mut Writer) {
-        let MigrationOffer { from, fn_idx, charge, drain } = self;
-        w.u32(*from);
-        w.usize(*fn_idx);
-        w.u64(*charge);
-        w.bool(*drain);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<MigrationOffer, SnapError> {
-        Ok(MigrationOffer {
-            from: r.u32()?,
-            fn_idx: r.usize()?,
-            charge: r.u64()?,
-            drain: r.bool()?,
-        })
-    }
-}
+snapshot::record!(MigrationOffer {
+    from: u32,
+    fn_idx: usize,
+    charge: u64,
+    drain: bool,
+});
 
 /// End-of-run aggregate counters summed over shards by the engine,
 /// plus the front end's request-lifecycle accounting.

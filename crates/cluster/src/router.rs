@@ -39,7 +39,7 @@
 
 use std::collections::BTreeMap;
 
-use snapshot::{Reader, SnapError, Writer};
+use snapshot::{Reader, SnapError, Snapshot, Writer};
 
 use crate::fnv64_bytes;
 use crate::frontend::ShedReason;
@@ -58,29 +58,32 @@ pub enum Placement {
 }
 
 impl Placement {
-    fn tag(self) -> u8 {
-        match self {
-            Placement::HashAffinity => 0,
-            Placement::LeastLoaded => 1,
-            Placement::ColdStartAware => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Placement, SnapError> {
-        match tag {
-            0 => Ok(Placement::HashAffinity),
-            1 => Ok(Placement::LeastLoaded),
-            2 => Ok(Placement::ColdStartAware),
-            _ => Err(SnapError::Corrupt("unknown placement tag")),
-        }
-    }
-
     /// Short name for reports and JSON.
     pub fn name(self) -> &'static str {
         match self {
             Placement::HashAffinity => "hash-affinity",
             Placement::LeastLoaded => "least-loaded",
             Placement::ColdStartAware => "cold-start-aware",
+        }
+    }
+}
+
+impl Snapshot for Placement {
+    fn snap(&self, w: &mut Writer) {
+        let tag: u8 = match self {
+            Placement::HashAffinity => 0,
+            Placement::LeastLoaded => 1,
+            Placement::ColdStartAware => 2,
+        };
+        tag.snap(w);
+    }
+
+    fn restore(r: &mut Reader<'_>) -> Result<Placement, SnapError> {
+        match u8::restore(r)? {
+            0 => Ok(Placement::HashAffinity),
+            1 => Ok(Placement::LeastLoaded),
+            2 => Ok(Placement::ColdStartAware),
+            _ => Err(SnapError::Corrupt("unknown placement tag")),
         }
     }
 }
@@ -408,34 +411,16 @@ impl Router {
             view_copies: _,
         } = self;
         let mut w = Writer::new();
-        w.u8(policy.tag());
-        w.u32(*shards);
-        w.u32(health_policy.suspect_to_down);
-        w.u32(health_policy.probe_rounds);
-        w.usize(overrides.len());
-        for (fn_idx, shard) in overrides {
-            w.usize(*fn_idx);
-            w.u32(*shard);
-        }
-        w.usize(drain_origin.len());
-        for (fn_idx, origin) in drain_origin {
-            w.usize(*fn_idx);
-            w.u32(*origin);
-        }
-        w.usize(health.len());
-        for h in health {
-            h.encode(&mut w);
-        }
-        w.usize(view.len());
-        for r in view {
-            r.encode(&mut w);
-        }
-        w.usize(assigned.len());
-        for a in assigned {
-            w.u64(*a);
-        }
-        w.u64(*routed);
-        w.u64(*migrations);
+        policy.snap(&mut w);
+        shards.snap(&mut w);
+        health_policy.snap(&mut w);
+        overrides.snap(&mut w);
+        drain_origin.snap(&mut w);
+        health.snap(&mut w);
+        view.snap(&mut w);
+        assigned.snap(&mut w);
+        routed.snap(&mut w);
+        migrations.snap(&mut w);
         w.into_bytes()
     }
 
@@ -443,46 +428,19 @@ impl Router {
     /// restore half of the health-state checkpoint contract. The
     /// cost counter comes back zero.
     pub fn decode(r: &mut Reader<'_>) -> Result<Router, SnapError> {
-        let policy = Placement::from_tag(r.u8()?)?;
-        let shards = r.u32()?;
+        let policy = Placement::restore(r)?;
+        let shards = u32::restore(r)?;
         if shards == 0 {
             return Err(SnapError::Corrupt("router over zero shards"));
         }
-        let health_policy = HealthPolicy {
-            suspect_to_down: r.u32()?,
-            probe_rounds: r.u32()?,
-        };
-        let n_over = r.seq_len()?;
-        let mut overrides = BTreeMap::new();
-        for _ in 0..n_over {
-            let fn_idx = r.usize()?;
-            let shard = r.u32()?;
-            overrides.insert(fn_idx, shard);
-        }
-        let n_drain = r.seq_len()?;
-        let mut drain_origin = BTreeMap::new();
-        for _ in 0..n_drain {
-            let fn_idx = r.usize()?;
-            let origin = r.u32()?;
-            drain_origin.insert(fn_idx, origin);
-        }
-        let n_health = r.seq_len()?;
-        let mut health = Vec::with_capacity(n_health);
-        for _ in 0..n_health {
-            health.push(Health::decode(r)?);
-        }
-        let n_view = r.seq_len()?;
-        let mut view = Vec::with_capacity(n_view);
-        for _ in 0..n_view {
-            view.push(ShardReport::decode(r)?);
-        }
-        let n_assigned = r.seq_len()?;
-        let mut assigned = Vec::with_capacity(n_assigned);
-        for _ in 0..n_assigned {
-            assigned.push(r.u64()?);
-        }
-        let routed = r.u64()?;
-        let migrations = r.u64()?;
+        let health_policy = HealthPolicy::restore(r)?;
+        let overrides = BTreeMap::restore(r)?;
+        let drain_origin = BTreeMap::restore(r)?;
+        let health = Vec::restore(r)?;
+        let view = Vec::restore(r)?;
+        let assigned = Vec::restore(r)?;
+        let routed = u64::restore(r)?;
+        let migrations = u64::restore(r)?;
         Ok(Router {
             policy,
             shards,

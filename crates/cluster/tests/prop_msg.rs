@@ -9,7 +9,6 @@ use cluster::{MigrationOffer, ShardReport};
 use faas::FrozenFnSummary;
 use proptest::prelude::*;
 use simos::SimTime;
-use snapshot::{Reader, Writer};
 
 fn summary() -> impl Strategy<Value = FrozenFnSummary> {
     (1u64..50, 1u64..(8 << 30), 0u64..100_000_000_000).prop_map(|(count, charge, t)| {
@@ -75,15 +74,9 @@ proptest! {
     /// controls — they come back zero.)
     #[test]
     fn shard_report_codec_round_trips_bytes(rep in report()) {
-        let mut w = Writer::new();
-        rep.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = ShardReport::decode(&mut r).expect("decode");
-        r.finish().expect("no trailing bytes");
-        let mut w2 = Writer::new();
-        back.encode(&mut w2);
-        prop_assert_eq!(w2.into_bytes(), bytes, "re-encoded report differs");
+        let bytes = snapshot::encode(&rep);
+        let back: ShardReport = snapshot::decode(&bytes).expect("decode");
+        prop_assert_eq!(snapshot::encode(&back), bytes, "re-encoded report differs");
         // Everything the encoding carries survives.
         prop_assert_eq!(back.shard, rep.shard);
         prop_assert_eq!(back.warm, rep.warm);

@@ -303,122 +303,6 @@ impl ArenaAllocator {
     }
 }
 
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for Pool {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                class,
-                free_slots,
-                used,
-            } = self;
-            class.snap(w);
-            free_slots.snap(w);
-            used.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Pool, SnapError> {
-            let class = u32::restore(r)?;
-            let free_slots: Vec<u16> = Vec::restore(r)?;
-            let used = u16::restore(r)?;
-            if class == 0 || class > SMALL_THRESHOLD {
-                return Err(SnapError::Corrupt("Pool class out of range"));
-            }
-            let capacity = POOL_SIZE / u64::from(class);
-            if u64::from(used) + cast::to_u64(free_slots.len()) != capacity {
-                return Err(SnapError::Corrupt("Pool slot accounting broken"));
-            }
-            Ok(Pool {
-                class,
-                free_slots,
-                used,
-            })
-        }
-    }
-
-    impl Snapshot for Arena {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                addr,
-                pools,
-                used_pools,
-            } = self;
-            addr.snap(w);
-            pools.snap(w);
-            used_pools.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Arena, SnapError> {
-            let addr = VirtAddr::restore(r)?;
-            let pools: Vec<Option<Pool>> = Vec::restore(r)?;
-            let used_pools = usize::restore(r)?;
-            if pools.len() != POOLS_PER_ARENA {
-                return Err(SnapError::Corrupt("Arena pool count wrong"));
-            }
-            if pools.iter().filter(|p| p.is_some()).count() != used_pools {
-                return Err(SnapError::Corrupt("Arena used_pools mismatch"));
-            }
-            Ok(Arena {
-                addr,
-                pools,
-                used_pools,
-            })
-        }
-    }
-
-    impl Snapshot for ArenaAllocator {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                arenas,
-                by_addr,
-                partial,
-                large,
-            } = self;
-            arenas.snap(w);
-            by_addr.snap(w);
-            partial.snap(w);
-            large.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<ArenaAllocator, SnapError> {
-            let arenas: Vec<Option<Arena>> = Vec::restore(r)?;
-            let by_addr: BTreeMap<u64, usize> = BTreeMap::restore(r)?;
-            let partial: BTreeMap<u32, Vec<(usize, usize)>> = BTreeMap::restore(r)?;
-            let large: BTreeMap<u64, u64> = BTreeMap::restore(r)?;
-            for (&addr, &idx) in &by_addr {
-                match arenas.get(idx) {
-                    Some(Some(a)) if a.addr.0 == addr => {}
-                    _ => return Err(SnapError::Corrupt("ArenaAllocator by_addr mismatch")),
-                }
-            }
-            if by_addr.len() != arenas.iter().filter(|a| a.is_some()).count() {
-                return Err(SnapError::Corrupt("ArenaAllocator arena index incomplete"));
-            }
-            for (&class, list) in &partial {
-                for &(ai, pi) in list {
-                    let ok = arenas
-                        .get(ai)
-                        .and_then(|a| a.as_ref())
-                        .and_then(|a| a.pools.get(pi))
-                        .and_then(|p| p.as_ref())
-                        .is_some_and(|p| p.class == class && !p.free_slots.is_empty());
-                    if !ok {
-                        return Err(SnapError::Corrupt("ArenaAllocator partial list broken"));
-                    }
-                }
-            }
-            Ok(ArenaAllocator {
-                arenas,
-                by_addr,
-                partial,
-                large,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

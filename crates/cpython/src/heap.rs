@@ -242,71 +242,6 @@ impl CPythonHeap {
     }
 }
 
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for CPythonConfig {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                max_heap,
-                gc_allocation_threshold,
-            } = self;
-            max_heap.snap(w);
-            gc_allocation_threshold.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<CPythonConfig, SnapError> {
-            Ok(CPythonConfig {
-                max_heap: u64::restore(r)?,
-                gc_allocation_threshold: u64::restore(r)?,
-            })
-        }
-    }
-
-    impl Snapshot for CPythonHeap {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                pid,
-                config,
-                graph,
-                allocator,
-                counters,
-                gc_cost,
-                os_cost,
-                pending,
-                last_live_bytes,
-                allocs_since_gc,
-            } = self;
-            pid.snap(w);
-            config.snap(w);
-            graph.snap(w);
-            allocator.snap(w);
-            counters.snap(w);
-            gc_cost.snap(w);
-            os_cost.snap(w);
-            pending.snap(w);
-            last_live_bytes.snap(w);
-            allocs_since_gc.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<CPythonHeap, SnapError> {
-            Ok(CPythonHeap {
-                pid: Pid::restore(r)?,
-                config: CPythonConfig::restore(r)?,
-                graph: HeapGraph::restore(r)?,
-                allocator: ArenaAllocator::restore(r)?,
-                counters: GcCounters::restore(r)?,
-                gc_cost: GcCostModel::restore(r)?,
-                os_cost: CostModel::restore(r)?,
-                pending: SimDuration::restore(r)?,
-                last_live_bytes: u64::restore(r)?,
-                allocs_since_gc: u64::restore(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -207,37 +207,13 @@ impl MemoryManager for Desiccant {
     }
 }
 
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for DesiccantStats {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                activations,
-                idle_sweeps,
-                reclaims_requested,
-                evictions_seen,
-                reclaim_failures_seen,
-            } = self;
-            activations.snap(w);
-            idle_sweeps.snap(w);
-            reclaims_requested.snap(w);
-            evictions_seen.snap(w);
-            reclaim_failures_seen.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<DesiccantStats, SnapError> {
-            Ok(DesiccantStats {
-                activations: u64::restore(r)?,
-                idle_sweeps: u64::restore(r)?,
-                reclaims_requested: u64::restore(r)?,
-                evictions_seen: u64::restore(r)?,
-                reclaim_failures_seen: u64::restore(r)?,
-            })
-        }
-    }
-}
+snapshot::record!(DesiccantStats {
+    activations: u64,
+    idle_sweeps: u64,
+    reclaims_requested: u64,
+    evictions_seen: u64,
+    reclaim_failures_seen: u64,
+});
 
 #[cfg(test)]
 mod tests {

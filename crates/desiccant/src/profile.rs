@@ -176,38 +176,12 @@ mod snap_impls {
     use super::*;
     use snapshot::{Reader, SnapError, Snapshot, Writer};
 
-    impl Snapshot for RunningMean {
-        fn snap(&self, w: &mut Writer) {
-            let Self { sum, n } = self;
-            sum.snap(w);
-            n.snap(w);
-        }
+    snapshot::record!(RunningMean { sum: f64, n: u64 });
 
-        fn restore(r: &mut Reader<'_>) -> Result<RunningMean, SnapError> {
-            Ok(RunningMean {
-                sum: f64::restore(r)?,
-                n: u64::restore(r)?,
-            })
-        }
-    }
-
-    impl Snapshot for Profile {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                live_bytes,
-                cpu_time_secs,
-            } = self;
-            live_bytes.snap(w);
-            cpu_time_secs.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Profile, SnapError> {
-            Ok(Profile {
-                live_bytes: RunningMean::restore(r)?,
-                cpu_time_secs: RunningMean::restore(r)?,
-            })
-        }
-    }
+    snapshot::record!(Profile {
+        live_bytes: RunningMean,
+        cpu_time_secs: RunningMean,
+    });
 
     impl Snapshot for ProfileStore {
         // The per-instance slab is serialized as id-sorted

@@ -223,23 +223,9 @@ mod snap_impls {
         }
     }
 
-    impl Snapshot for FaultInjector {
-        fn snap(&self, w: &mut Writer) {
-            let Self { plan, state } = self;
-            plan.snap(w);
-            state.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<FaultInjector, SnapError> {
-            // Construct directly: the stream cursor must survive, and
-            // `FaultPlan::restore` already re-checked the ranges
-            // `FaultInjector::new` would assert.
-            Ok(FaultInjector {
-                plan: FaultPlan::restore(r)?,
-                state: u64::restore(r)?,
-            })
-        }
-    }
+    // The stream cursor must survive, and `FaultPlan::restore`
+    // already re-checks the ranges `FaultInjector::new` would assert.
+    snapshot::record!(FaultInjector { plan: FaultPlan, state: u64 });
 
     #[cfg(test)]
     mod tests {

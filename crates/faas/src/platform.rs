@@ -42,7 +42,7 @@ use crate::fault::FaultInjector;
 use crate::manager::{FrozenView, MemoryManager, ReclaimProfile};
 use crate::queue::EventQueue;
 use crate::slab::{IdMap, Slab};
-use crate::stats::{CoreTimeKind, PlatformStats, StatsBatch};
+use crate::stats::{CoreTimeKind, PlatformStats};
 
 mod checkpoint;
 
@@ -224,10 +224,6 @@ pub struct Platform {
     used_cores: f64,
     cache_used: u64,
     stats: PlatformStats,
-    /// Per-drain accumulator for the event loop's counter updates,
-    /// folded into `stats` whenever simulated time advances (and at
-    /// every event-loop exit). Always empty outside the loop.
-    batch: StatsBatch,
     sweep_scheduled: bool,
     next_seed: u64,
     /// Running estimate of a fresh instance's post-boot footprint,
@@ -295,7 +291,6 @@ impl Platform {
             used_cores: 0.0,
             cache_used: 0,
             stats: PlatformStats::default(),
-            batch: StatsBatch::default(),
             sweep_scheduled: false,
             next_seed: config.seed,
             boot_footprint: 64 << 20,
@@ -558,12 +553,7 @@ impl Platform {
             let at = self.now + self.config.sweep_interval;
             self.schedule(at, Event::Sweep);
         }
-        let result = self.event_loop(t_end);
-        // Every exit — clean, kill, or error — leaves the counter
-        // batch empty, so external observers (and checkpoints) always
-        // see coherent statistics.
-        self.batch.flush(&mut self.stats);
-        result
+        self.event_loop(t_end)
     }
 
     fn event_loop(&mut self, t_end: SimTime) -> PlatformResult<()> {
@@ -580,12 +570,7 @@ impl Platform {
                 break;
             };
             debug_assert!(at >= self.now, "event from the past");
-            if at > self.now {
-                // Time advances: fold the per-drain counter batch into
-                // the statistics before the new timestamp's events run.
-                self.batch.flush(&mut self.stats);
-                self.now = at;
-            }
+            self.now = at;
             self.events_handled += 1;
             self.handle(ev)?;
         }
@@ -648,7 +633,7 @@ impl Platform {
                     // Thawed mid-reclaim: execution owns the slot now.
                     Some(_) => {}
                     // Evicted mid-reclaim: a tolerated stale event.
-                    None => self.batch.stale_events += 1,
+                    None => self.stats.stale_events += 1,
                 }
                 self.drain_pending();
                 Ok(())
@@ -703,7 +688,7 @@ impl Platform {
         let req = work.req;
         let fn_idx = self.request(req).fn_idx;
         if !self.breaker_allows(fn_idx) {
-            self.batch.breaker_fast_fails += 1;
+            self.stats.breaker_fast_fails += 1;
             self.fail_request(req, FailReason::BreakerOpen);
             return StartOutcome::Resolved;
         }
@@ -719,7 +704,7 @@ impl Platform {
                     // The frozen instance is lost; fall through to a
                     // cold boot. Transparent to the request (no retry
                     // burned).
-                    self.batch.thaw_failures += 1;
+                    self.stats.thaw_failures += 1;
                     self.destroy_instance(id);
                 } else {
                     self.mark_slot_dirty(id);
@@ -730,15 +715,15 @@ impl Platform {
                         slot.status = Status::Running;
                         slot.last_used = self.now;
                         self.used_cores += self.config.cpu_share;
-                        self.batch.warm_starts += 1;
+                        self.stats.warm_starts += 1;
                         if self.start_execution(id, req, self.config.thaw).is_err() {
                             // A pooled instance that cannot start is lost
                             // capacity, not a crash: give the share back,
                             // drop the instance, and let the request retry
                             // from the queue.
                             self.used_cores -= self.config.cpu_share;
-                            self.batch.warm_starts -= 1;
-                            self.batch.stale_events += 1;
+                            self.stats.warm_starts -= 1;
+                            self.stats.stale_events += 1;
                             self.destroy_instance(id);
                             return StartOutcome::Queued;
                         }
@@ -754,7 +739,7 @@ impl Platform {
         if self.boot_footprint > self.config.cache_budget {
             // Evicting the whole cache still could not admit this
             // boot; reject outright instead of evict-all-and-loop.
-            self.batch.rejected_too_large += 1;
+            self.stats.rejected_too_large += 1;
             self.fail_request(req, FailReason::TooLargeForCache);
             return StartOutcome::Resolved;
         }
@@ -789,7 +774,7 @@ impl Platform {
                 // The runtime image does not fit the instance budget:
                 // a boot failure (every retry will fail the same way,
                 // so the breaker quarantines the function quickly).
-                self.batch.boot_failures += 1;
+                self.stats.boot_failures += 1;
                 self.record_breaker_failure(fn_idx);
                 self.fail_or_retry(req, work.stage, FailReason::BootFailure);
                 return StartOutcome::Resolved;
@@ -828,7 +813,7 @@ impl Platform {
                 self.schedule(self.now + fail_at, Event::BootFailed { id, req });
             }
             None => {
-                self.batch.cold_boots += 1;
+                self.stats.cold_boots += 1;
                 self.stats
                     .record_core_time(CoreTimeKind::Boot, boot_time, 1.0);
                 self.schedule(self.now + boot_time, Event::BootDone { id, req });
@@ -873,7 +858,7 @@ impl Platform {
     /// Evicts `id` under memory pressure (counts and notifies, then
     /// destroys).
     fn evict(&mut self, id: InstanceId) {
-        self.batch.evictions += 1;
+        self.stats.evictions += 1;
         if let Some(slot) = self.slot(id) {
             let name = self.spec(slot.fn_idx).name;
             if let Some(m) = self.manager.as_mut() {
@@ -924,7 +909,7 @@ impl Platform {
             .max_by_key(|(_, s)| (s.charge, s.id))
             .map(|(_, s)| s.id);
         if let Some(vid) = victim {
-            self.batch.oom_kills += 1;
+            self.stats.oom_kills += 1;
             if let Some(slot) = self.slot(vid) {
                 let name = self.spec(slot.fn_idx).name;
                 if let Some(m) = self.manager.as_mut() {
@@ -981,7 +966,7 @@ impl Platform {
                 context: "boot-failed",
             })?;
         self.destroy_instance(id);
-        self.batch.boot_failures += 1;
+        self.stats.boot_failures += 1;
         self.record_breaker_failure(fn_idx);
         self.fail_or_retry(req, stage, FailReason::BootFailure);
         self.drain_pending();
@@ -997,7 +982,7 @@ impl Platform {
         })?;
         let (fn_idx, stage) = (slot.fn_idx, slot.stage);
         self.destroy_instance(id);
-        self.batch.crashes += 1;
+        self.stats.crashes += 1;
         self.record_breaker_failure(fn_idx);
         self.fail_or_retry(req, stage, FailReason::Crash);
         self.drain_pending();
@@ -1053,8 +1038,8 @@ impl Platform {
                 // retries elsewhere.
                 self.release_cores(self.config.cpu_share);
                 self.destroy_instance(id);
-                self.batch.crashes += 1;
-                self.batch.heap_exhaustions += 1;
+                self.stats.crashes += 1;
+                self.stats.heap_exhaustions += 1;
                 self.record_breaker_failure(fn_idx);
                 self.fail_or_retry(req, stage, FailReason::HeapExhausted);
             }
@@ -1085,7 +1070,7 @@ impl Platform {
             r.outcome = Outcome::Completed;
             let latency = now.since(r.arrival);
             self.stats.latency.record(latency);
-            self.batch.completed += 1;
+            self.stats.completed += 1;
         }
         // Exit-time behaviour.
         match self.mode {
@@ -1114,8 +1099,8 @@ impl Platform {
                         // Exit-time GC wedged the runtime. The request
                         // already advanced; only the instance is lost.
                         self.release_cores(self.config.cpu_share);
-                        self.batch.crashes += 1;
-                        self.batch.heap_exhaustions += 1;
+                        self.stats.crashes += 1;
+                        self.stats.heap_exhaustions += 1;
                         self.destroy_instance(id);
                     }
                 }
@@ -1153,7 +1138,7 @@ impl Platform {
         let r = self.request_mut(req);
         debug_assert!(r.outcome == Outcome::Pending);
         r.outcome = Outcome::Failed(why);
-        self.batch.failed += 1;
+        self.stats.failed += 1;
     }
 
     /// Retries `req` at `stage` with capped exponential backoff, or
@@ -1161,7 +1146,7 @@ impl Platform {
     fn fail_or_retry(&mut self, req: usize, stage: u8, why: FailReason) {
         let attempts = self.request(req).attempts;
         if attempts >= self.config.max_retries {
-            self.batch.retry_gave_up += 1;
+            self.stats.retry_gave_up += 1;
             self.fail_request(req, why);
             return;
         }
@@ -1174,7 +1159,7 @@ impl Platform {
             return;
         }
         self.request_mut(req).attempts += 1;
-        self.batch.retries += 1;
+        self.stats.retries += 1;
         self.schedule(at, Event::Retry { req, stage });
     }
 
@@ -1212,7 +1197,7 @@ impl Platform {
         };
         if trips {
             b.state = BreakerState::Open(until);
-            self.batch.breaker_trips += 1;
+            self.stats.breaker_trips += 1;
         }
     }
 
@@ -1295,8 +1280,8 @@ impl Platform {
             }
             let wall = report.wall_time.mul_f64(1.0 / cpus);
             self.used_cores += cpus;
-            self.batch.reclamations += 1;
-            self.batch.reclaimed_bytes += released;
+            self.stats.reclamations += 1;
+            self.stats.reclaimed_bytes += released;
             self.stats
                 .record_core_time(CoreTimeKind::Reclaim, wall, cpus);
             let name = self.spec(fn_idx).name;
@@ -1319,7 +1304,7 @@ impl Platform {
     fn fail_reclaim(&mut self, id: InstanceId, fn_idx: usize, cpus: f64) {
         let wall = self.config.reclaim_timeout;
         self.used_cores += cpus;
-        self.batch.reclaim_failures += 1;
+        self.stats.reclaim_failures += 1;
         self.stats.record_core_time(CoreTimeKind::Reclaim, wall, cpus);
         let name = self.spec(fn_idx).name;
         if let Some(m) = self.manager.as_mut() {

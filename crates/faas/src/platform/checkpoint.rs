@@ -19,8 +19,8 @@ use snapshot::{Reader, SnapError, Snapshot, Writer};
 use workloads::FunctionState;
 
 use super::{
-    Breaker, BreakerState, Event, ExtraFrames, FailReason, GcMode, InstanceId, Outcome,
-    PendingStage, Platform, Request, Slot, Status,
+    Breaker, BreakerState, Event, ExtraFrames, FailReason, FrozenFnSummary, GcMode, InstanceId,
+    Outcome, PendingStage, Platform, Request, Slot, Status,
 };
 use crate::config::EnvFlavor;
 use crate::error::PlatformResult;
@@ -112,10 +112,6 @@ impl Platform {
     /// is written in canonical `(time, sequence)` order, and every
     /// float is written bit-exactly.
     pub fn checkpoint(&self) -> Vec<u8> {
-        debug_assert!(
-            self.batch.is_empty(),
-            "counter batch must be flushed before a checkpoint"
-        );
         let mut w = Writer::new();
         snapshot::write_header(&mut w, SNAP_MAGIC, SNAP_VERSION);
         self.fingerprint().snap(&mut w);
@@ -319,10 +315,6 @@ impl Platform {
             None => {}
         }
 
-        debug_assert!(
-            self.batch.is_empty(),
-            "restore with unflushed stats batch"
-        );
         self.sys = sys;
         self.slots = slots;
         self.by_id = by_id;
@@ -403,10 +395,6 @@ impl Platform {
         extra: &[(u32, Vec<u8>)],
         body: impl FnOnce(&Platform, &mut ContainerWriter),
     ) -> Vec<u8> {
-        debug_assert!(
-            self.batch.is_empty(),
-            "counter batch must be flushed before a checkpoint"
-        );
         let mut cw = ContainerWriter::new();
         cw.frame_with(Self::FRAME_META, |w| self.fingerprint().snap(w));
         cw.frame_with(Self::FRAME_CONTROL, |w| self.control_section(w));
@@ -597,16 +585,7 @@ impl Platform {
 mod snap_impls {
     use super::*;
 
-    impl Snapshot for InstanceId {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            raw.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<InstanceId, SnapError> {
-            Ok(InstanceId(u64::restore(r)?))
-        }
-    }
+    snapshot::record!(InstanceId(u64));
 
     impl Snapshot for Status {
         fn snap(&self, w: &mut Writer) {
@@ -632,49 +611,20 @@ mod snap_impls {
         }
     }
 
-    impl Snapshot for Slot {
-        // `id` leads: it is the row key of the instance table and of a
-        // `SLOT` frame.
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                id,
-                fn_idx,
-                stage,
-                inst,
-                state,
-                status,
-                frozen_since,
-                last_used,
-                charge,
-                reclaimed_since_use,
-            } = self;
-            id.snap(w);
-            fn_idx.snap(w);
-            stage.snap(w);
-            inst.snap(w);
-            state.snap(w);
-            status.snap(w);
-            frozen_since.snap(w);
-            last_used.snap(w);
-            charge.snap(w);
-            reclaimed_since_use.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Slot, SnapError> {
-            Ok(Slot {
-                id: InstanceId::restore(r)?,
-                fn_idx: usize::restore(r)?,
-                stage: u8::restore(r)?,
-                inst: Instance::restore(r)?,
-                state: FunctionState::restore(r)?,
-                status: Status::restore(r)?,
-                frozen_since: SimTime::restore(r)?,
-                last_used: SimTime::restore(r)?,
-                charge: u64::restore(r)?,
-                reclaimed_since_use: bool::restore(r)?,
-            })
-        }
-    }
+    // `id` leads: it is the row key of the instance table and of a
+    // `SLOT` frame.
+    snapshot::record!(Slot {
+        id: InstanceId,
+        fn_idx: usize,
+        stage: u8,
+        inst: Instance,
+        state: FunctionState,
+        status: Status,
+        frozen_since: SimTime,
+        last_used: SimTime,
+        charge: u64,
+        reclaimed_since_use: bool,
+    });
 
     impl Snapshot for FailReason {
         fn snap(&self, w: &mut Writer) {
@@ -724,29 +674,12 @@ mod snap_impls {
         }
     }
 
-    impl Snapshot for Request {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                fn_idx,
-                arrival,
-                attempts,
-                outcome,
-            } = self;
-            fn_idx.snap(w);
-            arrival.snap(w);
-            attempts.snap(w);
-            outcome.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Request, SnapError> {
-            Ok(Request {
-                fn_idx: usize::restore(r)?,
-                arrival: SimTime::restore(r)?,
-                attempts: u32::restore(r)?,
-                outcome: Outcome::restore(r)?,
-            })
-        }
-    }
+    snapshot::record!(Request {
+        fn_idx: usize,
+        arrival: SimTime,
+        attempts: u32,
+        outcome: Outcome,
+    });
 
     impl Snapshot for Event {
         fn snap(&self, w: &mut Writer) {
@@ -833,20 +766,7 @@ mod snap_impls {
         }
     }
 
-    impl Snapshot for PendingStage {
-        fn snap(&self, w: &mut Writer) {
-            let Self { req, stage } = self;
-            req.snap(w);
-            stage.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<PendingStage, SnapError> {
-            Ok(PendingStage {
-                req: usize::restore(r)?,
-                stage: u8::restore(r)?,
-            })
-        }
-    }
+    snapshot::record!(PendingStage { req: usize, stage: u8 });
 
     impl Snapshot for BreakerState {
         fn snap(&self, w: &mut Writer) {
@@ -870,20 +790,13 @@ mod snap_impls {
         }
     }
 
-    impl Snapshot for Breaker {
-        fn snap(&self, w: &mut Writer) {
-            let Self { consecutive, state } = self;
-            consecutive.snap(w);
-            state.snap(w);
-        }
+    snapshot::record!(Breaker { consecutive: u32, state: BreakerState });
 
-        fn restore(r: &mut Reader<'_>) -> Result<Breaker, SnapError> {
-            Ok(Breaker {
-                consecutive: u32::restore(r)?,
-                state: BreakerState::restore(r)?,
-            })
-        }
-    }
+    snapshot::record!(FrozenFnSummary {
+        count: u64,
+        charge: u64,
+        oldest_frozen: SimTime,
+    });
 }
 
 #[cfg(test)]

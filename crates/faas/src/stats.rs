@@ -164,183 +164,34 @@ pub(crate) enum CoreTimeKind {
     Reclaim,
 }
 
-/// Per-drain accumulator for the event-loop's `u64` counters. The hot
-/// loop bumps these plain fields and [`StatsBatch::flush`] folds them
-/// into [`PlatformStats`] at time-advance boundaries, so the per-event
-/// path touches one small struct instead of the full stats block ~38
-/// times per event. Only `u64` counters are batched: `f64` core time
-/// and the latency histogram are recorded directly because reordering
-/// float additions would change the golden digests.
-///
-/// `submitted` is absent — submission happens outside the drain loop.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct StatsBatch {
-    pub completed: u64,
-    pub failed: u64,
-    pub boot_failures: u64,
-    pub crashes: u64,
-    pub heap_exhaustions: u64,
-    pub oom_kills: u64,
-    pub thaw_failures: u64,
-    pub retries: u64,
-    pub retry_gave_up: u64,
-    pub breaker_trips: u64,
-    pub breaker_fast_fails: u64,
-    pub reclaim_failures: u64,
-    pub rejected_too_large: u64,
-    pub stale_events: u64,
-    pub warm_starts: u64,
-    pub cold_boots: u64,
-    pub evictions: u64,
-    pub reclamations: u64,
-    pub reclaimed_bytes: u64,
-}
-
-impl StatsBatch {
-    /// Whether every pending counter is zero (nothing to flush).
-    pub fn is_empty(&self) -> bool {
-        *self == StatsBatch::default()
-    }
-
-    /// Folds the pending counters into `stats` and resets the batch.
-    pub fn flush(&mut self, stats: &mut PlatformStats) {
-        let StatsBatch {
-            completed,
-            failed,
-            boot_failures,
-            crashes,
-            heap_exhaustions,
-            oom_kills,
-            thaw_failures,
-            retries,
-            retry_gave_up,
-            breaker_trips,
-            breaker_fast_fails,
-            reclaim_failures,
-            rejected_too_large,
-            stale_events,
-            warm_starts,
-            cold_boots,
-            evictions,
-            reclamations,
-            reclaimed_bytes,
-        } = std::mem::take(self);
-        stats.completed += completed;
-        stats.failed += failed;
-        stats.boot_failures += boot_failures;
-        stats.crashes += crashes;
-        stats.heap_exhaustions += heap_exhaustions;
-        stats.oom_kills += oom_kills;
-        stats.thaw_failures += thaw_failures;
-        stats.retries += retries;
-        stats.retry_gave_up += retry_gave_up;
-        stats.breaker_trips += breaker_trips;
-        stats.breaker_fast_fails += breaker_fast_fails;
-        stats.reclaim_failures += reclaim_failures;
-        stats.rejected_too_large += rejected_too_large;
-        stats.stale_events += stale_events;
-        stats.warm_starts += warm_starts;
-        stats.cold_boots += cold_boots;
-        stats.evictions += evictions;
-        stats.reclamations += reclamations;
-        stats.reclaimed_bytes += reclaimed_bytes;
-    }
-}
-
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for PlatformStats {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                submitted,
-                completed,
-                failed,
-                boot_failures,
-                crashes,
-                heap_exhaustions,
-                oom_kills,
-                thaw_failures,
-                retries,
-                retry_gave_up,
-                breaker_trips,
-                breaker_fast_fails,
-                reclaim_failures,
-                rejected_too_large,
-                stale_events,
-                warm_starts,
-                cold_boots,
-                evictions,
-                reclamations,
-                reclaimed_bytes,
-                latency,
-                exec_core_ns,
-                boot_core_ns,
-                gc_core_ns,
-                reclaim_core_ns,
-                window_start,
-            } = self;
-            submitted.snap(w);
-            completed.snap(w);
-            failed.snap(w);
-            boot_failures.snap(w);
-            crashes.snap(w);
-            heap_exhaustions.snap(w);
-            oom_kills.snap(w);
-            thaw_failures.snap(w);
-            retries.snap(w);
-            retry_gave_up.snap(w);
-            breaker_trips.snap(w);
-            breaker_fast_fails.snap(w);
-            reclaim_failures.snap(w);
-            rejected_too_large.snap(w);
-            stale_events.snap(w);
-            warm_starts.snap(w);
-            cold_boots.snap(w);
-            evictions.snap(w);
-            reclamations.snap(w);
-            reclaimed_bytes.snap(w);
-            latency.snap(w);
-            exec_core_ns.snap(w);
-            boot_core_ns.snap(w);
-            gc_core_ns.snap(w);
-            reclaim_core_ns.snap(w);
-            window_start.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<PlatformStats, SnapError> {
-            Ok(PlatformStats {
-                submitted: u64::restore(r)?,
-                completed: u64::restore(r)?,
-                failed: u64::restore(r)?,
-                boot_failures: u64::restore(r)?,
-                crashes: u64::restore(r)?,
-                heap_exhaustions: u64::restore(r)?,
-                oom_kills: u64::restore(r)?,
-                thaw_failures: u64::restore(r)?,
-                retries: u64::restore(r)?,
-                retry_gave_up: u64::restore(r)?,
-                breaker_trips: u64::restore(r)?,
-                breaker_fast_fails: u64::restore(r)?,
-                reclaim_failures: u64::restore(r)?,
-                rejected_too_large: u64::restore(r)?,
-                stale_events: u64::restore(r)?,
-                warm_starts: u64::restore(r)?,
-                cold_boots: u64::restore(r)?,
-                evictions: u64::restore(r)?,
-                reclamations: u64::restore(r)?,
-                reclaimed_bytes: u64::restore(r)?,
-                latency: LatencyHistogram::restore(r)?,
-                exec_core_ns: f64::restore(r)?,
-                boot_core_ns: f64::restore(r)?,
-                gc_core_ns: f64::restore(r)?,
-                reclaim_core_ns: f64::restore(r)?,
-                window_start: SimTime::restore(r)?,
-            })
-        }
-    }
-}
+snapshot::record!(PlatformStats {
+    submitted: u64,
+    completed: u64,
+    failed: u64,
+    boot_failures: u64,
+    crashes: u64,
+    heap_exhaustions: u64,
+    oom_kills: u64,
+    thaw_failures: u64,
+    retries: u64,
+    retry_gave_up: u64,
+    breaker_trips: u64,
+    breaker_fast_fails: u64,
+    reclaim_failures: u64,
+    rejected_too_large: u64,
+    stale_events: u64,
+    warm_starts: u64,
+    cold_boots: u64,
+    evictions: u64,
+    reclamations: u64,
+    reclaimed_bytes: u64,
+    latency: LatencyHistogram,
+    exec_core_ns: f64,
+    boot_core_ns: f64,
+    gc_core_ns: f64,
+    reclaim_core_ns: f64,
+    window_start: SimTime,
+});
 
 #[cfg(test)]
 mod tests {
@@ -397,28 +248,6 @@ mod tests {
         s.completed = 7;
         s.failed = 2;
         assert_eq!(s.terminated(), 9);
-    }
-
-    #[test]
-    fn batch_flush_adds_and_resets() {
-        let mut batch = StatsBatch::default();
-        assert!(batch.is_empty());
-        batch.completed = 3;
-        batch.oom_kills = 1;
-        batch.reclaimed_bytes = 4096;
-        assert!(!batch.is_empty());
-        let mut stats = PlatformStats {
-            completed: 10,
-            ..PlatformStats::default()
-        };
-        batch.flush(&mut stats);
-        assert!(batch.is_empty());
-        assert_eq!(stats.completed, 13);
-        assert_eq!(stats.oom_kills, 1);
-        assert_eq!(stats.reclaimed_bytes, 4096);
-        // A second flush is a no-op.
-        batch.flush(&mut stats);
-        assert_eq!(stats.completed, 13);
     }
 
     #[test]

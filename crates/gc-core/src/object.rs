@@ -345,16 +345,7 @@ mod snap_impls {
     use super::*;
     use snapshot::{Reader, SnapError, Snapshot, Writer};
 
-    impl Snapshot for ObjectId {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            w.u32(*raw);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<ObjectId, SnapError> {
-            Ok(ObjectId(r.u32()?))
-        }
-    }
+    snapshot::record!(ObjectId(u32));
 
     impl Snapshot for ObjectKind {
         fn snap(&self, w: &mut Writer) {

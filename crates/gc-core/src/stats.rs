@@ -107,59 +107,21 @@ impl GcCostModel {
     }
 }
 
-impl snapshot::Snapshot for GcCounters {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let Self {
-            young_collections,
-            full_collections,
-            bytes_copied,
-            bytes_promoted,
-            bytes_freed,
-            pause_time,
-        } = self;
-        w.u64(*young_collections);
-        w.u64(*full_collections);
-        w.u64(*bytes_copied);
-        w.u64(*bytes_promoted);
-        w.u64(*bytes_freed);
-        pause_time.snap(w);
-    }
+snapshot::record!(GcCounters {
+    young_collections: u64,
+    full_collections: u64,
+    bytes_copied: u64,
+    bytes_promoted: u64,
+    bytes_freed: u64,
+    pause_time: SimDuration,
+});
 
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<GcCounters, snapshot::SnapError> {
-        Ok(GcCounters {
-            young_collections: r.u64()?,
-            full_collections: r.u64()?,
-            bytes_copied: r.u64()?,
-            bytes_promoted: r.u64()?,
-            bytes_freed: r.u64()?,
-            pause_time: SimDuration::restore(r)?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for GcCostModel {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let Self {
-            per_object_mark,
-            per_byte_copy_ns,
-            pause_floor,
-            full_pause_floor,
-        } = self;
-        per_object_mark.snap(w);
-        w.f64(*per_byte_copy_ns);
-        pause_floor.snap(w);
-        full_pause_floor.snap(w);
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<GcCostModel, snapshot::SnapError> {
-        Ok(GcCostModel {
-            per_object_mark: SimDuration::restore(r)?,
-            per_byte_copy_ns: r.f64()?,
-            pause_floor: SimDuration::restore(r)?,
-            full_pause_floor: SimDuration::restore(r)?,
-        })
-    }
-}
+snapshot::record!(GcCostModel {
+    per_object_mark: SimDuration,
+    per_byte_copy_ns: f64,
+    pause_floor: SimDuration,
+    full_pause_floor: SimDuration,
+});
 
 #[cfg(test)]
 mod tests {

@@ -337,130 +337,6 @@ impl GoHeap {
     }
 }
 
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for GoConfig {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                max_heap,
-                gogc,
-                min_goal,
-            } = self;
-            max_heap.snap(w);
-            gogc.snap(w);
-            min_goal.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<GoConfig, SnapError> {
-            Ok(GoConfig {
-                max_heap: u64::restore(r)?,
-                gogc: u64::restore(r)?,
-                min_goal: u64::restore(r)?,
-            })
-        }
-    }
-
-    impl Snapshot for GoHeap {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                pid,
-                config,
-                graph,
-                arenas,
-                bump_page,
-                spans,
-                by_addr,
-                partial,
-                free_spans,
-                heap_live,
-                heap_goal,
-                counters,
-                gc_cost,
-                os_cost,
-                pending,
-                last_live_bytes,
-            } = self;
-            pid.snap(w);
-            config.snap(w);
-            graph.snap(w);
-            arenas.snap(w);
-            bump_page.snap(w);
-            spans.snap(w);
-            by_addr.snap(w);
-            partial.snap(w);
-            free_spans.snap(w);
-            heap_live.snap(w);
-            heap_goal.snap(w);
-            counters.snap(w);
-            gc_cost.snap(w);
-            os_cost.snap(w);
-            pending.snap(w);
-            last_live_bytes.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<GoHeap, SnapError> {
-            let pid = Pid::restore(r)?;
-            let config = GoConfig::restore(r)?;
-            let graph = HeapGraph::restore(r)?;
-            let arenas: Vec<VirtAddr> = Vec::restore(r)?;
-            let bump_page = u64::restore(r)?;
-            let spans: Vec<Option<Span>> = Vec::restore(r)?;
-            let by_addr: BTreeMap<u64, SpanId> = BTreeMap::restore(r)?;
-            let partial: BTreeMap<u32, Vec<SpanId>> = BTreeMap::restore(r)?;
-            let free_spans: Vec<SpanId> = Vec::restore(r)?;
-            let heap_live = u64::restore(r)?;
-            let heap_goal = u64::restore(r)?;
-            let counters = GcCounters::restore(r)?;
-            let gc_cost = GcCostModel::restore(r)?;
-            let os_cost = CostModel::restore(r)?;
-            let pending = SimDuration::restore(r)?;
-            let last_live_bytes = u64::restore(r)?;
-            for (&addr, &id) in &by_addr {
-                match spans.get(id.index()) {
-                    Some(Some(s)) if s.start.0 == addr => {}
-                    _ => return Err(SnapError::Corrupt("GoHeap by_addr mismatch")),
-                }
-            }
-            for (&class, list) in &partial {
-                for &id in list {
-                    let ok = spans
-                        .get(id.index())
-                        .and_then(|s| s.as_ref())
-                        .is_some_and(|s| s.class == class && !s.free_slots.is_empty());
-                    if !ok {
-                        return Err(SnapError::Corrupt("GoHeap partial list broken"));
-                    }
-                }
-            }
-            for &id in &free_spans {
-                if spans.get(id.index()).is_none_or(|s| s.is_none()) {
-                    return Err(SnapError::Corrupt("GoHeap free list names a dead span"));
-                }
-            }
-            Ok(GoHeap {
-                pid,
-                config,
-                graph,
-                arenas,
-                bump_page,
-                spans,
-                by_addr,
-                partial,
-                free_spans,
-                heap_live,
-                heap_goal,
-                counters,
-                gc_cost,
-                os_cost,
-                pending,
-                last_live_bytes,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -110,63 +110,6 @@ impl Span {
     }
 }
 
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for SpanId {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            raw.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<SpanId, SnapError> {
-            Ok(SpanId(u32::restore(r)?))
-        }
-    }
-
-    impl Snapshot for Span {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                start,
-                pages,
-                class,
-                free_slots,
-                used,
-            } = self;
-            start.snap(w);
-            pages.snap(w);
-            class.snap(w);
-            free_slots.snap(w);
-            used.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Span, SnapError> {
-            let start = VirtAddr::restore(r)?;
-            let pages = u32::restore(r)?;
-            let class = u32::restore(r)?;
-            let free_slots: Vec<u16> = Vec::restore(r)?;
-            let used = u16::restore(r)?;
-            if pages == 0 {
-                return Err(SnapError::Corrupt("Span has zero pages"));
-            }
-            if class != 0 {
-                let capacity = u64::from(pages) * GO_PAGE_SIZE / u64::from(class);
-                if u64::from(used) + cast::to_u64(free_slots.len()) != capacity {
-                    return Err(SnapError::Corrupt("Span slot accounting broken"));
-                }
-            }
-            Ok(Span {
-                start,
-                pages,
-                class,
-                free_slots,
-                used,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

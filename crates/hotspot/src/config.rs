@@ -80,44 +80,17 @@ impl HotSpotConfig {
     }
 }
 
-impl snapshot::Snapshot for HotSpotConfig {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let Self {
-            max_heap,
-            initial_heap,
-            new_ratio,
-            survivor_ratio,
-            tenure_threshold,
-            min_heap_free_ratio,
-            max_heap_free_ratio,
-            commit_granule,
-            min_gen_committed,
-        } = self;
-        w.u64(*max_heap);
-        w.u64(*initial_heap);
-        w.u64(*new_ratio);
-        w.u64(*survivor_ratio);
-        w.u8(*tenure_threshold);
-        w.f64(*min_heap_free_ratio);
-        w.f64(*max_heap_free_ratio);
-        w.u64(*commit_granule);
-        w.u64(*min_gen_committed);
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<HotSpotConfig, snapshot::SnapError> {
-        Ok(HotSpotConfig {
-            max_heap: r.u64()?,
-            initial_heap: r.u64()?,
-            new_ratio: r.u64()?,
-            survivor_ratio: r.u64()?,
-            tenure_threshold: r.u8()?,
-            min_heap_free_ratio: r.f64()?,
-            max_heap_free_ratio: r.f64()?,
-            commit_granule: r.u64()?,
-            min_gen_committed: r.u64()?,
-        })
-    }
-}
+snapshot::record!(HotSpotConfig {
+    max_heap: u64,
+    initial_heap: u64,
+    new_ratio: u64,
+    survivor_ratio: u64,
+    tenure_threshold: u8,
+    min_heap_free_ratio: f64,
+    max_heap_free_ratio: f64,
+    commit_granule: u64,
+    min_gen_committed: u64,
+});
 
 #[cfg(test)]
 mod tests {

@@ -574,60 +574,20 @@ impl HotSpotHeap {
     }
 }
 
-/// Checkpoint codec impl, kept here so exhaustive destructuring sees
-/// every private field.
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for HotSpotHeap {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                pid,
-                config,
-                layout,
-                graph,
-                eden_top,
-                from_used,
-                old_top,
-                counters,
-                gc_cost,
-                os_cost,
-                pending,
-                last_live_bytes,
-            } = self;
-            pid.snap(w);
-            config.snap(w);
-            layout.snap(w);
-            graph.snap(w);
-            eden_top.snap(w);
-            w.u64(*from_used);
-            old_top.snap(w);
-            counters.snap(w);
-            gc_cost.snap(w);
-            os_cost.snap(w);
-            pending.snap(w);
-            w.u64(*last_live_bytes);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<HotSpotHeap, SnapError> {
-            Ok(HotSpotHeap {
-                pid: Pid::restore(r)?,
-                config: HotSpotConfig::restore(r)?,
-                layout: HeapLayout::restore(r)?,
-                graph: HeapGraph::restore(r)?,
-                eden_top: VirtAddr::restore(r)?,
-                from_used: r.u64()?,
-                old_top: VirtAddr::restore(r)?,
-                counters: GcCounters::restore(r)?,
-                gc_cost: GcCostModel::restore(r)?,
-                os_cost: CostModel::restore(r)?,
-                pending: SimDuration::restore(r)?,
-                last_live_bytes: r.u64()?,
-            })
-        }
-    }
-}
+snapshot::record!(HotSpotHeap {
+    pid: Pid,
+    config: HotSpotConfig,
+    layout: HeapLayout,
+    graph: HeapGraph,
+    eden_top: VirtAddr,
+    from_used: u64,
+    old_top: VirtAddr,
+    counters: GcCounters,
+    gc_cost: GcCostModel,
+    os_cost: CostModel,
+    pending: SimDuration,
+    last_live_bytes: u64,
+});
 
 #[cfg(test)]
 mod tests {

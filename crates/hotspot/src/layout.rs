@@ -163,38 +163,15 @@ impl HeapLayout {
     }
 }
 
-impl snapshot::Snapshot for HeapLayout {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let Self {
-            base,
-            young_reserved,
-            old_reserved,
-            eden_committed,
-            old_committed,
-            survivor_size,
-            from_is_first,
-        } = self;
-        base.snap(w);
-        w.u64(*young_reserved);
-        w.u64(*old_reserved);
-        w.u64(*eden_committed);
-        w.u64(*old_committed);
-        w.u64(*survivor_size);
-        w.bool(*from_is_first);
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<HeapLayout, snapshot::SnapError> {
-        Ok(HeapLayout {
-            base: VirtAddr::restore(r)?,
-            young_reserved: r.u64()?,
-            old_reserved: r.u64()?,
-            eden_committed: r.u64()?,
-            old_committed: r.u64()?,
-            survivor_size: r.u64()?,
-            from_is_first: r.bool()?,
-        })
-    }
-}
+snapshot::record!(HeapLayout {
+    base: VirtAddr,
+    young_reserved: u64,
+    old_reserved: u64,
+    eden_committed: u64,
+    old_committed: u64,
+    survivor_size: u64,
+    from_is_first: bool,
+});
 
 #[cfg(test)]
 mod tests {

@@ -132,18 +132,7 @@ impl snapshot::Snapshot for Language {
     }
 }
 
-impl snapshot::Snapshot for SharedLibs {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let Self { files } = self;
-        files.snap(w);
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<SharedLibs, snapshot::SnapError> {
-        Ok(SharedLibs {
-            files: Vec::restore(r)?,
-        })
-    }
-}
+snapshot::record!(SharedLibs { files: Vec<FileId> });
 
 #[cfg(test)]
 mod tests {

@@ -360,61 +360,21 @@ fn map_os(e: simos::SimOsError) -> RuntimeHeapError {
     RuntimeHeapError::HotSpot(hotspot::HeapError::Os(e))
 }
 
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for Instance {
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                pid,
-                budget,
-                cpu_share,
-                heap,
-                libs,
-                native_addr,
-                native_len,
-                warmth,
-                deopt_debt,
-                libs_unmapped,
-                pending,
-                os_cost,
-                startup,
-            } = self;
-            pid.snap(w);
-            budget.snap(w);
-            cpu_share.snap(w);
-            heap.snap(w);
-            libs.snap(w);
-            native_addr.snap(w);
-            native_len.snap(w);
-            warmth.snap(w);
-            deopt_debt.snap(w);
-            libs_unmapped.snap(w);
-            pending.snap(w);
-            os_cost.snap(w);
-            startup.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Instance, SnapError> {
-            Ok(Instance {
-                pid: Pid::restore(r)?,
-                budget: u64::restore(r)?,
-                cpu_share: f64::restore(r)?,
-                heap: RuntimeHeap::restore(r)?,
-                libs: Vec::restore(r)?,
-                native_addr: VirtAddr::restore(r)?,
-                native_len: u64::restore(r)?,
-                warmth: u64::restore(r)?,
-                deopt_debt: f64::restore(r)?,
-                libs_unmapped: bool::restore(r)?,
-                pending: SimDuration::restore(r)?,
-                os_cost: CostModel::restore(r)?,
-                startup: SimDuration::restore(r)?,
-            })
-        }
-    }
-}
+snapshot::record!(Instance {
+    pid: Pid,
+    budget: u64,
+    cpu_share: f64,
+    heap: RuntimeHeap,
+    libs: Vec<(FileId, VirtAddr, u64)>,
+    native_addr: VirtAddr,
+    native_len: u64,
+    warmth: u64,
+    deopt_debt: f64,
+    libs_unmapped: bool,
+    pending: SimDuration,
+    os_cost: CostModel,
+    startup: SimDuration,
+});
 
 #[cfg(test)]
 mod tests {

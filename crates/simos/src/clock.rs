@@ -189,85 +189,8 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A monotonic virtual clock.
-///
-/// The clock is advanced explicitly by whoever drives the simulation
-/// (the FaaS discrete-event engine in the full system, or the test
-/// itself in unit tests).
-#[derive(Debug, Clone, Default)]
-pub struct Clock {
-    now: SimTime,
-}
-
-impl Clock {
-    /// Creates a clock at the simulation epoch.
-    pub fn new() -> Clock {
-        Clock::default()
-    }
-
-    /// The current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the clock by `d` and returns the new instant.
-    pub fn advance(&mut self, d: SimDuration) -> SimTime {
-        self.now += d;
-        self.now
-    }
-
-    /// Advances the clock to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past; the clock is monotonic.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "clock cannot go backwards");
-        self.now = t;
-    }
-}
-
-/// Checkpoint codec impls, kept here so exhaustive destructuring sees
-/// every private field.
-mod snap_impls {
-    use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
-
-    impl Snapshot for SimTime {
-        fn snap(&self, w: &mut Writer) {
-            let Self(ns) = self;
-            w.u64(*ns);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<SimTime, SnapError> {
-            Ok(SimTime(r.u64()?))
-        }
-    }
-
-    impl Snapshot for SimDuration {
-        fn snap(&self, w: &mut Writer) {
-            let Self(ns) = self;
-            w.u64(*ns);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<SimDuration, SnapError> {
-            Ok(SimDuration(r.u64()?))
-        }
-    }
-
-    impl Snapshot for Clock {
-        fn snap(&self, w: &mut Writer) {
-            let Self { now } = self;
-            now.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Clock, SnapError> {
-            Ok(Clock {
-                now: SimTime::restore(r)?,
-            })
-        }
-    }
-}
+snapshot::record!(SimTime(u64));
+snapshot::record!(SimDuration(u64));
 
 #[cfg(test)]
 mod tests {
@@ -294,16 +217,6 @@ mod tests {
     fn since_panics_on_reversed_order() {
         let later = SimTime(10);
         let _ = SimTime(5).since(later);
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance(SimDuration::from_secs(2));
-        assert_eq!(c.now().as_secs_f64(), 2.0);
-        c.advance_to(SimTime(3_000_000_000));
-        assert_eq!(c.now().as_secs_f64(), 3.0);
     }
 
     #[test]

@@ -50,29 +50,12 @@ impl CostModel {
     }
 }
 
-impl snapshot::Snapshot for CostModel {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let Self {
-            zero_fill_fault,
-            file_fault,
-            swap_in,
-            release_per_page,
-        } = self;
-        zero_fill_fault.snap(w);
-        file_fault.snap(w);
-        swap_in.snap(w);
-        release_per_page.snap(w);
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<CostModel, snapshot::SnapError> {
-        Ok(CostModel {
-            zero_fill_fault: SimDuration::restore(r)?,
-            file_fault: SimDuration::restore(r)?,
-            swap_in: SimDuration::restore(r)?,
-            release_per_page: SimDuration::restore(r)?,
-        })
-    }
-}
+snapshot::record!(CostModel {
+    zero_fill_fault: SimDuration,
+    file_fault: SimDuration,
+    swap_in: SimDuration,
+    release_per_page: SimDuration,
+});
 
 #[cfg(test)]
 mod tests {

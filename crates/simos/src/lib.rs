@@ -22,8 +22,6 @@
 //!   discrete-time simulation.
 //! * [`cpu`] — cgroup-style CPU accounting used by Desiccant's
 //!   reclamation-cost profiles (§4.5.2).
-//! * [`swap`] — a swap device used by the paper's swapping baseline
-//!   (§5.6).
 //! * [`cost`] — the latency cost model for page faults and swap-ins.
 //!
 //! # Examples
@@ -57,7 +55,6 @@ pub mod cpu;
 pub mod error;
 pub mod mem;
 pub mod metrics;
-pub mod swap;
 pub mod system;
 
 pub use clock::{SimDuration, SimTime};

@@ -1465,16 +1465,7 @@ mod snap_impls {
     use super::*;
     use snapshot::{Reader, SnapError, Snapshot, Writer};
 
-    impl Snapshot for VirtAddr {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            w.u64(*raw);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<VirtAddr, SnapError> {
-            Ok(VirtAddr(r.u64()?))
-        }
-    }
+    snapshot::record!(VirtAddr(u64));
 
     impl Snapshot for MappingKind {
         fn snap(&self, w: &mut Writer) {

@@ -461,27 +461,8 @@ mod snap_impls {
     use super::*;
     use snapshot::{Reader, SnapError, Snapshot, Writer};
 
-    impl Snapshot for Pid {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            w.u32(*raw);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Pid, SnapError> {
-            Ok(Pid(r.u32()?))
-        }
-    }
-
-    impl Snapshot for FileId {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            w.u32(*raw);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<FileId, SnapError> {
-            Ok(FileId(r.u32()?))
-        }
-    }
+    snapshot::record!(Pid(u32));
+    snapshot::record!(FileId(u32));
 
     impl Snapshot for FileInfo {
         fn snap(&self, w: &mut Writer) {
@@ -503,18 +484,7 @@ mod snap_impls {
         }
     }
 
-    impl Snapshot for FileRegistry {
-        fn snap(&self, w: &mut Writer) {
-            let Self { files } = self;
-            files.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<FileRegistry, SnapError> {
-            Ok(FileRegistry {
-                files: Vec::<FileInfo>::restore(r)?,
-            })
-        }
-    }
+    snapshot::record!(FileRegistry { files: Vec<FileInfo> });
 
     impl Snapshot for System {
         fn snap(&self, w: &mut Writer) {

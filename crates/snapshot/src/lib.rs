@@ -29,6 +29,10 @@
 //! Decoding never panics: every read returns `Result<_, SnapError>`,
 //! and [`Reader::finish`] rejects trailing garbage so a truncated or
 //! over-long blob cannot silently restore.
+//!
+//! A record — a struct encoded as its fields in a fixed order —
+//! states its format once, in a [`record!`] invocation; [`Snapshot`]
+//! says when an impl is hand-written instead.
 
 #![forbid(unsafe_code)]
 
@@ -381,10 +385,15 @@ pub fn read_header(r: &mut Reader<'_>, magic: u32, version: u32) -> Result<(), S
 /// The contract is *identity*: `restore(snap(x)) == x` for every
 /// reachable state, where equality means "indistinguishable to the
 /// simulation" — continuing a restored value must produce byte-for-byte
-/// the same trajectory as continuing the original. Impls for sim-state
-/// structs must exhaustively destructure (`let Self { .. } = self;`
-/// with every field named) so adding a field without snapshotting it is
-/// a compile error; the `snapshot-coverage` tidy rule enforces this.
+/// the same trajectory as continuing the original.
+///
+/// [`record!`] is the default impl: it destructures exhaustively by
+/// construction and lists each field once. Hand-write an impl only when
+/// decode must validate, canonicalize order, read an enum tag, or
+/// rebuild derived fields; such an impl must exhaustively destructure
+/// (`let Self { .. } = self;` with every field named, or `match self`)
+/// so adding a field without snapshotting it is a compile error. The
+/// `snapshot-coverage` tidy rule checks every hand-written impl.
 pub trait Snapshot: Sized {
     /// Appends this value's canonical encoding to `w`.
     fn snap(&self, w: &mut Writer);
@@ -401,6 +410,48 @@ macro_rules! prim_snapshot {
             }
             fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
                 r.$method()
+            }
+        }
+    };
+}
+
+/// Implements [`Snapshot`] for a plain record: a struct whose encoding
+/// is its fields, in the listed order, each through its own
+/// [`Snapshot`] impl. Each field and its type are written once, so the
+/// encode and decode orders cannot disagree.
+///
+/// Three forms, and no options:
+///
+/// * `record!(T { a: A, b: B })` — `snap` destructures `T`
+///   exhaustively (a field missing from the list is a compile error)
+///   and writes `a` then `b`; `restore` reads them back in the same
+///   order. A listed type that differs from the field's is a type
+///   error.
+/// * `record!(T { a: A } skip { x, y })` — as above, but `x` and `y`
+///   are kept out of the bytes and restore as `Default::default()`.
+/// * `record!(Id(u64))` — a newtype: its encoding is the inner value's.
+#[macro_export]
+macro_rules! record {
+    ($ty:ident ( $inner:ty )) => {
+        impl $crate::Snapshot for $ty {
+            fn snap(&self, w: &mut $crate::Writer) {
+                let $ty(inner) = self;
+                <$inner as $crate::Snapshot>::snap(inner, w);
+            }
+            fn restore(r: &mut $crate::Reader<'_>) -> Result<$ty, $crate::SnapError> {
+                Ok($ty(<$inner as $crate::Snapshot>::restore(r)?))
+            }
+        }
+    };
+    ($ty:ident { $($field:ident : $fty:ty),* $(,)? } $(skip { $($skipped:ident),* $(,)? })?) => {
+        impl $crate::Snapshot for $ty {
+            fn snap(&self, w: &mut $crate::Writer) {
+                let $ty { $($field,)* $($($skipped: _,)*)? } = self;
+                $(<$fty as $crate::Snapshot>::snap($field, w);)*
+            }
+            fn restore(r: &mut $crate::Reader<'_>) -> Result<$ty, $crate::SnapError> {
+                $(let $field = <$fty as $crate::Snapshot>::restore(r)?;)*
+                Ok($ty { $($field,)* $($($skipped: Default::default(),)*)? })
             }
         }
     };
@@ -682,6 +733,51 @@ mod tests {
         in_place.blob_with(|w| (3u64, String::from("tail")).snap(w));
         in_place.blob_with(|_| {});
         assert_eq!(in_place.into_bytes(), built.into_bytes());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Id(u32);
+    record!(Id(u32));
+
+    #[derive(Debug, PartialEq)]
+    struct Row {
+        cached: u64,
+        name: String,
+        id: u64,
+        ids: Vec<Id>,
+    }
+    record!(Row { id: u64, name: String, ids: Vec<Id> } skip { cached });
+
+    fn row() -> Row {
+        Row {
+            cached: 9,
+            name: String::from("row"),
+            id: 7,
+            ids: vec![Id(1), Id(2)],
+        }
+    }
+
+    #[test]
+    fn record_writes_fields_in_list_order_and_skips_skipped() {
+        let mut w = Writer::new();
+        w.u64(7);
+        w.str("row");
+        w.usize(2);
+        w.u32(1);
+        w.u32(2);
+        let bytes = encode(&row());
+        assert_eq!(bytes, w.into_bytes());
+        let back: Row = decode(&bytes).unwrap();
+        assert_eq!(back, Row { cached: 0, ..row() });
+    }
+
+    #[test]
+    fn every_truncated_record_prefix_is_an_error() {
+        let bytes = encode(&row());
+        for n in 0..bytes.len() {
+            let prefix = bytes.get(..n).unwrap();
+            assert!(decode::<Row>(prefix).is_err(), "a {n}-byte prefix decoded");
+        }
     }
 
     #[test]

@@ -140,16 +140,7 @@ mod snap_impls {
     use super::*;
     use snapshot::{Reader, SnapError, Snapshot, Writer};
 
-    impl Snapshot for ChunkId {
-        fn snap(&self, w: &mut Writer) {
-            let Self(raw) = self;
-            raw.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<ChunkId, SnapError> {
-            Ok(ChunkId(u32::restore(r)?))
-        }
-    }
+    snapshot::record!(ChunkId(u32));
 
     impl Snapshot for ChunkSpace {
         fn snap(&self, w: &mut Writer) {

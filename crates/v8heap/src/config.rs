@@ -61,35 +61,14 @@ impl V8Config {
     }
 }
 
-impl snapshot::Snapshot for V8Config {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let Self {
-            max_heap,
-            young_max,
-            young_initial,
-            shrink_alloc_rate,
-            large_object_threshold,
-            min_rate_window,
-        } = self;
-        max_heap.snap(w);
-        young_max.snap(w);
-        young_initial.snap(w);
-        shrink_alloc_rate.snap(w);
-        large_object_threshold.snap(w);
-        min_rate_window.snap(w);
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<V8Config, snapshot::SnapError> {
-        Ok(V8Config {
-            max_heap: u64::restore(r)?,
-            young_max: u64::restore(r)?,
-            young_initial: u64::restore(r)?,
-            shrink_alloc_rate: f64::restore(r)?,
-            large_object_threshold: u32::restore(r)?,
-            min_rate_window: SimDuration::restore(r)?,
-        })
-    }
-}
+snapshot::record!(V8Config {
+    max_heap: u64,
+    young_max: u64,
+    young_initial: u64,
+    shrink_alloc_rate: f64,
+    large_object_threshold: u32,
+    min_rate_window: SimDuration,
+});
 
 #[cfg(test)]
 mod tests {

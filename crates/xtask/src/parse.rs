@@ -9,6 +9,9 @@
 //! * `impl` headers (including `impl Trait for Type`) establish an
 //!   *owner* — the last path segment of the implemented type — so a
 //!   method is identified as `Owner::name`.
+//! * `snapshot::record!(T { a: A, … })` invocations define `T::snap`
+//!   and `T::restore`, calling each listed field type's codec, so the
+//!   macro-generated decode paths stay in the call graph.
 //! * `fn` items open a function scope at their body brace; everything
 //!   harvested until the matching close brace is attributed to the
 //!   innermost open function (closures and nested blocks do not open
@@ -227,6 +230,13 @@ pub fn parse_blanked(text: &str) -> FileSummary {
                         pending = Pending::Impl(owner);
                         i = next;
                     }
+                    "record" if is_record_invocation(&toks, i) => {
+                        let line = lexer::line_of(&starts, *s);
+                        let (codec, next) = parse_record(text, &toks, i + 3, line);
+                        let is_test = line_masked(&mask, line);
+                        fns.extend(codec.into_iter().map(|f| FnInfo { is_test, ..f }));
+                        i = next;
+                    }
                     "fn" => {
                         if let Some(Tok::Ident(ns, ne)) = toks.get(i + 1) {
                             let line = lexer::line_of(&starts, *s);
@@ -371,6 +381,72 @@ fn parse_impl_header(text: &str, toks: &[Tok], start: usize) -> (String, usize) 
         i += 1;
     }
     (owner, i)
+}
+
+/// Is token `i` (the ident `record`) the head of a `record!(…)`
+/// invocation? The `macro_rules! record {` definition is not.
+fn is_record_invocation(toks: &[Tok], i: usize) -> bool {
+    matches!(
+        (toks.get(i + 1), toks.get(i + 2)),
+        (Some(Tok::Punct(_, b'!')), Some(Tok::Punct(_, b'(')))
+    )
+}
+
+/// Expands a `snapshot::record!` invocation into the two functions it
+/// defines, `T::snap` and `T::restore`, each with one qualified call
+/// per listed field to that field type's head ident (`Vec` in
+/// `name: Vec<Slot>`, `u64` in the newtype `Id(u64)`). The field types
+/// are written in the invocation, so this is a plain token scan, and
+/// every decode path the macro generates stays visible to
+/// panic-reachability. `start` is the token after `record!(`; returns
+/// the index past the invocation's `)`.
+fn parse_record(text: &str, toks: &[Tok], start: usize, line: usize) -> (Vec<FnInfo>, usize) {
+    let owner = match toks.get(start) {
+        Some(Tok::Ident(s, e)) => text[*s..*e].to_string(),
+        _ => String::new(),
+    };
+    // In the body, a field's type head is the last top-level ident
+    // after its `name :` (or after a path's `::`).
+    let mut heads = Vec::new();
+    let mut head = None;
+    let mut depth = 0usize;
+    let mut i = start + 2;
+    while let Some(t) = toks.get(i) {
+        i += 1;
+        match t {
+            Tok::Punct(_, b'(' | b'[' | b'{' | b'<') => depth += 1,
+            Tok::Punct(_, b')' | b']' | b'}' | b'>') if depth > 0 => depth -= 1,
+            Tok::Punct(_, b')' | b']' | b'}' | b'>') => break,
+            Tok::Punct(_, b':') if depth == 0 => head = None,
+            Tok::Punct(_, b',') if depth == 0 => heads.extend(head.take()),
+            Tok::Ident(s, e) if depth == 0 => head = Some(text[*s..*e].to_string()),
+            _ => {}
+        }
+    }
+    heads.extend(head);
+    // Step over an optional `skip { … }` and the invocation's `)`.
+    while let Some(t) = toks.get(i) {
+        i += 1;
+        if matches!(t, Tok::Punct(_, b')')) {
+            break;
+        }
+    }
+    let codec = ["snap", "restore"]
+        .into_iter()
+        .map(|name| FnInfo {
+            name: name.to_string(),
+            owner: owner.clone(),
+            line,
+            is_test: false,
+            calls: heads
+                .iter()
+                .map(|h| Call { kind: CallKind::Qual(h.clone()), name: name.to_string(), line })
+                .collect(),
+            panics: Vec::new(),
+            dataflow: Vec::new(),
+        })
+        .collect();
+    (codec, i)
 }
 
 /// After `for`, the implemented type is the first *path*; once a
@@ -696,6 +772,33 @@ mod tests {
         );
         assert_eq!(s.fns[0].owner, "Vec");
         assert_eq!(s.fns[0].name, "snap");
+    }
+
+    #[test]
+    fn record_invocations_define_snap_and_restore() {
+        let s = summary(
+            "snapshot::record!(Slot {\n\
+                 id: InstanceId,\n\
+                 rows: Vec<(u64, Pid)>,\n\
+                 pair: (u64, u64),\n\
+                 map: std::collections::BTreeMap<u64, Heap>,\n\
+             } skip { cache });\n\
+             record!(Pid(u32));\n\
+             macro_rules! record { ($t:ident) => {} }\n",
+        );
+        let names: Vec<(&str, &str)> =
+            s.fns.iter().map(|f| (f.owner.as_str(), f.name.as_str())).collect();
+        assert_eq!(
+            names,
+            [("Slot", "snap"), ("Slot", "restore"), ("Pid", "snap"), ("Pid", "restore")]
+        );
+        let qual = |q: &str| CallKind::Qual(q.to_string());
+        let slot: Vec<&CallKind> = s.fns[1].calls.iter().map(|c| &c.kind).collect();
+        assert_eq!(slot, [&qual("InstanceId"), &qual("Vec"), &qual("BTreeMap")]);
+        assert!(s.fns[1].calls.iter().all(|c| c.name == "restore" && c.line == 1));
+        assert!(s.fns[0].calls.iter().all(|c| c.name == "snap"));
+        assert_eq!(s.fns[3].calls.len(), 1);
+        assert_eq!(s.fns[3].calls[0].kind, qual("u32"));
     }
 
     #[test]

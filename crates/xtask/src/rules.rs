@@ -98,8 +98,10 @@ pub const RULES: &[Rule] = &[
         name: "snapshot-coverage",
         family: "robustness",
         summary: "Snapshot impl without exhaustive field destructuring",
-        hint: "destructure every field (`let Self { a, b } = self;` / `match self`) so \
-               adding a field is a compile error at the codec instead of silent state loss",
+        hint: "a plain field list belongs in `snapshot::record!(T { a: A, b: B })`; a \
+               hand-written impl must destructure every field (`let Self { a, b } = self;` / \
+               `match self`) so adding a field is a compile error at the codec instead of \
+               silent state loss",
     },
     Rule {
         name: "hot-containers",

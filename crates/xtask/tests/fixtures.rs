@@ -167,6 +167,22 @@ fn panic_reachability_flags_a_bare_index_below_container_open() {
 }
 
 #[test]
+fn panic_reachability_sees_through_record_codecs() {
+    let src = fixture("panic_reachability_record.rs");
+    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]);
+    assert_single(&findings, "panic-reachability");
+    assert!(findings[0].message.contains("bare index"), "{findings:?}");
+    assert!(
+        findings[0].message.contains("Slot::restore → Heap::restore"),
+        "the chain must run through the record's restore: {findings:?}"
+    );
+    // Without the record, nothing reaches `Heap::restore`.
+    let unreached = src.replace("snapshot::record!(Slot { id: u64, heap: Heap });", "");
+    let findings = check_files(&[("crates/faas/src/platform.rs", &unreached)]);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn determinism_dataflow_fires_on_digest_feeding_float_accum() {
     let src = fixture("determinism_dataflow.rs");
     let findings = check_files(&[("crates/gc-core/src/fake.rs", &src)]);

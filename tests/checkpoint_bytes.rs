@@ -1,10 +1,13 @@
-//! Wire-format pin for the platform's checkpoint codec: every byte of
-//! a base cut, the delta cut after it, and the flat checkpoint after
-//! both. Any change to the container framing, the frame CRC, or any
-//! section encoder moves one of the three `(len, fnv)` pairs.
+//! Wire-format pins for the checkpoint codec: every byte of a base
+//! cut, the delta cut after it, and the flat checkpoint after both,
+//! for a vanilla Java platform and for a Desiccant-managed Java +
+//! JavaScript one; plus the cluster digest and fleet front-end bytes.
+//! Any change to the container framing, the frame CRC, or any record
+//! encoder moves one of the `(len, fnv)` pairs.
 
+use cluster::{Cluster, ClusterConfig, FrontEndConfig, ShardSetup};
 use faas::platform::{GcMode, Platform};
-use faas::{FaultPlan, PlatformConfig};
+use faas::{FaultPlan, OutageKind, OutagePlan, OutageWindow, PlatformConfig};
 use simos::SimTime;
 use snapshot::frame::Container;
 
@@ -72,4 +75,78 @@ fn container_and_checkpoint_bytes_are_pinned() {
     assert_eq!((base.len(), fnv(&base)), (273_260, 0xd02e_223e_6ce3_6c75), "base cut");
     assert_eq!((delta.len(), fnv(&delta)), (408_657, 0xeb94_9609_caff_07e7), "delta cut");
     assert_eq!((full.len(), fnv(&full)), (527_272, 0x3fea_52d4_cc7e_fa1e), "checkpoint()");
+}
+
+/// Pins a base cut, the delta after it, and the flat checkpoint of a
+/// platform running the Desiccant manager over one Java and one
+/// JavaScript function, so the V8 heap, its config, and the manager's
+/// profile store and counters all sit under a pinned byte. The
+/// constants were produced by the hand-written field-list encoders
+/// before they moved onto `snapshot::record!`.
+#[test]
+fn desiccant_platform_bytes_are_pinned() {
+    let config = PlatformConfig {
+        cache_budget: 288 << 20,
+        ..small_config()
+    };
+    let manager: Box<dyn faas::MemoryManager> =
+        Box::new(desiccant::Desiccant::new(desiccant::DesiccantConfig::default()));
+    let mut p = Platform::new(config, workloads::catalog(), GcMode::Vanilla, Some(manager));
+    submit_n(&mut p, "file-hash", 8, 700);
+    submit_n(&mut p, "dynamic-html", 8, 500);
+    p.run_until(SimTime(6_000_000_000));
+    let extra = [(Platform::FRAME_EXTRA_BASE, b"driver".to_vec())];
+    let base = p.checkpoint_base(1, &extra);
+    let html = p.function_index("dynamic-html").unwrap();
+    for i in 0..4 {
+        p.submit(SimTime(6_000_000_000 + i * 900_000_000), html);
+    }
+    p.run_until(SimTime(14_000_000_000));
+    let delta = p.checkpoint_delta(2, 1, &extra);
+    let full = p.checkpoint();
+    assert!(p.stats().reclamations > 0, "the manager never reclaimed");
+    assert_eq!((base.len(), fnv(&base)), (246_864, 0x3391_e5dc_00f4_c691), "base cut");
+    assert_eq!((delta.len(), fnv(&delta)), (104_672, 0x2cf6_9a35_2f7b_1305), "delta cut");
+    assert_eq!((full.len(), fnv(&full)), (252_204, 0x5caa_e68f_bb60_404a), "checkpoint()");
+}
+
+/// Pins the cluster digest and the fleet-level front-end bytes after a
+/// short 4-shard Desiccant replay with hedging and one `Down` window,
+/// so the router rows, health trackers, retry queue and front-end
+/// counters all sit under a pinned byte.
+#[test]
+fn cluster_digest_and_frontend_bytes_are_pinned() {
+    let mut setup = ShardSetup::vanilla();
+    setup.platform = PlatformConfig {
+        cache_budget: 2 << 30,
+        ..PlatformConfig::default()
+    };
+    setup.manager =
+        |_| Some(Box::new(desiccant::Desiccant::new(desiccant::DesiccantConfig::default())));
+    let cfg = ClusterConfig {
+        shards: 4,
+        frontend: FrontEndConfig {
+            hedge: true,
+            ..FrontEndConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let mut c = Cluster::new(cfg, &setup);
+    c.set_outage_plan(OutagePlan::new(vec![OutageWindow {
+        shard: 1,
+        start: 3,
+        rounds: 2,
+        kind: OutageKind::Down,
+        planned: false,
+    }]));
+    let n = setup.catalog.len() as u64;
+    for i in 0..160u64 {
+        c.enqueue(SimTime(i * 90_000_000), ((i * 7 + i / 5) % n) as usize);
+    }
+    c.advance_to(SimTime(20_000_000_000));
+    let totals = c.totals();
+    assert!(totals.heals > 0 && totals.hedges > 0 && totals.retries > 0, "{totals:?}");
+    let front = c.frontend_bytes();
+    assert_eq!(c.digest(), 0x27a6_e258_92e1_5479, "cluster digest");
+    assert_eq!((front.len(), fnv(&front)), (1_601, 0x2bb6_b737_928d_d0a4), "frontend_bytes()");
 }
