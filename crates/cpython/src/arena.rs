@@ -70,6 +70,17 @@ impl Arena {
     fn is_empty(&self) -> bool {
         self.used_pools == 0
     }
+
+    /// Pool slot `pi`, used or free: the one place a pool index is
+    /// checked.
+    fn pool_slot(&mut self, pi: usize) -> &mut Option<Pool> {
+        &mut self.pools[pi] // tidy:allow(panic-reachability) -- pool indices come from the partial lists or from an in-arena offset, both below POOLS_PER_ARENA
+    }
+
+    /// The used pool at `pi`.
+    fn pool_mut(&mut self, pi: usize) -> &mut Pool {
+        self.pool_slot(pi).as_mut().expect("pool index names a used pool") // tidy:allow(panic-reachability) -- a dissolved pool leaves the partial lists in the same step, and a live object pins its pool
+    }
 }
 
 /// Counters describing allocator state.
@@ -138,63 +149,62 @@ impl ArenaAllocator {
             return Ok(addr);
         }
         let class = size_class(size);
-        // A pool with a free slot?
-        if let Some(list) = self.partial.get_mut(&class) {
-            if let Some(&(ai, pi)) = list.last() {
-                let arena = self.arenas[ai].as_mut().expect("partial refers to live arena"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-                let pool = arena.pools[pi].as_mut().expect("partial refers to used pool"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-                let slot = pool.free_slots.pop().expect("partial pool has free slots"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-                pool.used += 1;
-                if pool.free_slots.is_empty() {
-                    list.pop();
-                }
-                let addr = arena
-                    .addr
-                    .offset(cast::to_u64(pi) * POOL_SIZE + u64::from(slot) * u64::from(class));
-                let page = VirtAddr(addr.0 / PAGE_SIZE * PAGE_SIZE);
-                sys.touch(pid, page, PAGE_SIZE, true)?;
-                return Ok(addr);
-            }
-        }
-        // A free pool in some arena?
-        let (ai, pi) = match self.find_free_pool() {
-            Some(x) => x,
+        // The newest pool of the class with a free slot, else a fresh
+        // pool.
+        let (ai, pi) = match self.partial.get(&class).and_then(|list| list.last()) {
+            Some(&at) => at,
             None => {
-                let ai = self.map_arena(sys, pid)?;
-                (ai, 0)
+                let at = self.open_pool(sys, pid, class)?;
+                self.partial.entry(class).or_default().push(at);
+                at
             }
         };
-        let arena = self.arenas[ai].as_mut().expect("fresh arena exists"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-        arena.pools[pi] = Some(Pool::new(class)); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-        arena.used_pools += 1;
-        let pool = arena.pools[pi].as_mut().expect("just created"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-        let slot = pool.free_slots.pop().expect("fresh pool has slots"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
+        let arena = self.arena_mut(ai);
+        let base = arena.addr;
+        let pool = arena.pool_mut(pi);
+        let slot = pool.free_slots.pop().expect("a pool on offer has a free slot"); // tidy:allow(panic-reachability) -- only fresh pools and the partial lists are offered, and both hold pools with a free slot
         pool.used += 1;
-        let has_more = !pool.free_slots.is_empty();
-        let addr = arena
-            .addr
-            .offset(cast::to_u64(pi) * POOL_SIZE + u64::from(slot) * u64::from(class));
-        if has_more {
-            self.partial.entry(class).or_default().push((ai, pi));
+        if pool.free_slots.is_empty() {
+            self.partial.entry(class).or_default().pop();
         }
+        let addr = base.offset(cast::to_u64(pi) * POOL_SIZE + u64::from(slot) * u64::from(class));
         let page = VirtAddr(addr.0 / PAGE_SIZE * PAGE_SIZE);
         sys.touch(pid, page, PAGE_SIZE, true)?;
         Ok(addr)
     }
 
-    fn find_free_pool(&self) -> Option<(usize, usize)> {
-        for (ai, arena) in self.arenas.iter().enumerate() {
-            let Some(arena) = arena else { continue };
-            if arena.used_pools < POOLS_PER_ARENA {
-                let pi = arena
-                    .pools
-                    .iter()
-                    .position(Option::is_none)
-                    .expect("used_pools below capacity implies a free pool"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-                return Some((ai, pi));
-            }
-        }
-        None
+    /// Arena slot `ai`, mapped or unmapped: the one place an arena
+    /// index is checked.
+    fn arena_slot(&mut self, ai: usize) -> &mut Option<Arena> {
+        &mut self.arenas[ai] // tidy:allow(panic-reachability) -- arena indices come from by_addr and the partial lists, which hold only indices map_arena returned
+    }
+
+    /// The mapped arena at `ai`.
+    fn arena_mut(&mut self, ai: usize) -> &mut Arena {
+        self.arena_slot(ai).as_mut().expect("arena index names a mapped arena") // tidy:allow(panic-reachability) -- an unmapped arena leaves by_addr and the partial lists in the same step
+    }
+
+    /// Puts a fresh `class` pool in the first free pool of the first
+    /// arena with one, mapping a new arena when none has.
+    fn open_pool(&mut self, sys: &mut System, pid: Pid, class: u32) -> SimOsResult<(usize, usize)> {
+        let with_room = self
+            .arenas
+            .iter()
+            .position(|a| a.as_ref().is_some_and(|a| a.used_pools < POOLS_PER_ARENA));
+        let ai = match with_room {
+            Some(ai) => ai,
+            None => self.map_arena(sys, pid)?,
+        };
+        let arena = self.arena_mut(ai);
+        let (pi, free) = arena
+            .pools
+            .iter_mut()
+            .enumerate()
+            .find(|(_, pool)| pool.is_none())
+            .expect("used_pools below capacity implies a free pool"); // tidy:allow(panic-reachability) -- used_pools counts the Some slots of the arena's pools table
+        *free = Some(Pool::new(class));
+        arena.used_pools += 1;
+        Ok((ai, pi))
     }
 
     fn map_arena(&mut self, sys: &mut System, pid: Pid) -> SimOsResult<usize> {
@@ -227,11 +237,9 @@ impl ArenaAllocator {
     /// corruption in a real runtime).
     pub fn free(&mut self, sys: &mut System, pid: Pid, addr: VirtAddr, size: u32) -> SimOsResult<()> {
         if size > SMALL_THRESHOLD {
-            let len = self
-                .large
+            self.large
                 .remove(&addr.0)
-                .expect("freeing unknown large object"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-            let _ = len;
+                .expect("freeing unknown large object"); // tidy:allow(panic-reachability) -- documented panic: callers free only addresses this allocator returned
             sys.munmap(pid, addr)?;
             return Ok(());
         }
@@ -240,15 +248,15 @@ impl ArenaAllocator {
             .by_addr
             .range(..=addr.0)
             .next_back()
-            .expect("freeing address below every arena"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
+            .expect("freeing address below every arena"); // tidy:allow(panic-reachability) -- documented panic: callers free only addresses this allocator returned
         assert!(
             addr.0 < base + ARENA_SIZE,
             "freeing address outside any arena"
         );
-        let arena = self.arenas[ai].as_mut().expect("freeing into dead arena"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
+        let arena = self.arena_mut(ai);
         let offset = addr.0 - base;
         let pi = cast::to_usize(offset / POOL_SIZE);
-        let pool = arena.pools[pi].as_mut().expect("freeing into free pool"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
+        let pool = arena.pool_mut(pi);
         assert_eq!(pool.class, class, "size class mismatch on free");
         let slot = cast::to_u16((offset % POOL_SIZE) / u64::from(class));
         debug_assert!(!pool.free_slots.contains(&slot), "double free");
@@ -256,17 +264,18 @@ impl ArenaAllocator {
         pool.used -= 1;
         if pool.used == 0 {
             // Pool dissolves back into the arena.
-            arena.pools[pi] = None; // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
+            *arena.pool_slot(pi) = None;
             arena.used_pools -= 1;
+            let emptied = arena.is_empty();
             if let Some(list) = self.partial.get_mut(&class) {
                 list.retain(|&(a, p)| !(a == ai && p == pi));
             }
-            if self.arenas[ai].as_ref().expect("still here").is_empty() { // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
+            if emptied {
                 // Stock behaviour: only a fully-empty arena returns its
                 // memory.
-                let arena = self.arenas[ai].take().expect("emptied arena"); // tidy:allow(panic-reachability) -- arena and pool indices come from the allocator's own occupancy tables; a miss is an accounting bug
-                self.by_addr.remove(&arena.addr.0);
-                sys.munmap(pid, arena.addr)?;
+                *self.arena_slot(ai) = None;
+                self.by_addr.remove(&base);
+                sys.munmap(pid, VirtAddr(base))?;
             }
         } else if pool.free_slots.len() == 1 {
             // First free slot: the pool is partial again.

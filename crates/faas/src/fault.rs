@@ -95,29 +95,20 @@ impl FaultPlan {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    state: u64,
+    state: Stream,
 }
 
-impl FaultInjector {
-    /// Creates an injector over `plan` (validated).
-    pub fn new(plan: FaultPlan) -> FaultInjector {
-        plan.validate();
-        FaultInjector {
-            plan,
-            // splitmix64 tolerates any seed, including zero.
-            state: plan.seed,
-        }
-    }
+/// The private splitmix64 stream behind every seeded schedule in this
+/// module. Its one word of state is the whole cursor; splitmix64
+/// tolerates any seed, including zero.
+#[derive(Debug, Clone, Copy)]
+struct Stream(u64);
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// splitmix64: one step of the private stream.
+impl Stream {
+    /// One step of the stream.
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
+        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
@@ -134,17 +125,33 @@ impl FaultInjector {
     fn roll(&mut self, p: f64) -> bool {
         p > 0.0 && self.unit() < p
     }
+}
+
+impl FaultInjector {
+    /// Creates an injector over `plan` (validated).
+    pub fn new(plan: FaultPlan) -> FaultInjector {
+        plan.validate();
+        FaultInjector {
+            plan,
+            state: Stream(plan.seed),
+        }
+    }
+
+    /// The plan this injector executes.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
 
     /// A uniform fraction in `[0.1, 0.9)` — the point within a boot or
     /// stage at which an injected failure strikes.
     fn strike_point(&mut self) -> f64 {
-        0.1 + 0.8 * self.unit()
+        0.1 + 0.8 * self.state.unit()
     }
 
     /// Decides whether the cold boot starting now fails; `Some(frac)`
     /// is the fraction of the boot time spent before the failure.
     pub fn boot_fails(&mut self) -> Option<f64> {
-        if self.roll(self.plan.boot_fail) {
+        if self.state.roll(self.plan.boot_fail) {
             Some(self.strike_point())
         } else {
             None
@@ -154,7 +161,7 @@ impl FaultInjector {
     /// Decides whether the stage starting now crashes; `Some(frac)` is
     /// the fraction of the stage wall time before the crash.
     pub fn stage_crashes(&mut self) -> Option<f64> {
-        if self.roll(self.plan.crash) {
+        if self.state.roll(self.plan.crash) {
             Some(self.strike_point())
         } else {
             None
@@ -163,17 +170,17 @@ impl FaultInjector {
 
     /// Decides whether this thaw fails (losing the instance).
     pub fn thaw_fails(&mut self) -> bool {
-        self.roll(self.plan.thaw_fail)
+        self.state.roll(self.plan.thaw_fail)
     }
 
     /// Decides whether the reclamation starting now fails.
     pub fn reclaim_fails(&mut self) -> bool {
-        self.roll(self.plan.reclaim_fail)
+        self.state.roll(self.plan.reclaim_fail)
     }
 
     /// Decides whether the OOM killer fires for the current overcommit.
     pub fn oom_strikes(&mut self) -> bool {
-        self.roll(self.plan.oom_kill)
+        self.state.roll(self.plan.oom_kill)
     }
 }
 
@@ -225,7 +232,9 @@ mod snap_impls {
 
     // The stream cursor must survive, and `FaultPlan::restore`
     // already re-checks the ranges `FaultInjector::new` would assert.
-    snapshot::record!(FaultInjector { plan: FaultPlan, state: u64 });
+    // On the wire the cursor is its one `u64`.
+    snapshot::record!(Stream(u64));
+    snapshot::record!(FaultInjector { plan: FaultPlan, state: Stream });
 
     #[cfg(test)]
     mod tests {
@@ -511,7 +520,7 @@ impl StorageFaultPlan {
 #[derive(Debug, Clone)]
 pub struct StorageFaultInjector {
     plan: StorageFaultPlan,
-    state: u64,
+    state: Stream,
 }
 
 impl StorageFaultInjector {
@@ -520,30 +529,13 @@ impl StorageFaultInjector {
         plan.validate();
         StorageFaultInjector {
             plan,
-            state: plan.seed,
+            state: Stream(plan.seed),
         }
     }
 
     /// The plan this injector executes.
     pub fn plan(&self) -> &StorageFaultPlan {
         &self.plan
-    }
-
-    /// splitmix64: one step of the private stream.
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn roll(&mut self, p: f64) -> bool {
-        p > 0.0 && self.unit() < p
     }
 
     /// Decides the fate of the checkpoint write happening now.
@@ -554,7 +546,7 @@ impl StorageFaultInjector {
             (StorageFault::BitFlip, self.plan.bit_flip),
             (StorageFault::StaleCommit, self.plan.stale_commit),
         ] {
-            if self.roll(p) {
+            if self.state.roll(p) {
                 return Some(fault);
             }
         }
@@ -564,7 +556,7 @@ impl StorageFaultInjector {
     /// A uniform index in `[0, n)`; `n` must be nonzero.
     pub fn pick_index(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0, "pick_index over an empty range");
-        self.next_u64() % n.max(1)
+        self.state.next_u64() % n.max(1)
     }
 }
 
@@ -674,14 +666,6 @@ pub struct OutagePlan {
     pub windows: Vec<OutageWindow>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 impl OutagePlan {
     /// A plan over explicit windows.
     pub fn new(windows: Vec<OutageWindow>) -> OutagePlan {
@@ -701,13 +685,13 @@ impl OutagePlan {
         assert!(shards > 0, "a plan needs at least one shard");
         assert!(horizon > 1, "horizon must leave room for a window");
         assert!(max_len > 0, "windows must have positive length");
-        let mut state = seed;
+        let mut stream = Stream(seed);
         let windows = (0..count)
             .map(|_| {
-                let shard = (splitmix64(&mut state) % u64::from(shards)) as u32;
-                let start = 1 + splitmix64(&mut state) % (horizon - 1);
-                let rounds = 1 + splitmix64(&mut state) % max_len;
-                let draw = splitmix64(&mut state);
+                let shard = (stream.next_u64() % u64::from(shards)) as u32;
+                let start = 1 + stream.next_u64() % (horizon - 1);
+                let rounds = 1 + stream.next_u64() % max_len;
+                let draw = stream.next_u64();
                 let kind = if draw & 1 == 0 { OutageKind::Down } else { OutageKind::Partitioned };
                 let planned = kind == OutageKind::Down && draw & 2 == 0;
                 OutageWindow { shard, start, rounds, kind, planned }

@@ -114,8 +114,9 @@ impl HeapGraph {
         self.total_allocated_objects += 1;
         match self.free_slots.pop() {
             Some(idx) => {
-                debug_assert!(self.slots[idx as usize].is_none()); // tidy:allow(panic-reachability) -- slot indices come from ids this table allocated and validated
-                self.slots[idx as usize] = Some(obj); // tidy:allow(panic-reachability) -- slot indices come from ids this table allocated and validated
+                let slot = self.slot_mut(idx);
+                debug_assert!(slot.is_none());
+                *slot = Some(obj);
                 ObjectId(idx)
             }
             None => {
@@ -132,9 +133,10 @@ impl HeapGraph {
     /// Panics if `id` refers to a collected object; runtimes must not
     /// hold stale ids, so this indicates a collector bug.
     pub fn get(&self, id: ObjectId) -> &Object {
-        self.slots[id.0 as usize] // tidy:allow(panic-reachability) -- slot indices come from ids this table allocated and validated
-            .as_ref()
-            .expect("stale object id") // tidy:allow(panic-reachability) -- slot indices come from ids this table allocated and validated
+        self.slots
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
+            .expect("stale object id") // tidy:allow(panic-reachability) -- runtimes hold only ids this table allocated and has not swept
     }
 
     /// Mutable access to an object.
@@ -143,9 +145,15 @@ impl HeapGraph {
     ///
     /// Panics if `id` refers to a collected object.
     pub fn get_mut(&mut self, id: ObjectId) -> &mut Object {
-        self.slots[id.0 as usize] // tidy:allow(panic-reachability) -- slot indices come from ids this table allocated and validated
+        self.slot_mut(id.0)
             .as_mut()
-            .expect("stale object id") // tidy:allow(panic-reachability) -- slot indices come from ids this table allocated and validated
+            .expect("stale object id") // tidy:allow(panic-reachability) -- runtimes hold only ids this table allocated and has not swept
+    }
+
+    /// Slot `idx` of the table, live or free: the one place an index
+    /// into it is checked.
+    fn slot_mut(&mut self, idx: u32) -> &mut Option<Object> {
+        &mut self.slots[idx as usize] // tidy:allow(panic-reachability) -- slot indices come from ids and free-list entries this table allocated
     }
 
     /// True if `id` refers to a live slot.
@@ -432,10 +440,9 @@ mod snap_impls {
             let allocated_bytes = r.u64()?;
             let total_allocated_bytes = r.u64()?;
             let total_allocated_objects = r.u64()?;
-            let nslots = slots.len();
             if free_slots
                 .iter()
-                .any(|s| (*s as usize) >= nslots || slots[*s as usize].is_some()) // tidy:allow(panic-reachability) -- the short-circuit bound check guards the index
+                .any(|s| slots.get(*s as usize).is_none_or(Option::is_some))
             {
                 return Err(SnapError::Corrupt("HeapGraph free slot is occupied"));
             }

@@ -149,23 +149,24 @@ impl GoHeap {
     /// Carves `pages` Go pages from the arena bump (mapping a new arena
     /// as needed).
     fn carve(&mut self, sys: &mut System, pages: u32) -> Result<VirtAddr, SimOsError> {
-        let need = u64::from(pages) * GO_PAGE_SIZE;
         let arena_pages = GO_ARENA_SIZE / GO_PAGE_SIZE;
-        if self.arenas.is_empty() || self.bump_page + u64::from(pages) > arena_pages {
-            let addr = sys.mmap_named(
-                self.pid,
-                GO_ARENA_SIZE,
-                MappingKind::Anonymous,
-                Prot::ReadWrite,
-                "[go:arena]",
-            )?;
-            self.arenas.push(addr);
-            self.bump_page = 0;
-        }
-        let base = self.arenas.last().expect("just ensured"); // tidy:allow(panic-reachability) -- an arena was pushed on the line above
+        let base = match self.arenas.last() {
+            Some(&base) if self.bump_page + u64::from(pages) <= arena_pages => base,
+            _ => {
+                let addr = sys.mmap_named(
+                    self.pid,
+                    GO_ARENA_SIZE,
+                    MappingKind::Anonymous,
+                    Prot::ReadWrite,
+                    "[go:arena]",
+                )?;
+                self.arenas.push(addr);
+                self.bump_page = 0;
+                addr
+            }
+        };
         let addr = base.offset(self.bump_page * GO_PAGE_SIZE);
         self.bump_page += u64::from(pages);
-        let _ = need;
         Ok(addr)
     }
 
@@ -204,25 +205,30 @@ impl GoHeap {
     }
 
     fn small_alloc(&mut self, sys: &mut System, class: u32) -> Result<VirtAddr, SimOsError> {
-        if let Some(list) = self.partial.get_mut(&class) {
-            if let Some(&sid) = list.last() {
-                let span = self.spans[sid.index()].as_mut().expect("partial span"); // tidy:allow(panic-reachability) -- span ids are allocated by this heap and tracked in its own class lists
-                let slot = span.free_slots.pop().expect("partial span has slots"); // tidy:allow(panic-reachability) -- span ids are allocated by this heap and tracked in its own class lists
-                span.used += 1;
-                let addr = span.slot_addr(slot);
-                if span.free_slots.is_empty() {
-                    list.pop();
-                }
-                return Ok(addr);
+        // The newest partial span of the class, else a fresh one: a
+        // free span with enough pages, else a newly carved one.
+        let sid = match self.partial.get(&class).and_then(|list| list.last()) {
+            Some(&sid) => sid,
+            None => {
+                let sid = self.fresh_span(sys, class)?;
+                self.partial.entry(class).or_default().push(sid);
+                sid
             }
+        };
+        let (addr, has_more) = self.span_mut(sid).take_slot();
+        if !has_more {
+            self.partial.entry(class).or_default().pop();
         }
-        // Reuse a free span with enough pages, else carve a new one.
+        Ok(addr)
+    }
+
+    fn fresh_span(&mut self, sys: &mut System, class: u32) -> Result<SpanId, SimOsError> {
         let pages = crate::span::span_pages(class);
         let reuse = self
             .free_spans
             .iter()
             .position(|sid| self.span(*sid).pages == pages);
-        let sid = match reuse {
+        Ok(match reuse {
             Some(pos) => {
                 let sid = self.free_spans.swap_remove(pos);
                 let start = self.span(sid).start;
@@ -233,15 +239,7 @@ impl GoHeap {
                 let start = self.carve(sys, pages)?;
                 self.install_span(Span::for_class(start, class))
             }
-        };
-        let span = self.span_mut(sid);
-        let slot = span.free_slots.pop().expect("fresh span has slots"); // tidy:allow(panic-reachability) -- span ids are allocated by this heap and tracked in its own class lists
-        span.used += 1;
-        let addr = span.slot_addr(slot);
-        if !self.span(sid).free_slots.is_empty() {
-            self.partial.entry(class).or_default().push(sid);
-        }
-        Ok(addr)
+        })
     }
 
     fn span_of_addr(&self, addr: u64) -> SpanId {
@@ -272,7 +270,7 @@ impl GoHeap {
         for &(_, addr, size) in &dead {
             freed_bytes += u64::from(size);
             let sid = self.span_of_addr(addr);
-            let span = self.spans[sid.index()].as_mut().expect("span exists"); // tidy:allow(panic-reachability) -- span ids are allocated by this heap and tracked in its own class lists
+            let span = self.span_mut(sid);
             if span.class == 0 {
                 span.used = 0;
             } else {

@@ -98,6 +98,14 @@ impl Span {
         self.start.offset(u64::from(slot) * u64::from(self.class))
     }
 
+    /// Takes a free slot; returns its address and whether the span
+    /// still has free slots.
+    pub fn take_slot(&mut self) -> (VirtAddr, bool) {
+        let slot = self.free_slots.pop().expect("a span on offer has a free slot"); // tidy:allow(panic-reachability) -- the heap offers only fresh spans and the partial lists, which hold spans with a free slot
+        self.used += 1;
+        (self.slot_addr(slot), !self.free_slots.is_empty())
+    }
+
     /// Slot index of `addr`.
     ///
     /// # Panics

@@ -34,7 +34,7 @@ use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
 use simos::{Pid, SimDuration, System, VirtAddr};
 
-use crate::heap::HeapError;
+use crate::heap::{align_obj, HeapError};
 
 /// Region size (G1 picks 1–32 MiB by heap size; 1 MiB fits the 256 MiB
 /// instances here).
@@ -71,6 +71,18 @@ struct Region {
     top: u64,
     /// Whether the region's range has ever been committed (touched).
     committed: bool,
+    /// A mixed collection's tally for an old region: its live bytes
+    /// and live objects, in graph order.
+    live_bytes: u64,
+    live_objects: Vec<(ObjectId, u32)>,
+}
+
+impl Region {
+    /// Returns the region to the free list.
+    fn free(&mut self) {
+        self.kind = RegionKind::Free;
+        self.top = 0;
+    }
 }
 
 /// Configuration of a [`G1Heap`].
@@ -146,8 +158,16 @@ pub struct G1Heap {
     last_live_bytes: u64,
 }
 
-fn align_obj(n: u64) -> u64 {
-    n.div_ceil(8) * 8
+/// The index of the region holding heap address `addr`.
+fn region_index(base: VirtAddr, addr: u64) -> usize {
+    cast::to_usize((addr - base.0) / REGION_SIZE)
+}
+
+/// Region `idx` of the regions table: the one place a region index is
+/// checked. A field-level borrow, so a walk of the object graph can
+/// update the regions its objects sit in.
+fn region_in(regions: &mut [Region], idx: usize) -> &mut Region {
+    &mut regions[idx] // tidy:allow(panic-reachability) -- region indices come from scans of the fixed regions table and from addresses inside the heap reservation
 }
 
 impl G1Heap {
@@ -171,6 +191,8 @@ impl G1Heap {
                     kind: RegionKind::Free,
                     top: 0,
                     committed: false,
+                    live_bytes: 0,
+                    live_objects: Vec::new(),
                 };
                 nregions
             ],
@@ -229,8 +251,31 @@ impl G1Heap {
         self.base.offset(cast::to_u64(idx) * REGION_SIZE)
     }
 
-    fn region_of_addr(&self, addr: u64) -> usize {
-        cast::to_usize((addr - self.base.0) / REGION_SIZE)
+    /// Puts free region `idx` into service as `kind` with bump offset
+    /// `top`, committing its range on first use.
+    fn claim(&mut self, sys: &mut System, idx: usize, kind: RegionKind, top: u64) -> Result<(), HeapError> {
+        let (pid, addr) = (self.pid, self.region_addr(idx));
+        let region = region_in(&mut self.regions, idx);
+        if !region.committed {
+            sys.mprotect(pid, addr, REGION_SIZE, Prot::ReadWrite)?;
+            region.committed = true;
+        }
+        region.kind = kind;
+        region.top = top;
+        Ok(())
+    }
+
+    /// Bumps `asize` bytes in region `idx` if they fit; returns their
+    /// address.
+    fn bump(&mut self, idx: usize, asize: u64) -> Option<VirtAddr> {
+        let base = self.region_addr(idx);
+        let region = region_in(&mut self.regions, idx);
+        if region.top + asize > REGION_SIZE {
+            return None;
+        }
+        let addr = base.offset(region.top);
+        region.top += asize;
+        Some(addr)
     }
 
     /// Takes a free region for `kind`, committing it if needed.
@@ -242,12 +287,7 @@ impl G1Heap {
             .ok_or(HeapError::OutOfMemory {
                 requested: REGION_SIZE,
             })?;
-        if !self.regions[idx].committed { // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-            sys.mprotect(self.pid, self.region_addr(idx), REGION_SIZE, Prot::ReadWrite)?;
-            self.regions[idx].committed = true; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-        }
-        self.regions[idx].kind = kind; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-        self.regions[idx].top = 0; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
+        self.claim(sys, idx, kind, 0)?;
         Ok(idx)
     }
 
@@ -266,21 +306,12 @@ impl G1Heap {
                 run += 1;
                 if run == n {
                     for idx in start..start + n {
-                        if !self.regions[idx].committed { // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                            sys.mprotect(
-                                self.pid,
-                                self.region_addr(idx),
-                                REGION_SIZE,
-                                Prot::ReadWrite,
-                            )?;
-                            self.regions[idx].committed = true; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                        }
-                        self.regions[idx].kind = RegionKind::Humongous; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                        self.regions[idx].top = if idx == start + n - 1 { // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
+                        let top = if idx == start + n - 1 {
                             total_bytes - (cast::to_u64(n) - 1) * REGION_SIZE
                         } else {
                             REGION_SIZE
                         };
+                        self.claim(sys, idx, RegionKind::Humongous, top)?;
                     }
                     return Ok(start);
                 }
@@ -291,17 +322,6 @@ impl G1Heap {
         Err(HeapError::OutOfMemory {
             requested: cast::to_u64(n) * REGION_SIZE,
         })
-    }
-
-    fn charge_touch(&mut self, sys: &mut System, addr: VirtAddr, len: u64) -> Result<(), HeapError> {
-        if len == 0 {
-            return Ok(());
-        }
-        let start = VirtAddr(addr.0 / simos::PAGE_SIZE * simos::PAGE_SIZE);
-        let end = page_align_up(addr.0 + len);
-        let out = sys.touch(self.pid, start, end - start.0, true)?;
-        self.pending += self.os_cost.touch_cost(out);
-        Ok(())
     }
 
     /// Number of eden regions the young target allows.
@@ -322,7 +342,7 @@ impl G1Heap {
                 }
             };
             let addr = self.region_addr(start);
-            self.charge_touch(sys, addr, asize)?;
+            self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
             let id = self.graph.alloc(size, kind);
             self.graph.set_addr(id, addr.0);
             self.graph.get_mut(id).space_tag = tag::HUMONGOUS;
@@ -330,16 +350,12 @@ impl G1Heap {
         }
         for attempt in 0..3 {
             // Room in the current eden region?
-            if let Some(idx) = self.eden_current {
-                if self.regions[idx].top + asize <= REGION_SIZE { // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                    let addr = self.region_addr(idx).offset(self.regions[idx].top); // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                    self.regions[idx].top += asize; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                    self.charge_touch(sys, addr, asize)?;
-                    let id = self.graph.alloc(size, kind);
-                    self.graph.set_addr(id, addr.0);
-                    self.graph.get_mut(id).space_tag = tag::YOUNG;
-                    return Ok(id);
-                }
+            if let Some(addr) = self.eden_current.and_then(|idx| self.bump(idx, asize)) {
+                self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
+                let id = self.graph.alloc(size, kind);
+                self.graph.set_addr(id, addr.0);
+                self.graph.get_mut(id).space_tag = tag::YOUNG;
+                return Ok(id);
             }
             // Open another eden region if the young target allows.
             let eden_now = self.region_count(RegionKind::Eden);
@@ -374,17 +390,19 @@ impl G1Heap {
         let mut copied = 0;
         for &(id, size) in survivors {
             let asize = align_obj(u64::from(size));
-            let idx = match current {
-                Some(i) if self.regions[i].top + asize <= REGION_SIZE => i, // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                _ => {
+            let addr = match current.and_then(|i| self.bump(i, asize)) {
+                Some(addr) => addr,
+                None => {
+                    // Evacuated objects are small (`full_gc` re-places
+                    // humongous ones whole), so a fresh region fits one.
                     let i = self.take_region(sys, dest_kind)?;
                     current = Some(i);
-                    i
+                    let addr = self.region_addr(i);
+                    region_in(&mut self.regions, i).top = asize;
+                    addr
                 }
             };
-            let addr = self.region_addr(idx).offset(self.regions[idx].top); // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-            self.regions[idx].top += asize; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-            self.charge_touch(sys, addr, asize)?;
+            self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
             copied += asize;
             let obj = self.graph.get_mut(id);
             obj.addr = addr.0;
@@ -421,8 +439,7 @@ impl G1Heap {
         // evacuation so their space is reusable as destination.
         for r in &mut self.regions {
             if matches!(r.kind, RegionKind::Eden | RegionKind::Survivor) {
-                r.kind = RegionKind::Free;
-                r.top = 0;
+                r.free();
             }
         }
         self.eden_current = None;
@@ -456,29 +473,23 @@ impl G1Heap {
     pub fn mixed_gc(&mut self, sys: &mut System) -> Result<(), HeapError> {
         let live = mark(&self.graph, true, true);
         self.last_live_bytes = live.live_bytes;
-        // Live bytes per old region.
-        let mut live_in_region = vec![0u64; self.regions.len()];
-        let mut region_objects: Vec<Vec<(ObjectId, u32)>> = vec![Vec::new(); self.regions.len()];
-        for (id, o) in self.graph.iter() {
-            if o.space_tag != tag::OLD {
-                continue;
-            }
-            let r = self.region_of_addr(o.addr);
-            if live.is_live(id) {
-                live_in_region[r] += align_obj(u64::from(o.size)); // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                region_objects[r].push((id, o.size)); // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-            }
+        // Tally live bytes and objects per old region, and return the
+        // regions of dead humongous allocations whole.
+        for r in &mut self.regions {
+            r.live_bytes = 0;
+            r.live_objects.clear();
         }
-        // Dead humongous allocations: whole regions come back.
-        let mut dead_humongous_regions = 0;
-        for (id, o) in self.graph.iter() {
-            if o.space_tag == tag::HUMONGOUS && !live.is_live(id) {
-                let start = self.region_of_addr(o.addr);
+        let Self { graph, regions, base, .. } = self;
+        for (id, o) in graph.iter() {
+            if o.space_tag == tag::OLD && live.is_live(id) {
+                let region = region_in(regions, region_index(*base, o.addr));
+                region.live_bytes += align_obj(u64::from(o.size));
+                region.live_objects.push((id, o.size));
+            } else if o.space_tag == tag::HUMONGOUS && !live.is_live(id) {
+                let start = region_index(*base, o.addr);
                 let n = cast::to_usize(align_obj(u64::from(o.size)).div_ceil(REGION_SIZE));
-                for r in &mut self.regions[start..start + n] { // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-                    r.kind = RegionKind::Free;
-                    r.top = 0;
-                    dead_humongous_regions += 1;
+                for r in start..start + n {
+                    region_in(regions, r).free();
                 }
             }
         }
@@ -487,26 +498,25 @@ impl G1Heap {
             .regions
             .iter()
             .enumerate()
-            .filter(|(i, r)| {
+            .filter(|(_, r)| {
                 r.kind == RegionKind::Old
-                    && (r.top - live_in_region[*i]) as f64 // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
+                    && (r.top - r.live_bytes) as f64
                         > self.config.min_garbage_fraction * REGION_SIZE as f64
             })
-            .map(|(i, r)| (r.top - live_in_region[i], i)) // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
+            .map(|(i, r)| (r.top - r.live_bytes, i))
             .collect();
         candidates.sort_unstable_by(|a, b| b.cmp(a));
         let mut survivors = Vec::new();
         for &(_, i) in &candidates {
-            survivors.extend(region_objects[i].iter().copied()); // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-            self.regions[i].kind = RegionKind::Free; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
-            self.regions[i].top = 0; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
+            let region = region_in(&mut self.regions, i);
+            survivors.append(&mut region.live_objects);
+            region.free();
         }
         let copied = self.evacuate(sys, &survivors, RegionKind::Old, tag::OLD)?;
         let freed = self.graph.sweep(&live.marks);
         let pause = self.gc_cost.full_pause(live.live_objects, copied);
         self.pending += pause;
         self.counters.record(GcKind::Full, copied, 0, freed, pause);
-        let _ = dead_humongous_regions;
         Ok(())
     }
 
@@ -530,8 +540,7 @@ impl G1Heap {
         // Everything becomes free, then live objects are re-placed.
         for r in &mut self.regions {
             if r.kind != RegionKind::Free {
-                r.kind = RegionKind::Free;
-                r.top = 0;
+                r.free();
             }
         }
         self.eden_current = None;
@@ -542,7 +551,7 @@ impl G1Heap {
             let addr = self.region_addr(start);
             // The evacuation copies the object: its destination pages
             // become resident.
-            self.charge_touch(sys, addr, asize)?;
+            self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
             self.graph.get_mut(id).addr = addr.0;
         }
         let freed = self.graph.sweep(&live.marks);
@@ -559,8 +568,7 @@ impl G1Heap {
         let pending_before = self.pending;
         self.full_gc(sys)?;
         let mut released = 0;
-        for i in 0..self.regions.len() {
-            let r = &self.regions[i]; // tidy:allow(panic-reachability) -- region indices come from scans bounded by the fixed regions table
+        for (i, r) in self.regions.iter().enumerate() {
             if r.committed && r.kind == RegionKind::Free {
                 released += sys.release(self.pid, self.region_addr(i), REGION_SIZE)?;
             } else if r.kind != RegionKind::Free {

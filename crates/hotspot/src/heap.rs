@@ -6,7 +6,7 @@ use gc_core::trace::{mark, mark_with_extra_roots};
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
-use simos::{Pid, SimDuration, System, VirtAddr, PAGE_SIZE};
+use simos::{Pid, SimDuration, System, VirtAddr};
 
 use crate::config::HotSpotConfig;
 use crate::layout::{tag, HeapLayout, SpaceId};
@@ -76,7 +76,7 @@ pub struct HotSpotHeap {
 /// Object alignment, like HotSpot's 8-byte object alignment.
 const OBJ_ALIGN: u64 = 8;
 
-fn align_obj(n: u64) -> u64 {
+pub(crate) fn align_obj(n: u64) -> u64 {
     n.div_ceil(OBJ_ALIGN) * OBJ_ALIGN
 }
 
@@ -181,17 +181,6 @@ impl HotSpotHeap {
         std::mem::take(&mut self.pending)
     }
 
-    fn charge_touch(&mut self, sys: &mut System, addr: VirtAddr, len: u64) -> Result<(), HeapError> {
-        if len == 0 {
-            return Ok(());
-        }
-        let start = VirtAddr(addr.0 / PAGE_SIZE * PAGE_SIZE);
-        let end = page_align_up(addr.0 + len);
-        let out = sys.touch(self.pid, start, end - start.0, true)?;
-        self.pending += self.os_cost.touch_cost(out);
-        Ok(())
-    }
-
     /// Allocates an object. May trigger young or full collections.
     pub fn alloc(
         &mut self,
@@ -215,7 +204,7 @@ impl HotSpotHeap {
             if self.eden_top.0 + asize <= eden_end {
                 let addr = self.eden_top;
                 self.eden_top = VirtAddr(self.eden_top.0 + asize);
-                self.charge_touch(sys, addr, asize)?;
+                self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                 let id = self.graph.alloc(size, kind);
                 self.graph.set_addr(id, addr.0);
                 self.graph.get_mut(id).space_tag = tag::EDEN;
@@ -244,7 +233,7 @@ impl HotSpotHeap {
             if self.old_top.0 + asize <= end {
                 let addr = self.old_top;
                 self.old_top = VirtAddr(self.old_top.0 + asize);
-                self.charge_touch(sys, addr, asize)?;
+                self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                 return Ok(addr);
             }
             let needed = self.old_used() + asize;
@@ -341,7 +330,7 @@ impl HotSpotHeap {
                 obj.age = age + 1;
             }
         }
-        self.charge_touch(sys, to_base, to_top.0 - to_base.0)?;
+        self.pending += self.os_cost.charge_touch(sys, self.pid, to_base, to_top.0 - to_base.0)?;
 
         // Dead young objects are freed; every old object was a root and
         // is therefore marked, so a plain sweep touches only the young.
@@ -423,7 +412,7 @@ impl HotSpotHeap {
             top = VirtAddr(top.0 + asize);
         }
         self.old_top = top;
-        self.charge_touch(sys, old_base, top.0 - old_base.0)?;
+        self.pending += self.os_cost.charge_touch(sys, self.pid, old_base, top.0 - old_base.0)?;
 
         let freed = self.graph.sweep(&live.marks);
         let (eden_base, _) = self.layout.space_range(SpaceId::Eden);
@@ -592,6 +581,7 @@ snapshot::record!(HotSpotHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simos::PAGE_SIZE;
 
     fn setup(budget: u64) -> (System, HotSpotHeap) {
         let mut sys = System::new();

@@ -116,8 +116,7 @@ impl Instance {
                 "[native]",
             )
             .map_err(map_os)?;
-        let out = sys.touch(pid, native_addr, native_len, true).map_err(map_os)?;
-        pending += os_cost.touch_cost(out);
+        pending += os_cost.charge_touch(sys, pid, native_addr, native_len).map_err(map_os)?;
         let heap = RuntimeHeap::for_language(sys, pid, image.language, budget)?;
         Ok(Instance {
             pid,

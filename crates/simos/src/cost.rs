@@ -7,7 +7,9 @@
 //! those unit costs so the simulation charges them consistently.
 
 use crate::clock::SimDuration;
-use crate::mem::TouchOutcome;
+use crate::error::SimOsResult;
+use crate::mem::{page_align_up, TouchOutcome, VirtAddr, PAGE_SIZE};
+use crate::system::{Pid, System};
 
 /// Unit costs of memory events.
 #[derive(Debug, Clone, Copy)]
@@ -44,9 +46,23 @@ impl CostModel {
             + self.swap_in * out.swap_ins
     }
 
+    /// Writes `len` bytes at `addr` in `pid`: every page the range
+    /// overlaps is touched, and the faults it takes are returned as
+    /// latency. An empty range touches nothing. This is the one
+    /// page-touch charge the heap models use for allocation and for
+    /// evacuation copies.
+    pub fn charge_touch(&self, sys: &mut System, pid: Pid, addr: VirtAddr, len: u64) -> SimOsResult<SimDuration> {
+        if len == 0 {
+            return Ok(SimDuration::ZERO);
+        }
+        let start = addr.0 / PAGE_SIZE * PAGE_SIZE;
+        let out = sys.touch(pid, VirtAddr(start), page_align_up(addr.0 + len) - start, true)?;
+        Ok(self.touch_cost(out))
+    }
+
     /// Latency charged for releasing `bytes` back to the OS.
     pub fn release_cost(&self, bytes: u64) -> SimDuration {
-        self.release_per_page * (bytes / crate::mem::PAGE_SIZE)
+        self.release_per_page * (bytes / PAGE_SIZE)
     }
 }
 

@@ -136,10 +136,16 @@ pub mod pagebits {
             self.words[w] // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
         }
 
+        /// Mutable word `w`: with [`PageBits::word`], the only places a
+        /// word index is checked.
+        fn word_mut(&mut self, w: usize) -> &mut u64 {
+            &mut self.words[w] // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+        }
+
         /// Whether page `idx` is set.
         pub fn get(&self, idx: usize) -> bool {
             debug_assert!(idx < self.npages);
-            self.words[idx / 64] >> (idx % 64) & 1 != 0 // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+            self.word(idx / 64) >> (idx % 64) & 1 != 0
         }
 
         /// Sets page `idx`; returns true if it was newly set.
@@ -154,15 +160,17 @@ pub mod pagebits {
 
         /// ORs `bits` into word `w`; returns how many were newly set.
         pub fn set_word_bits(&mut self, w: usize, bits: u64) -> u64 {
-            let newly = bits & !self.words[w]; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
-            self.words[w] |= bits; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+            let word = self.word_mut(w);
+            let newly = bits & !*word;
+            *word |= bits;
             u64::from(newly.count_ones())
         }
 
         /// Clears `bits` in word `w`; returns how many were set before.
         pub fn clear_word_bits(&mut self, w: usize, bits: u64) -> u64 {
-            let had = bits & self.words[w]; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
-            self.words[w] &= !bits; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+            let word = self.word_mut(w);
+            let had = bits & *word;
+            *word &= !bits;
             u64::from(had.count_ones())
         }
 
@@ -188,7 +196,7 @@ pub mod pagebits {
         pub fn count_range(&self, first: usize, last: usize) -> u64 {
             debug_assert!(first <= last && last <= self.npages);
             masked_words(first, last)
-                .map(|(w, mask)| u64::from((self.words[w] & mask).count_ones())) // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+                .map(|(w, mask)| u64::from((self.word(w) & mask).count_ones()))
                 .sum()
         }
 
@@ -305,20 +313,28 @@ pub mod reference {
 
         /// Raw flags of page `idx`.
         pub fn get(&self, idx: usize) -> u8 {
-            self.flags[idx] // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+            self.flags[idx] // tidy:allow(panic-reachability) -- page indices derive from addresses bounded by the fixed page count
+        }
+
+        /// Mutable flags of page `idx`: with [`NaivePages::get`], the
+        /// only places a page index is checked.
+        fn flags_mut(&mut self, idx: usize) -> &mut u8 {
+            &mut self.flags[idx] // tidy:allow(panic-reachability) -- page indices derive from addresses bounded by the fixed page count
         }
 
         /// Sets `flag` on page `idx`; returns true if newly set.
         pub fn set_flag(&mut self, idx: usize, flag: u8) -> bool {
-            let had = self.flags[idx] & flag != 0; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
-            self.flags[idx] |= flag; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+            let flags = self.flags_mut(idx);
+            let had = *flags & flag != 0;
+            *flags |= flag;
             !had
         }
 
         /// Clears `flag` on page `idx`; returns true if previously set.
         pub fn clear_flag(&mut self, idx: usize, flag: u8) -> bool {
-            let had = self.flags[idx] & flag != 0; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
-            self.flags[idx] &= !flag; // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+            let flags = self.flags_mut(idx);
+            let had = *flags & flag != 0;
+            *flags &= !flag;
             had
         }
 
@@ -442,6 +458,16 @@ impl TouchOutcome {
         self.file_faults += other.file_faults;
         self.swap_ins += other.swap_ins;
     }
+}
+
+/// Which one of a mapping's four per-page bitmaps a range op updates
+/// (the [`page_flags`] bits, one at a time).
+#[derive(Debug, Clone, Copy)]
+enum Flag {
+    Resident,
+    Dirty,
+    Swapped,
+    NoAccess,
 }
 
 /// A contiguous virtual mapping.
@@ -577,50 +603,35 @@ impl Mapping {
         crate::cast::to_usize((addr.0 - self.start.0) / PAGE_SIZE)
     }
 
-    fn set_flag_range(&mut self, flag: u8, first: usize, last: usize) -> u64 {
-        self.mark_epoch_dirty(first, last);
+    /// The bitmap behind `flag`, with the page count it keeps in sync
+    /// (`NoAccess` keeps none).
+    fn flag_bits(&mut self, flag: Flag) -> (&mut PageBits, Option<&mut u64>) {
         match flag {
-            page_flags::RESIDENT => {
-                let n = self.resident.set_range(first, last);
-                self.resident_pages += n;
-                n
-            }
-            page_flags::DIRTY => {
-                let n = self.dirty.set_range(first, last);
-                self.dirty_pages += n;
-                n
-            }
-            page_flags::SWAPPED => {
-                let n = self.swapped.set_range(first, last);
-                self.swapped_pages += n;
-                n
-            }
-            page_flags::NOACCESS => self.noaccess.set_range(first, last),
-            _ => unreachable!("set_flag_range takes a single flag"), // tidy:allow(panic-reachability) -- callers pass exactly one of the defined flag constants
+            Flag::Resident => (&mut self.resident, Some(&mut self.resident_pages)),
+            Flag::Dirty => (&mut self.dirty, Some(&mut self.dirty_pages)),
+            Flag::Swapped => (&mut self.swapped, Some(&mut self.swapped_pages)),
+            Flag::NoAccess => (&mut self.noaccess, None),
         }
     }
 
-    fn clear_flag_range(&mut self, flag: u8, first: usize, last: usize) -> u64 {
+    fn set_flag_range(&mut self, flag: Flag, first: usize, last: usize) -> u64 {
         self.mark_epoch_dirty(first, last);
-        match flag {
-            page_flags::RESIDENT => {
-                let n = self.resident.clear_range(first, last);
-                self.resident_pages -= n;
-                n
-            }
-            page_flags::DIRTY => {
-                let n = self.dirty.clear_range(first, last);
-                self.dirty_pages -= n;
-                n
-            }
-            page_flags::SWAPPED => {
-                let n = self.swapped.clear_range(first, last);
-                self.swapped_pages -= n;
-                n
-            }
-            page_flags::NOACCESS => self.noaccess.clear_range(first, last),
-            _ => unreachable!("clear_flag_range takes a single flag"), // tidy:allow(panic-reachability) -- callers pass exactly one of the defined flag constants
+        let (bits, count) = self.flag_bits(flag);
+        let n = bits.set_range(first, last);
+        if let Some(count) = count {
+            *count += n;
         }
+        n
+    }
+
+    fn clear_flag_range(&mut self, flag: Flag, first: usize, last: usize) -> u64 {
+        self.mark_epoch_dirty(first, last);
+        let (bits, count) = self.flag_bits(flag);
+        let n = bits.clear_range(first, last);
+        if let Some(count) = count {
+            *count -= n;
+        }
+        n
     }
 
     /// `(word_index, bits)` for every word overlapping `[first, last)`,
@@ -780,9 +791,9 @@ impl Mapping {
     /// swapped copies) are discarded. Returns freed resident bytes.
     fn release_range(&mut self, files: &mut FileRegistry, first: usize, last: usize) -> u64 {
         self.drop_cache_refs(files, first, last);
-        let freed = self.clear_flag_range(page_flags::RESIDENT, first, last) * PAGE_SIZE;
-        self.clear_flag_range(page_flags::SWAPPED, first, last);
-        self.clear_flag_range(page_flags::DIRTY, first, last);
+        let freed = self.clear_flag_range(Flag::Resident, first, last) * PAGE_SIZE;
+        self.clear_flag_range(Flag::Swapped, first, last);
+        self.clear_flag_range(Flag::Dirty, first, last);
         freed
     }
 
@@ -801,11 +812,11 @@ impl Mapping {
                 // Contents are discarded like a release, and the range
                 // becomes inaccessible until re-protected.
                 let freed = self.release_range(files, first, last);
-                self.set_flag_range(page_flags::NOACCESS, first, last);
+                self.set_flag_range(Flag::NoAccess, first, last);
                 freed
             }
             Prot::Read | Prot::ReadWrite => {
-                self.clear_flag_range(page_flags::NOACCESS, first, last);
+                self.clear_flag_range(Flag::NoAccess, first, last);
                 0
             }
         }
@@ -1013,8 +1024,7 @@ impl AddressSpace {
         let end = addr.0 + len;
         // Check the previous mapping does not run into us and the next
         // does not start inside us.
-        if let Some(m) = self.mapping_at(addr) {
-            let _ = m;
+        if self.mapping_at(addr).is_some() {
             return Err(SimOsError::MappingOverlap { addr });
         }
         if self.mappings.range(addr.0..end).next().is_some() {
@@ -1421,10 +1431,10 @@ mod tests {
                 m.swap_out_range(f, a, b);
             }),
             ("set dirty", |m, _, a, b| {
-                m.set_flag_range(page_flags::DIRTY, a, b);
+                m.set_flag_range(Flag::Dirty, a, b);
             }),
             ("clear resident", |m, _, a, b| {
-                m.clear_flag_range(page_flags::RESIDENT, a, b);
+                m.clear_flag_range(Flag::Resident, a, b);
             }),
         ];
         let npages = 130;

@@ -85,18 +85,18 @@ impl Chunk {
     /// First-fit allocation of `len` bytes; returns the absolute
     /// address, or `None` if no run is large enough.
     pub fn alloc(&mut self, len: u32) -> Option<VirtAddr> {
-        for i in 0..self.free_runs.len() {
-            let (off, run) = self.free_runs[i]; // tidy:allow(panic-reachability) -- the run index comes from the scan loop over free_runs itself
-            if run >= len {
-                if run == len {
-                    self.free_runs.remove(i);
-                } else {
-                    self.free_runs[i] = (off + len, run - len); // tidy:allow(panic-reachability) -- the run index comes from the scan loop over free_runs itself
-                }
-                return Some(self.addr.offset(u64::from(off)));
-            }
+        let (i, fit) = self
+            .free_runs
+            .iter_mut()
+            .enumerate()
+            .find(|(_, (_, run))| *run >= len)?;
+        let (off, run) = *fit;
+        if run == len {
+            self.free_runs.remove(i);
+        } else {
+            *fit = (off + len, run - len);
         }
-        None
+        Some(self.addr.offset(u64::from(off)))
     }
 
     /// Rebuilds the free list from the sorted live ranges

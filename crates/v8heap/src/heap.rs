@@ -108,6 +108,12 @@ pub struct V8Heap {
 const MAJOR_GC_INITIAL_THRESHOLD: u64 = 24 << 20;
 const MAJOR_GC_GROWTH_FACTOR: f64 = 1.5;
 
+/// Mutable chunk `id` of the chunk table. It borrows only the table,
+/// so a caller can walk one of the chunk lists while it mutates chunks.
+fn chunk_in(chunks: &mut [Option<Chunk>], id: ChunkId) -> &mut Chunk {
+    chunks[id.index()].as_mut().expect("stale chunk id") // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old/large lists hold only live ids
+}
+
 impl V8Heap {
     /// Creates a heap in process `pid` with the initial young
     /// generation mapped.
@@ -214,11 +220,7 @@ impl V8Heap {
     }
 
     fn chunk(&self, id: ChunkId) -> &Chunk {
-        self.chunks[id.index()].as_ref().expect("stale chunk id") // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
-    }
-
-    fn chunk_mut(&mut self, id: ChunkId) -> &mut Chunk {
-        self.chunks[id.index()].as_mut().expect("stale chunk id") // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
+        self.chunks[id.index()].as_ref().expect("stale chunk id") // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old/large lists hold only live ids
     }
 
     fn map_chunk(
@@ -259,8 +261,7 @@ impl V8Heap {
         };
         let addr = sys.mmap_named(self.pid, size, MappingKind::Anonymous, Prot::ReadWrite, name)?;
         // The header page is written immediately (chunk metadata).
-        let out = sys.touch(self.pid, addr, CHUNK_HEADER, true)?;
-        self.pending += self.os_cost.touch_cost(out);
+        self.pending += self.os_cost.charge_touch(sys, self.pid, addr, CHUNK_HEADER)?;
         let chunk = Chunk::new(addr, size, space);
         let id = ChunkId(cast::to_u32(self.chunks.len()));
         self.chunks.push(Some(chunk));
@@ -269,9 +270,11 @@ impl V8Heap {
     }
 
     fn unmap_chunk(&mut self, sys: &mut System, id: ChunkId) -> Result<(), V8HeapError> {
-        let chunk = self.chunks[id.index()] // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
-            .take()
-            .expect("double unmap of chunk"); // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
+        let chunk = self
+            .chunks
+            .get_mut(id.index())
+            .and_then(Option::take)
+            .expect("double unmap of chunk"); // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old/large lists hold only live ids
         self.addr_to_chunk.remove(&chunk.addr.0);
         sys.munmap(self.pid, chunk.addr)?;
         Ok(())
@@ -283,20 +286,9 @@ impl V8Heap {
             .addr_to_chunk
             .range(..=addr)
             .next_back()
-            .expect("address not in any chunk"); // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
+            .expect("address not in any chunk"); // tidy:allow(panic-reachability) -- objects are only placed at addresses inside chunks this heap mapped
         debug_assert!(addr < self.chunk(*id).addr.0 + self.chunk(*id).size);
         *id
-    }
-
-    fn charge_touch(&mut self, sys: &mut System, addr: VirtAddr, len: u64) -> Result<(), V8HeapError> {
-        if len == 0 {
-            return Ok(());
-        }
-        let start = VirtAddr(addr.0 / simos::PAGE_SIZE * simos::PAGE_SIZE);
-        let end = page_align_up(addr.0 + len);
-        let out = sys.touch(self.pid, start, end - start.0, true)?;
-        self.pending += self.os_cost.touch_cost(out);
-        Ok(())
     }
 
     /// Allocates an object in the young generation (or the large-object
@@ -317,7 +309,7 @@ impl V8Heap {
             // semispace; treat that like a full semispace and collect.
             match self.try_young_bump(sys, asize) {
                 Ok(Some(addr)) => {
-                    self.charge_touch(sys, addr, asize)?;
+                    self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                     let id = self.graph.alloc(size, kind);
                     self.graph.set_addr(id, addr.0);
                     self.graph.get_mut(id).space_tag = tag::YOUNG;
@@ -349,14 +341,19 @@ impl V8Heap {
         asize: u64,
     ) -> Result<Option<VirtAddr>, V8HeapError> {
         loop {
-            if self.from_cursor >= self.from.len() {
-                if self.from.len() >= self.semispace_chunks {
-                    return Ok(None);
+            // The cursor never runs more than one past the list: it
+            // only advances onto a chunk this loop then maps.
+            let id = match self.from.get(self.from_cursor) {
+                Some(&id) => id,
+                None if self.from.len() >= self.semispace_chunks => return Ok(None),
+                None => {
+                    debug_assert_eq!(self.from_cursor, self.from.len());
+                    let c = self.map_chunk(sys, CHUNK_SIZE, ChunkSpace::Young)?;
+                    self.from.push(c);
+                    c
                 }
-                let c = self.map_chunk(sys, CHUNK_SIZE, ChunkSpace::Young)?;
-                self.from.push(c);
-            }
-            let chunk_addr = self.chunk(self.from[self.from_cursor]).addr; // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
+            };
+            let chunk_addr = self.chunk(id).addr;
             if self.from_offset + asize <= CHUNK_SIZE {
                 let addr = chunk_addr.offset(self.from_offset);
                 self.from_offset += asize;
@@ -387,7 +384,7 @@ impl V8Heap {
         };
         self.large.push(cid);
         let addr = self.chunk(cid).addr.offset(CHUNK_HEADER);
-        self.charge_touch(sys, addr, u64::from(size))?;
+        self.pending += self.os_cost.charge_touch(sys, self.pid, addr, u64::from(size))?;
         let id = self.graph.alloc(size, kind);
         self.graph.set_addr(id, addr.0);
         self.graph.get_mut(id).space_tag = tag::LARGE;
@@ -401,11 +398,8 @@ impl V8Heap {
     /// (evacuation); hitting the heap limit there is a genuine OOM
     /// rather than a cue to re-enter the collector.
     fn old_alloc(&mut self, sys: &mut System, asize: u32, allow_gc: bool) -> Result<VirtAddr, V8HeapError> {
-        for i in 0..self.old.len() {
-            let id = self.old[i]; // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
-            if let Some(addr) = self.chunk_mut(id).alloc(asize) {
-                return Ok(addr);
-            }
+        if let Some(addr) = self.old_fit(asize) {
+            return Ok(addr);
         }
         let first_try = if allow_gc {
             self.map_chunk(sys, CHUNK_SIZE, ChunkSpace::Old)
@@ -419,22 +413,24 @@ impl V8Heap {
             Err(V8HeapError::OutOfMemory { .. }) if allow_gc => {
                 self.major_gc(sys, true)?;
                 // Retry the free lists after the GC before growing.
-                for i in 0..self.old.len() {
-                    let id = self.old[i]; // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
-                    if let Some(addr) = self.chunk_mut(id).alloc(asize) {
-                        return Ok(addr);
-                    }
+                if let Some(addr) = self.old_fit(asize) {
+                    return Ok(addr);
                 }
                 self.map_chunk(sys, CHUNK_SIZE, ChunkSpace::Old)?
             }
             Err(e) => return Err(e),
         };
         self.old.push(cid);
-        let addr = self
-            .chunk_mut(cid)
+        let addr = chunk_in(&mut self.chunks, cid)
             .alloc(asize)
             .expect("fresh chunk must fit a small object"); // tidy:allow(panic-reachability) -- a fresh chunk is empty and small objects fit by the size-class bound
         Ok(addr)
+    }
+
+    /// First fit of `asize` bytes in the old chunks, in list order.
+    fn old_fit(&mut self, asize: u32) -> Option<VirtAddr> {
+        let Self { old, chunks, .. } = self;
+        old.iter().find_map(|&id| chunk_in(chunks, id).alloc(asize))
     }
 
     /// Ids of all non-young objects, used as conservative scavenge
@@ -485,15 +481,20 @@ impl V8Heap {
             let mut dest = None;
             if !tenured {
                 loop {
-                    if to_cursor >= self.to.len() {
-                        if self.to.len() >= self.semispace_chunks {
-                            break;
+                    // As in `try_young_bump`, the cursor runs at most
+                    // one past the list.
+                    let id = match self.to.get(to_cursor) {
+                        Some(&id) => id,
+                        None if self.to.len() >= self.semispace_chunks => break,
+                        None => {
+                            debug_assert_eq!(to_cursor, self.to.len());
+                            let c = self.map_chunk_emergency(sys, CHUNK_SIZE, ChunkSpace::Young)?;
+                            self.to.push(c);
+                            c
                         }
-                        let c = self.map_chunk_emergency(sys, CHUNK_SIZE, ChunkSpace::Young)?;
-                        self.to.push(c);
-                    }
+                    };
                     if to_offset + asize <= CHUNK_SIZE {
-                        let addr = self.chunk(self.to[to_cursor]).addr.offset(to_offset); // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
+                        let addr = self.chunk(id).addr.offset(to_offset);
                         to_offset += asize;
                         dest = Some(addr);
                         break;
@@ -507,7 +508,7 @@ impl V8Heap {
             }
             match dest {
                 Some(addr) => {
-                    self.charge_touch(sys, addr, asize)?;
+                    self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                     copied += asize;
                     let obj = self.graph.get_mut(id);
                     obj.addr = addr.0;
@@ -515,7 +516,7 @@ impl V8Heap {
                 }
                 None => {
                     let addr = self.old_alloc(sys, cast::to_u32(asize), false)?;
-                    self.charge_touch(sys, addr, asize)?;
+                    self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                     promoted += asize;
                     let obj = self.graph.get_mut(id);
                     obj.addr = addr.0;
@@ -594,17 +595,15 @@ impl V8Heap {
         // Unmap surplus semispace chunks beyond the new target, and
         // release the (now unused) pages of the remaining to-space —
         // V8 releases to-space memory when shrinking.
-        while self.from.len() > self.semispace_chunks {
-            let id = self.from.pop().expect("length checked"); // tidy:allow(panic-reachability) -- the loop condition checked the length
+        let keep = self.semispace_chunks;
+        for id in self.from.split_off(keep.min(self.from.len())).into_iter().rev() {
             self.unmap_chunk(sys, id)?;
         }
-        while self.to.len() > self.semispace_chunks {
-            let id = self.to.pop().expect("length checked"); // tidy:allow(panic-reachability) -- the loop condition checked the length
+        for id in self.to.split_off(keep.min(self.to.len())).into_iter().rev() {
             self.unmap_chunk(sys, id)?;
         }
         let mut released = 0u64;
-        for i in 0..self.to.len() {
-            let id = self.to[i]; // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
+        for &id in &self.to {
             for (addr, len) in self.chunk(id).releasable_pages() {
                 released += sys.release(self.pid, addr, len)?;
             }
@@ -638,7 +637,7 @@ impl V8Heap {
         for (id, size) in survivors {
             let asize = u64::from(size).div_ceil(8) * 8;
             let addr = self.old_alloc(sys, cast::to_u32(asize), false)?;
-            self.charge_touch(sys, addr, asize)?;
+            self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
             evacuated += asize;
             let obj = self.graph.get_mut(id);
             obj.addr = addr.0;
@@ -660,12 +659,12 @@ impl V8Heap {
                 let asize = u64::from(obj.size).div_ceil(8) * 8;
                 per_chunk
                     .get_mut(&cid)
-                    .expect("old object in unknown chunk") // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old lists hold only live ids
+                    .expect("old object in unknown chunk") // tidy:allow(panic-reachability) -- old-space objects are only placed in chunks on the old list
                     .push((cast::to_u32(obj.addr - chunk_base), cast::to_u32(asize)));
             }
         }
         for (cid, livelist) in per_chunk {
-            self.chunk_mut(cid).rebuild_free_runs(livelist);
+            chunk_in(&mut self.chunks, cid).rebuild_free_runs(livelist);
         }
 
         // Dead large objects: unmap their chunks.

@@ -31,12 +31,11 @@ pub mod rules;
 pub mod walk;
 
 pub use rules::{check_manifest, check_source, Finding, Rule, RULES};
-pub use walk::check_files;
+pub use walk::{check_files, Audit};
 
 use std::path::Path;
 
-/// Runs the full audit over `root`; findings come back sorted by
-/// (path, line, rule, message).
-pub fn tidy(root: &Path) -> Result<Vec<Finding>, String> {
+/// Runs the full audit over `root`.
+pub fn tidy(root: &Path) -> Result<Audit, String> {
     walk::run(root)
 }

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{Finding, RULES};
+use xtask::{Audit, Finding, RULES};
 
 const USAGE: &str = "usage: cargo run -p xtask -- <command>
 
@@ -77,8 +77,8 @@ fn tidy(flags: &[String]) -> ExitCode {
             .join("..")
             .join("..")
     });
-    let findings = match xtask::tidy(&root) {
-        Ok(f) => f,
+    let audit = match xtask::tidy(&root) {
+        Ok(a) => a,
         Err(e) => {
             eprintln!("tidy: {e}");
             return ExitCode::from(2);
@@ -86,8 +86,8 @@ fn tidy(flags: &[String]) -> ExitCode {
     };
 
     let rendered = match format.as_str() {
-        "json" => render_json(&findings),
-        _ => render_text(&findings, fix_hints),
+        "json" => render_json(&audit.findings),
+        _ => render_text(&audit, fix_hints),
     };
     print!("{rendered}");
     if let Some(out) = out_file {
@@ -99,19 +99,19 @@ fn tidy(flags: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if findings.is_empty() {
+    if audit.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-fn render_text(findings: &[Finding], fix_hints: bool) -> String {
-    let mut out = String::new();
+fn render_text(audit: &Audit, fix_hints: bool) -> String {
+    let findings = &audit.findings;
     if findings.is_empty() {
-        out.push_str(&format!("tidy: OK ({} rules enforced)\n", RULES.len()));
-        return out;
+        return format!("{}\n", audit.summary());
     }
+    let mut out = String::new();
     for f in findings {
         out.push_str(&format!("{}:{}: [{}] {}\n", f.path, f.line, f.rule, f.message));
         if fix_hints && !f.hint.is_empty() {

@@ -69,8 +69,10 @@ pub const RULES: &[Rule] = &[
         family: "robustness",
         summary: "panic!/unwrap/expect/bare-index transitively reachable from a hot-path root",
         hint: "return a typed error (faas::PlatformError / simos::SimError / SnapError), \
-               restructure with let-else / match / .get(), or justify the invariant with \
-               `// tidy:allow(panic-reachability) -- why`",
+               restructure with an iterator / let-else / match / .get(), or route the \
+               index through its table's one checked accessor (`HeapGraph::get(id)`, \
+               `V8Heap::chunk(id)`), whose single \
+               `// tidy:allow(panic-reachability) -- why` states the invariant once",
     },
     Rule {
         name: "determinism-dataflow",

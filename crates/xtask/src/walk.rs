@@ -73,9 +73,30 @@ fn rel_path(root: &Path, p: &Path) -> String {
         .join("/")
 }
 
-/// Runs every tidy pass over the workspace rooted at `root`. Returns
-/// findings sorted by (path, line, rule, message).
-pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
+/// What one audit found.
+#[derive(Debug)]
+pub struct Audit {
+    /// Findings sorted by (path, line, rule, message).
+    pub findings: Vec<Finding>,
+    /// `tidy:allow` markers in the scanned sources, per rule name.
+    pub allows: BTreeMap<String, usize>,
+}
+
+impl Audit {
+    /// The line a clean audit prints: the rules enforced and the allow
+    /// markers per rule, most first.
+    pub fn summary(&self) -> String {
+        // A stable sort keeps equal counts in rule-name order.
+        let mut by_count: Vec<(&String, &usize)> = self.allows.iter().collect();
+        by_count.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+        let per_rule: Vec<String> = by_count.iter().map(|(r, n)| format!("{r} {n}")).collect();
+        let (rules, total) = (rules::RULES.len(), self.allows.values().sum::<usize>());
+        format!("tidy: OK ({rules} rules enforced; {total} allow markers: {})", per_rule.join(", "))
+    }
+}
+
+/// Runs every tidy pass over the workspace rooted at `root`.
+pub fn run(root: &Path) -> Result<Audit, String> {
     let mut rs = Vec::new();
     let mut tomls = Vec::new();
     walk_files(root, &mut rs, &mut tomls)?;
@@ -92,10 +113,10 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     let sources = rs.iter().map(read).collect::<Result<Vec<_>, String>>()?;
     let manifests = tomls.iter().map(read).collect::<Result<Vec<_>, String>>()?;
     let scanned: Vec<&str> = sources.iter().map(|(rel, _)| rel.as_str()).collect();
-    let mut findings = audit(&sources, &manifests);
-    findings.extend(graph::vanished_roots(&scanned, graph::HOT_PATH_ROOTS));
-    findings.sort();
-    Ok(findings)
+    let mut audit = audit(&sources, &manifests);
+    audit.findings.extend(graph::vanished_roots(&scanned, graph::HOT_PATH_ROOTS));
+    audit.findings.sort();
+    Ok(audit)
 }
 
 /// The full in-memory pipeline over `(path, source)` pairs: per-file
@@ -104,13 +125,12 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
 /// self-tests drive the rules through this; unlike [`run`], it treats
 /// the sources as a partial world, so a hot-path root whose file is
 /// absent is not reported.
-pub fn check_files(files: &[(&str, &str)]) -> Vec<Finding> {
+pub fn check_files(files: &[(&str, &str)]) -> Audit {
     audit(files, &[])
 }
 
-/// Audits sources and manifests together; findings come back sorted
-/// by (path, line, rule, message).
-fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Vec<Finding> {
+/// Audits sources and manifests together.
+fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Audit {
     let mut arts: Vec<SourceArtifact> = Vec::new();
     let mut summaries: Vec<(String, parse::FileSummary)> = Vec::new();
     // Shim surface inputs: identifiers the workspace names, how often
@@ -166,7 +186,11 @@ fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Vec<Finding
     }
 
     let mut findings = Vec::new();
+    let mut allows = BTreeMap::new();
     for art in arts {
+        for site in &art.allows {
+            *allows.entry(site.rule.clone()).or_insert(0) += 1;
+        }
         let mut raw = art.findings;
         raw.extend(cross.remove(art.rel).unwrap_or_default());
         findings.extend(rules::apply_allows(art.rel, &art.allows, raw));
@@ -178,7 +202,7 @@ fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Vec<Finding
         findings.extend(rules::check_manifest(rel.as_ref(), text.as_ref()));
     }
     findings.sort();
-    findings
+    Audit { findings, allows }
 }
 
 #[cfg(test)]

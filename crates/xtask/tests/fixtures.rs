@@ -94,7 +94,7 @@ fn shim_surface_flags_only_the_dead_export() {
         ("crates/faas/src/fake.rs", "fn caller() -> u64 { used_helper() }"),
         ("crates/shims/fake/src/lib.rs", shim_text.as_str()),
     ];
-    let findings = check_files(&files);
+    let findings = check_files(&files).findings;
     assert_single(&findings, "shim-surface");
     assert!(findings[0].message.contains("dead_helper"), "{findings:?}");
 }
@@ -145,7 +145,7 @@ fn every_rule_in_the_catalogue_has_family_and_hint() {
 #[test]
 fn panic_reachability_fires_through_the_call_graph() {
     let src = fixture("panic_reachability.rs");
-    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]);
+    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]).findings;
     assert_single(&findings, "panic-reachability");
     assert!(findings[0].message.contains(".unwrap()"), "{findings:?}");
     assert!(
@@ -157,7 +157,7 @@ fn panic_reachability_fires_through_the_call_graph() {
 #[test]
 fn panic_reachability_flags_a_bare_index_below_container_open() {
     let src = fixture("panic_reachability_decode.rs");
-    let findings = check_files(&[("crates/snapshot/src/frame.rs", &src)]);
+    let findings = check_files(&[("crates/snapshot/src/frame.rs", &src)]).findings;
     assert_single(&findings, "panic-reachability");
     assert!(findings[0].message.contains("bare index"), "{findings:?}");
     assert!(
@@ -169,7 +169,7 @@ fn panic_reachability_flags_a_bare_index_below_container_open() {
 #[test]
 fn panic_reachability_sees_through_record_codecs() {
     let src = fixture("panic_reachability_record.rs");
-    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]);
+    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]).findings;
     assert_single(&findings, "panic-reachability");
     assert!(findings[0].message.contains("bare index"), "{findings:?}");
     assert!(
@@ -178,14 +178,14 @@ fn panic_reachability_sees_through_record_codecs() {
     );
     // Without the record, nothing reaches `Heap::restore`.
     let unreached = src.replace("snapshot::record!(Slot { id: u64, heap: Heap });", "");
-    let findings = check_files(&[("crates/faas/src/platform.rs", &unreached)]);
+    let findings = check_files(&[("crates/faas/src/platform.rs", &unreached)]).findings;
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn determinism_dataflow_fires_on_digest_feeding_float_accum() {
     let src = fixture("determinism_dataflow.rs");
-    let findings = check_files(&[("crates/gc-core/src/fake.rs", &src)]);
+    let findings = check_files(&[("crates/gc-core/src/fake.rs", &src)]).findings;
     assert_single(&findings, "determinism-dataflow");
     assert!(findings[0].message.contains("digest"), "{findings:?}");
 }
@@ -193,7 +193,7 @@ fn determinism_dataflow_fires_on_digest_feeding_float_accum() {
 #[test]
 fn barrier_discipline_fires_outside_the_round_drain() {
     let src = fixture("barrier_discipline.rs");
-    let findings = check_files(&[("crates/cluster/src/steal.rs", &src)]);
+    let findings = check_files(&[("crates/cluster/src/steal.rs", &src)]).findings;
     assert_single(&findings, "barrier-discipline");
     assert!(findings[0].message.contains("sneak_work"), "{findings:?}");
 }
@@ -211,7 +211,7 @@ fn graph_rules_respect_their_scopes() {
     ];
     for (file, path) in cases {
         let src = fixture(file);
-        let findings = check_files(&[(path, &src)]);
+        let findings = check_files(&[(path, &src)]).findings;
         assert!(
             findings.is_empty(),
             "{file} as {path} should be clean, got: {findings:?}"
@@ -219,7 +219,7 @@ fn graph_rules_respect_their_scopes() {
     }
     // The sanctioned owner of the shard drain may call `advance`.
     let sanctioned = fixture("barrier_discipline.rs").replace("sneak_work", "run_round");
-    let findings = check_files(&[("crates/cluster/src/fake.rs", &sanctioned)]);
+    let findings = check_files(&[("crates/cluster/src/fake.rs", &sanctioned)]).findings;
     assert!(findings.is_empty(), "run_round owns the barrier: {findings:?}");
 }
 
@@ -229,14 +229,33 @@ fn justified_marker_suppresses_a_graph_finding() {
         "slots.first().unwrap().id",
         "// tidy:allow(panic-reachability) -- fixture invariant\n    slots.first().unwrap().id",
     );
-    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]);
+    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]).findings;
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn a_clean_audit_counts_its_allow_markers_per_rule() {
+    let audit = check_files(&[("crates/faas/src/platform.rs", &fixture("allow_counts.rs"))]);
+    assert!(audit.findings.is_empty(), "{:?}", audit.findings);
+    assert_eq!(
+        audit.summary(),
+        "tidy: OK (11 rules enforced; 3 allow markers: panic-reachability 2, wall-clock 1)"
+    );
+    // Every marker is load-bearing: without them the findings return.
+    let bare: String = fixture("allow_counts.rs")
+        .lines()
+        .map(|l| l.split("// tidy:allow").next().unwrap_or(l))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let findings = check_files(&[("crates/faas/src/platform.rs", &bare)]).findings;
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["panic-reachability", "panic-reachability", "wall-clock"], "{findings:?}");
 }
 
 #[test]
 fn the_real_workspace_audits_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let findings = xtask::tidy(&root).expect("tidy runs");
+    let findings = xtask::tidy(&root).expect("tidy runs").findings;
     assert!(
         findings.is_empty(),
         "workspace has tidy violations:\n{}",
