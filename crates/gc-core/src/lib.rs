@@ -12,7 +12,10 @@
 //! * [`object`] — the object arena ([`object::HeapGraph`]): objects with
 //!   sizes, addresses, strong and weak references, global roots (state
 //!   that survives across invocations) and handle-scope roots (state
-//!   that dies when a function exits — the source of *frozen garbage*).
+//!   that dies when a function exits — the source of *frozen garbage*),
+//!   plus the young index and remembered set behind
+//!   [`object::HeapGraph::collect_young`], the young collection both
+//!   generational collectors share.
 //! * [`trace`] — the marker: computes the live set from the roots,
 //!   with or without treating weak references as strong (§4.7 of the
 //!   paper distinguishes aggressive collections, which clear weakly

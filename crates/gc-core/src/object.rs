@@ -11,6 +11,16 @@
 //! but, as the paper observes, if the instance is then frozen, no GC
 //! ever runs to find out. Those dead-but-uncollected objects are the
 //! *frozen garbage* this whole reproduction is about.
+//!
+//! For the generational collectors the arena also keeps two derived
+//! indexes, never encoded and rebuilt on restore: the young objects
+//! (space tags below [`YOUNG_SPACE_LIMIT`]) and a **remembered set** of
+//! non-young objects that hold a strong or weak reference to a young
+//! one. [`HeapGraph::collect_young`] marks from the roots and the
+//! remembered set's young targets and stops at non-young objects, so a
+//! young collection costs what the young generation holds. It keeps
+//! the card-table semantics: every non-young object, dead or alive,
+//! still keeps its young referents alive until a full collection.
 
 use std::collections::BTreeMap;
 
@@ -48,8 +58,10 @@ pub struct Object {
     pub addr: u64,
     /// Survived-GC count, used for tenuring decisions.
     pub age: u8,
-    /// Runtime-private tag (e.g. which generation/space holds the
-    /// object). `gc-core` never interprets it.
+    /// Which generation/space holds the object. The tags are
+    /// runtime-private, except that `gc-core` treats every tag below
+    /// [`YOUNG_SPACE_LIMIT`] as young. Written through
+    /// [`HeapGraph::set_space`].
     pub space_tag: u8,
     /// Object kind.
     pub kind: ObjectKind,
@@ -57,6 +69,48 @@ pub struct Object {
     pub refs: Vec<ObjectId>,
     /// Weak outgoing references (do not keep the target alive).
     pub weak_refs: Vec<ObjectId>,
+}
+
+/// Space tags below this value are young: eden, young or survivor
+/// space in every generational heap here (tags 0 and 1); old, large
+/// and humongous spaces use 2 and up. Non-generational heaps leave
+/// every object at tag 0.
+pub const YOUNG_SPACE_LIMIT: u8 = 2;
+
+/// Marks a slot as in neither derived index.
+const ABSENT: u32 = u32::MAX;
+
+/// One slot's positions in the derived indexes ([`ABSENT`] when not a
+/// member).
+#[derive(Debug, Clone, Copy)]
+struct SlotIndex {
+    young: u32,
+    remembered: u32,
+}
+
+impl Default for SlotIndex {
+    fn default() -> SlotIndex {
+        SlotIndex {
+            young: ABSENT,
+            remembered: ABSENT,
+        }
+    }
+}
+
+/// What [`HeapGraph::collect_young`] found and freed.
+#[derive(Debug, Clone, Default)]
+pub struct YoungCollection {
+    /// The surviving young objects, ascending by id.
+    pub survivors: Vec<ObjectId>,
+    /// Bytes of the dead young objects, now freed.
+    pub freed_bytes: u64,
+    /// Every non-young byte plus the surviving young bytes: what a
+    /// full-graph mark with all non-young objects as roots reports.
+    pub live_bytes: u64,
+    /// Objects the collection visited: remembered-set entries scanned
+    /// plus young objects traced. It never counts the rest of the
+    /// old generation.
+    pub visited: u64,
 }
 
 /// An opaque token for a pushed handle scope.
@@ -83,6 +137,18 @@ pub struct HeapGraph {
     total_allocated_bytes: u64,
     /// Monotonic counter of all objects ever allocated.
     total_allocated_objects: u64,
+    /// Derived state, never encoded and rebuilt by restore: each
+    /// slot's positions in `young` and `remembered`.
+    index: Vec<SlotIndex>,
+    /// The young objects, in no particular order.
+    young: Vec<ObjectId>,
+    /// Non-young objects that may reference a young object: a superset
+    /// of those that do, pruned by each young collection.
+    remembered: Vec<ObjectId>,
+    /// Mark bits by position in `young`, reused across collections.
+    young_marks: Vec<bool>,
+    /// Mark stack, reused across collections.
+    mark_stack: Vec<ObjectId>,
 }
 
 impl HeapGraph {
@@ -112,7 +178,7 @@ impl HeapGraph {
         self.allocated_bytes += size as u64;
         self.total_allocated_bytes += size as u64;
         self.total_allocated_objects += 1;
-        match self.free_slots.pop() {
+        let id = match self.free_slots.pop() {
             Some(idx) => {
                 let slot = self.slot_mut(idx);
                 debug_assert!(slot.is_none());
@@ -121,9 +187,13 @@ impl HeapGraph {
             }
             None => {
                 self.slots.push(Some(obj));
+                self.index.push(SlotIndex::default());
                 ObjectId(self.slots.len() as u32 - 1)
             }
-        }
+        };
+        // Every object starts at tag 0: young.
+        self.young_insert(id);
+        id
     }
 
     /// Immutable access to an object.
@@ -139,12 +209,14 @@ impl HeapGraph {
             .expect("stale object id") // tidy:allow(panic-reachability) -- runtimes hold only ids this table allocated and has not swept
     }
 
-    /// Mutable access to an object.
+    /// Mutable access to an object. Private: every write that can
+    /// change the derived indexes goes through a method that keeps
+    /// them current (the write barrier).
     ///
     /// # Panics
     ///
     /// Panics if `id` refers to a collected object.
-    pub fn get_mut(&mut self, id: ObjectId) -> &mut Object {
+    fn get_mut(&mut self, id: ObjectId) -> &mut Object {
         self.slot_mut(id.0)
             .as_mut()
             .expect("stale object id") // tidy:allow(panic-reachability) -- runtimes hold only ids this table allocated and has not swept
@@ -154,6 +226,100 @@ impl HeapGraph {
     /// into it is checked.
     fn slot_mut(&mut self, idx: u32) -> &mut Option<Object> {
         &mut self.slots[idx as usize] // tidy:allow(panic-reachability) -- slot indices come from ids and free-list entries this table allocated
+    }
+
+    /// Slot `id`'s entry in the derived index table, which `alloc` and
+    /// `restore` keep the same length as the slot table: the one place
+    /// an index into it is checked.
+    fn index_mut(&mut self, id: ObjectId) -> &mut SlotIndex {
+        &mut self.index[id.index()] // tidy:allow(panic-reachability) -- the index table grows with the slot table, and ids come from it
+    }
+
+    /// Slot `id`'s position in the young index, or [`ABSENT`].
+    fn young_pos(&self, id: ObjectId) -> u32 {
+        self.index.get(id.index()).map_or(ABSENT, |s| s.young)
+    }
+
+    /// True if `id` is a live young object.
+    fn is_young(&self, id: ObjectId) -> bool {
+        self.young_pos(id) != ABSENT
+    }
+
+    fn young_insert(&mut self, id: ObjectId) {
+        let pos = self.young.len() as u32;
+        self.young.push(id);
+        self.index_mut(id).young = pos;
+    }
+
+    fn young_remove(&mut self, id: ObjectId) {
+        let pos = std::mem::replace(&mut self.index_mut(id).young, ABSENT);
+        if pos == ABSENT {
+            return;
+        }
+        self.young.swap_remove(pos as usize);
+        if let Some(&moved) = self.young.get(pos as usize) {
+            self.index_mut(moved).young = pos;
+        }
+    }
+
+    fn remember(&mut self, id: ObjectId) {
+        if self.index_mut(id).remembered == ABSENT {
+            let pos = self.remembered.len() as u32;
+            self.remembered.push(id);
+            self.index_mut(id).remembered = pos;
+        }
+    }
+
+    fn forget(&mut self, id: ObjectId) {
+        let pos = std::mem::replace(&mut self.index_mut(id).remembered, ABSENT);
+        if pos == ABSENT {
+            return;
+        }
+        self.remembered.swap_remove(pos as usize);
+        if let Some(&moved) = self.remembered.get(pos as usize) {
+            self.index_mut(moved).remembered = pos;
+        }
+    }
+
+    /// The write barrier: a non-young `from` that now references a
+    /// young `to` joins the remembered set.
+    fn barrier(&mut self, from: ObjectId, to: ObjectId) {
+        if self.is_young(to) && !self.is_young(from) {
+            self.remember(from);
+        }
+    }
+
+    /// True if `id` holds a strong or weak reference to a young object.
+    fn holds_young(&self, id: ObjectId) -> bool {
+        let obj = self.get(id);
+        obj.refs.iter().chain(&obj.weak_refs).any(|&t| self.is_young(t))
+    }
+
+    /// Rebuilds both derived indexes from the slots.
+    fn rebuild_index(&mut self) {
+        self.index.clear();
+        self.index.resize(self.slots.len(), SlotIndex::default());
+        self.young.clear();
+        self.remembered.clear();
+        let ids = (0..self.slots.len() as u32).map(ObjectId);
+        for id in ids.clone() {
+            if self.exists(id) && self.get(id).space_tag < YOUNG_SPACE_LIMIT {
+                self.young_insert(id);
+            }
+        }
+        for id in ids {
+            if self.exists(id) && !self.is_young(id) && self.holds_young(id) {
+                self.remember(id);
+            }
+        }
+    }
+
+    /// Empties slot `id` onto the free list; returns its size.
+    fn free(&mut self, id: ObjectId) -> u64 {
+        self.young_remove(id);
+        self.forget(id);
+        self.free_slots.push(id.0);
+        self.slot_mut(id.0).take().map_or(0, |o| u64::from(o.size))
     }
 
     /// True if `id` refers to a live slot.
@@ -169,16 +335,44 @@ impl HeapGraph {
         self.get_mut(id).addr = addr;
     }
 
+    /// Sets the object's survived-GC count.
+    pub fn set_age(&mut self, id: ObjectId, age: u8) {
+        self.get_mut(id).age = age;
+    }
+
+    /// Moves the object to space `tag`, keeping the derived indexes
+    /// current. A promoted object that references young objects joins
+    /// the remembered set. Collectors only ever promote; moving an
+    /// object back into a young space rebuilds the remembered set,
+    /// because the object's referrers are not indexed.
+    pub fn set_space(&mut self, id: ObjectId, tag: u8) {
+        let was_young = self.is_young(id);
+        let now_young = tag < YOUNG_SPACE_LIMIT;
+        self.get_mut(id).space_tag = tag;
+        match (was_young, now_young) {
+            (true, false) => {
+                self.young_remove(id);
+                if self.holds_young(id) {
+                    self.remember(id);
+                }
+            }
+            (false, true) => self.rebuild_index(),
+            _ => {}
+        }
+    }
+
     /// Adds a strong reference `from → to`.
     pub fn add_ref(&mut self, from: ObjectId, to: ObjectId) {
         debug_assert!(self.exists(to), "reference to stale object");
         self.get_mut(from).refs.push(to);
+        self.barrier(from, to);
     }
 
     /// Adds a weak reference `from → to`.
     pub fn add_weak_ref(&mut self, from: ObjectId, to: ObjectId) {
         debug_assert!(self.exists(to), "weak reference to stale object");
         self.get_mut(from).weak_refs.push(to);
+        self.barrier(from, to);
     }
 
     /// Removes all strong references `from → to` (severing an edge so
@@ -192,7 +386,11 @@ impl HeapGraph {
         for r in &refs {
             debug_assert!(self.exists(*r), "reference to stale object");
         }
+        let young_target = refs.iter().any(|&r| self.is_young(r));
         self.get_mut(from).refs = refs;
+        if young_target && !self.is_young(from) {
+            self.remember(from);
+        }
     }
 
     /// Registers a persistent (global) root.
@@ -296,48 +494,143 @@ impl HeapGraph {
     /// point of marking — the caller is responsible for passing a mark
     /// result, not an arbitrary bitmap.
     pub fn sweep(&mut self, live: &[bool]) -> u64 {
-        self.sweep_where(live, |_| true)
-    }
-
-    /// Like [`HeapGraph::sweep`], but only frees dead objects for which
-    /// `filter` returns true. Generational collectors use this to sweep
-    /// a single generation: a young collection passes a filter matching
-    /// young space tags, leaving dead old objects in place until the
-    /// next full collection.
-    ///
-    /// The caller must guarantee that no *surviving* object strongly
-    /// references a freed one; passing a mark computed with all old
-    /// objects as extra roots (see
-    /// [`crate::trace::mark_with_extra_roots`]) satisfies this.
-    pub fn sweep_where(&mut self, live: &[bool], filter: impl Fn(&Object) -> bool) -> u64 {
         debug_assert_eq!(live.len(), self.slots.len());
         let mut freed = 0u64;
         let mut freed_slot = vec![false; self.slots.len()];
-        for idx in 0..self.slots.len() {
-            if live[idx] {
-                continue;
-            }
-            if self.slots[idx].as_ref().is_some_and(|o| !filter(o)) {
-                continue;
-            }
-            if let Some(obj) = self.slots[idx].take() {
-                freed += obj.size as u64;
-                freed_slot[idx] = true;
-                self.free_slots.push(idx as u32);
+        for (idx, (&keep, freed_here)) in live.iter().zip(&mut freed_slot).enumerate() {
+            let id = ObjectId(idx as u32);
+            if !keep && self.exists(id) {
+                freed += self.free(id);
+                *freed_here = true;
             }
         }
         self.allocated_bytes -= freed;
-        // References to *freed* objects are cleared. Weak references may
-        // legally dangle only to freed slots; strong references to freed
-        // slots can only come from objects the filter retained dead, and
-        // clearing them keeps the graph well-formed.
+        // Weak references may legally dangle only to freed slots; clear
+        // them, and any strong reference a caller's bitmap left behind,
+        // so the graph stays well-formed.
+        let is_freed = |id: &ObjectId| freed_slot.get(id.index()) == Some(&true);
         for slot in self.slots.iter_mut().flatten() {
-            slot.weak_refs.retain(|w| !freed_slot[w.0 as usize]);
-            slot.refs.retain(|r| !freed_slot[r.0 as usize]);
+            slot.weak_refs.retain(|w| !is_freed(w));
+            slot.refs.retain(|r| !is_freed(r));
         }
-        self.globals.retain(|g| !freed_slot[g.0 as usize]);
-        self.handles.retain(|h| !freed_slot[h.0 as usize]);
+        self.globals.retain(|g| !is_freed(g));
+        self.handles.retain(|h| !is_freed(h));
         freed
+    }
+
+    /// A young collection: marks from the globals, the handles and the
+    /// young targets of the remembered set, tracing young objects only,
+    /// then frees every unmarked young object in ascending id order.
+    ///
+    /// The outcome equals a full-graph mark with every non-young object
+    /// as an extra root, dead ones included (the card-table
+    /// approximation), followed by a [`HeapGraph::sweep`]: the same
+    /// survivors, the same floating garbage, the same free-list order.
+    /// Its cost follows the young objects and the remembered set, not
+    /// the size of the heap.
+    pub fn collect_young(&mut self) -> YoungCollection {
+        #[cfg(debug_assertions)]
+        let oracle = self.young_oracle();
+        let mut marks = std::mem::take(&mut self.young_marks);
+        let mut stack = std::mem::take(&mut self.mark_stack);
+        marks.clear();
+        marks.resize(self.young.len(), false);
+        stack.clear();
+        for &root in self.globals.iter().chain(&self.handles) {
+            self.mark_young(root, &mut marks, &mut stack);
+        }
+        // Scan the remembered set, dropping the entries that no longer
+        // reference a young object.
+        let mut visited = 0u64;
+        let mut i = 0;
+        while let Some(&id) = self.remembered.get(i) {
+            visited += 1;
+            if self.mark_young_refs(id, &mut marks, &mut stack) {
+                i += 1;
+            } else {
+                self.forget(id);
+            }
+        }
+        while let Some(id) = stack.pop() {
+            visited += 1;
+            self.mark_young_refs(id, &mut marks, &mut stack);
+        }
+        let mut survivors = Vec::new();
+        for (&id, &live) in self.young.iter().zip(&marks) {
+            if live {
+                survivors.push(id);
+            } else {
+                stack.push(id);
+            }
+        }
+        survivors.sort_unstable();
+        stack.sort_unstable();
+        // The survivors are the whole young index from here on.
+        self.young.clear();
+        for &id in &survivors {
+            self.young_insert(id);
+        }
+        let mut freed_bytes = 0u64;
+        for &id in &stack {
+            self.index_mut(id).young = ABSENT;
+            freed_bytes += self.free(id);
+        }
+        self.allocated_bytes -= freed_bytes;
+        stack.clear();
+        self.young_marks = marks;
+        self.mark_stack = stack;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!((&survivors, self.allocated_bytes), (&oracle.0, oracle.1));
+        YoungCollection {
+            survivors,
+            freed_bytes,
+            live_bytes: self.allocated_bytes,
+            visited,
+        }
+    }
+
+    /// Marks `id` if it is young and unmarked; returns whether it is
+    /// young.
+    fn mark_young(&self, id: ObjectId, marks: &mut [bool], stack: &mut Vec<ObjectId>) -> bool {
+        match marks.get_mut(self.young_pos(id) as usize) {
+            Some(mark) => {
+                if !*mark {
+                    *mark = true;
+                    stack.push(id);
+                }
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Marks the young targets of `id`'s strong and weak references;
+    /// returns whether it has any.
+    fn mark_young_refs(&self, id: ObjectId, marks: &mut [bool], stack: &mut Vec<ObjectId>) -> bool {
+        let obj = self.get(id);
+        let mut any = false;
+        for &target in obj.refs.iter().chain(&obj.weak_refs) {
+            any |= self.mark_young(target, marks, stack);
+        }
+        any
+    }
+
+    /// The full-graph young mark that [`HeapGraph::collect_young`]
+    /// replaces, kept as its debug-build oracle: every non-young object
+    /// is an extra root. Returns the young survivors and live bytes.
+    #[cfg(debug_assertions)]
+    fn young_oracle(&self) -> (Vec<ObjectId>, u64) {
+        let old = self
+            .iter()
+            .filter(|(_, o)| o.space_tag >= YOUNG_SPACE_LIMIT)
+            .map(|(id, _)| id);
+        let live = crate::trace::mark_with_extra_roots(self, true, true, old);
+        let survivors = self
+            .iter()
+            .filter(|(id, o)| o.space_tag < YOUNG_SPACE_LIMIT && live.is_live(*id))
+            .map(|(id, _)| id)
+            .collect();
+        (survivors, live.live_bytes)
     }
 
     /// Builds a map from old slot addresses, useful in tests that check
@@ -420,6 +713,11 @@ mod snap_impls {
                 allocated_bytes,
                 total_allocated_bytes,
                 total_allocated_objects,
+                index: _,
+                young: _,
+                remembered: _,
+                young_marks: _,
+                mark_stack: _,
             } = self;
             slots.snap(w);
             free_slots.snap(w);
@@ -454,7 +752,7 @@ mod snap_impls {
             if live != allocated_bytes {
                 return Err(SnapError::Corrupt("HeapGraph byte accounting disagrees with slots"));
             }
-            Ok(HeapGraph {
+            let mut graph = HeapGraph {
                 slots,
                 free_slots,
                 globals,
@@ -463,7 +761,10 @@ mod snap_impls {
                 allocated_bytes,
                 total_allocated_bytes,
                 total_allocated_objects,
-            })
+                ..HeapGraph::default()
+            };
+            graph.rebuild_index();
+            Ok(graph)
         }
     }
 }

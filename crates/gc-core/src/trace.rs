@@ -45,11 +45,13 @@ pub fn mark(graph: &HeapGraph, include_handles: bool, keep_weak: bool) -> LiveSe
 
 /// Marks the graph from its roots plus `extra_roots`.
 ///
-/// Generational collectors use this for the remembered-set
-/// approximation: a young collection treats *every* old-generation
-/// object as a root, so old→young references conservatively keep young
-/// objects alive (floating garbage included), exactly like a card-table
+/// With every non-young object as an extra root this is the full-graph
+/// young mark: old→young references conservatively keep young objects
+/// alive (floating garbage included), exactly like a card-table
 /// scavenge that does not know which old objects are themselves dead.
+/// [`HeapGraph::collect_young`] computes the same live set from the
+/// remembered set without walking the old generation; this function
+/// stays its oracle in debug builds and property tests.
 pub fn mark_with_extra_roots(
     graph: &HeapGraph,
     include_handles: bool,

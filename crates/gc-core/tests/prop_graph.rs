@@ -2,10 +2,12 @@
 //!
 //! Random object graphs with random roots are built, marked, and swept;
 //! the invariants below are exactly what the runtime collectors rely
-//! on.
+//! on. The young collection is checked against its oracle, the
+//! full-graph mark with every non-young object as a root followed by a
+//! sweep, after every step of random mutation sequences.
 
-use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
-use gc_core::trace::mark;
+use gc_core::object::{HeapGraph, ObjectId, ObjectKind, YOUNG_SPACE_LIMIT};
+use gc_core::trace::{mark, mark_with_extra_roots};
 use proptest::prelude::*;
 
 /// A compact graph description: `sizes[i]` is object `i`'s size;
@@ -115,4 +117,240 @@ proptest! {
         let without = mark(&g, false, true);
         prop_assert_eq!(with.live_bytes, without.live_bytes);
     }
+}
+
+/// One step of a random mutation sequence. Operands index the ids
+/// allocated so far (modulo their count); tags 0–3 mix young and old.
+#[derive(Debug, Clone)]
+enum Op {
+    Alloc { size: u32, tag: u8 },
+    AddRef(usize, usize),
+    AddWeakRef(usize, usize),
+    RemoveRef(usize, usize),
+    SetRefs(usize, Vec<usize>),
+    SetSpace(usize, u8),
+    Global(usize),
+    Unglobal(usize),
+    PushScope,
+    Handle(usize),
+    PopScope,
+    Sweep,
+    Young,
+    RoundTrip,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let alloc = (1u32..5_000, 0u8..4).prop_map(|(size, tag)| Op::Alloc { size, tag });
+    let pair = || (0usize..64, 0usize..64);
+    prop_oneof![
+        alloc.clone(),
+        alloc,
+        pair().prop_map(|(a, b)| Op::AddRef(a, b)),
+        pair().prop_map(|(a, b)| Op::AddRef(a, b)),
+        pair().prop_map(|(a, b)| Op::AddWeakRef(a, b)),
+        pair().prop_map(|(a, b)| Op::RemoveRef(a, b)),
+        (0usize..64, prop::collection::vec(0usize..64, 0..4)).prop_map(|(a, r)| Op::SetRefs(a, r)),
+        (0usize..64, 0u8..4).prop_map(|(a, t)| Op::SetSpace(a, t)),
+        (0usize..64).prop_map(Op::Global),
+        (0usize..64).prop_map(Op::Unglobal),
+        Just(Op::PushScope),
+        (0usize..64).prop_map(Op::Handle),
+        Just(Op::PopScope),
+        Just(Op::Sweep),
+        Just(Op::Young),
+        Just(Op::RoundTrip),
+    ]
+}
+
+/// The full-graph young mark and sweep the young collection replaces.
+fn oracle_young_collection(g: &mut HeapGraph) -> (Vec<ObjectId>, u64) {
+    let old: Vec<ObjectId> = g
+        .iter()
+        .filter(|(_, o)| o.space_tag >= YOUNG_SPACE_LIMIT)
+        .map(|(id, _)| id)
+        .collect();
+    let live = mark_with_extra_roots(g, true, true, old.into_iter());
+    let survivors = g
+        .iter()
+        .filter(|(id, o)| o.space_tag < YOUNG_SPACE_LIMIT && live.is_live(*id))
+        .map(|(id, _)| id)
+        .collect();
+    g.sweep(&live.marks);
+    (survivors, live.live_bytes)
+}
+
+/// Runs a young collection on a copy of `g` and checks it against the
+/// oracle: the same survivors, freed slots and free-list order, the
+/// same live bytes, and no survivor referencing a freed slot.
+fn check_young_against_oracle(g: &HeapGraph) -> Result<(), TestCaseError> {
+    let mut fast = g.clone();
+    let mut slow = g.clone();
+    let young: Vec<(ObjectId, u64)> = g
+        .iter()
+        .filter(|(_, o)| o.space_tag < YOUNG_SPACE_LIMIT)
+        .map(|(id, o)| (id, u64::from(o.size)))
+        .collect();
+    let out = fast.collect_young();
+    let (survivors, live_bytes) = oracle_young_collection(&mut slow);
+    prop_assert_eq!(&out.survivors, &survivors, "survivors differ");
+    prop_assert_eq!(out.live_bytes, live_bytes, "live bytes differ");
+    let dead: u64 = young
+        .iter()
+        .filter(|(id, _)| !survivors.contains(id))
+        .map(|(_, size)| size)
+        .sum();
+    prop_assert_eq!(out.freed_bytes, dead, "freed bytes differ");
+    // Identical encodings: the same objects, roots and free list.
+    prop_assert!(snapshot::encode(&fast) == snapshot::encode(&slow), "graph state differs from the oracle's");
+    for (_, obj) in fast.iter() {
+        for r in obj.refs.iter().chain(&obj.weak_refs) {
+            prop_assert!(fast.exists(*r), "a survivor references freed slot {:?}", r);
+        }
+    }
+    for r in fast.globals().iter().chain(fast.handles()) {
+        prop_assert!(fast.exists(*r), "a root names freed slot {:?}", r);
+    }
+    Ok(())
+}
+
+/// Applies `ops` to a fresh graph, checking the young collection after
+/// every step.
+fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut g = HeapGraph::new();
+    let mut ids: Vec<ObjectId> = Vec::new();
+    let mut scopes = Vec::new();
+    for op in ops {
+        let pick = |i: usize| ids.get(i % ids.len().max(1)).copied();
+        match op {
+            Op::Alloc { size, tag } => {
+                let id = g.alloc(*size, ObjectKind::Data);
+                g.set_space(id, *tag);
+                ids.push(id);
+            }
+            Op::AddRef(a, b) | Op::AddWeakRef(a, b) | Op::RemoveRef(a, b) => {
+                if let (Some(a), Some(b)) = (pick(*a), pick(*b)) {
+                    match op {
+                        Op::AddRef(..) => g.add_ref(a, b),
+                        Op::AddWeakRef(..) => g.add_weak_ref(a, b),
+                        _ => g.remove_ref(a, b),
+                    }
+                }
+            }
+            Op::SetRefs(a, refs) => {
+                if let Some(a) = pick(*a) {
+                    let refs = refs.iter().filter_map(|r| pick(*r)).collect();
+                    g.set_refs(a, refs);
+                }
+            }
+            Op::SetSpace(a, tag) => {
+                if let Some(a) = pick(*a) {
+                    g.set_space(a, *tag);
+                }
+            }
+            Op::Global(a) => {
+                if let Some(a) = pick(*a) {
+                    g.add_global(a);
+                }
+            }
+            Op::Unglobal(a) => {
+                if let Some(a) = pick(*a) {
+                    g.remove_global(a);
+                }
+            }
+            Op::PushScope => scopes.push(g.push_handle_scope()),
+            Op::Handle(a) => {
+                if let (Some(a), false) = (pick(*a), scopes.is_empty()) {
+                    g.add_handle(a);
+                }
+            }
+            Op::PopScope => {
+                if let Some(scope) = scopes.pop() {
+                    g.pop_handle_scope(scope);
+                }
+            }
+            Op::Sweep => {
+                let live = mark(&g, true, true);
+                g.sweep(&live.marks);
+            }
+            Op::Young => {
+                g.collect_young();
+            }
+            Op::RoundTrip => {
+                let bytes = snapshot::encode(&g);
+                g = snapshot::decode(&bytes).map_err(|e| TestCaseError(format!("restore failed: {e:?}")))?;
+                prop_assert!(snapshot::encode(&g) == bytes, "round trip changed the encoding");
+            }
+        }
+        ids.retain(|id| g.exists(*id));
+        check_young_against_oracle(&g)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The remembered-set young collection equals the full-graph young
+    /// mark and sweep after every step of any mutation sequence.
+    #[test]
+    fn young_collection_matches_full_graph_oracle(ops in prop::collection::vec(op(), 1..80)) {
+        run_ops(&ops)?;
+    }
+}
+
+/// A heap of `old` retained old objects and 10 young ones: 5 reachable
+/// from a global, 5 garbage.
+fn heap_with_old(old: usize) -> HeapGraph {
+    let mut g = HeapGraph::new();
+    let mut prev = None;
+    for _ in 0..old {
+        let id = g.alloc(64, ObjectKind::Data);
+        g.set_space(id, YOUNG_SPACE_LIMIT);
+        // An old chain: old→old edges the young collection must not follow.
+        match prev {
+            Some(p) => g.add_ref(p, id),
+            None => g.add_global(id),
+        }
+        prev = Some(id);
+    }
+    let root = g.alloc(32, ObjectKind::Data);
+    g.add_global(root);
+    for i in 0..9 {
+        let id = g.alloc(32, ObjectKind::Data);
+        if i < 4 {
+            g.add_ref(root, id);
+        }
+    }
+    g
+}
+
+/// The young collection's work does not grow with the old generation:
+/// 10 young objects cost the same visits beside 10 or 10,000 old ones.
+#[test]
+fn young_collection_work_is_independent_of_old_generation_size() {
+    let mut small = heap_with_old(10);
+    let mut large = heap_with_old(10_000);
+    let a = small.collect_young();
+    let b = large.collect_young();
+    assert_eq!(a.survivors.len(), 5);
+    assert_eq!(b.survivors.len(), 5);
+    assert_eq!(a.freed_bytes, 5 * 32);
+    assert_eq!(a.visited, b.visited);
+    assert_eq!(a.visited, 5);
+}
+
+/// Promoting an object that references young objects puts it in the
+/// remembered set, so its young referents survive a young collection
+/// even after the promoted object itself is dead.
+#[test]
+fn promoted_referrers_keep_young_targets_alive() {
+    let mut g = HeapGraph::new();
+    let holder = g.alloc(16, ObjectKind::Data);
+    let target = g.alloc(16, ObjectKind::Data);
+    g.add_ref(holder, target);
+    g.set_space(holder, YOUNG_SPACE_LIMIT);
+    // `holder` is unrooted, so dead, but old: floating garbage.
+    let out = g.collect_young();
+    assert_eq!(out.survivors, vec![target]);
+    assert_eq!(out.live_bytes, 32);
 }

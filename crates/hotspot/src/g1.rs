@@ -28,7 +28,7 @@
 
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
-use gc_core::trace::{mark, mark_with_extra_roots};
+use gc_core::trace::mark;
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
@@ -56,12 +56,15 @@ pub enum RegionKind {
     Humongous,
 }
 
-/// Space tags stored in object headers.
+/// Space tags stored in object headers; eden and survivor are young to
+/// the object graph (below [`gc_core::object::YOUNG_SPACE_LIMIT`]).
 mod tag {
     pub const YOUNG: u8 = 0;
     pub const SURVIVOR: u8 = 1;
     pub const OLD: u8 = 2;
     pub const HUMONGOUS: u8 = 3;
+
+    const _: () = assert!(SURVIVOR < gc_core::object::YOUNG_SPACE_LIMIT && OLD >= gc_core::object::YOUNG_SPACE_LIMIT);
 }
 
 #[derive(Debug, Clone)]
@@ -345,7 +348,7 @@ impl G1Heap {
             self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
             let id = self.graph.alloc(size, kind);
             self.graph.set_addr(id, addr.0);
-            self.graph.get_mut(id).space_tag = tag::HUMONGOUS;
+            self.graph.set_space(id, tag::HUMONGOUS);
             return Ok(id);
         }
         for attempt in 0..3 {
@@ -354,7 +357,7 @@ impl G1Heap {
                 self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                 let id = self.graph.alloc(size, kind);
                 self.graph.set_addr(id, addr.0);
-                self.graph.get_mut(id).space_tag = tag::YOUNG;
+                self.graph.set_space(id, tag::YOUNG);
                 return Ok(id);
             }
             // Open another eden region if the young target allows.
@@ -404,9 +407,8 @@ impl G1Heap {
             };
             self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
             copied += asize;
-            let obj = self.graph.get_mut(id);
-            obj.addr = addr.0;
-            obj.space_tag = dest_tag;
+            self.graph.set_addr(id, addr.0);
+            self.graph.set_space(id, dest_tag);
         }
         Ok(copied)
     }
@@ -414,24 +416,22 @@ impl G1Heap {
     /// A young collection: evacuate live eden+survivor objects, free
     /// the emptied young regions, then run a mixed collection if old
     /// occupancy crossed the IHOP threshold.
+    ///
+    /// The graph's remembered set stands in for the old and humongous
+    /// regions: each of their objects, dead or alive, keeps its young
+    /// referents alive until a mixed or full collection.
     pub fn young_gc(&mut self, sys: &mut System) -> Result<(), HeapError> {
-        let old_roots: Vec<ObjectId> = self
-            .graph
-            .iter()
-            .filter(|(_, o)| o.space_tag == tag::OLD || o.space_tag == tag::HUMONGOUS)
-            .map(|(id, _)| id)
-            .collect();
-        let live = mark_with_extra_roots(&self.graph, true, true, old_roots.into_iter());
-        self.last_live_bytes = live.live_bytes;
+        let young = self.graph.collect_young();
+        self.last_live_bytes = young.live_bytes;
+        let freed = young.freed_bytes;
         let mut tenured = Vec::new();
         let mut surviving = Vec::new();
-        for (id, o) in self.graph.iter() {
-            if (o.space_tag == tag::YOUNG || o.space_tag == tag::SURVIVOR) && live.is_live(id) {
-                if o.age + 1 >= self.config.tenure_threshold {
-                    tenured.push((id, o.size));
-                } else {
-                    surviving.push((id, o.size));
-                }
+        for id in young.survivors {
+            let o = self.graph.get(id);
+            if o.age + 1 >= self.config.tenure_threshold {
+                tenured.push((id, o.size));
+            } else {
+                surviving.push((id, o.size));
             }
         }
         let young_live_objects = cast::to_u64(tenured.len() + surviving.len());
@@ -445,10 +445,10 @@ impl G1Heap {
         self.eden_current = None;
         let copied = self.evacuate(sys, &surviving, RegionKind::Survivor, tag::SURVIVOR)?;
         let promoted = self.evacuate(sys, &tenured, RegionKind::Old, tag::OLD)?;
-        for (id, _) in &surviving {
-            self.graph.get_mut(*id).age += 1;
+        for &(id, _) in &surviving {
+            let age = self.graph.get(id).age;
+            self.graph.set_age(id, age + 1);
         }
-        let freed = self.graph.sweep(&live.marks);
         let pause = self.gc_cost.pause(young_live_objects, copied + promoted);
         self.pending += pause;
         self.counters
@@ -552,7 +552,7 @@ impl G1Heap {
             // The evacuation copies the object: its destination pages
             // become resident.
             self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
-            self.graph.get_mut(id).addr = addr.0;
+            self.graph.set_addr(id, addr.0);
         }
         let freed = self.graph.sweep(&live.marks);
         let pause = self.gc_cost.full_pause(live.live_objects, copied);

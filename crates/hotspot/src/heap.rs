@@ -2,7 +2,7 @@
 
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
-use gc_core::trace::{mark, mark_with_extra_roots};
+use gc_core::trace::mark;
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
@@ -192,10 +192,10 @@ impl HotSpotHeap {
         // Humongous objects go straight to the old generation, like
         // HotSpot's large-object path.
         if asize > self.layout.eden_size() / 2 {
-            let addr = self.old_alloc(sys, asize)?;
+            let addr = self.old_alloc(sys, asize, true)?;
             let id = self.graph.alloc(size, kind);
             self.graph.set_addr(id, addr.0);
-            self.graph.get_mut(id).space_tag = tag::OLD;
+            self.graph.set_space(id, tag::OLD);
             return Ok(id);
         }
         for attempt in 0..3 {
@@ -207,7 +207,7 @@ impl HotSpotHeap {
                 self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                 let id = self.graph.alloc(size, kind);
                 self.graph.set_addr(id, addr.0);
-                self.graph.get_mut(id).space_tag = tag::EDEN;
+                self.graph.set_space(id, tag::EDEN);
                 return Ok(id);
             }
             if attempt == 0 {
@@ -218,16 +218,21 @@ impl HotSpotHeap {
         }
         // Eden is empty after a full GC; if the object still does not
         // fit, fall back to the old generation.
-        let addr = self.old_alloc(sys, asize)?;
+        let addr = self.old_alloc(sys, asize, true)?;
         let id = self.graph.alloc(size, kind);
         self.graph.set_addr(id, addr.0);
-        self.graph.get_mut(id).space_tag = tag::OLD;
+        self.graph.set_space(id, tag::OLD);
         Ok(id)
     }
 
     /// Bump-allocates in the old generation, expanding or full-GCing as
     /// needed.
-    fn old_alloc(&mut self, sys: &mut System, asize: u64) -> Result<VirtAddr, HeapError> {
+    ///
+    /// `allow_gc` is false when called from inside a collection
+    /// (promotion): a young GC must not re-enter the collector, so
+    /// there an old generation that cannot expand is a plain
+    /// out-of-memory error.
+    fn old_alloc(&mut self, sys: &mut System, asize: u64, allow_gc: bool) -> Result<VirtAddr, HeapError> {
         for attempt in 0..2 {
             let end = self.layout.old_base().0 + self.layout.old_committed;
             if self.old_top.0 + asize <= end {
@@ -240,9 +245,10 @@ impl HotSpotHeap {
             if self.expand_old_to(sys, needed)? {
                 continue;
             }
-            if attempt == 0 {
-                self.full_gc(sys, false)?;
+            if attempt > 0 || !allow_gc {
+                break;
             }
+            self.full_gc(sys, false)?;
         }
         Err(HeapError::OutOfMemory { requested: asize })
     }
@@ -275,9 +281,9 @@ impl HotSpotHeap {
 
     /// Runs a young (scavenge) collection.
     ///
-    /// Every old-generation object is treated as a root — the
-    /// card-table approximation — so dead old objects conservatively
-    /// keep their young referents alive until the next full GC.
+    /// The graph's remembered set stands in for the old generation:
+    /// every old object, dead or alive, keeps its young referents alive
+    /// until the next full GC, as a card-table scavenge would.
     pub fn young_gc(&mut self, sys: &mut System) -> Result<(), HeapError> {
         // Worst case every young byte promotes; make sure the old
         // generation could absorb it, otherwise run a full GC instead
@@ -286,55 +292,36 @@ impl HotSpotHeap {
         if self.old_used() + young_used > self.layout.old_reserved {
             return self.full_gc(sys, false);
         }
-        let old_roots: Vec<ObjectId> = self
-            .graph
-            .iter()
-            .filter(|(_, o)| o.space_tag == tag::OLD)
-            .map(|(id, _)| id)
-            .collect();
-        let live = mark_with_extra_roots(&self.graph, true, true, old_roots.into_iter());
-        self.last_live_bytes = live.live_bytes;
-
-        // Collect the young survivors (ids plus their metadata) before
-        // mutating the graph.
-        let survivors: Vec<(ObjectId, u32, u8)> = self
-            .graph
-            .iter()
-            .filter(|(id, o)| o.space_tag != tag::OLD && live.is_live(*id))
-            .map(|(id, o)| (id, o.size, o.age))
-            .collect();
+        let young = self.graph.collect_young();
+        self.last_live_bytes = young.live_bytes;
+        let freed = young.freed_bytes;
 
         let (to_base, to_len) = self.layout.space_range(SpaceId::To);
         let mut to_top = to_base;
         let mut copied = 0u64;
         let mut promoted = 0u64;
-        let mut young_live_objects = 0u64;
-        for (id, size, age) in survivors {
-            young_live_objects += 1;
+        let young_live_objects = cast::to_u64(young.survivors.len());
+        for id in young.survivors {
+            let obj = self.graph.get(id);
+            let (size, age) = (obj.size, obj.age);
             let asize = align_obj(u64::from(size));
             let tenured = age + 1 >= self.config.tenure_threshold;
             let fits = to_top.0 + asize <= to_base.0 + to_len;
             if tenured || !fits {
-                let addr = self.old_alloc(sys, asize)?;
+                let addr = self.old_alloc(sys, asize, false)?;
                 promoted += asize;
-                let obj = self.graph.get_mut(id);
-                obj.addr = addr.0;
-                obj.space_tag = tag::OLD;
+                self.graph.set_addr(id, addr.0);
+                self.graph.set_space(id, tag::OLD);
             } else {
                 let addr = to_top;
                 to_top = VirtAddr(to_top.0 + asize);
                 copied += asize;
-                let obj = self.graph.get_mut(id);
-                obj.addr = addr.0;
-                obj.space_tag = tag::SURVIVOR;
-                obj.age = age + 1;
+                self.graph.set_addr(id, addr.0);
+                self.graph.set_space(id, tag::SURVIVOR);
+                self.graph.set_age(id, age + 1);
             }
         }
         self.pending += self.os_cost.charge_touch(sys, self.pid, to_base, to_top.0 - to_base.0)?;
-
-        // Dead young objects are freed; every old object was a root and
-        // is therefore marked, so a plain sweep touches only the young.
-        let freed = self.graph.sweep(&live.marks);
 
         // Reset the young spaces and swap survivor roles.
         let (eden_base, _) = self.layout.space_range(SpaceId::Eden);
@@ -406,9 +393,8 @@ impl HotSpotHeap {
         let mut top = old_base;
         for (id, size) in ids {
             let asize = align_obj(u64::from(size));
-            let obj = self.graph.get_mut(id);
-            obj.addr = top.0;
-            obj.space_tag = tag::OLD;
+            self.graph.set_addr(id, top.0);
+            self.graph.set_space(id, tag::OLD);
             top = VirtAddr(top.0 + asize);
         }
         self.old_top = top;
@@ -663,6 +649,60 @@ mod tests {
         heap.full_gc(&mut sys, true).unwrap();
         assert!(!heap.graph().exists(young));
         assert!(!heap.graph().exists(old_obj));
+    }
+
+    /// Fills the old generation with rooted humongous objects until
+    /// exactly `young` bytes of it are left, then allocates one rooted
+    /// young object of `young` bytes. Every survivor tenures.
+    fn old_full_but(young: u64) -> (System, HotSpotHeap) {
+        let mut sys = System::new();
+        let pid = sys.spawn_process();
+        let config = HotSpotConfig {
+            tenure_threshold: 1,
+            ..HotSpotConfig::for_budget(256 << 20)
+        };
+        let mut heap = HotSpotHeap::new(&mut sys, pid, config).unwrap();
+        let filler = |heap: &HotSpotHeap| heap.layout().old_reserved - heap.old_used() - young;
+        while filler(&heap) > 8 << 20 {
+            let id = heap.alloc(&mut sys, 4 << 20, ObjectKind::Data).unwrap();
+            heap.graph_mut().add_global(id);
+        }
+        let last = filler(&heap) as u32;
+        let id = heap.alloc(&mut sys, last, ObjectKind::Data).unwrap();
+        heap.graph_mut().add_global(id);
+        let id = heap.alloc(&mut sys, young as u32, ObjectKind::Data).unwrap();
+        heap.graph_mut().add_global(id);
+        assert_eq!(heap.graph().get(id).space_tag, tag::EDEN);
+        assert_eq!(heap.old_used() + heap.eden_used(), heap.layout().old_reserved);
+        (sys, heap)
+    }
+
+    #[test]
+    fn young_gc_promotes_up_to_the_bail_out_edge_without_a_full_gc() {
+        let young = 64 << 10;
+        let (mut sys, mut heap) = old_full_but(young);
+        // At the edge the worst case fits exactly: no bail-out, and the
+        // promotion's no-GC old allocation must succeed.
+        heap.young_gc(&mut sys).unwrap();
+        assert_eq!(heap.counters().young_collections, 1);
+        assert_eq!(heap.counters().full_collections, 0);
+        assert_eq!(heap.counters().bytes_promoted, young);
+        assert_eq!(heap.old_used(), heap.layout().old_reserved);
+        // With the old generation full, an allocation inside a
+        // collection fails instead of running a full GC.
+        assert_eq!(
+            heap.old_alloc(&mut sys, 8, false),
+            Err(HeapError::OutOfMemory { requested: 8 })
+        );
+        assert_eq!(heap.counters().full_collections, 0);
+
+        // One young byte past the edge, the young GC bails out to a
+        // full GC before it marks anything.
+        let (mut sys, mut heap) = old_full_but(young);
+        heap.alloc(&mut sys, 8, ObjectKind::Data).unwrap();
+        heap.young_gc(&mut sys).unwrap();
+        assert_eq!(heap.counters().young_collections, 0);
+        assert_eq!(heap.counters().full_collections, 1);
     }
 
     #[test]

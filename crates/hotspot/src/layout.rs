@@ -26,7 +26,9 @@ pub enum SpaceId {
     Old,
 }
 
-/// Space tags stored in [`gc_core::object::Object::space_tag`].
+/// Space tags stored in [`gc_core::object::Object::space_tag`]. Eden
+/// and survivor tags sit below [`gc_core::object::YOUNG_SPACE_LIMIT`],
+/// so the object graph counts them as young.
 pub mod tag {
     /// Object lives in eden.
     pub const EDEN: u8 = 0;
@@ -34,6 +36,8 @@ pub mod tag {
     pub const SURVIVOR: u8 = 1;
     /// Object lives in the old generation.
     pub const OLD: u8 = 2;
+
+    const _: () = assert!(SURVIVOR < gc_core::object::YOUNG_SPACE_LIMIT && OLD >= gc_core::object::YOUNG_SPACE_LIMIT);
 }
 
 /// The geometry of a heap at one point in time.

@@ -8,9 +8,10 @@
 //!   *eden*, *from*, and *to* spaces, and an old generation — see
 //!   [`layout`];
 //! * **young collections** that copy survivors between the semispace
-//!   halves and promote tenured objects, with every old-generation
-//!   object conservatively treated as a root (the card-table
-//!   approximation);
+//!   halves and promote tenured objects. The object graph's remembered
+//!   set finds the old objects that reference young ones, and every
+//!   such old object, dead or alive, keeps its young referents alive
+//!   (the card-table approximation's floating garbage);
 //! * **full collections** (mark-compact) that compact all live objects
 //!   into the old generation;
 //! * the **resizing policy** run after full collections, keeping the

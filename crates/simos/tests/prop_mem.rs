@@ -6,6 +6,7 @@
 //! conservation of resident pages, and refault behaviour after release.
 
 use proptest::prelude::*;
+use proptest::TestCaseResult;
 use simos::mem::{MappingKind, Prot, PAGE_SIZE};
 use simos::metrics;
 use simos::System;
@@ -132,41 +133,57 @@ proptest! {
         prop_assert_eq!(out.swap_ins, 0);
     }
 
-    /// Page-cache mapper counts stay consistent when two processes map
-    /// and unmap the same library under random per-process operations.
     #[test]
     fn page_cache_refcounts_consistent(
         ops1 in prop::collection::vec(op_strategy(), 1..30),
         ops2 in prop::collection::vec(op_strategy(), 1..30),
         kill_first in any::<bool>(),
     ) {
-        let mut sys = System::new();
-        let lib = sys.register_file("libtest.so", NPAGES * PAGE_SIZE);
-        let p1 = sys.spawn_process();
-        let p2 = sys.spawn_process();
-        let a1 = sys
-            .mmap_lib(p1, lib)
-            .unwrap();
-        let a2 = sys
-            .mmap_lib(p2, lib)
-            .unwrap();
-        for op in &ops1 {
-            apply(&mut sys, p1, a1, op);
-        }
-        for op in &ops2 {
-            apply(&mut sys, p2, a2, op);
-        }
-        if kill_first {
-            sys.kill_process(p1).unwrap();
-        } else {
-            sys.kill_process(p2).unwrap();
-        }
-        sys.kill_process(if kill_first { p2 } else { p1 }).unwrap();
-        // With no process left, every mapper count must be zero.
-        for idx in 0..NPAGES as usize {
-            prop_assert_eq!(sys.files().mapper_count(lib, idx), 0, "page {}", idx);
-        }
+        page_cache_refcounts_consistent_on(&ops1, &ops2, kill_first)?;
     }
+}
+
+/// Page-cache mapper counts stay consistent when two processes map and
+/// unmap the same library under random per-process operations.
+fn page_cache_refcounts_consistent_on(ops1: &[Op], ops2: &[Op], kill_first: bool) -> TestCaseResult {
+    let mut sys = System::new();
+    let lib = sys.register_file("libtest.so", NPAGES * PAGE_SIZE);
+    let p1 = sys.spawn_process();
+    let p2 = sys.spawn_process();
+    let a1 = sys.mmap_lib(p1, lib).unwrap();
+    let a2 = sys.mmap_lib(p2, lib).unwrap();
+    for op in ops1 {
+        apply(&mut sys, p1, a1, op);
+    }
+    for op in ops2 {
+        apply(&mut sys, p2, a2, op);
+    }
+    if kill_first {
+        sys.kill_process(p1).unwrap();
+    } else {
+        sys.kill_process(p2).unwrap();
+    }
+    sys.kill_process(if kill_first { p2 } else { p1 }).unwrap();
+    // With no process left, every mapper count must be zero.
+    for idx in 0..NPAGES as usize {
+        prop_assert_eq!(sys.files().mapper_count(lib, idx), 0, "page {}", idx);
+    }
+    Ok(())
+}
+
+/// A counterexample an earlier run of the real proptest recorded: a
+/// touched, swapped-out, `PROT_NONE` range partly re-opened and read.
+#[test]
+fn recorded_swap_and_protect_counterexample_holds() {
+    let ops1 = [
+        Op::Touch { first: 0, count: 24, write: true },
+        Op::SwapOut { first: 0, count: 24 },
+        Op::ProtNone { first: 0, count: 24 },
+        Op::ProtRw { first: 14, count: 10 },
+        Op::Touch { first: 14, count: 1, write: false },
+    ];
+    let ops2 = [Op::Touch { first: 0, count: 1, write: false }];
+    page_cache_refcounts_consistent_on(&ops1, &ops2, false).unwrap();
 }
 
 /// Helper trait so the property tests can map a library writable (the

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
-use gc_core::trace::{mark, mark_with_extra_roots};
+use gc_core::trace::mark;
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
@@ -13,7 +13,9 @@ use simos::{Pid, SimDuration, SimTime, System, VirtAddr};
 use crate::chunk::{Chunk, ChunkId, ChunkSpace, CHUNK_HEADER, CHUNK_SIZE};
 use crate::config::V8Config;
 
-/// Space tags stored in [`gc_core::object::Object::space_tag`].
+/// Space tags stored in [`gc_core::object::Object::space_tag`]. Only
+/// `YOUNG` sits below [`gc_core::object::YOUNG_SPACE_LIMIT`], so the
+/// object graph counts it alone as young.
 pub mod tag {
     /// Object lives in the young generation (the *from* semispace).
     pub const YOUNG: u8 = 0;
@@ -21,6 +23,8 @@ pub mod tag {
     pub const OLD: u8 = 2;
     /// Object lives in a large-object chunk.
     pub const LARGE: u8 = 3;
+
+    const _: () = assert!(YOUNG < gc_core::object::YOUNG_SPACE_LIMIT && OLD >= gc_core::object::YOUNG_SPACE_LIMIT);
 }
 
 /// V8 heap failures.
@@ -312,7 +316,7 @@ impl V8Heap {
                     self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                     let id = self.graph.alloc(size, kind);
                     self.graph.set_addr(id, addr.0);
-                    self.graph.get_mut(id).space_tag = tag::YOUNG;
+                    self.graph.set_space(id, tag::YOUNG);
                     return Ok(id);
                 }
                 Ok(None) | Err(V8HeapError::OutOfMemory { .. }) => {}
@@ -329,7 +333,7 @@ impl V8Heap {
         let addr = self.old_alloc(sys, cast::to_u32(asize), true)?;
         let id = self.graph.alloc(size, kind);
         self.graph.set_addr(id, addr.0);
-        self.graph.get_mut(id).space_tag = tag::OLD;
+        self.graph.set_space(id, tag::OLD);
         Ok(id)
     }
 
@@ -387,7 +391,7 @@ impl V8Heap {
         self.pending += self.os_cost.charge_touch(sys, self.pid, addr, u64::from(size))?;
         let id = self.graph.alloc(size, kind);
         self.graph.set_addr(id, addr.0);
-        self.graph.get_mut(id).space_tag = tag::LARGE;
+        self.graph.set_space(id, tag::LARGE);
         Ok(id)
     }
 
@@ -433,20 +437,14 @@ impl V8Heap {
         old.iter().find_map(|&id| chunk_in(chunks, id).alloc(asize))
     }
 
-    /// Ids of all non-young objects, used as conservative scavenge
-    /// roots.
-    fn non_young_roots(&self) -> Vec<ObjectId> {
-        self.graph
-            .iter()
-            .filter(|(_, o)| o.space_tag != tag::YOUNG)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Runs a scavenge (young GC): expansion check *before* the GC,
     /// copy survivors from *from* to *to*, promote second-time
     /// survivors, swap semispaces, then the shrink check *after* the
     /// GC.
+    ///
+    /// The graph's remembered set stands in for the old generation:
+    /// every old or large object, dead or alive, keeps its young
+    /// referents alive, as a card-table scavenge would.
     pub fn scavenge(&mut self, sys: &mut System) -> Result<(), V8HeapError> {
         // Expansion check (before GC): double the young generation if
         // the live bytes accumulated since the last expansion exceed
@@ -458,23 +456,22 @@ impl V8Heap {
             self.accumulated_survived = 0;
         }
 
-        let roots = self.non_young_roots();
-        let live = mark_with_extra_roots(&self.graph, true, true, roots.into_iter());
-        self.last_live_bytes = live.live_bytes;
-
-        let survivors: Vec<(ObjectId, u32, u8)> = self
-            .graph
-            .iter()
-            .filter(|(id, o)| o.space_tag == tag::YOUNG && live.is_live(*id))
-            .map(|(id, o)| (id, o.size, o.age))
-            .collect();
+        let young = self.graph.collect_young();
+        self.last_live_bytes = young.live_bytes;
+        let freed = young.freed_bytes;
 
         let mut to_cursor = 0usize;
         let mut to_offset = CHUNK_HEADER;
+        // The to-space chunk's copy run `[run_start, to_offset)`,
+        // charged once when the copy moves to the next chunk: adjacent
+        // chunks are separate mappings, so a run never spans two.
+        let mut run_start = to_offset;
         let mut copied = 0u64;
         let mut promoted = 0u64;
-        let young_live_objects = cast::to_u64(survivors.len());
-        for (id, size, age) in survivors {
+        let young_live_objects = cast::to_u64(young.survivors.len());
+        for id in young.survivors {
+            let obj = self.graph.get(id);
+            let (size, age) = (obj.size, obj.age);
             let asize = u64::from(size).div_ceil(8) * 8;
             // V8 promotes objects surviving their second scavenge.
             let tenured = age + 1 >= 2;
@@ -502,32 +499,28 @@ impl V8Heap {
                     if to_cursor + 1 >= self.semispace_chunks {
                         break;
                     }
+                    self.charge_copy_run(sys, to_cursor, run_start, to_offset)?;
                     to_cursor += 1;
                     to_offset = CHUNK_HEADER;
+                    run_start = to_offset;
                 }
             }
             match dest {
                 Some(addr) => {
-                    self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                     copied += asize;
-                    let obj = self.graph.get_mut(id);
-                    obj.addr = addr.0;
-                    obj.age = age + 1;
+                    self.graph.set_addr(id, addr.0);
+                    self.graph.set_age(id, age + 1);
                 }
                 None => {
                     let addr = self.old_alloc(sys, cast::to_u32(asize), false)?;
                     self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
                     promoted += asize;
-                    let obj = self.graph.get_mut(id);
-                    obj.addr = addr.0;
-                    obj.space_tag = tag::OLD;
+                    self.graph.set_addr(id, addr.0);
+                    self.graph.set_space(id, tag::OLD);
                 }
             }
         }
-
-        // Dead young objects go away; non-young objects were roots and
-        // are all marked.
-        let freed = self.graph.sweep(&live.marks);
+        self.charge_copy_run(sys, to_cursor, run_start, to_offset)?;
 
         // Swap semispaces: *to* (with survivors) becomes *from*.
         std::mem::swap(&mut self.from, &mut self.to);
@@ -558,6 +551,16 @@ impl V8Heap {
         // old space unboundedly.
         if self.committed() > self.next_major_threshold {
             self.major_gc(sys, true)?;
+        }
+        Ok(())
+    }
+
+    /// Charges the scavenge's copies into to-space chunk `cursor`, the
+    /// bytes `[start, end)` of it, as one page touch.
+    fn charge_copy_run(&mut self, sys: &mut System, cursor: usize, start: u64, end: u64) -> Result<(), V8HeapError> {
+        if let Some(&id) = self.to.get(cursor) {
+            let addr = self.chunk(id).addr.offset(start);
+            self.pending += self.os_cost.charge_touch(sys, self.pid, addr, end - start)?;
         }
         Ok(())
     }
@@ -639,9 +642,8 @@ impl V8Heap {
             let addr = self.old_alloc(sys, cast::to_u32(asize), false)?;
             self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
             evacuated += asize;
-            let obj = self.graph.get_mut(id);
-            obj.addr = addr.0;
-            obj.space_tag = tag::OLD;
+            self.graph.set_addr(id, addr.0);
+            self.graph.set_space(id, tag::OLD);
         }
 
         let live_objects = live.live_objects;
