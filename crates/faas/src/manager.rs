@@ -13,9 +13,9 @@ use crate::platform::InstanceId;
 
 /// What the platform exposes about one frozen instance.
 ///
-/// `Copy`: the platform rebuilds this view for every frozen instance
-/// on every sweep tick, so the view must not drag a heap allocation
-/// per instance per sweep — the function name borrows the
+/// `Copy`: when a manager is installed, every sweep tick builds one
+/// view per frozen instance, so the view must not drag a heap
+/// allocation per instance per sweep — the function name borrows the
 /// `&'static str` from the catalog's `FunctionSpec` instead of
 /// cloning it.
 #[derive(Debug, Clone, Copy)]
@@ -29,8 +29,13 @@ pub struct FrozenView {
     pub stage: u8,
     /// When the instance was frozen.
     pub frozen_since: SimTime,
-    /// Current in-heap memory consumption (the `pmap`-or-counters probe
-    /// of §4.5.2) in bytes.
+    /// In-heap memory consumption (the `pmap`-or-counters probe of
+    /// §4.5.2) in bytes, as of the instance's last entry into the frozen
+    /// state. The platform probes each frozen heap once per freeze, on
+    /// the first sweep that sees it, and reuses the value until the
+    /// instance leaves the frozen state. The value is exact: only a
+    /// thaw or a reclamation touches a frozen heap, and both take the
+    /// instance out of the frozen set first.
     pub heap_resident: u64,
     /// Current USS charge against the cache.
     pub charge: u64,
@@ -61,9 +66,10 @@ pub trait MemoryManager: Send {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
-    /// Called on every sweep tick and after cache-accounting changes.
-    /// Returns the frozen instances to reclaim now, best first. The
-    /// platform reclaims them with idle CPU.
+    /// Called on every sweep tick (the platform's `sweep_interval`),
+    /// with one view per frozen instance in ascending id order. Returns
+    /// the frozen instances to reclaim now, best first. The platform
+    /// reclaims them with idle CPU.
     fn select_reclaims(
         &mut self,
         now: SimTime,

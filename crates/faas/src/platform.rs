@@ -125,6 +125,12 @@ struct Slot {
     /// Bytes charged against the cache budget right now.
     charge: u64,
     reclaimed_since_use: bool,
+    /// The heap's resident bytes, probed by the first sweep after the
+    /// instance last entered [`Status::Frozen`]. Exact while frozen:
+    /// only thawing or reclaiming the instance touches its heap, and
+    /// both leave `Frozen`. Derived state, never encoded; every entry
+    /// into `Frozen` clears it.
+    frozen_heap: Option<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -622,6 +628,7 @@ impl Platform {
                 match self.by_id.get(id).and_then(|h| self.slots.get_mut(h)) {
                     Some(slot) if slot.status == Status::Reclaiming => {
                         slot.status = Status::Frozen;
+                        slot.frozen_heap = None;
                         if ok {
                             let new_charge = slot.inst.uss(&self.sys);
                             self.update_charge(id, new_charge)?;
@@ -800,6 +807,7 @@ impl Platform {
             last_used: self.now,
             charge: footprint,
             reclaimed_since_use: false,
+            frozen_heap: None,
         });
         self.by_id.set(id, h);
         self.dirty_slots.insert(id);
@@ -1125,6 +1133,7 @@ impl Platform {
         slot.status = Status::Frozen;
         slot.frozen_since = self.now;
         slot.reclaimed_since_use = false;
+        slot.frozen_heap = None;
         let key = (slot.fn_idx, slot.stage);
         let uss = slot.inst.uss(&self.sys);
         self.update_charge(id, uss)?;
@@ -1211,24 +1220,36 @@ impl Platform {
     }
 
     /// One memory-manager sweep: collect frozen views, ask the manager,
-    /// start reclamations on idle CPU.
+    /// start reclamations on idle CPU. Each frozen heap is probed once
+    /// per freeze (see [`Slot::frozen_heap`]).
     fn run_sweep(&mut self) {
         let Some(manager) = self.manager.as_mut() else {
             return;
         };
+        let sys = &self.sys;
         let mut views: Vec<FrozenView> = self
             .slots
-            .iter()
+            .iter_mut()
             .filter(|(_, s)| s.status == Status::Frozen)
-            .map(|(_, s)| FrozenView {
-                id: s.id,
-                // tidy:allow(panic-reachability) -- fn_idx is validated against the catalog at admission/restore
-                function: self.catalog[s.fn_idx].name,
-                stage: s.stage,
-                frozen_since: s.frozen_since,
-                heap_resident: s.inst.heap().resident_heap_bytes(&self.sys),
-                charge: s.charge,
-                reclaimed: s.reclaimed_since_use,
+            .map(|(_, s)| {
+                let heap = s.inst.heap();
+                let heap_resident = *s.frozen_heap.get_or_insert_with(|| heap.resident_heap_bytes(sys));
+                debug_assert_eq!(
+                    heap_resident,
+                    heap.resident_heap_bytes(sys),
+                    "frozen-heap memo of {:?} is stale",
+                    s.id
+                );
+                FrozenView {
+                    id: s.id,
+                    // tidy:allow(panic-reachability) -- fn_idx is validated against the catalog at admission/restore
+                    function: self.catalog[s.fn_idx].name,
+                    stage: s.stage,
+                    frozen_since: s.frozen_since,
+                    heap_resident,
+                    charge: s.charge,
+                    reclaimed: s.reclaimed_since_use,
+                }
             })
             .collect();
         // Canonical id order: the slab iterates in slot order, but the
@@ -1348,6 +1369,9 @@ impl Platform {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
     use super::*;
     use crate::fault::FaultPlan;
 
@@ -1469,6 +1493,118 @@ mod tests {
         let uss: u64 = p.instance_uss().iter().map(|(_, u)| *u).sum();
         assert_eq!(p.cache_used(), uss);
         assert!(uss < p.config.instance_budget);
+    }
+
+    /// Picks every frozen view on every sweep while `picking` is set,
+    /// and counts the failed reclaims whose instance was thawed and
+    /// frozen again before the reclaim's done event.
+    struct PickAll {
+        picking: Arc<AtomicBool>,
+        timeout: SimDuration,
+        failed: Vec<(InstanceId, SimTime)>,
+        refrozen_mid_reclaim: Arc<AtomicU64>,
+    }
+
+    impl MemoryManager for PickAll {
+        fn name(&self) -> &'static str {
+            "pick-all"
+        }
+
+        fn select_reclaims(&mut self, _: SimTime, _: u64, _: u64, frozen: &[FrozenView]) -> Vec<InstanceId> {
+            for v in frozen {
+                let mid = |&(id, at): &(InstanceId, SimTime)| {
+                    id == v.id && at < v.frozen_since && v.frozen_since < at + self.timeout
+                };
+                if self.failed.iter().any(mid) {
+                    self.refrozen_mid_reclaim.fetch_add(1, Ordering::Relaxed);
+                    self.failed.retain(|&(id, _)| id != v.id);
+                }
+            }
+            if !self.picking.load(Ordering::Relaxed) {
+                return Vec::new();
+            }
+            frozen.iter().map(|v| v.id).collect()
+        }
+
+        fn note_eviction(&mut self, _: SimTime, _: &str) {}
+
+        fn note_destroyed(&mut self, _: InstanceId) {}
+
+        fn note_reclaimed(&mut self, _: SimTime, _: InstanceId, _: &str, _: ReclaimProfile) {}
+
+        fn note_reclaim_failed(&mut self, now: SimTime, id: InstanceId, _: &str) {
+            self.failed.push((id, now));
+        }
+    }
+
+    /// Every path back into `Frozen` (a first freeze, an ok and a
+    /// failed reclaim, a thaw that lands mid-reclaim, a restore) runs
+    /// under the debug-build check of each frozen-heap memo read
+    /// against a fresh probe, and the memos never reach checkpoint
+    /// bytes.
+    #[test]
+    fn frozen_heap_memo_holds_on_every_path_into_frozen() {
+        let timeout = SimDuration::from_secs(2);
+        let refrozen = Arc::new(AtomicU64::new(0));
+        let make = |picking: &Arc<AtomicBool>| {
+            let config = PlatformConfig {
+                sweep_interval: SimDuration::from_millis(50),
+                reclaim_timeout: timeout,
+                faults: Some(FaultPlan {
+                    seed: 13,
+                    boot_fail: 0.0,
+                    crash: 0.0,
+                    thaw_fail: 0.0,
+                    reclaim_fail: 0.5,
+                    oom_kill: 0.0,
+                }),
+                ..small_config()
+            };
+            let manager = PickAll {
+                picking: Arc::clone(picking),
+                timeout,
+                failed: Vec::new(),
+                refrozen_mid_reclaim: Arc::clone(&refrozen),
+            };
+            let mut p = Platform::new(config, workloads::catalog(), GcMode::Vanilla, Some(Box::new(manager)));
+            submit_n(&mut p, "file-hash", 40, 300);
+            submit_n(&mut p, "sort", 20, 700);
+            p
+        };
+        let frozen_memos = |p: &Platform| -> Vec<Option<u64>> {
+            p.slots
+                .iter()
+                .filter(|(_, s)| s.status == Status::Frozen)
+                .map(|(_, s)| s.frozen_heap)
+                .collect()
+        };
+        let end = SimTime(60_000_000_000);
+        let mid = SimTime(6_000_000_000);
+        let on = Arc::new(AtomicBool::new(true));
+        let mut control = make(&on);
+        control.run_until(end);
+        let want = control.checkpoint();
+        let s = control.stats();
+        assert!(s.reclamations > 0 && s.reclaim_failures > 0, "{} ok, {} failed", s.reclamations, s.reclaim_failures);
+        assert!(refrozen.load(Ordering::Relaxed) > 0, "no thaw landed mid-reclaim");
+
+        let mut victim = make(&on);
+        victim.run_until(mid);
+        assert!(frozen_memos(&victim).iter().any(Option::is_some), "no sweep filled a memo");
+        let snap = victim.checkpoint();
+        let off = Arc::new(AtomicBool::new(false));
+        let mut restored = make(&off);
+        restored.restore(&snap).expect("restore");
+        let memos = frozen_memos(&restored);
+        assert!(!memos.is_empty() && memos.iter().all(Option::is_none), "{memos:?}");
+        // A sweep that picks nothing fills every memo and changes no
+        // checkpoint byte.
+        restored.run_sweep();
+        assert!(frozen_memos(&restored).iter().all(Option::is_some));
+        assert!(restored.checkpoint() == snap, "frozen-heap memos leaked into checkpoint bytes");
+        off.store(true, Ordering::Relaxed);
+        restored.run_until(end);
+        assert!(restored.checkpoint() == want, "restored run diverged from the control");
     }
 
     #[test]

@@ -624,7 +624,7 @@ mod snap_impls {
         last_used: SimTime,
         charge: u64,
         reclaimed_since_use: bool,
-    });
+    } skip { frozen_heap });
 
     impl Snapshot for FailReason {
         fn snap(&self, w: &mut Writer) {

@@ -286,15 +286,9 @@ impl Instance {
     /// provided this instance is the *only* user. Returns released
     /// bytes.
     pub fn unmap_private_libs(&mut self, sys: &mut System) -> Result<u64, RuntimeHeapError> {
-        let entries = simos::metrics::smaps(sys, self.pid);
         let mut released = 0u64;
-        for e in entries {
-            if !e.is_private_unmodified_file() {
-                continue;
-            }
-            released += sys
-                .release(self.pid, VirtAddr(e.start), e.len)
-                .map_err(map_os)?;
+        for (start, len) in simos::metrics::private_unmodified_files(sys, self.pid) {
+            released += sys.release(self.pid, VirtAddr(start), len).map_err(map_os)?;
         }
         if released > 0 {
             self.libs_unmapped = true;
@@ -488,6 +482,36 @@ mod tests {
         assert!(uss_after > inst.heap.resident_heap_bytes(&sys));
         assert!(uss_after < uss_before);
         let _ = image;
+    }
+
+    #[test]
+    fn unmap_private_libs_keeps_a_library_another_instance_maps() {
+        let mut sys = System::new();
+        let image = RuntimeImage::openwhisk(Language::JavaScript);
+        let libs = image.register_files(&mut sys);
+        let mut a = Instance::launch(&mut sys, &image, &libs, 256 << 20, 0.14).unwrap();
+        let b = Instance::launch(&mut sys, &image, &libs, 256 << 20, 0.14).unwrap();
+        let rss_before = sys.rss(a.pid);
+        assert_eq!(a.unmap_private_libs(&mut sys).unwrap(), 0);
+        assert_eq!(sys.rss(a.pid), rss_before);
+        assert!(!a.libs_unmapped);
+        let _ = b;
+    }
+
+    #[test]
+    fn unmap_private_libs_keeps_a_library_with_a_cow_page() {
+        let mut sys = System::new();
+        let image = RuntimeImage::openwhisk(Language::Java);
+        let libs = image.register_files(&mut sys);
+        let mut inst = Instance::launch(&mut sys, &image, &libs, 256 << 20, 0.14).unwrap();
+        // One write breaks CoW on one page of every library.
+        for &(_, addr, _) in &inst.libs {
+            sys.touch(inst.pid, addr, simos::PAGE_SIZE, true).unwrap();
+        }
+        let rss_before = sys.rss(inst.pid);
+        assert_eq!(inst.unmap_private_libs(&mut sys).unwrap(), 0);
+        assert_eq!(sys.rss(inst.pid), rss_before);
+        assert!(!inst.libs_unmapped);
     }
 
     #[test]

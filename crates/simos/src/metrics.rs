@@ -20,10 +20,12 @@
 //! mapping, the resident dirty pages and a popcount of
 //! `resident & !dirty & solo`, where `solo` is the file's derived
 //! bitmap of pages with exactly one clean mapper (see
-//! [`crate::system::FileRegistry::solo`]). Neither builds an `smaps`
-//! report. [`smaps`] and [`pss`] keep the per-page walk, since PSS needs
-//! each shared page's mapper count, and serve as the oracle: debug
-//! builds check every `uss`/`rss` result against the `smaps` sums.
+//! [`crate::system::FileRegistry::solo`]). [`private_unmodified_files`],
+//! the §4.6 unmap-candidate query, applies the same popcounts per file
+//! mapping. None of them builds an `smaps` report. [`smaps`] and [`pss`]
+//! keep the per-page walk, since PSS needs each shared page's mapper
+//! count, and serve as the oracle: debug builds check every word-parallel
+//! result against the `smaps` report.
 
 use crate::mem::{Mapping, MappingKind, PAGE_SIZE};
 use crate::system::{Pid, System};
@@ -162,6 +164,47 @@ fn private_bytes(sys: &System, m: &Mapping) -> u64 {
         MappingKind::PrivateFile(file) => {
             let solo = sys.files().solo(file);
             (m.resident_dirty_pages() + m.clean_resident_pages_in(solo)) * PAGE_SIZE
+        }
+    }
+}
+
+/// The §4.6 unmap candidates of `pid`: `(start, len)` of every file
+/// mapping, in address order, whose resident part is non-empty and
+/// made only of clean pages on the file's solo bitmap (no CoW page,
+/// no page another process maps). These are the mappings whose
+/// [`SmapsEntry::is_private_unmodified_file`] holds, found with the
+/// popcounts [`uss`] uses instead of an `smaps` report. Empty if the
+/// process is gone. Debug builds check the result against the `smaps`
+/// filter.
+pub fn private_unmodified_files(sys: &System, pid: Pid) -> Vec<(u64, u64)> {
+    let ranges: Vec<(u64, u64)> = match sys.space(pid) {
+        Ok(space) => space
+            .mappings()
+            .filter(|m| is_private_unmodified_file(sys, m))
+            .map(|m| (m.start.0, m.len()))
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    if cfg!(debug_assertions) {
+        let slow: Vec<(u64, u64)> = smaps(sys, pid)
+            .iter()
+            .filter(|e| e.is_private_unmodified_file())
+            .map(|e| (e.start, e.len))
+            .collect();
+        assert_eq!(ranges, slow, "word-parallel unmap candidates of {pid:?} disagree with smaps");
+    }
+    ranges
+}
+
+/// True if `m` is a file mapping with resident pages, all of them
+/// clean and solo. Counting only the clean pages against the resident
+/// total also rules out a resident dirty page.
+fn is_private_unmodified_file(sys: &System, m: &Mapping) -> bool {
+    match m.kind {
+        MappingKind::Anonymous => false,
+        MappingKind::PrivateFile(file) => {
+            let resident = m.resident_bytes() / PAGE_SIZE;
+            resident > 0 && m.clean_resident_pages_in(sys.files().solo(file)) == resident
         }
     }
 }

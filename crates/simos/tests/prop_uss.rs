@@ -13,6 +13,11 @@
 //!
 //! * per pid, `uss == Σ smaps uss` and `rss == Σ smaps rss`;
 //! * per file page, the solo bit equals `mapper_count == 1`.
+//!
+//! A second property holds the §4.6 unmap-candidate query,
+//! `metrics::private_unmodified_files`, to the `smaps` filter it
+//! replaces, over 3 processes that map, touch (read, or write to break
+//! CoW), release, swap out, unmap and die.
 
 use proptest::prelude::*;
 use simos::mem::{MappingKind, Prot, VirtAddr, PAGE_SIZE};
@@ -148,6 +153,20 @@ fn check_metrics(sys: &System, libs: &[FileId]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Checks the word-parallel unmap candidates of every pid against the
+/// `smaps` filter.
+fn check_unmap_candidates(sys: &System) -> Result<(), TestCaseError> {
+    for pid in sys.pids() {
+        let oracle: Vec<(u64, u64)> = metrics::smaps(sys, pid)
+            .iter()
+            .filter(|e| e.is_private_unmodified_file())
+            .map(|e| (e.start, e.len))
+            .collect();
+        prop_assert_eq!(metrics::private_unmodified_files(sys, pid), oracle, "unmap candidates of {:?}", pid);
+    }
+    Ok(())
+}
+
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, usize, usize, usize)>> {
     proptest::collection::vec((0u8..8, 0usize..10_000, 0usize..10_000, 0usize..4), 1..60)
 }
@@ -179,5 +198,22 @@ proptest! {
         let mut again = snapshot::Writer::new();
         restored.snap(&mut again);
         prop_assert!(again.into_bytes() == bytes, "restored System re-encodes differently");
+    }
+
+    #[test]
+    fn unmap_candidates_match_smaps(ops in proptest::collection::vec(
+        (0usize..6, 0usize..10_000, 0usize..10_000, 0usize..3),
+        1..60,
+    )) {
+        // Read and write touches, release, swap-out, munmap and kill;
+        // an op on an unmapped slot maps the library (or heap) again,
+        // and an op on an empty world spawns a process.
+        const OPS: [u8; 6] = [0, 1, 2, 5, 6, 7];
+        let mut world = World::new(3);
+        check_unmap_candidates(&world.sys)?;
+        for &(op, a, b, who) in &ops {
+            world.apply(OPS[op], a, b, who);
+            check_unmap_candidates(&world.sys)?;
+        }
     }
 }

@@ -57,6 +57,20 @@ cluster_out=$(cargo run --release -q -p bench --bin cluster_replay -- \
 grep -q "conservation OK" <<<"$cluster_out" \
     || { echo "cluster smoke never printed its conservation line"; exit 1; }
 
+echo "== cluster digest vs the committed BENCH_cluster.json (full size) =="
+# The full-size digest does not depend on the host, so the committed
+# artifact must carry exactly the digest this code prints; a mismatch
+# means a simulated outcome moved or the artifact is stale. (No
+# --check: the full-size scaling floor is a timing gate.)
+full_out=$(cargo run --release -q -p bench --bin cluster_replay -- \
+    --out-dir target/bench-smoke)
+want=$(sed -n 's/^ *"digest": "\(0x[0-9a-f]*\)",*$/\1/p' BENCH_cluster.json)
+got=$(grep -o 'digest 0x[0-9a-f]*' <<<"$full_out" | cut -d' ' -f2 | sort -u)
+if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "cluster_replay printed digest(s) '${got//$'\n'/ }', BENCH_cluster.json has '$want'"
+    exit 1
+fi
+
 echo "== fleet failure domains (outage / partition / availability SLO) =="
 # Shard 5 goes dark for three rounds mid-replay. Down: the shard
 # freezes and must heal from its durable checkpoint store, digest
