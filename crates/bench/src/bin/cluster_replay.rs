@@ -15,8 +15,11 @@
 //! with the same plan, request conservation, heal accounting, warm-set
 //! drain ahead of a planned outage, and the availability SLO (hedged
 //! retries keep the success rate through the window, while a
-//! retry-less control demonstrably loses requests). `--outage` also
-//! writes `BENCH_availability.json`.
+//! retry-less control demonstrably loses requests). Both also bound
+//! durable state: no shard's checkpoint store may ever hold more than
+//! `2 × base_every + 1` objects in these fault-free-storage runs.
+//! `--outage` also writes `BENCH_availability.json`, with the stores'
+//! high-water mark.
 //!
 //! Every replay prints its request-conservation accounting line
 //! (`conservation OK: …`), which `scripts/tier1.sh` greps for.
@@ -42,7 +45,7 @@ use cluster::{
     AvailabilityReport, Cluster, ClusterConfig, FrontEndConfig, Placement, ShardSetup,
 };
 use desiccant::{Desiccant, DesiccantConfig};
-use faas::{CrashPlan, MemoryManager, OutageKind, OutagePlan, OutageWindow};
+use faas::{CrashPlan, MemoryManager, OutageKind, OutagePlan, OutageWindow, Retention};
 use simos::SimDuration;
 
 /// Shards in the simulated cluster.
@@ -90,7 +93,8 @@ fn usage() {
          \x20 --outage        replay with shard {OUT_SHARD} Down for rounds \
          {OUT_START}..{}: digest invariance across --jobs 1/2/4 and vs a \
          kill+outage run, durable-store heal accounting, planned-drain \
-         migration check, hedged-vs-bare SLO comparison; writes \
+         migration check, hedged-vs-bare SLO comparison, checkpoint-store \
+         bound (2 x base_every + 1 objects per shard); writes \
          BENCH_availability.json\n\
          \x20 --partition     same window as a Partitioned \
          (reachability-only) fault: the shard keeps executing, nothing \
@@ -177,13 +181,15 @@ fn run(jobs: usize, rounds: u32, quick: bool) -> (f64, ClusterReplayOutcome, u64
 }
 
 /// One failure-domain replay: outage plan plus optional kill schedule
-/// on the outage shard, with its conservation line printed.
+/// on the outage shard, with its conservation line printed. Folds the
+/// shards' checkpoint-store high-water mark into `store`.
 fn run_faulted(
     jobs: usize,
     quick: bool,
     frontend: FrontEndConfig,
     plan: Option<OutagePlan>,
     kill_every: Option<u64>,
+    store: &mut Retention,
 ) -> (ClusterReplayOutcome, AvailabilityReport, u64) {
     let config = scenario(quick);
     let trace = build_trace(&workloads::catalog(), 13);
@@ -201,7 +207,31 @@ fn run_faulted(
     let out = replay_cluster(&mut c, &trace, &config);
     let avail = c.availability();
     println!("{}", avail.conservation_line());
+    *store = store.merge(c.store_high_water());
     (out, avail, c.events_seen())
+}
+
+/// The most objects a shard's checkpoint store may hold with
+/// fault-free writes: the chain a recovery restores, the chain before
+/// it, and the cut in flight.
+fn store_bound() -> usize {
+    2 * ClusterConfig::default().cadence.base_every + 1
+}
+
+/// Checks the checkpoint-store high-water mark of the fault-free runs
+/// so far against [`store_bound`]: a deterministic count.
+fn store_gate(flags: &Flags, store: Retention) {
+    println!(
+        "checkpoint store high water: {} objects (bound {}), {} bytes",
+        store.objects,
+        store_bound(),
+        store.bytes
+    );
+    check(
+        flags,
+        store.objects <= store_bound(),
+        "no shard's fault-free checkpoint store outgrew 2 x base_every + 1 objects",
+    );
 }
 
 fn window(kind: OutageKind, planned: bool) -> OutagePlan {
@@ -250,9 +280,10 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
     // Jobs sweep under the outage: one outcome, any worker count.
     let mut sweep = Vec::new();
     let mut events = 0;
+    let mut store = Retention::default();
     for &jobs in JOBS {
         let (out, avail, ev) =
-            run_faulted(jobs, flags.quick, hedged, Some(window(kind, false)), None);
+            run_faulted(jobs, flags.quick, hedged, Some(window(kind, false)), None, &mut store);
         println!(
             "{kind_name} outage ({jobs} jobs): {} delivered, {} retries, \
              {} heals, digest {:#018x}",
@@ -295,8 +326,14 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
 
     // Kill + outage must land on the kill-free control's digest.
     let kill_every = (events / u64::from(SHARDS) / 6).max(40);
-    let (chaos, chaos_avail, _) =
-        run_faulted(2, flags.quick, hedged, Some(window(kind, false)), Some(kill_every));
+    let (chaos, chaos_avail, _) = run_faulted(
+        2,
+        flags.quick,
+        hedged,
+        Some(window(kind, false)),
+        Some(kill_every),
+        &mut store,
+    );
     println!(
         "{kind_name} + kill (shard {OUT_SHARD} every {kill_every} events): \
          {} recoveries, digest {:#018x}",
@@ -316,6 +353,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
     );
 
     if kind != OutageKind::Down {
+        store_gate(flags, store);
         return;
     }
 
@@ -323,7 +361,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
     // drain the warm set — strictly more migrations than the same
     // window hitting unannounced.
     let (planned, planned_avail, _) =
-        run_faulted(2, flags.quick, hedged, Some(window(kind, true)), None);
+        run_faulted(2, flags.quick, hedged, Some(window(kind, true)), None, &mut store);
     println!(
         "planned drain: {} migrations vs {} unplanned",
         planned.migrations, base.migrations
@@ -343,8 +381,8 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
         ..FrontEndConfig::default()
     };
     let (bare_out, bare_avail, _) =
-        run_faulted(2, flags.quick, bare, Some(window(kind, false)), None);
-    let (_, ctrl_avail, _) = run_faulted(2, flags.quick, hedged, None, None);
+        run_faulted(2, flags.quick, bare, Some(window(kind, false)), None, &mut store);
+    let (_, ctrl_avail, _) = run_faulted(2, flags.quick, hedged, None, None, &mut store);
     println!(
         "availability: fault-free {:.4}, hedged outage {:.4} \
          (p99 {:.1} ms, {} hedge wins), bare outage {:.4} ({} failed)",
@@ -372,6 +410,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
         bare_out.totals.frontend_failed() > 0,
         "without retries or hedging the outage visibly loses requests",
     );
+    store_gate(flags, store);
 
     write_json(
         dir,
@@ -391,6 +430,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
              \"fault_free\": {},\n  \
              \"outage_hedged\": {},\n  \
              \"outage_bare\": {},\n  \
+             \"store_high_water\": {{\"objects\": {}, \"bound\": {}, \"bytes\": {}}},\n  \
              \"digest\": \"{:#018x}\"\n}}\n",
             flags.quick,
             base.totals.outage_rounds,
@@ -402,6 +442,9 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
             slo_block(&ctrl_avail),
             slo_block(&base_avail),
             slo_block(&bare_avail),
+            store.objects,
+            store_bound(),
+            store.bytes,
             base.digest,
         ),
     );

@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use faas::fault::{CrashPlan, OutageKind, OutagePlan};
-use faas::{Cadence, LatencyHistogram};
+use faas::{Cadence, LatencyHistogram, Retention};
 use simos::{SimDuration, SimTime};
 use snapshot::{Reader, SnapError, Snapshot, Writer};
 
@@ -465,6 +465,15 @@ impl Cluster {
             .expect("shard lock")
             .recovered_front()
             .map(<[u8]>::to_vec)
+    }
+
+    /// The most objects and the most bytes any one shard's checkpoint
+    /// store has held at once (each the maximum over shards). Not
+    /// state: no digest or checkpoint reads it.
+    pub fn store_high_water(&self) -> Retention {
+        self.shards.iter().fold(Retention::default(), |acc, m| {
+            acc.merge(m.lock().expect("shard lock").store_high_water())
+        })
     }
 
     /// FNV-1a digest over every shard's canonical state bytes (shard

@@ -23,7 +23,8 @@
 use faas::fault::{CrashPlan, OutageKind};
 use faas::platform::Platform;
 use faas::{
-    Cadence, Durable, GcMode, LatencyHistogram, MemoryManager, PlatformConfig, StorageFaultPlan,
+    Cadence, Durable, GcMode, LatencyHistogram, MemoryManager, PlatformConfig, Retention,
+    StorageFaultPlan,
 };
 use simos::SimTime;
 use workloads::FunctionSpec;
@@ -250,6 +251,12 @@ impl Shard {
     /// The measured-window latency distribution of this shard.
     pub fn latency_histogram(&self) -> LatencyHistogram {
         self.durable.platform().stats().latency.clone()
+    }
+
+    /// The most objects and bytes the shard's checkpoint store has held
+    /// at once. Not state: no digest or checkpoint reads it.
+    pub fn store_high_water(&self) -> Retention {
+        self.durable.store_high_water()
     }
 
     /// Front-end bytes recovered by the most recent store rebuild (the

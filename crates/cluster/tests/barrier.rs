@@ -289,6 +289,41 @@ fn outage_digest_matches_across_jobs_and_kill_schedules() {
 }
 
 #[test]
+fn down_heal_under_torn_writes_matches_fault_free_control() {
+    let mut s = setup(6 << 30, true);
+    let arrivals = drizzle(s.catalog.len(), 30, 29);
+    let end = SimTime(36_000_000_000);
+    let base = ClusterConfig {
+        shards: 4,
+        ..ClusterConfig::default()
+    };
+    // Dark from round 10: shard 2 has cut three checkpoints by then.
+    let plan = down_window(2, 10, 3);
+    let control = run_fleet(&s, base, &arrivals, end, Some(plan.clone()), None);
+    assert_eq!(control.totals().heals, 1, "the Down window never healed");
+    // Torn checkpoint puts lose their tail at a frame boundary. At rate
+    // 0.5 (seed 31) the newest of shard 2's three cuts tears and the
+    // heal restores the chain before it; at rate 1.0 every cut tears
+    // and the heal replays the journal alone. Both must land on the
+    // fault-free digest.
+    for (rate, scratch) in [(0.5, 0), (1.0, 1)] {
+        s.storage_faults = Some(StorageFaultPlan::torn(31, rate));
+        for jobs in [1, 2] {
+            let cfg = ClusterConfig { jobs, ..base };
+            let torn = run_fleet(&s, cfg, &arrivals, end, Some(plan.clone()), None);
+            let totals = torn.totals();
+            assert_eq!(totals.heals, 1, "the Down window never healed");
+            assert_eq!(totals.scratch_recoveries, scratch, "torn rate {rate}");
+            assert_eq!(
+                torn.digest(),
+                control.digest(),
+                "heal under torn rate {rate} diverged from the fault-free control at {jobs} jobs"
+            );
+        }
+    }
+}
+
+#[test]
 fn partitioned_shard_drains_in_place_without_heal() {
     let s = setup(6 << 30, false);
     let arrivals = drizzle(s.catalog.len(), 24, 23);

@@ -42,6 +42,19 @@
 //! the crash plan from the killed event count; a heal re-arms it from
 //! the restored count (replayed kills are state-neutral: each one
 //! recovers to the same trajectory).
+//!
+//! # What stays durable
+//!
+//! The checkpoint store keeps only the chains its recovery lattice can
+//! return (see [`crate::store`]): with fault-free writes, at most
+//! `2 × base_every + 1` objects — the chain a recovery restores, the
+//! chain before it, and the cut in flight. Epochs still count every
+//! cut ever put, so they stay strictly monotonic. The journal stays
+//! whole: a recovery that finds no usable chain replays it from round
+//! zero, so retention gives up no recovery. It is also small next to
+//! the checkpoints — in the `cluster_outage` benchmark workload a
+//! shard's journal peaks at about 69 KB, while the checkpoints it cuts
+//! total about 10.7 MB.
 
 use std::ops::Range;
 
@@ -52,7 +65,7 @@ use snapshot::{Reader, SnapError, Writer};
 use crate::error::PlatformError;
 use crate::fault::{CrashPlan, StorageFaultPlan};
 use crate::platform::Platform;
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, Retention};
 
 /// Checkpoint cadence, in rounds and cuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,7 +379,7 @@ impl<F: Fn() -> Platform> Durable<F> {
             }
             _ => self.platform.checkpoint_base(epoch, &extra),
         };
-        self.store.put(&bytes);
+        self.store.put(bytes);
         self.parent_epoch = Some(epoch);
     }
 
@@ -445,6 +458,12 @@ impl<F: Fn() -> Platform> Durable<F> {
     /// Cut payload of the most recently restored checkpoint, if any.
     pub fn recovered_cut(&self) -> Option<&[u8]> {
         self.recovered_cut.as_deref()
+    }
+
+    /// The most objects and bytes the checkpoint store has held at
+    /// once.
+    pub fn store_high_water(&self) -> Retention {
+        self.store.high_water()
     }
 }
 

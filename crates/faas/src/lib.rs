@@ -74,7 +74,7 @@ pub use fault::{
     CrashPlan, FaultInjector, FaultPlan, OutageKind, OutagePlan, OutageWindow, StorageFault,
     StorageFaultInjector, StorageFaultPlan,
 };
-pub use store::CheckpointStore;
+pub use store::{CheckpointStore, Retention};
 pub use histogram::LatencyHistogram;
 pub use manager::{FrozenView, MemoryManager, ReclaimProfile};
 pub use platform::{FailReason, FrozenFnSummary, GcMode, InstanceId, Platform};

@@ -74,6 +74,10 @@ pub struct V8Heap {
     config: V8Config,
     graph: HeapGraph,
     chunks: Vec<Option<Chunk>>,
+    /// Bytes of the live chunks: derived from `chunks`, kept by
+    /// `map_chunk_inner` and `unmap_chunk`, never encoded.
+    committed: u64,
+    /// Live chunks by base address.
     addr_to_chunk: BTreeMap<u64, ChunkId>,
     /// The *from* semispace: allocation and survivor space.
     from: Vec<ChunkId>,
@@ -128,6 +132,7 @@ impl V8Heap {
             config,
             graph: HeapGraph::new(),
             chunks: Vec::new(),
+            committed: 0,
             addr_to_chunk: BTreeMap::new(),
             from: Vec::new(),
             to: Vec::new(),
@@ -188,13 +193,20 @@ impl V8Heap {
         2 * cast::to_u64(self.semispace_chunks) * CHUNK_SIZE
     }
 
-    /// Total mapped heap bytes (all chunks).
+    /// Total mapped heap bytes (all live chunks).
     pub fn committed(&self) -> u64 {
-        self.chunks
-            .iter()
-            .flatten()
-            .map(|c| c.size)
-            .sum()
+        debug_assert_eq!(
+            self.committed,
+            self.chunks.iter().flatten().map(|c| c.size).sum::<u64>(),
+            "committed counter drifted from the chunk table"
+        );
+        self.committed
+    }
+
+    /// The live chunks, by base address. The chunk table never reuses
+    /// a slot, so it can be many times longer.
+    fn live_chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.addr_to_chunk.values().map(|&id| self.chunk(id))
     }
 
     /// Live bytes found by the most recent collection.
@@ -216,9 +228,7 @@ impl V8Heap {
     /// Resident bytes across all heap chunks (V8's own accounting; the
     /// platform reads it directly, §4.5.2).
     pub fn resident_heap_bytes(&self, sys: &System) -> u64 {
-        self.chunks
-            .iter()
-            .flatten()
+        self.live_chunks()
             .map(|c| sys.pmap(self.pid, c.addr, c.size).unwrap_or(0))
             .sum()
     }
@@ -269,6 +279,7 @@ impl V8Heap {
         let chunk = Chunk::new(addr, size, space);
         let id = ChunkId(cast::to_u32(self.chunks.len()));
         self.chunks.push(Some(chunk));
+        self.committed += size;
         self.addr_to_chunk.insert(addr.0, id);
         Ok(id)
     }
@@ -279,6 +290,7 @@ impl V8Heap {
             .get_mut(id.index())
             .and_then(Option::take)
             .expect("double unmap of chunk"); // tidy:allow(panic-reachability) -- chunk ids are allocated by this heap; the from/to/old/large lists hold only live ids
+        self.committed -= chunk.size;
         self.addr_to_chunk.remove(&chunk.addr.0);
         sys.munmap(self.pid, chunk.addr)?;
         Ok(())
@@ -774,6 +786,7 @@ mod snap_impls {
                 config,
                 graph,
                 chunks,
+                committed: _,
                 addr_to_chunk,
                 from,
                 to,
@@ -863,6 +876,7 @@ mod snap_impls {
                 pid,
                 config,
                 graph,
+                committed: chunks.iter().flatten().map(|c| c.size).sum(),
                 chunks,
                 addr_to_chunk,
                 from,

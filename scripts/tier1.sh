@@ -79,7 +79,9 @@ echo "== fleet failure domains (outage / partition / availability SLO) =="
 # visibly loses requests, and a planned window must drain the warm set
 # first. Partitioned: same window as a reachability-only fault — the
 # shard keeps executing and nothing heals through the store. Every
-# replay must print its request-conservation accounting line.
+# replay must print its request-conservation accounting line, and no
+# shard's checkpoint store may ever hold more than 2 x base_every + 1
+# objects (a deterministic count; storage writes are fault-free here).
 for gate in --outage --partition; do
     echo "-- cluster_replay $gate"
     gate_out=$(cargo run --release -q -p bench --bin cluster_replay -- \
