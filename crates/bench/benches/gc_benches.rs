@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gc_core::object::ObjectKind;
+use gc_core::ManagedHeap;
 use hotspot::{HotSpotConfig, HotSpotHeap};
 use simos::System;
 use v8heap::{V8Config, V8Heap};
@@ -141,7 +142,7 @@ fn bench_hotspot_reclaim(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(live), &live, |b, &live| {
             b.iter_batched(
                 || hotspot_world(live),
-                |(mut sys, mut heap)| heap.reclaim(&mut sys).unwrap(),
+                |(mut sys, mut heap)| heap.reclaim(&mut sys, true).unwrap(),
                 criterion::BatchSize::SmallInput,
             );
         });

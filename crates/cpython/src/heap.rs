@@ -6,6 +6,7 @@ use std::collections::VecDeque;
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
 use gc_core::trace::mark;
+use gc_core::{HeapError, ManagedHeap};
 use simos::cost::CostModel;
 use simos::{Pid, SimDuration, System, VirtAddr};
 
@@ -29,17 +30,6 @@ impl Default for CPythonConfig {
             gc_allocation_threshold: 700,
         }
     }
-}
-
-/// Result of a [`CPythonHeap::reclaim`].
-#[derive(Debug, Clone, Copy)]
-pub struct CPythonReclaimOutcome {
-    /// Bytes released back to the OS.
-    pub released_bytes: u64,
-    /// Live bytes after the collection.
-    pub live_bytes: u64,
-    /// Simulated wall time of the reclamation.
-    pub wall_time: SimDuration,
 }
 
 /// A CPython heap bound to one simulated process.
@@ -75,66 +65,9 @@ impl CPythonHeap {
         })
     }
 
-    /// The object graph.
-    pub fn graph(&self) -> &HeapGraph {
-        &self.graph
-    }
-
-    /// Mutable object graph.
-    pub fn graph_mut(&mut self) -> &mut HeapGraph {
-        &mut self.graph
-    }
-
     /// Allocator counters.
     pub fn allocator(&self) -> &ArenaAllocator {
         &self.allocator
-    }
-
-    /// Cumulative collector counters.
-    pub fn counters(&self) -> &GcCounters {
-        &self.counters
-    }
-
-    /// Live bytes found by the most recent collection pass.
-    pub fn last_live_bytes(&self) -> u64 {
-        self.last_live_bytes
-    }
-
-    /// Mapped bytes.
-    pub fn committed(&self) -> u64 {
-        self.allocator.committed()
-    }
-
-    /// Resident heap bytes.
-    pub fn resident_heap_bytes(&self, sys: &System) -> u64 {
-        self.allocator.resident_bytes(sys, self.pid)
-    }
-
-    /// Drains accrued latency.
-    pub fn take_elapsed(&mut self) -> SimDuration {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Allocates a data object of `size` bytes.
-    pub fn alloc(&mut self, sys: &mut System, size: u32) -> Result<ObjectId, simos::SimOsError> {
-        if self.committed() + u64::from(size) > self.config.max_heap {
-            // Like CPython under memory pressure: collect cycles, then
-            // retry; a real MemoryError is out of model scope because
-            // the drivers are calibrated to fit.
-            self.cycle_collect(sys)?;
-        }
-        // The threshold collection runs *before* the new allocation so
-        // the fresh (not yet rooted) object cannot be swept by its own
-        // allocating call.
-        self.allocs_since_gc += 1;
-        if self.allocs_since_gc >= self.config.gc_allocation_threshold {
-            self.cycle_collect(sys)?;
-        }
-        let addr = self.allocator.alloc(sys, self.pid, size)?;
-        self.pending += self.os_cost.zero_fill_fault; // rough touch charge
-        let id = self.graph.alloc(size, ObjectKind::Data);
-        self.graph.set_addr(id, addr.0);
-        Ok(id)
     }
 
     /// The refcounting pass: frees every dead object *not* on (or
@@ -224,21 +157,74 @@ impl CPythonHeap {
         self.allocs_since_gc = 0;
         Ok(freed_bytes)
     }
+}
 
-    /// The Desiccant reclaim sketched in §7: run the cycle collector,
-    /// then release every whole-free page inside partially-used arenas
-    /// (the free lists tell the manager which regions are free; stock
-    /// CPython would keep them resident).
-    pub fn reclaim(&mut self, sys: &mut System) -> Result<CPythonReclaimOutcome, simos::SimOsError> {
-        let pending_before = self.pending;
+impl ManagedHeap for CPythonHeap {
+    fn graph(&self) -> &HeapGraph {
+        &self.graph
+    }
+
+    fn graph_mut(&mut self) -> &mut HeapGraph {
+        &mut self.graph
+    }
+
+    /// Allocates an object of `size` bytes.
+    fn alloc(&mut self, sys: &mut System, size: u32, kind: ObjectKind) -> Result<ObjectId, HeapError> {
+        if self.committed() + u64::from(size) > self.config.max_heap {
+            // Like CPython under memory pressure: collect cycles, then
+            // retry; a real MemoryError is out of model scope because
+            // the drivers are calibrated to fit.
+            self.cycle_collect(sys)?;
+        }
+        // The threshold collection runs *before* the new allocation so
+        // the fresh (not yet rooted) object cannot be swept by its own
+        // allocating call.
+        self.allocs_since_gc += 1;
+        if self.allocs_since_gc >= self.config.gc_allocation_threshold {
+            self.cycle_collect(sys)?;
+        }
+        let addr = self.allocator.alloc(sys, self.pid, size)?;
+        self.pending += self.os_cost.zero_fill_fault; // rough touch charge
+        let id = self.graph.alloc(size, kind);
+        self.graph.set_addr(id, addr.0);
+        Ok(id)
+    }
+
+    /// Mapped bytes.
+    fn committed(&self) -> u64 {
+        self.allocator.committed()
+    }
+
+    fn resident_heap_bytes(&self, sys: &System) -> u64 {
+        self.allocator.resident_bytes(sys, self.pid)
+    }
+
+    /// Live bytes found by the most recent collection pass.
+    fn last_live_bytes(&self) -> u64 {
+        self.last_live_bytes
+    }
+
+    fn counters(&self) -> &GcCounters {
+        &self.counters
+    }
+
+    fn pending_mut(&mut self) -> &mut SimDuration {
+        &mut self.pending
+    }
+
+    /// The cycle collector; CPython has no weak-preserving mode to pick.
+    fn collect_full(&mut self, sys: &mut System, _keep_weak: bool) -> Result<(), HeapError> {
         self.cycle_collect(sys)?;
+        Ok(())
+    }
+
+    /// Releases every whole-free page inside partially-used arenas (the
+    /// free lists tell the manager which regions are free; stock
+    /// CPython would keep them resident).
+    fn release_free(&mut self, sys: &mut System) -> Result<u64, HeapError> {
         let released = self.allocator.release_free_pages(sys, self.pid)?;
         self.pending += self.os_cost.release_cost(released);
-        Ok(CPythonReclaimOutcome {
-            released_bytes: released,
-            live_bytes: self.last_live_bytes,
-            wall_time: self.pending.saturating_sub(pending_before),
-        })
+        Ok(released)
     }
 }
 
@@ -257,8 +243,8 @@ mod tests {
     fn refcounting_frees_acyclic_garbage_immediately() {
         let (mut sys, mut heap) = world();
         let scope = heap.graph_mut().push_handle_scope();
-        let a = heap.alloc(&mut sys, 256).unwrap();
-        let b = heap.alloc(&mut sys, 256).unwrap();
+        let a = heap.alloc(&mut sys, 256, ObjectKind::Data).unwrap();
+        let b = heap.alloc(&mut sys, 256, ObjectKind::Data).unwrap();
         heap.graph_mut().add_ref(a, b);
         heap.graph_mut().add_handle(a);
         heap.graph_mut().pop_handle_scope(scope);
@@ -272,12 +258,12 @@ mod tests {
     fn cycles_survive_refcounting_but_not_the_collector() {
         let (mut sys, mut heap) = world();
         let scope = heap.graph_mut().push_handle_scope();
-        let a = heap.alloc(&mut sys, 256).unwrap();
-        let b = heap.alloc(&mut sys, 256).unwrap();
+        let a = heap.alloc(&mut sys, 256, ObjectKind::Data).unwrap();
+        let b = heap.alloc(&mut sys, 256, ObjectKind::Data).unwrap();
         // A cycle, plus an acyclic object hanging off it.
         heap.graph_mut().add_ref(a, b);
         heap.graph_mut().add_ref(b, a);
-        let c = heap.alloc(&mut sys, 512).unwrap();
+        let c = heap.alloc(&mut sys, 512, ObjectKind::Data).unwrap();
         heap.graph_mut().add_ref(a, c);
         heap.graph_mut().add_handle(a);
         heap.graph_mut().pop_handle_scope(scope);
@@ -293,9 +279,9 @@ mod tests {
     #[test]
     fn live_objects_survive_both_passes() {
         let (mut sys, mut heap) = world();
-        let keep = heap.alloc(&mut sys, 1024).unwrap();
+        let keep = heap.alloc(&mut sys, 1024, ObjectKind::Data).unwrap();
         heap.graph_mut().add_global(keep);
-        let dep = heap.alloc(&mut sys, 512).unwrap();
+        let dep = heap.alloc(&mut sys, 512, ObjectKind::Data).unwrap();
         heap.graph_mut().add_ref(keep, dep);
         heap.refcount_pass(&mut sys).unwrap();
         heap.cycle_collect(&mut sys).unwrap();
@@ -307,11 +293,11 @@ mod tests {
     fn reclaim_releases_pinned_arena_pages() {
         let (mut sys, mut heap) = world();
         // One keeper pins the arena; hundreds of temporaries die.
-        let keep = heap.alloc(&mut sys, 128).unwrap();
+        let keep = heap.alloc(&mut sys, 128, ObjectKind::Data).unwrap();
         heap.graph_mut().add_global(keep);
         let scope = heap.graph_mut().push_handle_scope();
         for _ in 0..500 {
-            let t = heap.alloc(&mut sys, 128).unwrap();
+            let t = heap.alloc(&mut sys, 128, ObjectKind::Data).unwrap();
             heap.graph_mut().add_handle(t);
         }
         heap.graph_mut().pop_handle_scope(scope);
@@ -319,7 +305,7 @@ mod tests {
         // Stock: memory stays resident (arena not empty).
         let before = heap.resident_heap_bytes(&sys);
         assert!(before > simos::PAGE_SIZE, "frozen garbage is resident: {before}");
-        let out = heap.reclaim(&mut sys).unwrap();
+        let out = heap.reclaim(&mut sys, true).unwrap();
         assert!(out.released_bytes > 0);
         assert_eq!(out.live_bytes, 128);
         let after = heap.resident_heap_bytes(&sys);
@@ -336,29 +322,14 @@ mod tests {
             // each object before allocating more (the C stack holds
             // them in real CPython, and a threshold GC may run between
             // allocations).
-            let a = heap.alloc(&mut sys, 64).unwrap();
+            let a = heap.alloc(&mut sys, 64, ObjectKind::Data).unwrap();
             heap.graph_mut().add_handle(a);
-            let b = heap.alloc(&mut sys, 64).unwrap();
+            let b = heap.alloc(&mut sys, 64, ObjectKind::Data).unwrap();
             heap.graph_mut().add_handle(b);
             heap.graph_mut().add_ref(a, b);
             heap.graph_mut().add_ref(b, a);
         }
         heap.graph_mut().pop_handle_scope(scope);
         assert!(heap.counters().full_collections >= 1, "threshold GC ran");
-    }
-
-    #[test]
-    fn reclaim_is_idempotent() {
-        let (mut sys, mut heap) = world();
-        let keep = heap.alloc(&mut sys, 128).unwrap();
-        heap.graph_mut().add_global(keep);
-        for _ in 0..100 {
-            heap.alloc(&mut sys, 128).unwrap();
-        }
-        heap.reclaim(&mut sys).unwrap();
-        let resident = heap.resident_heap_bytes(&sys);
-        let second = heap.reclaim(&mut sys).unwrap();
-        assert_eq!(second.released_bytes, 0);
-        assert_eq!(heap.resident_heap_bytes(&sys), resident);
     }
 }

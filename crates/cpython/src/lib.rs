@@ -23,11 +23,11 @@
 //!   objects CPython's refcounts *cannot* free are those on or
 //!   reachable from reference cycles), and the **cycle collector**
 //!   (`gc.collect()`) frees the rest when invoked.
-//! * [`heap::CPythonHeap::reclaim`] — the Desiccant extension: run the
-//!   cycle collector, then release every *whole-free page* inside
-//!   partially-used arenas back to the OS (free pools are exactly
-//!   page-sized, so fragmentation cost is per-pool, mirroring the
-//!   paper's free-list-guided release).
+//! * the Desiccant extension, as the two [`gc_core::ManagedHeap`] hooks
+//!   behind its `reclaim`: run the cycle collector, then release every
+//!   *whole-free page* inside partially-used arenas back to the OS
+//!   (free pools are exactly page-sized, so fragmentation cost is
+//!   per-pool, mirroring the paper's free-list-guided release).
 //!
 //! Unlike the HotSpot/V8 models, this crate is an *extension beyond the
 //! paper's measured evaluation* (its §7 is a discussion section); it is
@@ -38,6 +38,7 @@
 //!
 //! ```
 //! use cpython_heap::{CPythonConfig, CPythonHeap};
+//! use gc_core::{ManagedHeap, ObjectKind};
 //! use simos::System;
 //!
 //! let mut sys = System::new();
@@ -46,15 +47,15 @@
 //!
 //! let scope = heap.graph_mut().push_handle_scope();
 //! // A reference cycle: refcounting alone cannot free it.
-//! let a = heap.alloc(&mut sys, 512).unwrap();
-//! let b = heap.alloc(&mut sys, 512).unwrap();
+//! let a = heap.alloc(&mut sys, 512, ObjectKind::Data).unwrap();
+//! let b = heap.alloc(&mut sys, 512, ObjectKind::Data).unwrap();
 //! heap.graph_mut().add_ref(a, b);
 //! heap.graph_mut().add_ref(b, a);
 //! heap.graph_mut().add_handle(a);
 //! heap.graph_mut().pop_handle_scope(scope);
 //! heap.refcount_pass(&mut sys).unwrap();
 //! assert!(heap.graph().exists(a), "cyclic garbage survives refcounting");
-//! let out = heap.reclaim(&mut sys).unwrap();
+//! let out = heap.reclaim(&mut sys, true).unwrap();
 //! assert!(!heap.graph().exists(a), "the cycle collector frees it");
 //! assert_eq!(out.live_bytes, 0);
 //! ```
@@ -65,4 +66,4 @@ pub mod arena;
 pub mod heap;
 
 pub use arena::{ArenaAllocator, ARENA_SIZE, POOL_SIZE};
-pub use heap::{CPythonConfig, CPythonHeap, CPythonReclaimOutcome};
+pub use heap::{CPythonConfig, CPythonHeap};

@@ -1,9 +1,11 @@
 //! Property tests for the CPython model: refcounting must agree with
-//! tracing on acyclic graphs, never free live data, and reclaim must be
-//! safe and effective.
+//! tracing on acyclic graphs and never free live data, and a full drop
+//! unmaps every arena. The laws every heap shares, `reclaim`'s among
+//! them, are the conformance suite's (`tests/managed_heap.rs`).
 
 use cpython_heap::{CPythonConfig, CPythonHeap};
 use gc_core::trace::mark;
+use gc_core::{ManagedHeap, ObjectKind};
 use proptest::prelude::*;
 use simos::System;
 
@@ -35,7 +37,7 @@ fn run_invocation(sys: &mut System, heap: &mut CPythonHeap, inv: &Invocation) ->
     let scope = heap.graph_mut().push_handle_scope();
     let mut prev = None;
     for i in 0..inv.temps {
-        let id = heap.alloc(sys, inv.size).unwrap();
+        let id = heap.alloc(sys, inv.size, ObjectKind::Data).unwrap();
         heap.graph_mut().add_handle(id);
         if let Some(p) = prev {
             if i % 2 == 0 {
@@ -45,16 +47,16 @@ fn run_invocation(sys: &mut System, heap: &mut CPythonHeap, inv: &Invocation) ->
         prev = Some(id);
     }
     for _ in 0..inv.cycles {
-        let a = heap.alloc(sys, inv.size).unwrap();
+        let a = heap.alloc(sys, inv.size, ObjectKind::Data).unwrap();
         heap.graph_mut().add_handle(a);
-        let b = heap.alloc(sys, inv.size).unwrap();
+        let b = heap.alloc(sys, inv.size, ObjectKind::Data).unwrap();
         heap.graph_mut().add_handle(b);
         heap.graph_mut().add_ref(a, b);
         heap.graph_mut().add_ref(b, a);
     }
     let mut kept = 0;
     for _ in 0..inv.keeps {
-        let id = heap.alloc(sys, inv.size).unwrap();
+        let id = heap.alloc(sys, inv.size, ObjectKind::Data).unwrap();
         heap.graph_mut().add_global(id);
         kept += inv.size as u64;
     }
@@ -108,34 +110,13 @@ proptest! {
         prop_assert_eq!(live.live_objects as u64, heap.graph().object_count() as u64);
     }
 
-    /// Reclaim never loses live data, releases monotonically, and the
-    /// heap stays usable.
-    #[test]
-    fn reclaim_is_safe(invs in prop::collection::vec(invocation(), 1..6)) {
-        let (mut sys, mut heap) = world();
-        let mut kept = 0;
-        for inv in &invs {
-            kept += run_invocation(&mut sys, &mut heap, inv);
-        }
-        let resident_before = heap.resident_heap_bytes(&sys);
-        let out = heap.reclaim(&mut sys).unwrap();
-        prop_assert_eq!(out.live_bytes, kept);
-        prop_assert!(heap.resident_heap_bytes(&sys) <= resident_before);
-        // Still usable.
-        for inv in &invs {
-            run_invocation(&mut sys, &mut heap, inv);
-        }
-    }
-
-    /// Allocator conservation: committed bytes never go below resident,
-    /// and dropping everything empties the heap completely (arenas
-    /// unmap when fully free).
+    /// Dropping everything empties the heap completely (arenas unmap
+    /// when fully free).
     #[test]
     fn full_drop_unmaps_everything(invs in prop::collection::vec(invocation(), 1..5)) {
         let (mut sys, mut heap) = world();
         for inv in &invs {
             run_invocation(&mut sys, &mut heap, inv);
-            prop_assert!(heap.resident_heap_bytes(&sys) <= heap.committed());
         }
         // Drop the globals too, then collect: every arena must unmap.
         let globals: Vec<_> = heap.graph().globals().to_vec();

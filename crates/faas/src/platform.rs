@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use faas_runtime::{Instance, Language, ReclaimReport, RuntimeImage, SharedLibs};
+use faas_runtime::{Instance, Language, RuntimeImage, SharedLibs};
 use simos::{SimDuration, SimTime, System};
 use workloads::{FunctionSpec, FunctionState};
 
@@ -1286,8 +1286,7 @@ impl Platform {
                 self.fail_reclaim(id, fn_idx, cpus);
                 continue;
             }
-            let report: ReclaimReport = match slot.inst.reclaim(&mut self.sys, self.now, keep_weak)
-            {
+            let report = match slot.inst.reclaim(&mut self.sys, self.now, keep_weak) {
                 Ok(r) => r,
                 Err(_) => {
                     self.fail_reclaim(id, fn_idx, cpus);

@@ -1,27 +1,32 @@
 //! # gc-core — the shared garbage-collection substrate
 //!
-//! Both managed-runtime models in this reproduction (the HotSpot serial
-//! collector in `hotspot` and the V8 heap in `v8heap`) are *real
-//! tracing collectors over a real object graph*: workload kernels
-//! allocate objects, build references, and drop handle scopes when a
-//! function invocation exits, and the collectors discover liveness by
-//! marking — nothing about "how much is garbage" is assumed.
+//! Every heap model in this reproduction — the HotSpot serial collector
+//! and G1 in `hotspot`, the V8 heap in `v8heap`, CPython's arenas in
+//! `cpython-heap` and Go's spans in `goruntime` — works over *a real
+//! object graph*: workload kernels allocate objects, build references,
+//! and drop handle scopes when a function invocation exits, and the
+//! collectors discover liveness by marking — nothing about "how much is
+//! garbage" is assumed.
 //!
-//! This crate holds what the two runtimes share:
+//! This crate holds what the five heaps share:
 //!
+//! * [`heap`] — the managed-heap contract, [`heap::ManagedHeap`]: the
+//!   paper's §7 requirements as one trait that all five heaps
+//!   implement, with the Desiccant `reclaim` written once on top of it,
+//!   plus the one [`heap::ReclaimOutcome`] and [`heap::HeapError`].
 //! * [`object`] — the object arena ([`object::HeapGraph`]): objects with
 //!   sizes, addresses, strong and weak references, global roots (state
 //!   that survives across invocations) and handle-scope roots (state
 //!   that dies when a function exits — the source of *frozen garbage*),
 //!   plus the young index and remembered set behind
-//!   [`object::HeapGraph::collect_young`], the young collection both
+//!   [`object::HeapGraph::collect_young`], the young collection the
 //!   generational collectors share.
 //! * [`trace`] — the marker: computes the live set from the roots,
 //!   with or without treating weak references as strong (§4.7 of the
 //!   paper distinguishes aggressive collections, which clear weakly
 //!   referenced code and cause JIT deoptimization, from Desiccant's
 //!   weak-preserving mode).
-//! * [`stats`] — GC statistics shared by both collectors.
+//! * [`stats`] — GC statistics shared by every collector.
 //!
 //! # Examples
 //!
@@ -45,10 +50,12 @@
 
 #![forbid(unsafe_code)]
 
+pub mod heap;
 pub mod object;
 pub mod stats;
 pub mod trace;
 
+pub use heap::{HeapError, ManagedHeap, ReclaimOutcome};
 pub use object::{HeapGraph, ObjectId, ObjectKind};
 pub use stats::{GcCounters, GcKind};
 pub use trace::{mark, LiveSet};

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
 use gc_core::trace::mark;
+use gc_core::{HeapError, ManagedHeap};
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
@@ -31,17 +32,6 @@ impl Default for GoConfig {
             min_goal: 4 << 20,
         }
     }
-}
-
-/// Result of a [`GoHeap::reclaim`].
-#[derive(Debug, Clone, Copy)]
-pub struct GoReclaimOutcome {
-    /// Bytes released back to the OS.
-    pub released_bytes: u64,
-    /// Live bytes after the collection.
-    pub live_bytes: u64,
-    /// Simulated wall time of the reclamation.
-    pub wall_time: SimDuration,
 }
 
 /// A Go heap bound to one simulated process.
@@ -95,47 +85,9 @@ impl GoHeap {
         })
     }
 
-    /// The object graph.
-    pub fn graph(&self) -> &HeapGraph {
-        &self.graph
-    }
-
-    /// Mutable object graph.
-    pub fn graph_mut(&mut self) -> &mut HeapGraph {
-        &mut self.graph
-    }
-
-    /// Cumulative collector counters.
-    pub fn counters(&self) -> &GcCounters {
-        &self.counters
-    }
-
     /// The pacer's current goal.
     pub fn heap_goal(&self) -> u64 {
         self.heap_goal
-    }
-
-    /// Live bytes found by the most recent collection.
-    pub fn last_live_bytes(&self) -> u64 {
-        self.last_live_bytes
-    }
-
-    /// Mapped bytes (arenas).
-    pub fn committed(&self) -> u64 {
-        cast::to_u64(self.arenas.len()) * GO_ARENA_SIZE
-    }
-
-    /// Resident heap bytes.
-    pub fn resident_heap_bytes(&self, sys: &System) -> u64 {
-        self.arenas
-            .iter()
-            .map(|a| sys.pmap(self.pid, *a, GO_ARENA_SIZE).unwrap_or(0))
-            .sum()
-    }
-
-    /// Drains accrued latency.
-    pub fn take_elapsed(&mut self) -> SimDuration {
-        std::mem::take(&mut self.pending)
     }
 
     fn span(&self, id: SpanId) -> &Span {
@@ -175,33 +127,6 @@ impl GoHeap {
         self.by_addr.insert(span.start.0, id);
         self.spans.push(Some(span));
         id
-    }
-
-    /// Allocates an object of `size` bytes, running the pacer first.
-    pub fn alloc(&mut self, sys: &mut System, size: u32) -> Result<ObjectId, SimOsError> {
-        // GOGC pacer: collect when the live-ish heap crosses the goal.
-        if self.heap_live + u64::from(size) > self.heap_goal {
-            self.gc(sys)?;
-        }
-        let addr = if size > MAX_SMALL_SIZE {
-            let pages = cast::to_u32(page_align_up(u64::from(size)).div_ceil(GO_PAGE_SIZE));
-            let start = self.carve(sys, pages)?;
-            self.install_span(Span::large(start, pages));
-            start
-        } else {
-            self.small_alloc(sys, size_class(size))?
-        };
-        let out = sys.touch(
-            self.pid,
-            VirtAddr(addr.0 / simos::PAGE_SIZE * simos::PAGE_SIZE),
-            page_align_up(u64::from(size)).max(simos::PAGE_SIZE),
-            true,
-        )?;
-        self.pending += self.os_cost.touch_cost(out);
-        self.heap_live += u64::from(size);
-        let id = self.graph.alloc(size, ObjectKind::Data);
-        self.graph.set_addr(id, addr.0);
-        Ok(id)
     }
 
     fn small_alloc(&mut self, sys: &mut System, class: u32) -> Result<VirtAddr, SimOsError> {
@@ -254,7 +179,7 @@ impl GoHeap {
 
     /// A stop-the-world collection: mark, then sweep every span.
     /// Fully-free spans go to the free list — their pages stay resident
-    /// until [`GoHeap::scavenge`].
+    /// until the scavenger, [`ManagedHeap::release_free`].
     pub fn gc(&mut self, sys: &mut System) -> Result<u64, SimOsError> {
         let _ = sys;
         let live = mark(&self.graph, true, true);
@@ -302,11 +227,80 @@ impl GoHeap {
         self.counters.record(GcKind::Full, 0, 0, freed_bytes, pause);
         Ok(freed_bytes)
     }
+}
 
-    /// The scavenger: returns the pages of fully-free spans to the OS.
-    /// Stock Go paces this over minutes in a background goroutine; a
-    /// frozen instance never gets there.
-    pub fn scavenge(&mut self, sys: &mut System) -> Result<u64, SimOsError> {
+impl ManagedHeap for GoHeap {
+    fn graph(&self) -> &HeapGraph {
+        &self.graph
+    }
+
+    fn graph_mut(&mut self) -> &mut HeapGraph {
+        &mut self.graph
+    }
+
+    /// Allocates an object of `size` bytes, running the pacer first.
+    fn alloc(&mut self, sys: &mut System, size: u32, kind: ObjectKind) -> Result<ObjectId, HeapError> {
+        // GOGC pacer: collect when the live-ish heap crosses the goal.
+        if self.heap_live + u64::from(size) > self.heap_goal {
+            self.gc(sys)?;
+        }
+        let addr = if size > MAX_SMALL_SIZE {
+            let pages = cast::to_u32(page_align_up(u64::from(size)).div_ceil(GO_PAGE_SIZE));
+            let start = self.carve(sys, pages)?;
+            self.install_span(Span::large(start, pages));
+            start
+        } else {
+            self.small_alloc(sys, size_class(size))?
+        };
+        let out = sys.touch(
+            self.pid,
+            VirtAddr(addr.0 / simos::PAGE_SIZE * simos::PAGE_SIZE),
+            page_align_up(u64::from(size)).max(simos::PAGE_SIZE),
+            true,
+        )?;
+        self.pending += self.os_cost.touch_cost(out);
+        self.heap_live += u64::from(size);
+        let id = self.graph.alloc(size, kind);
+        self.graph.set_addr(id, addr.0);
+        Ok(id)
+    }
+
+    /// Mapped bytes (arenas).
+    fn committed(&self) -> u64 {
+        cast::to_u64(self.arenas.len()) * GO_ARENA_SIZE
+    }
+
+    fn resident_heap_bytes(&self, sys: &System) -> u64 {
+        self.arenas
+            .iter()
+            .map(|a| sys.pmap(self.pid, *a, GO_ARENA_SIZE).unwrap_or(0))
+            .sum()
+    }
+
+    fn last_live_bytes(&self) -> u64 {
+        self.last_live_bytes
+    }
+
+    fn counters(&self) -> &GcCounters {
+        &self.counters
+    }
+
+    fn pending_mut(&mut self) -> &mut SimDuration {
+        &mut self.pending
+    }
+
+    /// A forced collection; Go has no weak-preserving mode to pick.
+    fn collect_full(&mut self, sys: &mut System, _keep_weak: bool) -> Result<(), HeapError> {
+        self.gc(sys)?;
+        Ok(())
+    }
+
+    /// The scavenger, run at once: returns the pages of fully-free
+    /// spans to the OS. Stock Go paces this over minutes in a
+    /// background goroutine; a frozen instance never gets there.
+    /// Partially-used spans are this runtime's fragmentation floor
+    /// (objects do not move).
+    fn release_free(&mut self, sys: &mut System) -> Result<u64, HeapError> {
         let mut released = 0;
         let ids: Vec<SpanId> = self.free_spans.clone();
         for sid in ids {
@@ -318,20 +312,6 @@ impl GoHeap {
         }
         self.pending += self.os_cost.release_cost(released);
         Ok(released)
-    }
-
-    /// The Desiccant reclaim sketched in §7: force a collection, then
-    /// scavenge immediately. Partially-used spans are this runtime's
-    /// fragmentation floor (objects do not move).
-    pub fn reclaim(&mut self, sys: &mut System) -> Result<GoReclaimOutcome, SimOsError> {
-        let pending_before = self.pending;
-        self.gc(sys)?;
-        let released = self.scavenge(sys)?;
-        Ok(GoReclaimOutcome {
-            released_bytes: released,
-            live_bytes: self.last_live_bytes,
-            wall_time: self.pending.saturating_sub(pending_before),
-        })
     }
 }
 
@@ -350,11 +330,11 @@ mod tests {
     fn churn(sys: &mut System, heap: &mut GoHeap, n: usize, size: u32, keep: bool) {
         let scope = heap.graph_mut().push_handle_scope();
         for _ in 0..n {
-            let id = heap.alloc(sys, size).unwrap();
+            let id = heap.alloc(sys, size, ObjectKind::Data).unwrap();
             heap.graph_mut().add_handle(id);
         }
         if keep {
-            let id = heap.alloc(sys, size).unwrap();
+            let id = heap.alloc(sys, size, ObjectKind::Data).unwrap();
             heap.graph_mut().add_global(id);
         }
         heap.graph_mut().pop_handle_scope(scope);
@@ -390,7 +370,7 @@ mod tests {
             resident > heap.last_live_bytes() * 4,
             "free spans stay resident without the scavenger ({resident})"
         );
-        let released = heap.scavenge(&mut sys).unwrap();
+        let released = heap.release_free(&mut sys).unwrap();
         assert!(released > 0);
         assert!(heap.resident_heap_bytes(&sys) < resident);
     }
@@ -402,7 +382,7 @@ mod tests {
             churn(&mut sys, &mut heap, 100, 16 << 10, true);
         }
         let before = heap.resident_heap_bytes(&sys);
-        let out = heap.reclaim(&mut sys).unwrap();
+        let out = heap.reclaim(&mut sys, true).unwrap();
         assert!(out.released_bytes > 0);
         let after = heap.resident_heap_bytes(&sys);
         assert!(after < before);
@@ -424,19 +404,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_keeps_working_after_reclaim() {
-        let (mut sys, mut heap) = world();
-        churn(&mut sys, &mut heap, 100, 32 << 10, true);
-        heap.reclaim(&mut sys).unwrap();
-        churn(&mut sys, &mut heap, 100, 32 << 10, true);
-        let live = gc_core::trace::mark(heap.graph(), false, true);
-        assert_eq!(live.live_bytes, 2 * (32 << 10));
-    }
-
-    #[test]
     fn large_objects_get_dedicated_spans() {
         let (mut sys, mut heap) = world();
-        let id = heap.alloc(&mut sys, 100 << 10).unwrap();
+        let id = heap.alloc(&mut sys, 100 << 10, ObjectKind::Data).unwrap();
         heap.graph_mut().add_global(id);
         // 100 KiB -> 13 Go pages.
         let sid = heap.span_of_addr(heap.graph().get(id).addr);

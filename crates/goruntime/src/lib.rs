@@ -21,9 +21,10 @@
 //!   never runs, so free spans stay resident — frozen garbage, Go
 //!   flavour;
 //! * **the Desiccant reclaim** — force a collection and scavenge every
-//!   free span immediately ([`heap::GoHeap::reclaim`]). Partially-used
-//!   spans cannot be released (Go does not move objects), which is this
-//!   runtime's fragmentation floor.
+//!   free span immediately (the two [`gc_core::ManagedHeap`] hooks
+//!   behind its `reclaim`). Partially-used spans cannot be released
+//!   (Go does not move objects), which is this runtime's fragmentation
+//!   floor.
 //!
 //! Like `cpython-heap`, this is an extension beyond the paper's
 //! measured evaluation, exercised by its own tests and
@@ -32,6 +33,7 @@
 //! # Examples
 //!
 //! ```
+//! use gc_core::{ManagedHeap, ObjectKind};
 //! use goruntime::{GoConfig, GoHeap};
 //! use simos::System;
 //!
@@ -39,12 +41,12 @@
 //! let pid = sys.spawn_process();
 //! let mut heap = GoHeap::new(&mut sys, pid, GoConfig::default()).unwrap();
 //! let scope = heap.graph_mut().push_handle_scope();
-//! let obj = heap.alloc(&mut sys, 64 << 10).unwrap();
+//! let obj = heap.alloc(&mut sys, 64 << 10, ObjectKind::Data).unwrap();
 //! heap.graph_mut().add_handle(obj);
 //! heap.graph_mut().pop_handle_scope(scope);
 //! // The object is dead, but below the GOGC goal nothing collects.
 //! let before = heap.resident_heap_bytes(&sys);
-//! let out = heap.reclaim(&mut sys).unwrap();
+//! let out = heap.reclaim(&mut sys, true).unwrap();
 //! assert!(out.released_bytes > 0);
 //! assert!(heap.resident_heap_bytes(&sys) < before);
 //! ```
@@ -54,5 +56,5 @@
 pub mod heap;
 pub mod span;
 
-pub use heap::{GoConfig, GoHeap, GoReclaimOutcome};
+pub use heap::{GoConfig, GoHeap};
 pub use span::{SpanId, GO_ARENA_SIZE, GO_PAGE_SIZE};

@@ -1,6 +1,9 @@
-//! Property tests for the Go heap model.
+//! Property tests for the Go heap model: its pacer and its monotone
+//! commit. The laws every heap shares, `reclaim`'s among them, are the
+//! conformance suite's (`tests/managed_heap.rs`).
 
 use gc_core::trace::mark;
+use gc_core::{ManagedHeap, ObjectKind};
 use goruntime::{GoConfig, GoHeap};
 use proptest::prelude::*;
 use simos::System;
@@ -30,12 +33,12 @@ fn world() -> (System, GoHeap) {
 fn run_invocation(sys: &mut System, heap: &mut GoHeap, inv: &Invocation) -> u64 {
     let scope = heap.graph_mut().push_handle_scope();
     for _ in 0..inv.temps {
-        let id = heap.alloc(sys, inv.size).unwrap();
+        let id = heap.alloc(sys, inv.size, ObjectKind::Data).unwrap();
         heap.graph_mut().add_handle(id);
     }
     let mut kept = 0;
     for _ in 0..inv.keeps {
-        let id = heap.alloc(sys, inv.size).unwrap();
+        let id = heap.alloc(sys, inv.size, ObjectKind::Data).unwrap();
         heap.graph_mut().add_global(id);
         kept += inv.size as u64;
     }
@@ -62,45 +65,19 @@ proptest! {
         prop_assert!(heap.heap_goal() >= floor.min(4 << 20));
     }
 
-    /// Reclaim is safe (live preserved), effective (resident drops when
-    /// there is garbage), and idempotent.
+    /// Committed never shrinks (arenas are never unmapped, as in Go),
+    /// not even under reclaim.
     #[test]
-    fn reclaim_safe_effective_idempotent(invs in prop::collection::vec(invocation(), 1..6)) {
-        let (mut sys, mut heap) = world();
-        let mut kept = 0;
-        for inv in &invs {
-            kept += run_invocation(&mut sys, &mut heap, inv);
-        }
-        let before = heap.resident_heap_bytes(&sys);
-        let out = heap.reclaim(&mut sys).unwrap();
-        prop_assert_eq!(out.live_bytes, kept);
-        let after = heap.resident_heap_bytes(&sys);
-        prop_assert!(after <= before);
-        let again = heap.reclaim(&mut sys).unwrap();
-        prop_assert_eq!(again.released_bytes, 0, "second reclaim found pages");
-        prop_assert_eq!(heap.resident_heap_bytes(&sys), after);
-        // Still usable afterwards.
-        for inv in &invs {
-            run_invocation(&mut sys, &mut heap, inv);
-        }
-        let live = mark(heap.graph(), false, true);
-        prop_assert_eq!(live.live_bytes, 2 * kept);
-    }
-
-    /// Committed never shrinks (arenas are never unmapped, as in Go)
-    /// and resident never exceeds committed.
-    #[test]
-    fn committed_is_monotone_and_bounds_resident(invs in prop::collection::vec(invocation(), 1..8)) {
+    fn committed_is_monotone(invs in prop::collection::vec(invocation(), 1..8)) {
         let (mut sys, mut heap) = world();
         let mut prev_committed = 0;
         for inv in &invs {
             run_invocation(&mut sys, &mut heap, inv);
             let committed = heap.committed();
             prop_assert!(committed >= prev_committed, "arena unmapped?");
-            prop_assert!(heap.resident_heap_bytes(&sys) <= committed);
             prev_committed = committed;
         }
-        heap.reclaim(&mut sys).unwrap();
+        heap.reclaim(&mut sys, true).unwrap();
         prop_assert_eq!(heap.committed(), prev_committed);
     }
 }

@@ -19,8 +19,8 @@
 //!   on a full-GC resize, which FaaS workloads rarely trigger. A frozen
 //!   G1 instance therefore pins its high-water mark: frozen garbage at
 //!   region granularity;
-//! * [`G1Heap::reclaim`] is the Desiccant interface: a compacting full
-//!   collection, then every free region's pages are released.
+//! * its [`ManagedHeap`] hooks make the Desiccant reclaim: a compacting
+//!   full collection, then every free region's pages are released.
 //!
 //! Like `cpython-heap` and `goruntime`, this is an extension beyond the
 //! paper's measured figures (Lambda pins the serial GC, §5.4), wired
@@ -29,12 +29,13 @@
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
 use gc_core::trace::mark;
+use gc_core::{HeapError, ManagedHeap};
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
 use simos::{Pid, SimDuration, System, VirtAddr};
 
-use crate::heap::{align_obj, HeapError};
+use crate::heap::align_obj;
 
 /// Region size (G1 picks 1–32 MiB by heap size; 1 MiB fits the 256 MiB
 /// instances here).
@@ -132,17 +133,6 @@ impl G1Config {
     }
 }
 
-/// Result of a [`G1Heap::reclaim`].
-#[derive(Debug, Clone, Copy)]
-pub struct G1ReclaimOutcome {
-    /// Bytes released back to the OS.
-    pub released_bytes: u64,
-    /// Live bytes after the collection.
-    pub live_bytes: u64,
-    /// Simulated wall time of the reclamation.
-    pub wall_time: SimDuration,
-}
-
 /// A G1-style heap bound to one simulated process.
 #[derive(Debug, Clone)]
 pub struct G1Heap {
@@ -209,45 +199,9 @@ impl G1Heap {
         })
     }
 
-    /// The object graph.
-    pub fn graph(&self) -> &HeapGraph {
-        &self.graph
-    }
-
-    /// Mutable object graph.
-    pub fn graph_mut(&mut self) -> &mut HeapGraph {
-        &mut self.graph
-    }
-
-    /// Cumulative collector counters.
-    pub fn counters(&self) -> &GcCounters {
-        &self.counters
-    }
-
-    /// Live bytes found by the most recent collection.
-    pub fn last_live_bytes(&self) -> u64 {
-        self.last_live_bytes
-    }
-
-    /// Drains accrued latency.
-    pub fn take_elapsed(&mut self) -> SimDuration {
-        std::mem::take(&mut self.pending)
-    }
-
     /// Regions by kind, for tests and reports.
     pub fn region_count(&self, kind: RegionKind) -> usize {
         self.regions.iter().filter(|r| r.kind == kind).count()
-    }
-
-    /// Committed bytes: every region that has ever been used (JDK 8 G1
-    /// does not uncommit outside full-GC resizes).
-    pub fn committed(&self) -> u64 {
-        cast::to_u64(self.regions.iter().filter(|r| r.committed).count()) * REGION_SIZE
-    }
-
-    /// Resident heap bytes.
-    pub fn resident_heap_bytes(&self, sys: &System) -> u64 {
-        sys.pmap(self.pid, self.base, self.config.max_heap).unwrap_or(0)
     }
 
     fn region_addr(&self, idx: usize) -> VirtAddr {
@@ -330,54 +284,6 @@ impl G1Heap {
     /// Number of eden regions the young target allows.
     fn young_target(&self) -> usize {
         cast::usize_from_f64(self.regions.len() as f64 * self.config.young_fraction).max(1)
-    }
-
-    /// Allocates an object.
-    pub fn alloc(&mut self, sys: &mut System, size: u32, kind: ObjectKind) -> Result<ObjectId, HeapError> {
-        let asize = align_obj(u64::from(size));
-        if asize > REGION_SIZE / 2 {
-            // Humongous: whole contiguous regions.
-            let start = match self.take_contiguous(sys, asize) {
-                Ok(s) => s,
-                Err(_) => {
-                    self.full_gc(sys)?;
-                    self.take_contiguous(sys, asize)?
-                }
-            };
-            let addr = self.region_addr(start);
-            self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
-            let id = self.graph.alloc(size, kind);
-            self.graph.set_addr(id, addr.0);
-            self.graph.set_space(id, tag::HUMONGOUS);
-            return Ok(id);
-        }
-        for attempt in 0..3 {
-            // Room in the current eden region?
-            if let Some(addr) = self.eden_current.and_then(|idx| self.bump(idx, asize)) {
-                self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
-                let id = self.graph.alloc(size, kind);
-                self.graph.set_addr(id, addr.0);
-                self.graph.set_space(id, tag::YOUNG);
-                return Ok(id);
-            }
-            // Open another eden region if the young target allows.
-            let eden_now = self.region_count(RegionKind::Eden);
-            if eden_now < self.young_target() {
-                if let Ok(idx) = self.take_region(sys, RegionKind::Eden) {
-                    self.eden_current = Some(idx);
-                    continue;
-                }
-            }
-            // Young target reached (or no free region): collect.
-            if attempt == 0 {
-                self.young_gc(sys)?;
-            } else {
-                self.full_gc(sys)?;
-            }
-        }
-        Err(HeapError::OutOfMemory {
-            requested: asize,
-        })
     }
 
     /// Evacuates `survivors` into regions of `dest_kind`; returns bytes
@@ -560,13 +466,96 @@ impl G1Heap {
         self.counters.record(GcKind::Full, copied, 0, freed, pause);
         Ok(())
     }
+}
 
-    /// The Desiccant reclaim: a full compacting collection, then every
-    /// free region's pages are released (JDK 8 G1 would keep them all
-    /// resident).
-    pub fn reclaim(&mut self, sys: &mut System) -> Result<G1ReclaimOutcome, HeapError> {
-        let pending_before = self.pending;
-        self.full_gc(sys)?;
+impl ManagedHeap for G1Heap {
+    fn graph(&self) -> &HeapGraph {
+        &self.graph
+    }
+
+    fn graph_mut(&mut self) -> &mut HeapGraph {
+        &mut self.graph
+    }
+
+    /// Allocates an object.
+    fn alloc(&mut self, sys: &mut System, size: u32, kind: ObjectKind) -> Result<ObjectId, HeapError> {
+        let asize = align_obj(u64::from(size));
+        if asize > REGION_SIZE / 2 {
+            // Humongous: whole contiguous regions.
+            let start = match self.take_contiguous(sys, asize) {
+                Ok(s) => s,
+                Err(_) => {
+                    self.full_gc(sys)?;
+                    self.take_contiguous(sys, asize)?
+                }
+            };
+            let addr = self.region_addr(start);
+            self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
+            let id = self.graph.alloc(size, kind);
+            self.graph.set_addr(id, addr.0);
+            self.graph.set_space(id, tag::HUMONGOUS);
+            return Ok(id);
+        }
+        for attempt in 0..3 {
+            // Room in the current eden region?
+            if let Some(addr) = self.eden_current.and_then(|idx| self.bump(idx, asize)) {
+                self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
+                let id = self.graph.alloc(size, kind);
+                self.graph.set_addr(id, addr.0);
+                self.graph.set_space(id, tag::YOUNG);
+                return Ok(id);
+            }
+            // Open another eden region if the young target allows.
+            let eden_now = self.region_count(RegionKind::Eden);
+            if eden_now < self.young_target() {
+                if let Ok(idx) = self.take_region(sys, RegionKind::Eden) {
+                    self.eden_current = Some(idx);
+                    continue;
+                }
+            }
+            // Young target reached (or no free region): collect.
+            if attempt == 0 {
+                self.young_gc(sys)?;
+            } else {
+                self.full_gc(sys)?;
+            }
+        }
+        Err(HeapError::OutOfMemory {
+            requested: asize,
+        })
+    }
+
+    /// Committed bytes: every region that has ever been used (JDK 8 G1
+    /// does not uncommit outside full-GC resizes).
+    fn committed(&self) -> u64 {
+        cast::to_u64(self.regions.iter().filter(|r| r.committed).count()) * REGION_SIZE
+    }
+
+    fn resident_heap_bytes(&self, sys: &System) -> u64 {
+        sys.pmap(self.pid, self.base, self.config.max_heap).unwrap_or(0)
+    }
+
+    fn last_live_bytes(&self) -> u64 {
+        self.last_live_bytes
+    }
+
+    fn counters(&self) -> &GcCounters {
+        &self.counters
+    }
+
+    fn pending_mut(&mut self) -> &mut SimDuration {
+        &mut self.pending
+    }
+
+    /// A full compacting collection; G1 clears no JIT code here, so
+    /// `keep_weak` is moot.
+    fn collect_full(&mut self, sys: &mut System, _keep_weak: bool) -> Result<(), HeapError> {
+        self.full_gc(sys)
+    }
+
+    /// Releases every free region's pages and each live region's free
+    /// tail (JDK 8 G1 would keep them all resident).
+    fn release_free(&mut self, sys: &mut System) -> Result<u64, HeapError> {
         let mut released = 0;
         for (i, r) in self.regions.iter().enumerate() {
             if r.committed && r.kind == RegionKind::Free {
@@ -584,11 +573,7 @@ impl G1Heap {
             }
         }
         self.pending += self.os_cost.release_cost(released);
-        Ok(G1ReclaimOutcome {
-            released_bytes: released,
-            live_bytes: self.last_live_bytes,
-            wall_time: self.pending.saturating_sub(pending_before),
-        })
+        Ok(released)
     }
 }
 
@@ -665,7 +650,7 @@ mod tests {
             resident > live * 3,
             "free regions should stay resident: {resident} vs live {live}"
         );
-        let out = heap.reclaim(&mut sys).unwrap();
+        let out = heap.reclaim(&mut sys, true).unwrap();
         assert!(out.released_bytes > 0);
         let after = heap.resident_heap_bytes(&sys);
         assert!(
@@ -717,30 +702,5 @@ mod tests {
         // Unrooted: a mixed collection reclaims the whole run eagerly.
         heap.mixed_gc(&mut sys).unwrap();
         assert_eq!(heap.region_count(RegionKind::Humongous), 0);
-    }
-
-    #[test]
-    fn reclaim_preserves_live_data_and_is_idempotent() {
-        let (mut sys, mut heap) = world();
-        for _ in 0..5 {
-            churn(&mut sys, &mut heap, 100, 64 << 10, true);
-        }
-        let live_before = gc_core::trace::mark(heap.graph(), false, true).live_bytes;
-        let out = heap.reclaim(&mut sys).unwrap();
-        assert_eq!(out.live_bytes, live_before);
-        let resident = heap.resident_heap_bytes(&sys);
-        let again = heap.reclaim(&mut sys).unwrap();
-        assert_eq!(again.live_bytes, live_before);
-        assert!(heap.resident_heap_bytes(&sys) <= resident + simos::PAGE_SIZE);
-    }
-
-    #[test]
-    fn heap_keeps_working_after_reclaim() {
-        let (mut sys, mut heap) = world();
-        churn(&mut sys, &mut heap, 200, 64 << 10, true);
-        heap.reclaim(&mut sys).unwrap();
-        churn(&mut sys, &mut heap, 200, 64 << 10, true);
-        let live = gc_core::trace::mark(heap.graph(), false, true).live_bytes;
-        assert_eq!(live, 2 * (64 << 10));
     }
 }

@@ -3,6 +3,7 @@
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
 use gc_core::trace::mark;
+use gc_core::{HeapError, ManagedHeap};
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
@@ -10,46 +11,6 @@ use simos::{Pid, SimDuration, System, VirtAddr};
 
 use crate::config::HotSpotConfig;
 use crate::layout::{tag, HeapLayout, SpaceId};
-
-/// Heap-level failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HeapError {
-    /// The live set cannot fit in the reserved heap.
-    OutOfMemory { requested: u64 },
-    /// An OS-level operation failed (indicates a model bug).
-    Os(simos::SimOsError),
-}
-
-impl std::fmt::Display for HeapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HeapError::OutOfMemory { requested } => {
-                write!(f, "java.lang.OutOfMemoryError: requested {requested} bytes")
-            }
-            HeapError::Os(e) => write!(f, "os error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for HeapError {}
-
-impl From<simos::SimOsError> for HeapError {
-    fn from(e: simos::SimOsError) -> HeapError {
-        HeapError::Os(e)
-    }
-}
-
-/// What a [`HotSpotHeap::reclaim`] call achieved (the profile data sent
-/// back to the platform in §4.4's workflow).
-#[derive(Debug, Clone, Copy)]
-pub struct ReclaimOutcome {
-    /// Bytes of physical memory returned to the OS.
-    pub released_bytes: u64,
-    /// Live bytes measured by the collection that ran.
-    pub live_bytes: u64,
-    /// Simulated wall time the reclamation took.
-    pub wall_time: SimDuration,
-}
 
 /// A HotSpot serial-GC heap bound to one simulated process.
 #[derive(Debug, Clone)]
@@ -67,7 +28,7 @@ pub struct HotSpotHeap {
     counters: GcCounters,
     gc_cost: GcCostModel,
     os_cost: CostModel,
-    /// Latency accrued since the last [`HotSpotHeap::take_elapsed`].
+    /// Latency accrued since the last [`ManagedHeap::take_elapsed`].
     pending: SimDuration,
     /// Live bytes found by the most recent collection.
     last_live_bytes: u64,
@@ -123,40 +84,15 @@ impl HotSpotHeap {
         self.pid
     }
 
-    /// The object graph (for building references and roots).
-    pub fn graph(&self) -> &HeapGraph {
-        &self.graph
-    }
-
-    /// Mutable object graph.
-    pub fn graph_mut(&mut self) -> &mut HeapGraph {
-        &mut self.graph
-    }
-
     /// Current geometry.
     pub fn layout(&self) -> &HeapLayout {
         &self.layout
-    }
-
-    /// Cumulative collector statistics.
-    pub fn counters(&self) -> &GcCounters {
-        &self.counters
     }
 
     /// The heap's reserved address range, reported to the platform so
     /// it can `pmap` the instance (§4.5.2).
     pub fn heap_range(&self) -> (VirtAddr, u64) {
         (self.layout.base, self.layout.reserved())
-    }
-
-    /// Committed heap size (what `-verbose:gc` would call the heap).
-    pub fn committed(&self) -> u64 {
-        self.layout.committed()
-    }
-
-    /// Live bytes found by the most recent collection.
-    pub fn last_live_bytes(&self) -> u64 {
-        self.last_live_bytes
     }
 
     /// Bytes used in eden right now.
@@ -173,56 +109,6 @@ impl HotSpotHeap {
     /// Bytes used in the *from* survivor half.
     pub fn survivor_used(&self) -> u64 {
         self.from_used
-    }
-
-    /// Drains the latency accrued by allocation faults and GC pauses
-    /// since the last call.
-    pub fn take_elapsed(&mut self) -> SimDuration {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Allocates an object. May trigger young or full collections.
-    pub fn alloc(
-        &mut self,
-        sys: &mut System,
-        size: u32,
-        kind: ObjectKind,
-    ) -> Result<ObjectId, HeapError> {
-        let asize = align_obj(u64::from(size));
-        // Humongous objects go straight to the old generation, like
-        // HotSpot's large-object path.
-        if asize > self.layout.eden_size() / 2 {
-            let addr = self.old_alloc(sys, asize, true)?;
-            let id = self.graph.alloc(size, kind);
-            self.graph.set_addr(id, addr.0);
-            self.graph.set_space(id, tag::OLD);
-            return Ok(id);
-        }
-        for attempt in 0..3 {
-            let (eden_base, eden_len) = self.layout.space_range(SpaceId::Eden);
-            let eden_end = eden_base.0 + eden_len;
-            if self.eden_top.0 + asize <= eden_end {
-                let addr = self.eden_top;
-                self.eden_top = VirtAddr(self.eden_top.0 + asize);
-                self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
-                let id = self.graph.alloc(size, kind);
-                self.graph.set_addr(id, addr.0);
-                self.graph.set_space(id, tag::EDEN);
-                return Ok(id);
-            }
-            if attempt == 0 {
-                self.young_gc(sys)?;
-            } else {
-                self.full_gc(sys, true)?;
-            }
-        }
-        // Eden is empty after a full GC; if the object still does not
-        // fit, fall back to the old generation.
-        let addr = self.old_alloc(sys, asize, true)?;
-        let id = self.graph.alloc(size, kind);
-        self.graph.set_addr(id, addr.0);
-        self.graph.set_space(id, tag::OLD);
-        Ok(id)
     }
 
     /// Bump-allocates in the old generation, expanding or full-GCing as
@@ -490,14 +376,111 @@ impl HotSpotHeap {
         self.full_gc(sys, true)
     }
 
-    /// The Desiccant `reclaim` interface (Algorithm 1): collect all
-    /// generations, resize, then release every free page of every space
-    /// back to the OS — the whole survivor halves, all of eden, and the
-    /// old generation above `old_top`.
-    pub fn reclaim(&mut self, sys: &mut System) -> Result<ReclaimOutcome, HeapError> {
-        let pause_before = self.pending;
-        self.full_gc(sys, true)?;
+    fn release_range(
+        &mut self,
+        sys: &mut System,
+        addr: VirtAddr,
+        len: u64,
+    ) -> Result<u64, HeapError> {
+        if len == 0 {
+            return Ok(0);
+        }
+        Ok(sys.release(self.pid, addr, page_align_up(len))?)
+    }
+}
 
+impl ManagedHeap for HotSpotHeap {
+    fn graph(&self) -> &HeapGraph {
+        &self.graph
+    }
+
+    fn graph_mut(&mut self) -> &mut HeapGraph {
+        &mut self.graph
+    }
+
+    /// Allocates an object. May trigger young or full collections.
+    fn alloc(
+        &mut self,
+        sys: &mut System,
+        size: u32,
+        kind: ObjectKind,
+    ) -> Result<ObjectId, HeapError> {
+        let asize = align_obj(u64::from(size));
+        // Humongous objects go straight to the old generation, like
+        // HotSpot's large-object path.
+        if asize > self.layout.eden_size() / 2 {
+            let addr = self.old_alloc(sys, asize, true)?;
+            let id = self.graph.alloc(size, kind);
+            self.graph.set_addr(id, addr.0);
+            self.graph.set_space(id, tag::OLD);
+            return Ok(id);
+        }
+        for attempt in 0..3 {
+            let (eden_base, eden_len) = self.layout.space_range(SpaceId::Eden);
+            let eden_end = eden_base.0 + eden_len;
+            if self.eden_top.0 + asize <= eden_end {
+                let addr = self.eden_top;
+                self.eden_top = VirtAddr(self.eden_top.0 + asize);
+                self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
+                let id = self.graph.alloc(size, kind);
+                self.graph.set_addr(id, addr.0);
+                self.graph.set_space(id, tag::EDEN);
+                return Ok(id);
+            }
+            if attempt == 0 {
+                self.young_gc(sys)?;
+            } else {
+                self.full_gc(sys, true)?;
+            }
+        }
+        // Eden is empty after a full GC; if the object still does not
+        // fit, fall back to the old generation.
+        let addr = self.old_alloc(sys, asize, true)?;
+        let id = self.graph.alloc(size, kind);
+        self.graph.set_addr(id, addr.0);
+        self.graph.set_space(id, tag::OLD);
+        Ok(id)
+    }
+
+    /// Committed heap size (what `-verbose:gc` would call the heap).
+    fn committed(&self) -> u64 {
+        self.layout.committed()
+    }
+
+    /// Resident bytes inside the heap reservation (`pmap` over the
+    /// reported range).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the heap mapping has disappeared, which indicates a
+    /// model bug rather than a runtime condition.
+    fn resident_heap_bytes(&self, sys: &System) -> u64 {
+        let (base, len) = self.heap_range();
+        sys.pmap(self.pid, base, len)
+            .expect("heap reservation must exist") // tidy:allow(panic-reachability) -- the reservation is created in new() and never released
+    }
+
+    fn last_live_bytes(&self) -> u64 {
+        self.last_live_bytes
+    }
+
+    fn counters(&self) -> &GcCounters {
+        &self.counters
+    }
+
+    fn pending_mut(&mut self) -> &mut SimDuration {
+        &mut self.pending
+    }
+
+    /// A full collection: compact all generations, then resize. The
+    /// serial collector clears no JIT code, so `keep_weak` is moot.
+    fn collect_full(&mut self, sys: &mut System, _keep_weak: bool) -> Result<(), HeapError> {
+        self.full_gc(sys, true)
+    }
+
+    /// Releases every free page of every space — the whole survivor
+    /// halves, all of eden, and the old generation above `old_top`.
+    fn release_free(&mut self, sys: &mut System) -> Result<u64, HeapError> {
         let mut released = 0u64;
         // Eden and both survivor halves are empty after the compaction.
         let (eden_base, eden_len) = self.layout.space_range(SpaceId::Eden);
@@ -514,38 +497,7 @@ impl HotSpotHeap {
             released += self.release_range(sys, VirtAddr(free_start), committed_end - free_start)?;
         }
         self.pending += self.os_cost.release_cost(released);
-
-        let wall = self.pending.saturating_sub(pause_before);
-        Ok(ReclaimOutcome {
-            released_bytes: released,
-            live_bytes: self.last_live_bytes,
-            wall_time: wall,
-        })
-    }
-
-    fn release_range(
-        &mut self,
-        sys: &mut System,
-        addr: VirtAddr,
-        len: u64,
-    ) -> Result<u64, HeapError> {
-        if len == 0 {
-            return Ok(0);
-        }
-        Ok(sys.release(self.pid, addr, page_align_up(len))?)
-    }
-
-    /// Resident bytes inside the heap reservation (`pmap` over the
-    /// reported range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the heap mapping has disappeared, which indicates a
-    /// model bug rather than a runtime condition.
-    pub fn resident_heap_bytes(&self, sys: &System) -> u64 {
-        let (base, len) = self.heap_range();
-        sys.pmap(self.pid, base, len)
-            .expect("heap reservation must exist") // tidy:allow(panic-reachability) -- the reservation is created in new() and never released
+        Ok(released)
     }
 }
 
@@ -777,7 +729,7 @@ mod tests {
         for _ in 0..3000 {
             heap.alloc(&mut sys, 32 << 10, ObjectKind::Data).unwrap();
         }
-        let outcome = heap.reclaim(&mut sys).unwrap();
+        let outcome = heap.reclaim(&mut sys, true).unwrap();
         assert!(outcome.released_bytes > 0);
         assert!(outcome.wall_time > SimDuration::ZERO);
         let resident = heap.resident_heap_bytes(&sys);
@@ -798,7 +750,7 @@ mod tests {
         for _ in 0..500 {
             heap.alloc(&mut sys, 32 << 10, ObjectKind::Data).unwrap();
         }
-        heap.reclaim(&mut sys).unwrap();
+        heap.reclaim(&mut sys, true).unwrap();
         heap.take_elapsed();
         // New allocations fault pages back in: elapsed time reflects
         // the §5.6 post-reclamation overhead.

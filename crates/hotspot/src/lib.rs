@@ -22,14 +22,14 @@
 //!   the committed heap stay resident** — after a full GC the heap may
 //!   be 86 % free pages (file-hash: 1.07 MiB live in a 7.88 MiB heap)
 //!   and none of it returns to the OS;
-//! * the Desiccant **`reclaim` interface** (Algorithm 1): collect all
-//!   generations, resize, then release every free page of every space
-//!   back to the OS.
+//! * the two hooks of the Desiccant **`reclaim` interface** (Algorithm
+//!   1, [`gc_core::ManagedHeap`]): collect all generations and resize,
+//!   then release every free page of every space back to the OS.
 //!
 //! # Examples
 //!
 //! ```
-//! use gc_core::ObjectKind;
+//! use gc_core::{ManagedHeap, ObjectKind};
 //! use hotspot::{HotSpotConfig, HotSpotHeap};
 //! use simos::System;
 //!
@@ -46,7 +46,7 @@
 //!
 //! // The dead object stays resident until reclaimed.
 //! let before = sys.uss(pid);
-//! let outcome = heap.reclaim(&mut sys).unwrap();
+//! let outcome = heap.reclaim(&mut sys, true).unwrap();
 //! assert!(outcome.released_bytes > 0);
 //! assert!(sys.uss(pid) < before);
 //! ```
@@ -59,6 +59,6 @@ pub mod heap;
 pub mod layout;
 
 pub use config::HotSpotConfig;
-pub use g1::{G1Config, G1Heap, G1ReclaimOutcome};
-pub use heap::{HeapError, HotSpotHeap, ReclaimOutcome};
+pub use g1::{G1Config, G1Heap};
+pub use heap::HotSpotHeap;
 pub use layout::{HeapLayout, SpaceId};

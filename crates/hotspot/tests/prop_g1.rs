@@ -1,11 +1,13 @@
-//! Property tests for the G1-style regional collector.
+//! Property tests for the G1-style regional collector: its collection
+//! mix and its humongous runs. The laws every heap shares, `reclaim`'s
+//! among them, are the conformance suite's (`tests/managed_heap.rs`).
 
 use gc_core::object::ObjectKind;
 use gc_core::trace::mark;
+use gc_core::ManagedHeap;
 use hotspot::g1::{G1Config, G1Heap, RegionKind, REGION_SIZE};
 use proptest::prelude::*;
 use proptest::TestCaseResult;
-use simos::mem::page_align_up;
 use simos::System;
 
 #[derive(Debug, Clone)]
@@ -47,15 +49,12 @@ fn run_invocation(sys: &mut System, heap: &mut G1Heap, inv: &Invocation) -> u64 
     kept
 }
 
-/// Live bytes are preserved exactly across any collection mix, and
-/// region accounting stays coherent (tops within bounds, resident
-/// within committed).
+/// Live bytes are preserved exactly across any collection mix.
 fn collections_preserve_live_bytes_on(invs: &[Invocation]) -> TestCaseResult {
     let (mut sys, mut heap) = world();
     let mut kept = 0;
     for inv in invs {
         kept += run_invocation(&mut sys, &mut heap, inv);
-        prop_assert!(heap.resident_heap_bytes(&sys) <= heap.committed());
     }
     heap.young_gc(&mut sys).unwrap();
     prop_assert_eq!(mark(heap.graph(), false, true).live_bytes, kept);
@@ -66,35 +65,10 @@ fn collections_preserve_live_bytes_on(invs: &[Invocation]) -> TestCaseResult {
     Ok(())
 }
 
-/// Reclaim is safe, effective (resident ends near live), and the heap
-/// keeps working.
-fn reclaim_safe_and_effective_on(invs: &[Invocation]) -> TestCaseResult {
-    let (mut sys, mut heap) = world();
-    let mut kept = 0;
-    for inv in invs {
-        kept += run_invocation(&mut sys, &mut heap, inv);
-    }
-    let out = heap.reclaim(&mut sys).unwrap();
-    prop_assert_eq!(out.live_bytes, kept);
-    let resident = heap.resident_heap_bytes(&sys);
-    // Live bytes, page-rounded per occupied region, bounds the residue.
-    let occupied = (heap.region_count(RegionKind::Old)
-        + heap.region_count(RegionKind::Humongous)) as u64;
-    prop_assert!(
-        resident <= page_align_up(kept) + occupied * simos::PAGE_SIZE + simos::PAGE_SIZE,
-        "resident {} for live {}", resident, kept
-    );
-    // Still functional afterwards.
-    for inv in invs {
-        run_invocation(&mut sys, &mut heap, inv);
-    }
-    prop_assert_eq!(mark(heap.graph(), false, true).live_bytes, 2 * kept);
-    Ok(())
-}
-
 /// A counterexample an earlier run of the real proptest recorded (it
 /// did not say which property failed): 14 temporaries of 48,857 B,
-/// then one kept 524,289 B humongous object.
+/// then one kept 524,289 B humongous object. The conformance suite
+/// runs it through the reclaim laws.
 #[test]
 fn recorded_humongous_counterexample_holds() {
     let invs = [
@@ -102,7 +76,6 @@ fn recorded_humongous_counterexample_holds() {
         Invocation { temps: 1, size: 524_289, keeps: 1 },
     ];
     collections_preserve_live_bytes_on(&invs).unwrap();
-    reclaim_safe_and_effective_on(&invs).unwrap();
 }
 
 proptest! {
@@ -111,11 +84,6 @@ proptest! {
     #[test]
     fn collections_preserve_live_bytes(invs in prop::collection::vec(invocation(), 1..5)) {
         collections_preserve_live_bytes_on(&invs)?;
-    }
-
-    #[test]
-    fn reclaim_safe_and_effective(invs in prop::collection::vec(invocation(), 1..5)) {
-        reclaim_safe_and_effective_on(&invs)?;
     }
 
     /// Humongous allocations always occupy whole contiguous region runs

@@ -1,62 +1,19 @@
-//! A uniform façade over the two heap models.
+//! A uniform façade over the two platform heap models.
 //!
 //! The FaaS platform and Desiccant must not care which language an
 //! instance runs — the paper's reclaim API is deliberately narrow so
-//! that supporting a runtime costs tens of lines (§4.4). This enum is
-//! that narrow interface.
+//! that supporting a runtime costs tens of lines (§4.4). That narrow
+//! interface is [`gc_core::ManagedHeap`]; this enum delegates to it
+//! for the two languages a platform instance can run.
 
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::GcCounters;
-use hotspot::{HeapError, HotSpotConfig, HotSpotHeap};
-use simos::{Pid, SimDuration, SimTime, System, VirtAddr};
-use v8heap::{V8Config, V8Heap, V8HeapError};
+use gc_core::{HeapError, ManagedHeap, ReclaimOutcome};
+use hotspot::{HotSpotConfig, HotSpotHeap};
+use simos::{Pid, SimDuration, SimTime, System};
+use v8heap::{V8Config, V8Heap};
 
 use crate::image::Language;
-
-/// Errors from either heap model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RuntimeHeapError {
-    /// HotSpot failure.
-    HotSpot(HeapError),
-    /// V8 failure.
-    V8(V8HeapError),
-}
-
-impl std::fmt::Display for RuntimeHeapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeHeapError::HotSpot(e) => write!(f, "{e}"),
-            RuntimeHeapError::V8(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeHeapError {}
-
-impl From<HeapError> for RuntimeHeapError {
-    fn from(e: HeapError) -> Self {
-        RuntimeHeapError::HotSpot(e)
-    }
-}
-
-impl From<V8HeapError> for RuntimeHeapError {
-    fn from(e: V8HeapError) -> Self {
-        RuntimeHeapError::V8(e)
-    }
-}
-
-/// The §4.4 reclamation profile: what the runtime reports back to the
-/// platform after a `reclaim` call. The platform extends it with the
-/// CPU time the reclamation consumed before handing it to Desiccant.
-#[derive(Debug, Clone, Copy)]
-pub struct ReclaimReport {
-    /// Bytes of physical memory returned to the OS.
-    pub released_bytes: u64,
-    /// In-heap live bytes measured by the collection.
-    pub live_bytes: u64,
-    /// Wall time the reclamation took inside the instance.
-    pub wall_time: SimDuration,
-}
 
 /// A managed heap of either language.
 #[derive(Debug, Clone)]
@@ -67,6 +24,17 @@ pub enum RuntimeHeap {
     V8(V8Heap),
 }
 
+/// Evaluates `$body` with `$h` bound to the heap inside `$heap`, by
+/// static dispatch: `alloc` runs once per object.
+macro_rules! each_heap {
+    ($heap:expr, $h:ident => $body:expr) => {
+        match $heap {
+            RuntimeHeap::HotSpot($h) => $body,
+            RuntimeHeap::V8($h) => $body,
+        }
+    };
+}
+
 impl RuntimeHeap {
     /// Creates the heap appropriate for `language` in process `pid`,
     /// sized for an instance memory budget of `budget` bytes.
@@ -75,7 +43,7 @@ impl RuntimeHeap {
         pid: Pid,
         language: Language,
         budget: u64,
-    ) -> Result<RuntimeHeap, RuntimeHeapError> {
+    ) -> Result<RuntimeHeap, HeapError> {
         Ok(match language {
             Language::Java => {
                 RuntimeHeap::HotSpot(HotSpotHeap::new(sys, pid, HotSpotConfig::for_budget(budget))?)
@@ -86,87 +54,42 @@ impl RuntimeHeap {
         })
     }
 
-    /// The language this heap serves.
-    pub fn language(&self) -> Language {
-        match self {
-            RuntimeHeap::HotSpot(_) => Language::Java,
-            RuntimeHeap::V8(_) => Language::JavaScript,
-        }
-    }
-
     /// The object graph.
     pub fn graph(&self) -> &HeapGraph {
-        match self {
-            RuntimeHeap::HotSpot(h) => h.graph(),
-            RuntimeHeap::V8(h) => h.graph(),
-        }
+        each_heap!(self, h => h.graph())
     }
 
     /// Mutable object graph.
     pub fn graph_mut(&mut self) -> &mut HeapGraph {
-        match self {
-            RuntimeHeap::HotSpot(h) => h.graph_mut(),
-            RuntimeHeap::V8(h) => h.graph_mut(),
-        }
+        each_heap!(self, h => h.graph_mut())
     }
 
     /// Allocates an object.
-    pub fn alloc(
-        &mut self,
-        sys: &mut System,
-        size: u32,
-        kind: ObjectKind,
-    ) -> Result<ObjectId, RuntimeHeapError> {
-        match self {
-            RuntimeHeap::HotSpot(h) => Ok(h.alloc(sys, size, kind)?),
-            RuntimeHeap::V8(h) => Ok(h.alloc(sys, size, kind)?),
-        }
+    pub fn alloc(&mut self, sys: &mut System, size: u32, kind: ObjectKind) -> Result<ObjectId, HeapError> {
+        each_heap!(self, h => h.alloc(sys, size, kind))
     }
 
     /// Advances the heap's mutator clock (drives V8's allocation-rate
     /// estimate; a no-op for HotSpot).
     pub fn set_now(&mut self, now: SimTime) {
-        if let RuntimeHeap::V8(h) = self {
-            h.set_now(now);
-        }
+        each_heap!(self, h => h.set_now(now))
     }
 
     /// The *eager baseline*'s GC call at function exit: `System.gc()`
     /// for HotSpot, the aggressive `global.gc()` for V8 (stock
     /// interfaces only, §3.2).
-    pub fn eager_gc(&mut self, sys: &mut System) -> Result<(), RuntimeHeapError> {
+    pub fn eager_gc(&mut self, sys: &mut System) -> Result<(), HeapError> {
         match self {
-            RuntimeHeap::HotSpot(h) => Ok(h.system_gc(sys)?),
-            RuntimeHeap::V8(h) => Ok(h.global_gc(sys)?),
+            RuntimeHeap::HotSpot(h) => h.system_gc(sys),
+            RuntimeHeap::V8(h) => h.global_gc(sys),
         }
     }
 
     /// The Desiccant `reclaim` interface. `keep_weak` selects the §4.7
     /// non-aggressive mode (meaningful for V8; HotSpot's serial full GC
     /// does not clear JIT code either way in this model).
-    pub fn reclaim(
-        &mut self,
-        sys: &mut System,
-        keep_weak: bool,
-    ) -> Result<ReclaimReport, RuntimeHeapError> {
-        Ok(match self {
-            RuntimeHeap::HotSpot(h) => {
-                let o = h.reclaim(sys)?;
-                ReclaimReport {
-                    released_bytes: o.released_bytes,
-                    live_bytes: o.live_bytes,
-                    wall_time: o.wall_time,
-                }
-            }
-            RuntimeHeap::V8(h) => {
-                let o = h.reclaim(sys, keep_weak)?;
-                ReclaimReport {
-                    released_bytes: o.released_bytes,
-                    live_bytes: o.live_bytes,
-                    wall_time: o.wall_time,
-                }
-            }
-        })
+    pub fn reclaim(&mut self, sys: &mut System, keep_weak: bool) -> Result<ReclaimOutcome, HeapError> {
+        each_heap!(self, h => h.reclaim(sys, keep_weak))
     }
 
     /// Live bytes *right now*, computed by a fresh marking pass over
@@ -179,54 +102,29 @@ impl RuntimeHeap {
 
     /// Live bytes found by the most recent collection.
     pub fn last_live_bytes(&self) -> u64 {
-        match self {
-            RuntimeHeap::HotSpot(h) => h.last_live_bytes(),
-            RuntimeHeap::V8(h) => h.last_live_bytes(),
-        }
+        each_heap!(self, h => h.last_live_bytes())
     }
 
     /// Committed heap bytes.
     pub fn committed(&self) -> u64 {
-        match self {
-            RuntimeHeap::HotSpot(h) => h.committed(),
-            RuntimeHeap::V8(h) => h.committed(),
-        }
+        each_heap!(self, h => h.committed())
     }
 
     /// Resident bytes inside the heap (the platform's `pmap`-or-
-    /// internal-counters probe of §4.5.2).
+    /// internal-counters probe of §4.5.2: HotSpot reports its
+    /// contiguous reservation, V8 its chunks' internal counters).
     pub fn resident_heap_bytes(&self, sys: &System) -> u64 {
-        match self {
-            RuntimeHeap::HotSpot(h) => h.resident_heap_bytes(sys),
-            RuntimeHeap::V8(h) => h.resident_heap_bytes(sys),
-        }
-    }
-
-    /// The heap's address range for `pmap`, if contiguous (HotSpot
-    /// reports its reservation; V8 heaps are chunked and report
-    /// `None` — the platform reads their internal counters instead,
-    /// exactly the §4.5.2 distinction).
-    pub fn heap_range(&self) -> Option<(VirtAddr, u64)> {
-        match self {
-            RuntimeHeap::HotSpot(h) => Some(h.heap_range()),
-            RuntimeHeap::V8(_) => None,
-        }
+        each_heap!(self, h => h.resident_heap_bytes(sys))
     }
 
     /// Cumulative GC statistics.
     pub fn counters(&self) -> &GcCounters {
-        match self {
-            RuntimeHeap::HotSpot(h) => h.counters(),
-            RuntimeHeap::V8(h) => h.counters(),
-        }
+        each_heap!(self, h => h.counters())
     }
 
     /// Drains accrued heap latency (GC pauses + fault costs).
     pub fn take_elapsed(&mut self) -> SimDuration {
-        match self {
-            RuntimeHeap::HotSpot(h) => h.take_elapsed(),
-            RuntimeHeap::V8(h) => h.take_elapsed(),
-        }
+        each_heap!(self, h => h.take_elapsed())
     }
 
     /// Drains code bytes lost to aggressive collections (V8 only).
@@ -271,7 +169,6 @@ mod tests {
             let mut sys = System::new();
             let pid = sys.spawn_process();
             let mut heap = RuntimeHeap::for_language(&mut sys, pid, lang, 256 << 20).unwrap();
-            assert_eq!(heap.language(), lang);
             let scope = heap.graph_mut().push_handle_scope();
             let id = heap.alloc(&mut sys, 64 << 10, ObjectKind::Data).unwrap();
             heap.graph_mut().add_handle(id);
@@ -281,17 +178,5 @@ mod tests {
             assert_eq!(report.live_bytes, 0);
             assert!(heap.take_elapsed() > SimDuration::ZERO);
         }
-    }
-
-    #[test]
-    fn heap_range_only_for_hotspot() {
-        let mut sys = System::new();
-        let pid = sys.spawn_process();
-        let java = RuntimeHeap::for_language(&mut sys, pid, Language::Java, 256 << 20).unwrap();
-        assert!(java.heap_range().is_some());
-        let pid2 = sys.spawn_process();
-        let js =
-            RuntimeHeap::for_language(&mut sys, pid2, Language::JavaScript, 256 << 20).unwrap();
-        assert!(js.heap_range().is_none());
     }
 }

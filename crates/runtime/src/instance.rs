@@ -4,7 +4,9 @@ use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
 use simos::{FileId, Pid, SimDuration, SimTime, System, VirtAddr};
 
-use crate::heap::{ReclaimReport, RuntimeHeap, RuntimeHeapError};
+use gc_core::{HeapError, ReclaimOutcome};
+
+use crate::heap::RuntimeHeap;
 use crate::image::{RuntimeImage, SharedLibs};
 use crate::invocation::InvocationCtx;
 
@@ -89,7 +91,7 @@ impl Instance {
         libs: &SharedLibs,
         budget: u64,
         cpu_share: f64,
-    ) -> Result<Instance, RuntimeHeapError> {
+    ) -> Result<Instance, HeapError> {
         assert!(cpu_share > 0.0, "instance needs a CPU share");
         assert_eq!(
             libs.files.len(),
@@ -101,22 +103,15 @@ impl Instance {
         let mut pending = SimDuration::ZERO;
         let mut mapped = Vec::new();
         for (file, (_, size)) in libs.files.iter().zip(&image.libs) {
-            let addr = sys.map_library(pid, *file).map_err(map_os)?;
+            let addr = sys.map_library(pid, *file)?;
             // Library pages fault in from the page cache.
             pending += os_cost.file_fault * (size / simos::PAGE_SIZE);
             mapped.push((*file, addr, page_align_up(*size)));
         }
         let native_len = page_align_up(image.native_bytes);
-        let native_addr = sys
-            .mmap_named(
-                pid,
-                native_len,
-                MappingKind::Anonymous,
-                Prot::ReadWrite,
-                "[native]",
-            )
-            .map_err(map_os)?;
-        pending += os_cost.charge_touch(sys, pid, native_addr, native_len).map_err(map_os)?;
+        let native_addr =
+            sys.mmap_named(pid, native_len, MappingKind::Anonymous, Prot::ReadWrite, "[native]")?;
+        pending += os_cost.charge_touch(sys, pid, native_addr, native_len)?;
         let heap = RuntimeHeap::for_language(sys, pid, image.language, budget)?;
         Ok(Instance {
             pid,
@@ -189,7 +184,7 @@ impl Instance {
         now: SimTime,
         exec: &ExecProfile,
         kernel: F,
-    ) -> Result<InvocationReport, RuntimeHeapError>
+    ) -> Result<InvocationReport, HeapError>
     where
         F: FnOnce(&mut InvocationCtx<'_>),
     {
@@ -233,14 +228,14 @@ impl Instance {
         })
     }
 
-    fn refault_hot_libs(&mut self, sys: &mut System) -> Result<(), RuntimeHeapError> {
+    fn refault_hot_libs(&mut self, sys: &mut System) -> Result<(), HeapError> {
         let mut pending = SimDuration::ZERO;
         for (_, addr, len) in &self.libs {
             let hot = page_align_up((*len as f64 * LIB_HOT_FRACTION) as u64).min(*len);
             if hot == 0 {
                 continue;
             }
-            let out = sys.touch(self.pid, *addr, hot, false).map_err(map_os)?;
+            let out = sys.touch(self.pid, *addr, hot, false)?;
             pending += self.os_cost.touch_cost(out);
         }
         self.pending += pending;
@@ -251,7 +246,7 @@ impl Instance {
     /// `System.gc()` / `global.gc()`. Returns the wall time it took.
     /// For V8 this is the aggressive collection and may incur
     /// deoptimization debt.
-    pub fn eager_gc(&mut self, sys: &mut System) -> Result<SimDuration, RuntimeHeapError> {
+    pub fn eager_gc(&mut self, sys: &mut System) -> Result<SimDuration, HeapError> {
         self.heap.eager_gc(sys)?;
         if self.heap.take_deopt_code_bytes() > 0 {
             self.deopt_debt = 1.0;
@@ -269,7 +264,7 @@ impl Instance {
         sys: &mut System,
         now: SimTime,
         keep_weak: bool,
-    ) -> Result<ReclaimReport, RuntimeHeapError> {
+    ) -> Result<ReclaimOutcome, HeapError> {
         self.heap.set_now(now);
         let report = self.heap.reclaim(sys, keep_weak)?;
         if self.heap.take_deopt_code_bytes() > 0 {
@@ -285,10 +280,10 @@ impl Instance {
     /// is private to this process, unmodified, and file-backed —
     /// provided this instance is the *only* user. Returns released
     /// bytes.
-    pub fn unmap_private_libs(&mut self, sys: &mut System) -> Result<u64, RuntimeHeapError> {
+    pub fn unmap_private_libs(&mut self, sys: &mut System) -> Result<u64, HeapError> {
         let mut released = 0u64;
         for (start, len) in simos::metrics::private_unmodified_files(sys, self.pid) {
-            released += sys.release(self.pid, VirtAddr(start), len).map_err(map_os)?;
+            released += sys.release(self.pid, VirtAddr(start), len)?;
         }
         if released > 0 {
             self.libs_unmapped = true;
@@ -298,16 +293,15 @@ impl Instance {
 
     /// Kernel-free helper: swap out every resident page of the instance
     /// (the §5.6 swapping baseline — no runtime guidance at all).
-    pub fn swap_out_all(&mut self, sys: &mut System) -> Result<u64, RuntimeHeapError> {
+    pub fn swap_out_all(&mut self, sys: &mut System) -> Result<u64, HeapError> {
         let ranges: Vec<(VirtAddr, u64)> = sys
-            .space(self.pid)
-            .map_err(map_os)?
+            .space(self.pid)?
             .mappings()
             .map(|m| (m.start, m.len()))
             .collect();
         let mut swapped = 0;
         for (addr, len) in ranges {
-            swapped += sys.swap_out(self.pid, addr, len).map_err(map_os)?;
+            swapped += sys.swap_out(self.pid, addr, len)?;
         }
         Ok(swapped)
     }
@@ -347,10 +341,6 @@ impl Instance {
         let _ = sys.kill_process(self.pid);
         freed
     }
-}
-
-fn map_os(e: simos::SimOsError) -> RuntimeHeapError {
-    RuntimeHeapError::HotSpot(hotspot::HeapError::Os(e))
 }
 
 snapshot::record!(Instance {

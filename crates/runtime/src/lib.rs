@@ -11,18 +11,20 @@
 //!   (libraries shared between same-language instances through the page
 //!   cache) and Lambda flavour (no sharing — §5.4).
 //! * [`RuntimeHeap`] — a uniform façade over [`hotspot::HotSpotHeap`]
-//!   and [`v8heap::V8Heap`]: allocation, eager GC (what the paper's
-//!   *eager* baseline calls at every function exit), and the Desiccant
-//!   `reclaim` interface.
+//!   and [`v8heap::V8Heap`] that delegates to their
+//!   [`gc_core::ManagedHeap`] impls: allocation, eager GC (what the
+//!   paper's *eager* baseline calls at every function exit), and the
+//!   Desiccant `reclaim` interface.
 //! * [`Instance`] — one managed process: heap + native memory + mapped
 //!   libraries + JIT state. Provides [`Instance::invoke`], which runs a
 //!   workload kernel inside a handle scope and converts kernel compute,
 //!   GC pauses, page-fault refills, JIT warm-up, and deoptimization
 //!   debt into a wall-clock invocation latency at the instance's CPU
 //!   share.
-//! * [`ReclaimReport`] — the §4.4 profile an instance sends back after
-//!   a reclamation (live bytes + released bytes + wall time), which the
-//!   platform extends with CPU time for Desiccant's estimator.
+//! * [`gc_core::ReclaimOutcome`] — the §4.4 profile an instance sends
+//!   back after a reclamation (live bytes + released bytes + wall
+//!   time), which the platform extends with CPU time for Desiccant's
+//!   estimator.
 //!
 //! # Examples
 //!
@@ -53,7 +55,7 @@ pub mod image;
 pub mod instance;
 pub mod invocation;
 
-pub use heap::{ReclaimReport, RuntimeHeap, RuntimeHeapError};
+pub use heap::RuntimeHeap;
 pub use image::{Language, RuntimeImage, SharedLibs};
 pub use instance::{ExecProfile, Instance, InvocationReport};
 pub use invocation::InvocationCtx;

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use gc_core::object::{HeapGraph, ObjectId, ObjectKind};
 use gc_core::stats::{GcCostModel, GcCounters, GcKind};
 use gc_core::trace::mark;
+use gc_core::{HeapError, ManagedHeap};
 use simos::cast;
 use simos::cost::CostModel;
 use simos::mem::{page_align_up, MappingKind, Prot};
@@ -25,46 +26,6 @@ pub mod tag {
     pub const LARGE: u8 = 3;
 
     const _: () = assert!(YOUNG < gc_core::object::YOUNG_SPACE_LIMIT && OLD >= gc_core::object::YOUNG_SPACE_LIMIT);
-}
-
-/// V8 heap failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum V8HeapError {
-    /// The heap limit would be exceeded ("JavaScript heap out of
-    /// memory").
-    OutOfMemory { requested: u64 },
-    /// An OS-level operation failed (indicates a model bug).
-    Os(simos::SimOsError),
-}
-
-impl std::fmt::Display for V8HeapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            V8HeapError::OutOfMemory { requested } => {
-                write!(f, "JavaScript heap out of memory (requested {requested})")
-            }
-            V8HeapError::Os(e) => write!(f, "os error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for V8HeapError {}
-
-impl From<simos::SimOsError> for V8HeapError {
-    fn from(e: simos::SimOsError) -> V8HeapError {
-        V8HeapError::Os(e)
-    }
-}
-
-/// Result of a [`V8Heap::reclaim`] call.
-#[derive(Debug, Clone, Copy)]
-pub struct V8ReclaimOutcome {
-    /// Bytes of physical memory returned to the OS.
-    pub released_bytes: u64,
-    /// Live bytes measured by the collection.
-    pub live_bytes: u64,
-    /// Simulated wall time of the reclamation.
-    pub wall_time: SimDuration,
 }
 
 /// A V8 heap bound to one simulated process.
@@ -125,7 +86,7 @@ fn chunk_in(chunks: &mut [Option<Chunk>], id: ChunkId) -> &mut Chunk {
 impl V8Heap {
     /// Creates a heap in process `pid` with the initial young
     /// generation mapped.
-    pub fn new(sys: &mut System, pid: Pid, config: V8Config) -> Result<V8Heap, V8HeapError> {
+    pub fn new(sys: &mut System, pid: Pid, config: V8Config) -> Result<V8Heap, HeapError> {
         config.validate();
         let mut heap = V8Heap {
             pid,
@@ -164,43 +125,10 @@ impl V8Heap {
         self.pid
     }
 
-    /// The object graph.
-    pub fn graph(&self) -> &HeapGraph {
-        &self.graph
-    }
-
-    /// Mutable object graph.
-    pub fn graph_mut(&mut self) -> &mut HeapGraph {
-        &mut self.graph
-    }
-
-    /// Cumulative GC statistics.
-    pub fn counters(&self) -> &GcCounters {
-        &self.counters
-    }
-
-    /// Advances the heap's notion of mutator time (drives the
-    /// allocation-rate estimate of the shrink policy).
-    pub fn set_now(&mut self, now: SimTime) {
-        if now > self.now {
-            self.now = now;
-        }
-    }
-
     /// Young-generation size (both semispaces), the quantity the §3.2.2
     /// doubling policy controls.
     pub fn young_size(&self) -> u64 {
         2 * cast::to_u64(self.semispace_chunks) * CHUNK_SIZE
-    }
-
-    /// Total mapped heap bytes (all live chunks).
-    pub fn committed(&self) -> u64 {
-        debug_assert_eq!(
-            self.committed,
-            self.chunks.iter().flatten().map(|c| c.size).sum::<u64>(),
-            "committed counter drifted from the chunk table"
-        );
-        self.committed
     }
 
     /// The live chunks, by base address. The chunk table never reuses
@@ -209,28 +137,10 @@ impl V8Heap {
         self.addr_to_chunk.values().map(|&id| self.chunk(id))
     }
 
-    /// Live bytes found by the most recent collection.
-    pub fn last_live_bytes(&self) -> u64 {
-        self.last_live_bytes
-    }
-
-    /// Drains accrued latency (faults + GC pauses).
-    pub fn take_elapsed(&mut self) -> SimDuration {
-        std::mem::take(&mut self.pending)
-    }
-
     /// Drains the code bytes cleared by aggressive collections; the
     /// embedder converts them into a re-JIT slowdown.
     pub fn take_deopt_code_bytes(&mut self) -> u64 {
         std::mem::take(&mut self.deopt_code_bytes)
-    }
-
-    /// Resident bytes across all heap chunks (V8's own accounting; the
-    /// platform reads it directly, §4.5.2).
-    pub fn resident_heap_bytes(&self, sys: &System) -> u64 {
-        self.live_chunks()
-            .map(|c| sys.pmap(self.pid, c.addr, c.size).unwrap_or(0))
-            .sum()
     }
 
     fn chunk(&self, id: ChunkId) -> &Chunk {
@@ -242,7 +152,7 @@ impl V8Heap {
         sys: &mut System,
         size: u64,
         space: ChunkSpace,
-    ) -> Result<ChunkId, V8HeapError> {
+    ) -> Result<ChunkId, HeapError> {
         self.map_chunk_inner(sys, size, space, false)
     }
 
@@ -254,7 +164,7 @@ impl V8Heap {
         sys: &mut System,
         size: u64,
         space: ChunkSpace,
-    ) -> Result<ChunkId, V8HeapError> {
+    ) -> Result<ChunkId, HeapError> {
         self.map_chunk_inner(sys, size, space, true)
     }
 
@@ -264,9 +174,9 @@ impl V8Heap {
         size: u64,
         space: ChunkSpace,
         emergency: bool,
-    ) -> Result<ChunkId, V8HeapError> {
+    ) -> Result<ChunkId, HeapError> {
         if !emergency && self.committed() + size > self.config.max_heap {
-            return Err(V8HeapError::OutOfMemory { requested: size });
+            return Err(HeapError::OutOfMemory { requested: size });
         }
         let name = match space {
             ChunkSpace::Young => "[v8:young]",
@@ -284,7 +194,7 @@ impl V8Heap {
         Ok(id)
     }
 
-    fn unmap_chunk(&mut self, sys: &mut System, id: ChunkId) -> Result<(), V8HeapError> {
+    fn unmap_chunk(&mut self, sys: &mut System, id: ChunkId) -> Result<(), HeapError> {
         let chunk = self
             .chunks
             .get_mut(id.index())
@@ -307,55 +217,13 @@ impl V8Heap {
         *id
     }
 
-    /// Allocates an object in the young generation (or the large-object
-    /// space). May trigger a scavenge or a major GC.
-    pub fn alloc(
-        &mut self,
-        sys: &mut System,
-        size: u32,
-        kind: ObjectKind,
-    ) -> Result<ObjectId, V8HeapError> {
-        self.allocated_since_mark += u64::from(size);
-        if size >= self.config.large_object_threshold {
-            return self.alloc_large(sys, size, kind);
-        }
-        let asize = u64::from(size).div_ceil(8) * 8;
-        for attempt in 0..3 {
-            // A young bump may hit the heap limit while growing the
-            // semispace; treat that like a full semispace and collect.
-            match self.try_young_bump(sys, asize) {
-                Ok(Some(addr)) => {
-                    self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
-                    let id = self.graph.alloc(size, kind);
-                    self.graph.set_addr(id, addr.0);
-                    self.graph.set_space(id, tag::YOUNG);
-                    return Ok(id);
-                }
-                Ok(None) | Err(V8HeapError::OutOfMemory { .. }) => {}
-                Err(e) => return Err(e),
-            }
-            if attempt == 0 {
-                self.scavenge(sys)?;
-            } else {
-                self.major_gc(sys, true)?;
-            }
-        }
-        // The young generation cannot host it even when empty (tiny
-        // semispace); put it in old space, as V8's pretenuring would.
-        let addr = self.old_alloc(sys, cast::to_u32(asize), true)?;
-        let id = self.graph.alloc(size, kind);
-        self.graph.set_addr(id, addr.0);
-        self.graph.set_space(id, tag::OLD);
-        Ok(id)
-    }
-
     /// Bump allocation in the from semispace; maps chunks lazily up to
     /// the semispace target.
     fn try_young_bump(
         &mut self,
         sys: &mut System,
         asize: u64,
-    ) -> Result<Option<VirtAddr>, V8HeapError> {
+    ) -> Result<Option<VirtAddr>, HeapError> {
         loop {
             // The cursor never runs more than one past the list: it
             // only advances onto a chunk this loop then maps.
@@ -388,11 +256,11 @@ impl V8Heap {
         sys: &mut System,
         size: u32,
         kind: ObjectKind,
-    ) -> Result<ObjectId, V8HeapError> {
+    ) -> Result<ObjectId, HeapError> {
         let mapped = page_align_up(CHUNK_HEADER + u64::from(size));
         let cid = match self.map_chunk(sys, mapped, ChunkSpace::Large) {
             Ok(c) => c,
-            Err(V8HeapError::OutOfMemory { .. }) => {
+            Err(HeapError::OutOfMemory { .. }) => {
                 self.major_gc(sys, true)?;
                 self.map_chunk(sys, mapped, ChunkSpace::Large)?
             }
@@ -413,7 +281,7 @@ impl V8Heap {
     /// `allow_gc` is false when called from inside a collection
     /// (evacuation); hitting the heap limit there is a genuine OOM
     /// rather than a cue to re-enter the collector.
-    fn old_alloc(&mut self, sys: &mut System, asize: u32, allow_gc: bool) -> Result<VirtAddr, V8HeapError> {
+    fn old_alloc(&mut self, sys: &mut System, asize: u32, allow_gc: bool) -> Result<VirtAddr, HeapError> {
         if let Some(addr) = self.old_fit(asize) {
             return Ok(addr);
         }
@@ -426,7 +294,7 @@ impl V8Heap {
         };
         let cid = match first_try {
             Ok(c) => c,
-            Err(V8HeapError::OutOfMemory { .. }) if allow_gc => {
+            Err(HeapError::OutOfMemory { .. }) if allow_gc => {
                 self.major_gc(sys, true)?;
                 // Retry the free lists after the GC before growing.
                 if let Some(addr) = self.old_fit(asize) {
@@ -457,7 +325,7 @@ impl V8Heap {
     /// The graph's remembered set stands in for the old generation:
     /// every old or large object, dead or alive, keeps its young
     /// referents alive, as a card-table scavenge would.
-    pub fn scavenge(&mut self, sys: &mut System) -> Result<(), V8HeapError> {
+    pub fn scavenge(&mut self, sys: &mut System) -> Result<(), HeapError> {
         // Expansion check (before GC): double the young generation if
         // the live bytes accumulated since the last expansion exceed
         // its current size.
@@ -569,7 +437,7 @@ impl V8Heap {
 
     /// Charges the scavenge's copies into to-space chunk `cursor`, the
     /// bytes `[start, end)` of it, as one page touch.
-    fn charge_copy_run(&mut self, sys: &mut System, cursor: usize, start: u64, end: u64) -> Result<(), V8HeapError> {
+    fn charge_copy_run(&mut self, sys: &mut System, cursor: usize, start: u64, end: u64) -> Result<(), HeapError> {
         if let Some(&id) = self.to.get(cursor) {
             let addr = self.chunk(id).addr.offset(start);
             self.pending += self.os_cost.charge_touch(sys, self.pid, addr, end - start)?;
@@ -591,7 +459,7 @@ impl V8Heap {
     /// the threshold, the young generation shrinks to twice the live
     /// young bytes. High-allocation FaaS functions never take this
     /// path — that is the §3.2.2 pathology.
-    fn maybe_shrink_young(&mut self, sys: &mut System, young_live: u64) -> Result<(), V8HeapError> {
+    fn maybe_shrink_young(&mut self, sys: &mut System, young_live: u64) -> Result<(), HeapError> {
         let Some(rate) = self.allocation_rate() else {
             return Ok(());
         };
@@ -634,7 +502,7 @@ impl V8Heap {
     /// referenced code objects are collected and their bytes recorded
     /// for the deoptimization penalty. Desiccant's reclaim passes
     /// `keep_weak = true` (§4.7).
-    pub fn major_gc(&mut self, sys: &mut System, keep_weak: bool) -> Result<(), V8HeapError> {
+    pub fn major_gc(&mut self, sys: &mut System, keep_weak: bool) -> Result<(), HeapError> {
         let live = mark(&self.graph, true, keep_weak);
         self.last_live_bytes = live.live_bytes;
         if !keep_weak {
@@ -737,17 +605,108 @@ impl V8Heap {
 
     /// `global.gc()`: an aggressive full collection that clears weak
     /// references (and thereby JIT code), as stock V8 exposes it.
-    pub fn global_gc(&mut self, sys: &mut System) -> Result<(), V8HeapError> {
+    pub fn global_gc(&mut self, sys: &mut System) -> Result<(), HeapError> {
         self.major_gc(sys, false)
     }
+}
 
-    /// The Desiccant `reclaim` interface: a major GC (weak-preserving
-    /// by default, §4.7), then release every free page of every space —
-    /// keeping each chunk's 4 KiB header, which cannot be released.
-    pub fn reclaim(&mut self, sys: &mut System, keep_weak: bool) -> Result<V8ReclaimOutcome, V8HeapError> {
-        let pending_before = self.pending;
-        self.major_gc(sys, keep_weak)?;
+impl ManagedHeap for V8Heap {
+    fn graph(&self) -> &HeapGraph {
+        &self.graph
+    }
 
+    fn graph_mut(&mut self) -> &mut HeapGraph {
+        &mut self.graph
+    }
+
+    /// Allocates an object in the young generation (or the large-object
+    /// space). May trigger a scavenge or a major GC.
+    fn alloc(
+        &mut self,
+        sys: &mut System,
+        size: u32,
+        kind: ObjectKind,
+    ) -> Result<ObjectId, HeapError> {
+        self.allocated_since_mark += u64::from(size);
+        if size >= self.config.large_object_threshold {
+            return self.alloc_large(sys, size, kind);
+        }
+        let asize = u64::from(size).div_ceil(8) * 8;
+        for attempt in 0..3 {
+            // A young bump may hit the heap limit while growing the
+            // semispace; treat that like a full semispace and collect.
+            match self.try_young_bump(sys, asize) {
+                Ok(Some(addr)) => {
+                    self.pending += self.os_cost.charge_touch(sys, self.pid, addr, asize)?;
+                    let id = self.graph.alloc(size, kind);
+                    self.graph.set_addr(id, addr.0);
+                    self.graph.set_space(id, tag::YOUNG);
+                    return Ok(id);
+                }
+                Ok(None) | Err(HeapError::OutOfMemory { .. }) => {}
+                Err(e) => return Err(e),
+            }
+            if attempt == 0 {
+                self.scavenge(sys)?;
+            } else {
+                self.major_gc(sys, true)?;
+            }
+        }
+        // The young generation cannot host it even when empty (tiny
+        // semispace); put it in old space, as V8's pretenuring would.
+        let addr = self.old_alloc(sys, cast::to_u32(asize), true)?;
+        let id = self.graph.alloc(size, kind);
+        self.graph.set_addr(id, addr.0);
+        self.graph.set_space(id, tag::OLD);
+        Ok(id)
+    }
+
+    /// Total mapped heap bytes (all live chunks).
+    fn committed(&self) -> u64 {
+        debug_assert_eq!(
+            self.committed,
+            self.chunks.iter().flatten().map(|c| c.size).sum::<u64>(),
+            "committed counter drifted from the chunk table"
+        );
+        self.committed
+    }
+
+    /// Resident bytes across all heap chunks (V8's own accounting; the
+    /// platform reads it directly, §4.5.2).
+    fn resident_heap_bytes(&self, sys: &System) -> u64 {
+        self.live_chunks()
+            .map(|c| sys.pmap(self.pid, c.addr, c.size).unwrap_or(0))
+            .sum()
+    }
+
+    fn last_live_bytes(&self) -> u64 {
+        self.last_live_bytes
+    }
+
+    fn counters(&self) -> &GcCounters {
+        &self.counters
+    }
+
+    fn pending_mut(&mut self) -> &mut SimDuration {
+        &mut self.pending
+    }
+
+    /// Advances the heap's notion of mutator time (drives the
+    /// allocation-rate estimate of the shrink policy).
+    fn set_now(&mut self, now: SimTime) {
+        if now > self.now {
+            self.now = now;
+        }
+    }
+
+    /// A major GC, weak-preserving when `keep_weak` (§4.7).
+    fn collect_full(&mut self, sys: &mut System, keep_weak: bool) -> Result<(), HeapError> {
+        self.major_gc(sys, keep_weak)
+    }
+
+    /// Releases every free page of every space, keeping each chunk's
+    /// 4 KiB header, which cannot be released.
+    fn release_free(&mut self, sys: &mut System) -> Result<u64, HeapError> {
         let mut released = 0u64;
         // Old space: release page-aligned free runs.
         let old_ids: Vec<ChunkId> = self.old.clone();
@@ -765,13 +724,7 @@ impl V8Heap {
             released += sys.release(self.pid, addr, len)?;
         }
         self.pending += self.os_cost.release_cost(released);
-
-        let wall = self.pending.saturating_sub(pending_before);
-        Ok(V8ReclaimOutcome {
-            released_bytes: released,
-            live_bytes: self.last_live_bytes,
-            wall_time: wall,
-        })
+        Ok(released)
     }
 }
 
@@ -1132,7 +1085,7 @@ mod tests {
                 }
             }
         }
-        assert!(matches!(err, Some(V8HeapError::OutOfMemory { .. })));
+        assert!(matches!(err, Some(HeapError::OutOfMemory { .. })));
     }
 
     #[test]

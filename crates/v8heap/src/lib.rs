@@ -29,7 +29,7 @@
 //! # Examples
 //!
 //! ```
-//! use gc_core::ObjectKind;
+//! use gc_core::{ManagedHeap, ObjectKind};
 //! use simos::System;
 //! use v8heap::{V8Config, V8Heap};
 //!
@@ -56,4 +56,4 @@ pub mod heap;
 
 pub use chunk::{Chunk, ChunkId, CHUNK_HEADER, CHUNK_SIZE};
 pub use config::V8Config;
-pub use heap::{V8Heap, V8HeapError, V8ReclaimOutcome};
+pub use heap::V8Heap;

@@ -8,7 +8,9 @@
 //!
 //! * `impl` headers (including `impl Trait for Type`) establish an
 //!   *owner* — the last path segment of the implemented type — so a
-//!   method is identified as `Owner::name`.
+//!   method is identified as `Owner::name`. A `trait` definition owns
+//!   its provided methods the same way (`Trait::name`), so a method
+//!   call can reach a default body.
 //! * `snapshot::record!(T { a: A, … })` invocations define `T::snap`
 //!   and `T::restore`, calling each listed field type's codec, so the
 //!   macro-generated decode paths stay in the call graph.
@@ -112,7 +114,8 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 
 #[derive(Debug)]
 enum Scope {
-    /// An `impl` block: the implemented type's name.
+    /// An `impl` block or a `trait` definition: the implemented type's
+    /// (or the trait's) name.
     Impl(String),
     /// A function body: index into the output `fns` vec, plus the
     /// accumulation state the post-pass folds into dataflow sites.
@@ -229,6 +232,14 @@ pub fn parse_blanked(text: &str) -> FileSummary {
                         let (owner, next) = parse_impl_header(text, &toks, i + 1);
                         pending = Pending::Impl(owner);
                         i = next;
+                    }
+                    "trait" => {
+                        if let Some(Tok::Ident(ns, ne)) = toks.get(i + 1) {
+                            pending = Pending::Impl(text[*ns..*ne].to_string());
+                            i += 2;
+                        } else {
+                            i += 1;
+                        }
                     }
                     "record" if is_record_invocation(&toks, i) => {
                         let line = lexer::line_of(&starts, *s);
@@ -886,6 +897,21 @@ mod tests {
         );
         assert_eq!(s.fns.len(), 1);
         assert_eq!(s.fns[0].name, "after");
+    }
+
+    #[test]
+    fn trait_provided_methods_are_owned_by_the_trait() {
+        let s = summary(
+            "pub trait Heap: Sized {\n\
+                 fn release(&mut self) -> u64;\n\
+                 fn reclaim(&mut self) -> u64 { self.release() }\n\
+             }\n\
+             fn after() {}\n",
+        );
+        let names: Vec<(&str, &str)> =
+            s.fns.iter().map(|f| (f.owner.as_str(), f.name.as_str())).collect();
+        assert_eq!(names, [("Heap", "reclaim"), ("", "after")]);
+        assert_eq!(s.fns[0].calls[0].name, "release");
     }
 
     #[test]

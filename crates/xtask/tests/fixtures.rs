@@ -9,6 +9,8 @@
 use std::fs;
 use std::path::Path;
 
+use xtask::graph::{panic_reachability, Graph, Root};
+use xtask::parse::parse_file;
 use xtask::rules::{self, Finding};
 use xtask::{check_files, check_manifest, check_source, RULES};
 
@@ -179,6 +181,37 @@ fn panic_reachability_sees_through_record_codecs() {
     // Without the record, nothing reaches `Heap::restore`.
     let unreached = src.replace("snapshot::record!(Slot { id: u64, heap: Heap });", "");
     let findings = check_files(&[("crates/faas/src/platform.rs", &unreached)]).findings;
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn panic_reachability_sees_through_provided_trait_methods() {
+    let src = fixture("panic_reachability_trait.rs");
+    let path = "crates/faas/src/platform.rs";
+    let findings = check_files(&[(path, &src)]).findings;
+    assert_single(&findings, "panic-reachability");
+    assert!(findings[0].message.contains("bare index"), "{findings:?}");
+    assert!(
+        findings[0].message.contains("Platform::try_run_until")
+            && findings[0].message.contains("ManagedHeap::reclaim → HotSpotHeap::release_free"),
+        "the chain must run through the provided method: {findings:?}"
+    );
+    // The façade's macro delegation reaches the provided method too.
+    let files = [(path.to_string(), parse_file(&src))];
+    let from_facade = panic_reachability(
+        &Graph::build(&files),
+        &[Root { path, owner: Some("RuntimeHeap"), name: "reclaim" }],
+    );
+    assert_eq!(from_facade.len(), 1, "{from_facade:?}");
+    assert!(
+        from_facade[0]
+            .message
+            .contains("RuntimeHeap::reclaim → ManagedHeap::reclaim → HotSpotHeap::release_free"),
+        "{from_facade:?}"
+    );
+    // Without the hook call in the default body, nothing reaches it.
+    let unreached = src.replace("self.release_free(sys)?", "0");
+    let findings = check_files(&[(path, &unreached)]).findings;
     assert!(findings.is_empty(), "{findings:?}");
 }
 

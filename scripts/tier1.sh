@@ -82,10 +82,14 @@ echo "== fleet failure domains (outage / partition / availability SLO) =="
 # replay must print its request-conservation accounting line, and no
 # shard's checkpoint store may ever hold more than 2 x base_every + 1
 # objects (a deterministic count; storage writes are fault-free here).
+# Full size, not --quick: every check is deterministic with no timing
+# gate, and only the full trace cuts enough checkpoints for the store
+# bound to tell a retaining store from an append-only one on both
+# gates.
 for gate in --outage --partition; do
     echo "-- cluster_replay $gate"
     gate_out=$(cargo run --release -q -p bench --bin cluster_replay -- \
-        --quick --check "$gate" --out-dir target/bench-smoke)
+        --check "$gate" --out-dir "target/bench-smoke/${gate#--}")
     runs=$(grep -c "conservation OK" <<<"$gate_out" || true)
     if [ "$runs" -lt 4 ]; then
         echo "failure-domain gate $gate printed $runs conservation lines (want >= 4):"
@@ -93,6 +97,13 @@ for gate in --outage --partition; do
         exit 1
     fi
 done
+# The outage gate's artifact is fully simulated, so the committed copy
+# must match the regenerated one byte for byte.
+if ! cmp -s BENCH_availability.json target/bench-smoke/outage/BENCH_availability.json; then
+    echo "cluster_replay --outage wrote a BENCH_availability.json that differs from the committed one:"
+    diff BENCH_availability.json target/bench-smoke/outage/BENCH_availability.json || true
+    exit 1
+fi
 
 echo "== chaos (fault-free + seeded fault schedules) =="
 # Default sweep: fault-free baselines plus seeds 11/23/47 at a 1 %
