@@ -111,11 +111,7 @@ mod tests {
 
     #[test]
     fn digest_is_jobs_invariant_for_every_policy() {
-        for policy in [
-            Placement::HashAffinity,
-            Placement::LeastLoaded,
-            Placement::ColdStartAware,
-        ] {
+        for policy in [Placement::HashAffinity, Placement::ColdStartAware] {
             let serial = run_once(policy, 1);
             let parallel = run_once(policy, 4);
             assert!(serial.totals.completed > 0, "{policy:?} completed nothing");
@@ -131,7 +127,7 @@ mod tests {
         // Different placement must yield different trajectories —
         // otherwise the policies are not actually plugged in.
         let a = run_once(Placement::HashAffinity, 2);
-        let b = run_once(Placement::LeastLoaded, 2);
+        let b = run_once(Placement::ColdStartAware, 2);
         assert_ne!(a.digest, b.digest);
     }
 

@@ -246,23 +246,22 @@ fn kill_recover_gate(flags: &Flags, crash: CrashPlan, storage: Option<StorageFau
     }
 }
 
+/// The typed value of `flag`, if given; a missing or malformed value
+/// exits 2 with a message naming the flag.
+fn value<T: std::str::FromStr>(flags: &Flags, flag: &str) -> Option<T> {
+    flags.parsed(flag).unwrap_or_else(|e| {
+        eprintln!("chaos: {e}");
+        std::process::exit(2)
+    })
+}
+
 fn main() {
     let flags = Flags::parse();
-    let crash = flags
-        .value_of("--crash-every")
-        .and_then(|v| v.parse().ok())
-        .map(CrashPlan::every)
-        .or_else(|| {
-            flags
-                .value_of("--crash-at")
-                .and_then(|v| v.parse().ok())
-                .map(CrashPlan::at)
-        });
-    let rate: f64 = flags
-        .value_of("--fault-rate")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
-    let seeds: Vec<u64> = match flags.value_of("--fault-seed").and_then(|v| v.parse().ok()) {
+    let (crash_every, crash_at) = (value(&flags, "--crash-every"), value(&flags, "--crash-at"));
+    let crash = crash_every.map(CrashPlan::every).or(crash_at.map(CrashPlan::at));
+    let rate: f64 = value(&flags, "--fault-rate").unwrap_or(0.01);
+    let corrupt_at = value(&flags, "--corrupt-at");
+    let seeds: Vec<u64> = match value(&flags, "--fault-seed") {
         Some(seed) => vec![seed],
         None => vec![11, 23, 47],
     };
@@ -386,9 +385,7 @@ fn main() {
         // checkpoint written (recovery then replays the journal from
         // nothing — and must still digest identical to the control).
         let storage_seed = seeds.first().copied().unwrap_or(11);
-        let storage = if let Some(offset) =
-            flags.value_of("--corrupt-at").and_then(|v| v.parse().ok())
-        {
+        let storage = if let Some(offset) = corrupt_at {
             Some(StorageFaultPlan::corrupt_at(storage_seed, offset))
         } else if flags.has("--torn-write") {
             Some(StorageFaultPlan::torn(storage_seed, 0.5))

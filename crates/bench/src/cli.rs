@@ -81,6 +81,21 @@ impl Flags {
         None
     }
 
+    /// The typed value of a harness-specific flag: `Ok(None)` when the
+    /// flag is absent, and an error naming the flag when it is present
+    /// with a missing or unparsable value — a malformed value must not
+    /// silently turn a gate off.
+    pub fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        match self.value_of(flag) {
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("invalid {flag} value: `{v}`")),
+            None if self.has(flag) => Err(format!("{flag} needs a value")),
+            None => Ok(None),
+        }
+    }
+
     /// Effective worker-thread count: the `--jobs` value, or every
     /// available core.
     pub fn jobs(&self) -> usize {
@@ -130,6 +145,21 @@ mod tests {
         // A trailing flag with no value yields None.
         let f = Flags::from_args(["--fault-seed"].iter().map(|s| s.to_string()));
         assert_eq!(f.value_of("--fault-seed"), None);
+    }
+
+    #[test]
+    fn parsed_rejects_malformed_values_by_name() {
+        let args = |a: &[&str]| Flags::from_args(a.iter().map(|s| s.to_string()));
+        let f = args(&["--crash-every", "400", "--fault-rate=0.05"]);
+        assert_eq!(f.parsed::<u64>("--crash-every"), Ok(Some(400)));
+        assert_eq!(f.parsed::<f64>("--fault-rate"), Ok(Some(0.05)));
+        assert_eq!(f.parsed::<u64>("--crash-at"), Ok(None));
+        let err = args(&["--crash-every", "4OO"]).parsed::<u64>("--crash-every").unwrap_err();
+        assert!(err.contains("--crash-every") && err.contains("4OO"), "{err}");
+        let err = args(&["--fault-seed=x"]).parsed::<u64>("--fault-seed").unwrap_err();
+        assert!(err.contains("--fault-seed"), "{err}");
+        let err = args(&["--corrupt-at"]).parsed::<usize>("--corrupt-at").unwrap_err();
+        assert!(err.contains("--corrupt-at") && err.contains("needs a value"), "{err}");
     }
 
     #[test]

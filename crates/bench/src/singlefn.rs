@@ -115,16 +115,6 @@ impl StudyOutcome {
             .map(|(u, i)| *u as f64 / (*i).max(1) as f64)
             .fold(0.0, f64::max)
     }
-
-    /// Mean latency over the last `n` invocations.
-    pub fn mean_latency_last(&self, n: usize) -> SimDuration {
-        let tail: Vec<_> = self.latency.iter().rev().take(n).collect();
-        if tail.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let sum: u64 = tail.iter().map(|d| d.as_nanos()).sum();
-        SimDuration::from_nanos(sum / tail.len() as u64)
-    }
 }
 
 /// One instance per chain stage plus its workload state.

@@ -218,13 +218,6 @@ impl Cluster {
         self.outages = Some(plan);
     }
 
-    /// Changes the worker count for subsequent rounds. Outcome-neutral
-    /// by construction (the determinism gates run the same cluster at
-    /// several job counts).
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.cfg.jobs = jobs;
-    }
-
     /// Accepts an arrival for placement at the next barrier it falls
     /// under. Arrivals must be enqueued in canonical order: time
     /// non-decreasing, never behind the last completed barrier.

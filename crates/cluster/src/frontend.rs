@@ -232,11 +232,6 @@ impl AvailabilityReport {
             self.pending_retries
         )
     }
-
-    /// Total dark rounds across the fleet.
-    pub fn total_down_rounds(&self) -> u64 {
-        self.down_rounds.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +284,7 @@ mod tests {
         };
         assert!(report.conservation_holds());
         assert!(report.conservation_line().starts_with("conservation OK:"));
-        assert_eq!(report.total_down_rounds(), 2);
+        assert_eq!(report.down_rounds.iter().sum::<u64>(), 2);
         let mut broken = report;
         broken.pending_retries = 0;
         assert!(!broken.conservation_holds());

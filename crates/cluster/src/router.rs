@@ -8,16 +8,16 @@
 //! arrival order, on the engine's thread — which is what makes
 //! placement (and hence the whole replay) independent of `--jobs N`.
 //!
-//! Three policies:
+//! Two policies:
 //!
 //! * **hash-affinity** — FNV-1a of the catalog index, modulo the shard
 //!   count. Stable, stateless, maximizes warm-instance reuse per
 //!   function; the baseline every FaaS front-end starts from.
-//! * **least-loaded** — the shard with the fewest in-flight requests
-//!   at the last barrier (plus the assignments already made this
-//!   round, so one round's burst cannot herd onto one shard).
 //! * **cold-start-aware** — COCOA-style: prefer a shard holding a
-//!   frozen (thaw-able) instance of the function; fall back to
+//!   frozen (thaw-able) instance of the function, the least-loaded
+//!   one when several are warm (load = in-flight requests at the last
+//!   barrier plus the assignments already made this round, so one
+//!   round's burst cannot herd onto one shard); fall back to
 //!   hash-affinity when no shard is warm.
 //!
 //! # Failure awareness
@@ -51,8 +51,6 @@ use crate::msg::{MigrationOffer, ShardReport};
 pub enum Placement {
     /// FNV(fn_idx) % shards.
     HashAffinity,
-    /// Fewest in-flight requests at the last barrier.
-    LeastLoaded,
     /// Prefer shards with a frozen instance of the function.
     ColdStartAware,
 }
@@ -62,7 +60,6 @@ impl Placement {
     pub fn name(self) -> &'static str {
         match self {
             Placement::HashAffinity => "hash-affinity",
-            Placement::LeastLoaded => "least-loaded",
             Placement::ColdStartAware => "cold-start-aware",
         }
     }
@@ -72,7 +69,6 @@ impl Snapshot for Placement {
     fn snap(&self, w: &mut Writer) {
         let tag: u8 = match self {
             Placement::HashAffinity => 0,
-            Placement::LeastLoaded => 1,
             Placement::ColdStartAware => 2,
         };
         tag.snap(w);
@@ -81,7 +77,8 @@ impl Snapshot for Placement {
     fn restore(r: &mut Reader<'_>) -> Result<Placement, SnapError> {
         match u8::restore(r)? {
             0 => Ok(Placement::HashAffinity),
-            1 => Ok(Placement::LeastLoaded),
+            // Tag 1 was the retired least-loaded policy; it stays
+            // reserved, so old bytes carrying it decode as corrupt.
             2 => Ok(Placement::ColdStartAware),
             _ => Err(SnapError::Corrupt("unknown placement tag")),
         }
@@ -124,7 +121,7 @@ pub struct Router {
     /// has never reported holds [`ShardReport::empty`].
     view: Vec<ShardReport>,
     /// Assignments made in the current round, per shard — the
-    /// intra-round tie-breaker that stops least-loaded herding.
+    /// intra-round tie-breaker that stops load-aware choices herding.
     assigned: Vec<u64>,
     /// Placement attempts performed (initial placements plus retries
     /// and hedges are *not* separated here; request-level accounting
@@ -176,11 +173,6 @@ impl Router {
         self.health.get(shard as usize).map_or(HealthState::Up, |h| h.state())
     }
 
-    /// Shards currently declared `Down`.
-    pub fn down_count(&self) -> u32 {
-        self.health.iter().filter(|h| h.state() == HealthState::Down).count() as u32
-    }
-
     /// View rows copied by `absorb` so far (cost counter for the
     /// skip-unchanged fast path; not part of the canonical state).
     pub fn view_copies(&self) -> u64 {
@@ -210,7 +202,6 @@ impl Router {
             // to the policy (which routes around Down shards itself).
             _ => match self.policy {
                 Placement::HashAffinity => self.affine(fn_idx, &routable),
-                Placement::LeastLoaded => self.least_loaded(&routable),
                 Placement::ColdStartAware => self.warmest(fn_idx, &routable),
             },
         };
@@ -257,16 +248,6 @@ impl Router {
     fn load(&self, s: usize) -> u64 {
         let at_barrier = self.view.get(s).map_or(0, |r| r.in_flight);
         at_barrier + self.assigned.get(s).copied().unwrap_or(0)
-    }
-
-    fn least_loaded(&self, routable: &[bool]) -> u32 {
-        (0..self.shards as usize)
-            .filter(|&s| routable.get(s).copied().unwrap_or(false))
-            .min_by_key(|&s| {
-                let cache = self.view.get(s).map_or(0, |r| r.cache_used);
-                (self.load(s), cache, s)
-            })
-            .map_or(0, |s| s as u32)
     }
 
     fn warmest(&self, fn_idx: usize, routable: &[bool]) -> u32 {
@@ -481,7 +462,7 @@ mod tests {
     /// barriers, while actually skipping the untouched rows.
     #[test]
     fn absorb_skip_path_pins_the_digest() {
-        let mk = || Router::new(Placement::LeastLoaded, 4, HealthPolicy::default());
+        let mk = || Router::new(Placement::ColdStartAware, 4, HealthPolicy::default());
         let (mut fast, mut naive) = (mk(), mk());
         let barriers: Vec<Vec<Option<ShardReport>>> = vec![
             slots((0..4).map(|s| report(s, 5, 100)).collect()),
@@ -552,24 +533,26 @@ mod tests {
 
     #[test]
     fn whole_fleet_down_sheds_unroutable() {
-        let mut r = Router::new(Placement::LeastLoaded, 2, HealthPolicy::default());
+        let mut r = Router::new(Placement::HashAffinity, 2, HealthPolicy::default());
         let nothing: Vec<Option<ShardReport>> = vec![None, None];
         for _ in 0..3 {
             r.absorb(&nothing);
         }
-        assert_eq!(r.down_count(), 2);
+        assert!((0..2).all(|s| r.health(s) == HealthState::Down));
         assert_eq!(r.place(0, 0, false), Routing::Shed(ShedReason::Unroutable));
     }
 
     #[test]
     fn queue_budget_sheds_overload() {
-        let mut r = Router::new(Placement::LeastLoaded, 2, HealthPolicy::default());
+        let mut r = Router::new(Placement::HashAffinity, 2, HealthPolicy::default());
         r.absorb(&slots(vec![report(0, 3, 0), report(1, 3, 0)]));
+        let home = |s| (0..64).find(|&f| r.hash_shard(f) == s).expect("some function homes there");
+        let (f0, f1) = (home(0), home(1));
         // Budget 4: one assignment per shard fits, then depth hits the
-        // budget everywhere and the next request sheds.
-        assert!(matches!(r.place(0, 4, false), Routing::Placed { .. }));
-        assert!(matches!(r.place(1, 4, false), Routing::Placed { .. }));
-        assert_eq!(r.place(2, 4, false), Routing::Shed(ShedReason::Overload));
+        // budget on the home shard and the next request sheds.
+        assert!(matches!(r.place(f0, 4, false), Routing::Placed { primary: 0, .. }));
+        assert!(matches!(r.place(f1, 4, false), Routing::Placed { primary: 1, .. }));
+        assert_eq!(r.place(f0, 4, false), Routing::Shed(ShedReason::Overload));
     }
 
     #[test]
@@ -619,6 +602,13 @@ mod tests {
         r.absorb(&full);
         assert_eq!(r.health(3), HealthState::Probing);
         assert!(matches!(r.place(fn_idx, 0, false), Routing::Placed { primary: 3, .. }));
+    }
+
+    #[test]
+    fn retired_placement_tag_is_corrupt() {
+        // Tag 1 was the least-loaded policy.
+        let mut r = Reader::new(&[1]);
+        assert!(matches!(Placement::restore(&mut r), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

@@ -28,7 +28,6 @@ fn schedule() -> impl Strategy<Value = Schedule> {
         (2u32..5, 0u32..5),
         prop_oneof![
             Just(Placement::HashAffinity),
-            Just(Placement::LeastLoaded),
             Just(Placement::ColdStartAware),
         ],
         500u64..4_000,

@@ -124,11 +124,6 @@ impl ProfileStore {
         self.failed.contains(&id)
     }
 
-    /// Number of instances currently marked failed.
-    pub fn failed_count(&self) -> usize {
-        self.failed.len()
-    }
-
     /// Drops the per-instance profile of a destroyed instance.
     pub fn drop_instance(&mut self, id: InstanceId) {
         if let Some(h) = self.by_id.clear(id) {
@@ -343,7 +338,7 @@ mod tests {
         store.mark_failed(a);
         store.mark_failed(b);
         assert!(store.is_failed(a) && store.is_failed(b));
-        assert_eq!(store.failed_count(), 2);
+        assert_eq!(store.failed.len(), 2);
         // A later successful reclaim rehabilitates the instance.
         store.record(a, "f", &profile(2, 10));
         assert!(!store.is_failed(a));
@@ -351,7 +346,7 @@ mod tests {
         // the set must not grow without bound).
         store.drop_instance(b);
         assert!(!store.is_failed(b));
-        assert_eq!(store.failed_count(), 0);
+        assert_eq!(store.failed.len(), 0);
     }
 
     #[test]

@@ -60,15 +60,6 @@ impl FaultPlan {
         FaultPlan::uniform(seed, 0.0)
     }
 
-    /// True if every fault class has probability zero.
-    pub fn is_inert(&self) -> bool {
-        self.boot_fail == 0.0
-            && self.crash == 0.0
-            && self.thaw_fail == 0.0
-            && self.reclaim_fail == 0.0
-            && self.oom_kill == 0.0
-    }
-
     /// Sanity checks.
     ///
     /// # Panics
@@ -342,12 +333,6 @@ mod tests {
         }
         .validate();
     }
-
-    #[test]
-    fn inertness_predicate() {
-        assert!(FaultPlan::disabled(5).is_inert());
-        assert!(!FaultPlan::uniform(5, 0.1).is_inert());
-    }
 }
 
 /// A deterministic *kill schedule* for crash-recovery testing: the
@@ -484,14 +469,6 @@ impl StorageFaultPlan {
         }
     }
 
-    /// True if every class has probability zero.
-    pub fn is_inert(&self) -> bool {
-        self.torn_write == 0.0
-            && self.truncate == 0.0
-            && self.bit_flip == 0.0
-            && self.stale_commit == 0.0
-    }
-
     /// Sanity checks.
     ///
     /// # Panics
@@ -576,7 +553,6 @@ mod storage_tests {
     #[test]
     fn inert_plan_never_faults() {
         let mut inj = StorageFaultInjector::new(StorageFaultPlan::uniform(3, 0.0));
-        assert!(StorageFaultPlan::uniform(3, 0.0).is_inert());
         for _ in 0..100 {
             assert_eq!(inj.next_fault(), None);
         }

@@ -1359,11 +1359,6 @@ impl Platform {
     pub fn arm_kill(&mut self, at_events: u64) {
         self.kill_at = Some(at_events);
     }
-
-    /// Disarms any armed kill point.
-    pub fn disarm_kill(&mut self) {
-        self.kill_at = None;
-    }
 }
 
 #[cfg(test)]

@@ -80,11 +80,6 @@ impl PlatformStats {
             + self.reclaim_failures
     }
 
-    /// Requests that have terminated, successfully or not.
-    pub fn terminated(&self) -> u64 {
-        self.completed + self.failed
-    }
-
     /// Cold-boot fraction of all instance acquisitions.
     pub fn cold_boot_fraction(&self) -> f64 {
         let total = self.cold_boots + self.warm_starts;
@@ -245,9 +240,6 @@ mod tests {
         s.thaw_failures = 4;
         s.reclaim_failures = 5;
         assert_eq!(s.fault_events(), 15);
-        s.completed = 7;
-        s.failed = 2;
-        assert_eq!(s.terminated(), 9);
     }
 
     #[test]

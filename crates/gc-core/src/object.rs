@@ -22,8 +22,6 @@
 //! the card-table semantics: every non-young object, dead or alive,
 //! still keeps its young referents alive until a full collection.
 
-use std::collections::BTreeMap;
-
 /// An object identifier: a slot index in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
@@ -447,11 +445,6 @@ impl HeapGraph {
         &self.handles
     }
 
-    /// True if any handle scope is open (a function is mid-execution).
-    pub fn in_invocation(&self) -> bool {
-        !self.scope_bounds.is_empty()
-    }
-
     /// Iterates over `(id, &object)` for every live slot.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &Object)> {
         self.slots
@@ -631,12 +624,6 @@ impl HeapGraph {
             .map(|(id, _)| id)
             .collect();
         (survivors, live.live_bytes)
-    }
-
-    /// Builds a map from old slot addresses, useful in tests that check
-    /// compaction relocated objects.
-    pub fn addresses(&self) -> BTreeMap<ObjectId, u64> {
-        self.iter().map(|(id, o)| (id, o.addr)).collect()
     }
 }
 
@@ -835,7 +822,7 @@ mod tests {
         assert_eq!(g.handles(), &[a]);
         g.pop_handle_scope(outer);
         assert!(g.handles().is_empty());
-        assert!(!g.in_invocation());
+        assert!(g.scope_bounds.is_empty());
     }
 
     #[test]

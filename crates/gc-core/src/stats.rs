@@ -47,11 +47,6 @@ impl GcCounters {
         self.bytes_freed += freed;
         self.pause_time += pause;
     }
-
-    /// Total collections of any kind.
-    pub fn total_collections(&self) -> u64 {
-        self.young_collections + self.full_collections
-    }
 }
 
 /// Cost constants converting GC work into simulated pause time.
@@ -134,7 +129,6 @@ mod tests {
         c.record(GcKind::Full, 0, 0, 5000, SimDuration::from_millis(2));
         assert_eq!(c.young_collections, 1);
         assert_eq!(c.full_collections, 1);
-        assert_eq!(c.total_collections(), 2);
         assert_eq!(c.bytes_freed, 6000);
         assert_eq!(c.pause_time, SimDuration::from_micros(2200));
     }

@@ -106,11 +106,6 @@ impl HotSpotHeap {
         self.old_top.0 - self.layout.old_base().0
     }
 
-    /// Bytes used in the *from* survivor half.
-    pub fn survivor_used(&self) -> u64 {
-        self.from_used
-    }
-
     /// Bump-allocates in the old generation, expanding or full-GCing as
     /// needed.
     ///
@@ -560,7 +555,7 @@ mod tests {
         assert_eq!(heap.counters().full_collections, 0);
         // Everything was garbage: nothing promoted or in survivors.
         assert_eq!(heap.old_used(), 0);
-        assert_eq!(heap.survivor_used(), 0);
+        assert_eq!(heap.from_used, 0);
     }
 
     #[test]
@@ -669,7 +664,7 @@ mod tests {
         heap.full_gc(&mut sys, true).unwrap();
         assert_eq!(heap.graph().get(keep).space_tag, tag::OLD);
         assert_eq!(heap.eden_used(), 0);
-        assert_eq!(heap.survivor_used(), 0);
+        assert_eq!(heap.from_used, 0);
         assert_eq!(heap.old_used(), align_obj(1 << 20));
         heap.graph_mut().pop_handle_scope(scope);
     }

@@ -152,11 +152,6 @@ impl Instance {
         )
     }
 
-    /// The native (non-heap) anonymous mapping: `(base, len)`.
-    pub fn native_range(&self) -> (VirtAddr, u64) {
-        (self.native_addr, self.native_len)
-    }
-
     /// The managed heap.
     pub fn heap(&self) -> &RuntimeHeap {
         &self.heap

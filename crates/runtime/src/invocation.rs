@@ -70,11 +70,6 @@ impl<'a> InvocationCtx<'a> {
         self.heap.graph_mut().add_weak_ref(from, to);
     }
 
-    /// Severs a strong reference `from → to`.
-    pub fn unlink(&mut self, from: ObjectId, to: ObjectId) {
-        self.heap.graph_mut().remove_ref(from, to);
-    }
-
     /// Charges `d` of pure kernel compute time (at full CPU; the
     /// instance's CPU share scales it into wall time).
     pub fn work(&mut self, d: SimDuration) {
@@ -90,10 +85,5 @@ impl<'a> InvocationCtx<'a> {
     /// True if `id` is still a live slot (for defensive kernels).
     pub fn exists(&self, id: ObjectId) -> bool {
         self.heap.graph().exists(id)
-    }
-
-    /// Size of an object (kernels sizing follow-up allocations).
-    pub fn size_of(&self, id: ObjectId) -> u32 {
-        self.heap.graph().get(id).size
     }
 }

@@ -20,8 +20,6 @@
 //!   computed exactly as the paper measures them (§3.1).
 //! * [`clock`] — virtual time; the whole reproduction is a deterministic
 //!   discrete-time simulation.
-//! * [`cpu`] — cgroup-style CPU accounting used by Desiccant's
-//!   reclamation-cost profiles (§4.5.2).
 //! * [`cost`] — the latency cost model for page faults and swap-ins.
 //!
 //! # Examples
@@ -33,7 +31,7 @@
 //! let mut sys = System::new();
 //! let pid = sys.spawn_process();
 //! let addr = sys
-//!     .mmap(pid, 1 << 20, MappingKind::Anonymous, Prot::READ_WRITE)
+//!     .mmap(pid, 1 << 20, MappingKind::Anonymous, Prot::ReadWrite)
 //!     .unwrap();
 //! // Nothing is resident until touched.
 //! assert_eq!(sys.rss(pid), 0);
@@ -51,7 +49,6 @@
 pub mod cast;
 pub mod clock;
 pub mod cost;
-pub mod cpu;
 pub mod error;
 pub mod mem;
 pub mod metrics;

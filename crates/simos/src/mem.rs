@@ -285,8 +285,6 @@ pub mod reference {
     //! bitmap implementation as an executable oracle, and the Criterion
     //! benches use it as the baseline side of the range-op comparisons.
 
-    use super::page_flags;
-
     /// `Vec<u8>` of flag bytes, one per page.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct NaivePages {
@@ -362,16 +360,6 @@ pub mod reference {
         pub fn count_flag(&self, flag: u8) -> u64 {
             self.count_flag_range(flag, 0, self.flags.len())
         }
-
-        /// Pages that are resident and clean (hold page-cache refs when
-        /// file-backed).
-        pub fn for_each_clean_resident(&self, mut f: impl FnMut(usize)) {
-            for (idx, &flags) in self.flags.iter().enumerate() {
-                if flags & page_flags::RESIDENT != 0 && flags & page_flags::DIRTY == 0 {
-                    f(idx);
-                }
-            }
-        }
     }
 }
 
@@ -402,11 +390,6 @@ pub enum Prot {
     Read,
     /// Read-write access.
     ReadWrite,
-}
-
-impl Prot {
-    /// Alias matching the common `PROT_READ | PROT_WRITE` spelling.
-    pub const READ_WRITE: Prot = Prot::ReadWrite;
 }
 
 /// What backs a mapping.
@@ -447,11 +430,6 @@ pub struct TouchOutcome {
 }
 
 impl TouchOutcome {
-    /// Total faults of any kind.
-    pub fn total_faults(&self) -> u64 {
-        self.zero_fill_faults + self.file_faults + self.swap_ins
-    }
-
     /// Accumulates another outcome into this one.
     pub fn merge(&mut self, other: TouchOutcome) {
         self.zero_fill_faults += other.zero_fill_faults;
@@ -999,20 +977,6 @@ impl AddressSpace {
         Ok(addr)
     }
 
-    /// Maps `len` bytes at the fixed address `addr`.
-    pub fn mmap_at(
-        &mut self,
-        addr: VirtAddr,
-        len: u64,
-        kind: MappingKind,
-        prot: Prot,
-        name: &str,
-    ) -> SimOsResult<VirtAddr> {
-        Self::validate_range(addr, len)?;
-        self.insert_mapping(addr, len, kind, prot, name)?;
-        Ok(addr)
-    }
-
     fn insert_mapping(
         &mut self,
         addr: VirtAddr,
@@ -1134,12 +1098,6 @@ impl AddressSpace {
         self.next_addr
     }
 
-    /// Upper bound of the usable address range (see
-    /// [`AddressSpace::next_addr`] for why it is exposed).
-    pub fn addr_limit(&self) -> u64 {
-        self.limit
-    }
-
     /// Resident bytes across the whole address space.
     pub fn resident_bytes(&self) -> u64 {
         self.mappings.values().map(Mapping::resident_bytes).sum()
@@ -1180,7 +1138,7 @@ mod tests {
         assert_eq!(s.resident_bytes(), 3 * PAGE_SIZE);
         // Touching again faults nothing.
         let out = s.touch(&mut f, a, 3 * PAGE_SIZE, true).unwrap();
-        assert_eq!(out.total_faults(), 0);
+        assert_eq!(out, TouchOutcome::default());
     }
 
     #[test]
@@ -1271,24 +1229,6 @@ mod tests {
         assert_eq!(f.mapper_count(lib, 1), 1);
         let m = s.mapping_at(a).unwrap();
         assert_eq!(m.dirty_bytes(), PAGE_SIZE);
-    }
-
-    #[test]
-    fn overlapping_fixed_mapping_is_rejected() {
-        let (mut s, _f) = space_and_files();
-        let a = s
-            .mmap(4 * PAGE_SIZE, MappingKind::Anonymous, Prot::ReadWrite, "x")
-            .unwrap();
-        let err = s
-            .mmap_at(
-                a.offset(PAGE_SIZE),
-                PAGE_SIZE,
-                MappingKind::Anonymous,
-                Prot::ReadWrite,
-                "y",
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimOsError::MappingOverlap { .. }));
     }
 
     #[test]

@@ -224,11 +224,6 @@ pub fn pss(sys: &System, pid: Pid) -> f64 {
     smaps(sys, pid).iter().map(|e| e.pss).sum()
 }
 
-/// Bytes of `pid` currently on the swap device.
-pub fn swap_bytes(sys: &System, pid: Pid) -> u64 {
-    smaps(sys, pid).iter().map(|e| e.swap).sum()
-}
-
 /// Machine-wide RSS: the sum over all live processes. Shared pages are
 /// counted once *per mapper*, so this overstates physical memory.
 pub fn total_rss(sys: &System) -> u64 {
@@ -386,6 +381,7 @@ mod tests {
         sys.touch(pid, a, 4 * PAGE_SIZE, true).unwrap();
         sys.swap_out(pid, a, 4 * PAGE_SIZE).unwrap();
         assert_eq!(rss(&sys, pid), 0);
-        assert_eq!(swap_bytes(&sys, pid), 4 * PAGE_SIZE);
+        let swapped: u64 = smaps(&sys, pid).iter().map(|e| e.swap).sum();
+        assert_eq!(swapped, 4 * PAGE_SIZE);
     }
 }

@@ -14,9 +14,6 @@ pub const CHUNK_SIZE: u64 = 256 << 10;
 /// Size of the unreleasable metadata header at the start of a chunk.
 pub const CHUNK_HEADER: u64 = PAGE_SIZE;
 
-/// Usable payload bytes per chunk.
-pub const CHUNK_PAYLOAD: u64 = CHUNK_SIZE - CHUNK_HEADER;
-
 /// Identifies a chunk in the heap's chunk arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub u32);
@@ -207,6 +204,9 @@ mod snap_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Usable payload bytes per chunk.
+    const CHUNK_PAYLOAD: u64 = CHUNK_SIZE - CHUNK_HEADER;
 
     fn chunk() -> Chunk {
         Chunk::new(VirtAddr(0x4000_0000), CHUNK_SIZE, ChunkSpace::Old)

@@ -41,11 +41,6 @@ impl V8Config {
         }
     }
 
-    /// Semispace size (bytes) for a given young-generation size.
-    pub fn semispace(young: u64) -> u64 {
-        young / 2
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

@@ -257,22 +257,6 @@ pub fn by_name(name: &str) -> Option<FunctionSpec> {
     catalog().into_iter().find(|f| f.name == name)
 }
 
-/// All Java functions.
-pub fn java_functions() -> Vec<FunctionSpec> {
-    catalog()
-        .into_iter()
-        .filter(|f| f.language == Language::Java)
-        .collect()
-}
-
-/// All JavaScript functions.
-pub fn javascript_functions() -> Vec<FunctionSpec> {
-    catalog()
-        .into_iter()
-        .filter(|f| f.language == Language::JavaScript)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,8 +265,9 @@ mod tests {
     fn catalog_matches_table_1() {
         let fns = catalog();
         assert_eq!(fns.len(), 20);
-        assert_eq!(java_functions().len(), 8);
-        assert_eq!(javascript_functions().len(), 12);
+        let count = |lang| fns.iter().filter(|f| f.language == lang).count();
+        assert_eq!(count(Language::Java), 8);
+        assert_eq!(count(Language::JavaScript), 12);
         for f in &fns {
             f.validate();
         }

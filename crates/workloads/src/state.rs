@@ -187,11 +187,6 @@ impl FunctionState {
         }
     }
 
-    /// Bytes of intermediate output currently awaiting transfer.
-    pub fn pending_intermediate(&self) -> usize {
-        self.intermediate.len()
-    }
-
     /// Extra wall-time the function spends off-CPU (I/O waits); derived
     /// from the spec, deterministic per invocation.
     pub fn io_wait(&self, spec: &FunctionSpec) -> SimDuration {
@@ -292,7 +287,7 @@ mod tests {
             state.invoke(&spec, ctx);
         })
         .unwrap();
-        assert!(state.pending_intermediate() > 0);
+        assert!(!state.intermediate.is_empty());
         let live_with = gc_core::trace::mark(inst.heap().graph(), false, true).live_bytes;
         state.complete_transfer(inst.heap_mut().graph_mut());
         let live_without = gc_core::trace::mark(inst.heap().graph(), false, true).live_bytes;
@@ -312,7 +307,7 @@ mod tests {
             state.invoke(&spec, ctx);
         })
         .unwrap();
-        assert_eq!(state.pending_intermediate(), 0);
+        assert!(state.intermediate.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! this as a cluster source that is not `shard.rs`.
 
 impl Cluster {
-    pub fn sneak_work(&mut self, barrier: SimTime) {
+    fn sneak_work(&mut self, barrier: SimTime) {
         for shard in &mut self.shards {
             shard.advance(barrier);
         }

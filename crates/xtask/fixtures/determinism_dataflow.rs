@@ -4,7 +4,7 @@
 //! determinism-dataflow scope.
 
 impl HeapStats {
-    pub fn digest(&self) -> u64 {
+    fn digest(&self) -> u64 {
         self.total_load().to_bits()
     }
 

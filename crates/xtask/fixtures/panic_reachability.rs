@@ -8,7 +8,7 @@ impl Platform {
         Ok(())
     }
 
-    pub fn run_until(&mut self) {
+    fn run_until(&mut self) {
         let _ = self.try_run_until();
     }
 

@@ -6,7 +6,7 @@
 //! fire.
 
 impl Container {
-    pub fn open(bytes: &[u8]) -> Result<Container, SnapError> {
+    fn open(bytes: &[u8]) -> Result<Container, SnapError> {
         let len = frame_len(bytes)?;
         Ok(Container { len })
     }

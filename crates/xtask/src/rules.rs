@@ -14,9 +14,10 @@
 //!   hot-path root can reach may panic; memory accounting must use
 //!   checked conversions; checkpoint codecs must destructure every
 //!   field they serialize.
-//! * **hygiene** — `forbid-unsafe`, `path-deps`, `shim-surface`: every
+//! * **hygiene** — `forbid-unsafe`, `path-deps`, `dead-pub`: every
 //!   crate forbids `unsafe`, manifests carry only path dependencies,
-//!   vendored shims export nothing dead.
+//!   and no library (vendored shims included) keeps a `pub` item that
+//!   nothing outside its own definition and tests names.
 //! * **performance** — `hot-containers`: sim-state crates may not
 //!   reintroduce `BTreeMap<InstanceId, _>` per-event lookups; the slab
 //!   arenas replaced them for a reason.
@@ -126,11 +127,12 @@ pub const RULES: &[Rule] = &[
                and depend on it by path",
     },
     Rule {
-        name: "shim-surface",
+        name: "dead-pub",
         family: "hygiene",
-        summary: "vendored shim exports an item nothing references",
-        hint: "delete the item (or demote it from pub); shims carry exactly the API \
-               subset the workspace uses",
+        summary: "library `pub` item named nowhere but its definition and its own tests",
+        hint: "delete the item, or drop `pub` and move it behind #[cfg(test)] if only its \
+               tests need it; bins, examples, tests, benches and the benchmark package \
+               all count as callers",
     },
 ];
 
@@ -332,7 +334,8 @@ fn is_test_attr(content: &str) -> bool {
     c.starts_with("cfg") && c.contains("test") && !c.contains("not(test")
 }
 
-fn is_test_line(mask: &[bool], line: usize) -> bool {
+/// Is 1-based `line` inside test code, per [`test_mask`]?
+pub fn is_test_line(mask: &[bool], line: usize) -> bool {
     mask.get(line).copied().unwrap_or(false)
 }
 
@@ -426,21 +429,20 @@ fn first_generic_arg(text: &str, end: usize) -> Option<&str> {
 /// findings share one allow-application pass.)
 pub fn check_source(path: &str, source: &str) -> Vec<Finding> {
     let blanked = lexer::blank(source);
-    let raw = scan_blanked(path, &blanked);
+    let raw = scan_blanked(path, &blanked, &test_mask(&blanked.text));
     apply_allows(path, &blanked.allows, raw)
 }
 
-/// The per-file rule passes over already-blanked text, returning raw
-/// findings (no allow markers applied).
-pub fn scan_blanked(path: &str, blanked: &lexer::Blanked) -> Vec<Finding> {
+/// The per-file rule passes over already-blanked text and its
+/// [`test_mask`], returning raw findings (no allow markers applied).
+pub fn scan_blanked(path: &str, blanked: &lexer::Blanked, mask: &[bool]) -> Vec<Finding> {
     let starts = lexer::line_starts(&blanked.text);
-    let mask = test_mask(&blanked.text);
     let mut raw = Vec::new();
 
-    scan_tokens(path, &blanked.text, &starts, &mask, &mut raw);
+    scan_tokens(path, &blanked.text, &starts, mask, &mut raw);
 
     if in_snapshot_scope(path) {
-        check_snapshot_impls(path, &blanked.text, &starts, &mask, &mut raw);
+        check_snapshot_impls(path, &blanked.text, &starts, mask, &mut raw);
     }
 
     if is_crate_root(path) && !has_forbid_unsafe(&blanked.text) {
@@ -833,21 +835,22 @@ fn section_is_single_dep(section: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Shim surface checking
+// Public surface (dead-pub)
 // ---------------------------------------------------------------------------
 
-/// A top-level-ish `pub` item exported from a shim.
+/// One `pub` item a library source defines.
 #[derive(Debug, Clone)]
-pub struct ShimItem {
+pub struct PubItem {
     pub name: String,
     pub line: usize,
 }
 
-/// Extracts exported item names from a blanked shim source: `pub fn|
+/// Extracts the public item names of a blanked source: `pub fn|
 /// struct|enum|trait|type|const|static|mod` plus `#[macro_export]`
-/// macros. `pub use` re-exports are skipped (their targets are counted
-/// at the definition).
-pub fn shim_items(text: &str) -> Vec<ShimItem> {
+/// macros. `pub(..)` items are not public surface, and `pub use`
+/// re-exports are skipped (their targets are counted at the
+/// definition).
+pub fn pub_items(text: &str) -> Vec<PubItem> {
     let starts = lexer::line_starts(text);
     let toks = idents(text);
     let mut out = Vec::new();
@@ -861,7 +864,7 @@ pub fn shim_items(text: &str) -> Vec<ShimItem> {
             let back = &text[s.saturating_sub(120)..s];
             if back.contains("macro_export") {
                 if let Some(&(ns, ne)) = toks.get(i + 1) {
-                    out.push(ShimItem {
+                    out.push(PubItem {
                         name: text[ns..ne].to_string(),
                         line: lexer::line_of(&starts, ns),
                     });
@@ -896,7 +899,7 @@ pub fn shim_items(text: &str) -> Vec<ShimItem> {
             }
         }
         if let Some((ns, ne)) = name {
-            out.push(ShimItem {
+            out.push(PubItem {
                 name: text[ns..ne].to_string(),
                 line: lexer::line_of(&starts, ns),
             });
@@ -906,7 +909,8 @@ pub fn shim_items(text: &str) -> Vec<ShimItem> {
     out
 }
 
-/// All identifier tokens of a blanked source, for usage counting.
+/// All identifier tokens of a blanked source (or one of its lines),
+/// for usage counting.
 pub fn ident_tokens(text: &str) -> impl Iterator<Item = &str> {
     idents(text).into_iter().map(move |(s, e)| &text[s..e])
 }

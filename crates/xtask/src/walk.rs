@@ -4,13 +4,15 @@
 //! deterministic (sorted) order, derives a [`SourceArtifact`] per
 //! source, then runs the passes that need a global view: the call
 //! graph analyses ([`crate::graph`]), `path-deps` over every manifest,
-//! and `shim-surface` over the vendored shims against the whole
-//! workspace's identifier usage. Per-file and cross-file findings are
-//! merged *before* allow markers are applied, so a single
-//! `panic-reachability` allow marker suppresses a graph finding
-//! exactly like a token finding — and goes stale exactly like one too.
+//! and `dead-pub` over every library's `pub` items against the whole
+//! workspace's identifier usage. The same pass over each file's tokens
+//! counts its non-test code lines for the clean-run summary. Per-file
+//! and cross-file findings are merged *before* allow markers are
+//! applied, so a single `panic-reachability` allow marker suppresses a
+//! graph finding exactly like a token finding — and goes stale exactly
+//! like one too.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -25,9 +27,36 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 
 /// Vendored third-party stand-ins: exempt from the style rules (their
 /// job is to mimic crates.io APIs — the criterion shim *must* read the
-/// wall clock), but their manifests are still checked and their export
-/// surface is audited by `shim-surface`.
+/// wall clock) and from the code-line count, but their manifests are
+/// still checked and their export surface is audited by `dead-pub`.
 const SHIM_PREFIX: &str = "crates/shims/";
+
+/// The repository benchmark: its own workspace, whose files stay as
+/// they are while the program changes. Its uses of the program count
+/// for `dead-pub`, its own definitions are not checked, and its code
+/// lines are counted apart.
+const BENCHMARK_PREFIX: &str = "crates/bench/benchmark/";
+
+/// Is `rel` library code whose `pub` items `dead-pub` checks? Bins,
+/// examples, tests, benches and the benchmark package are callers.
+fn is_library(rel: &str) -> bool {
+    rel.starts_with("crates/")
+        && !rel.starts_with(BENCHMARK_PREFIX)
+        && rel.contains("/src/")
+        && !rel.contains("/src/bin/")
+        && !rel.ends_with("/src/main.rs")
+}
+
+/// The package whose non-test code lines `rel` adds to, or `None` for
+/// test and bench targets, shims, and sources outside `crates/`.
+fn code_package(rel: &str) -> Option<&str> {
+    if rel.starts_with(BENCHMARK_PREFIX) {
+        return Some("benchmark");
+    }
+    let krate = rel.strip_prefix("crates/")?.split('/').next()?;
+    let test_target = rel.contains("/tests/") || rel.contains("/benches/");
+    (krate != "shims" && !test_target).then_some(krate)
+}
 
 /// What one source file contributes before allow markers are applied.
 struct SourceArtifact<'a> {
@@ -80,19 +109,38 @@ pub struct Audit {
     pub findings: Vec<Finding>,
     /// `tidy:allow` markers in the scanned sources, per rule name.
     pub allows: BTreeMap<String, usize>,
+    /// Non-test code lines per package under `crates/`: lines that
+    /// keep a token after comment and literal blanking and lie outside
+    /// the test mask, in sources outside `tests/`, `benches/` and the
+    /// shims. The benchmark package is the key `benchmark`.
+    pub code_lines: BTreeMap<String, usize>,
 }
 
 impl Audit {
-    /// The line a clean audit prints: the rules enforced and the allow
-    /// markers per rule, most first.
+    /// The line a clean audit prints: the rules enforced, the allow
+    /// markers per rule and the non-test code lines per package (most
+    /// first), and the benchmark package's code lines apart.
     pub fn summary(&self) -> String {
-        // A stable sort keeps equal counts in rule-name order.
-        let mut by_count: Vec<(&String, &usize)> = self.allows.iter().collect();
-        by_count.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        let per_rule: Vec<String> = by_count.iter().map(|(r, n)| format!("{r} {n}")).collect();
-        let (rules, total) = (rules::RULES.len(), self.allows.values().sum::<usize>());
-        format!("tidy: OK ({rules} rules enforced; {total} allow markers: {})", per_rule.join(", "))
+        let allows: usize = self.allows.values().sum();
+        let mut code = self.code_lines.clone();
+        let benchmark = code.remove("benchmark").unwrap_or(0);
+        let lines: usize = code.values().sum();
+        format!(
+            "tidy: OK ({} rules enforced; {allows} allow markers: {}; {lines} non-test code \
+             lines: {}; benchmark package {benchmark})",
+            rules::RULES.len(),
+            most_first(&self.allows),
+            most_first(&code)
+        )
     }
+}
+
+/// `key n` pairs, largest `n` first; a stable sort keeps equal counts
+/// in key order.
+fn most_first(counts: &BTreeMap<String, usize>) -> String {
+    let mut by_count: Vec<(&String, &usize)> = counts.iter().collect();
+    by_count.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    by_count.iter().map(|(k, n)| format!("{k} {n}")).collect::<Vec<_>>().join(", ")
 }
 
 /// Runs every tidy pass over the workspace rooted at `root`.
@@ -120,11 +168,10 @@ pub fn run(root: &Path) -> Result<Audit, String> {
 }
 
 /// The full in-memory pipeline over `(path, source)` pairs: per-file
-/// scans, the call-graph analyses, shim surface (for paths under
-/// `crates/shims/`), and allow-marker application. The fixture
-/// self-tests drive the rules through this; unlike [`run`], it treats
-/// the sources as a partial world, so a hot-path root whose file is
-/// absent is not reported.
+/// scans, the call-graph analyses, `dead-pub`, and allow-marker
+/// application. The fixture self-tests drive the rules through this;
+/// unlike [`run`], it treats the sources as a partial world, so a
+/// hot-path root whose file is absent is not reported.
 pub fn check_files(files: &[(&str, &str)]) -> Audit {
     audit(files, &[])
 }
@@ -133,27 +180,45 @@ pub fn check_files(files: &[(&str, &str)]) -> Audit {
 fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Audit {
     let mut arts: Vec<SourceArtifact> = Vec::new();
     let mut summaries: Vec<(String, parse::FileSummary)> = Vec::new();
-    // Shim surface inputs: identifiers the workspace names, how often
-    // the shims name each one, and every shim export.
-    let mut named_outside: BTreeSet<String> = BTreeSet::new();
-    let mut shim_uses: BTreeMap<String, usize> = BTreeMap::new();
-    let mut exports: Vec<(&str, rules::ShimItem)> = Vec::new();
+    let mut code_lines: BTreeMap<String, usize> = BTreeMap::new();
+    // dead-pub inputs: how often the scanned sources name each
+    // identifier, and every library `pub` item with how often its own
+    // file names it, in all and outside test code.
+    let mut named: BTreeMap<String, usize> = BTreeMap::new();
+    let mut items: Vec<(&str, rules::PubItem, usize, usize)> = Vec::new();
     for (rel, text) in sources {
         let rel = rel.as_ref();
         let blanked = lexer::blank(text.as_ref());
-        let mut findings = Vec::new();
-        if rel.starts_with(SHIM_PREFIX) {
-            for id in rules::ident_tokens(&blanked.text) {
-                *shim_uses.entry(id.to_string()).or_insert(0) += 1;
+        let mask = rules::test_mask(&blanked.text);
+        let mut own: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+        let mut code = 0;
+        for (idx, line) in blanked.text.split('\n').enumerate() {
+            let live = !rules::is_test_line(&mask, idx + 1);
+            code += usize::from(live && !line.trim().is_empty());
+            for id in rules::ident_tokens(line) {
+                let (all, outside_tests) = own.entry(id).or_default();
+                *all += 1;
+                *outside_tests += usize::from(live);
             }
-            exports.extend(
-                rules::shim_items(&blanked.text)
-                    .into_iter()
-                    .map(|i| (rel, i)),
-            );
-        } else {
-            named_outside.extend(rules::ident_tokens(&blanked.text).map(str::to_string));
-            findings = rules::scan_blanked(rel, &blanked);
+        }
+        for (&id, &(all, _)) in &own {
+            *named.entry(id.to_string()).or_default() += all;
+        }
+        if let Some(package) = code_package(rel) {
+            *code_lines.entry(package.to_string()).or_default() += code;
+        }
+        if is_library(rel) {
+            for item in rules::pub_items(&blanked.text) {
+                if !rules::is_test_line(&mask, item.line) {
+                    let (all, outside_tests) =
+                        own.get(item.name.as_str()).copied().unwrap_or_default();
+                    items.push((rel, item, all, outside_tests));
+                }
+            }
+        }
+        let mut findings = Vec::new();
+        if !rel.starts_with(SHIM_PREFIX) {
+            findings = rules::scan_blanked(rel, &blanked, &mask);
             summaries.push((rel.to_string(), parse::parse_blanked(&blanked.text)));
         }
         arts.push(SourceArtifact {
@@ -163,25 +228,25 @@ fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Audit {
         });
     }
 
-    // Cross-file passes: the call graph analyses, then shim surface. A
-    // shim export is dead when the workspace never names it and the
-    // shims themselves name it at most once (the definition).
+    // Cross-file passes: the call graph analyses, then dead-pub. A
+    // `pub` item is dead when no other source names it and its own
+    // file names it outside test code only at the definition.
     let mut cross: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    let dead_exports = exports.into_iter().filter(|(_, item)| {
-        !named_outside.contains(&item.name) && shim_uses.get(&item.name).copied().unwrap_or(0) <= 1
+    let dead = items.into_iter().filter(|(_, item, all, outside_tests)| {
+        named.get(&item.name) == Some(all) && *outside_tests <= 1
     });
-    let shim_findings = dead_exports.map(|(rel, item)| {
+    let dead_findings = dead.map(|(rel, item, ..)| {
         Finding::new(
             rel,
             item.line,
-            "shim-surface",
+            "dead-pub",
             format!(
-                "shim export `{}` is referenced nowhere in the workspace",
+                "`pub` item `{}` is named nowhere but its definition and its own tests",
                 item.name
             ),
         )
     });
-    for f in graph::analyze(&summaries).into_iter().chain(shim_findings) {
+    for f in graph::analyze(&summaries).into_iter().chain(dead_findings) {
         cross.entry(f.path.clone()).or_default().push(f);
     }
 
@@ -202,7 +267,11 @@ fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Audit {
         findings.extend(rules::check_manifest(rel.as_ref(), text.as_ref()));
     }
     findings.sort();
-    Audit { findings, allows }
+    Audit {
+        findings,
+        allows,
+        code_lines,
+    }
 }
 
 #[cfg(test)]

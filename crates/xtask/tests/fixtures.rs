@@ -89,16 +89,46 @@ fn path_deps_fires_on_versioned_dependency() {
     assert!(findings[0].message.contains("serde"), "{findings:?}");
 }
 
+/// A pretend workspace source that names `used_helper` only.
+const CALLER: &str = "fn caller() -> u64 { used_helper() }";
+
 #[test]
-fn shim_surface_flags_only_the_dead_export() {
-    let shim_text = fixture("shim_surface.rs");
-    let files = [
-        ("crates/faas/src/fake.rs", "fn caller() -> u64 { used_helper() }"),
-        ("crates/shims/fake/src/lib.rs", shim_text.as_str()),
-    ];
-    let findings = check_files(&files).findings;
-    assert_single(&findings, "shim-surface");
-    assert!(findings[0].message.contains("dead_helper"), "{findings:?}");
+fn dead_pub_flags_an_item_only_its_own_tests_name() {
+    let lib = fixture("dead_pub.rs");
+    // A vendored shim export and a crate item alike.
+    for path in ["crates/shims/fake/src/lib.rs", "crates/faas/src/fake.rs"] {
+        let files = [("crates/cluster/src/caller.rs", CALLER), (path, lib.as_str())];
+        let findings = check_files(&files).findings;
+        assert_single(&findings, "dead-pub");
+        assert_eq!(findings[0].path, path, "{findings:?}");
+        assert!(findings[0].message.contains("dead_helper"), "{findings:?}");
+    }
+}
+
+#[test]
+fn dead_pub_counts_tests_and_the_benchmark_package_as_callers() {
+    let lib = fixture("dead_pub.rs");
+    let both = "fn caller() -> u64 { used_helper() + dead_helper() }";
+    for user in ["crates/faas/tests/oracle.rs", "crates/bench/benchmark/src/run.rs"] {
+        let files = [("crates/faas/src/fake.rs", lib.as_str()), (user, both)];
+        let findings = check_files(&files).findings;
+        assert!(findings.is_empty(), "{user} names both helpers: {findings:?}");
+    }
+    // The benchmark package's own definitions are not checked.
+    let findings = check_files(&[("crates/bench/benchmark/src/fake.rs", lib.as_str())]).findings;
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn justified_marker_suppresses_a_dead_pub_finding() {
+    let lib = fixture("dead_pub.rs").replace(
+        "pub fn dead_helper",
+        "// tidy:allow(dead-pub) -- fixture: the oracle `dead_helper_is_thirteen` checks\npub fn dead_helper",
+    );
+    let files = [("crates/cluster/src/caller.rs", CALLER), ("crates/faas/src/fake.rs", lib.as_str())];
+    let audit = check_files(&files);
+    assert!(audit.findings.is_empty(), "{:?}", audit.findings);
+    assert_eq!(audit.allows.get("dead-pub"), Some(&1));
 }
 
 #[test]
@@ -268,11 +298,19 @@ fn justified_marker_suppresses_a_graph_finding() {
 
 #[test]
 fn a_clean_audit_counts_its_allow_markers_per_rule() {
-    let audit = check_files(&[("crates/faas/src/platform.rs", &fixture("allow_counts.rs"))]);
+    let lib = fixture("dead_pub.rs");
+    let audit = check_files(&[
+        ("crates/faas/src/platform.rs", &fixture("allow_counts.rs")),
+        // Unit-test modules and test targets add no code lines; the
+        // benchmark package is counted apart.
+        ("crates/bench/benchmark/src/fake.rs", &lib),
+        ("crates/faas/tests/fake.rs", &lib),
+    ]);
     assert!(audit.findings.is_empty(), "{:?}", audit.findings);
     assert_eq!(
         audit.summary(),
-        "tidy: OK (11 rules enforced; 3 allow markers: panic-reachability 2, wall-clock 1)"
+        "tidy: OK (11 rules enforced; 3 allow markers: panic-reachability 2, wall-clock 1; \
+         18 non-test code lines: faas 18; benchmark package 6)"
     );
     // Every marker is load-bearing: without them the findings return.
     let bare: String = fixture("allow_counts.rs")
