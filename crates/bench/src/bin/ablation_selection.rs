@@ -18,7 +18,7 @@ use faas::PlatformConfig;
 use simos::SimDuration;
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     report::caption(
         "Ablation: selection policy",
         &["policy", "reclaims", "reclaimed_mib", "mib_per_reclaim", "cold_boots_per_s"],

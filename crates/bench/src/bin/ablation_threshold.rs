@@ -70,7 +70,7 @@ fn run_one(config: DesiccantConfig, quick: bool) -> PhaseResult {
 }
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     report::caption(
         "Ablation: activation threshold policy (calm phase then pressure phase)",
         &["policy", "calm_reclaims", "pressure_cold_boots", "pressure_reclaims"],

@@ -13,7 +13,7 @@ use bench::report;
 use bench::{run_overhead_study, run_study, Mode, StudyConfig};
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let iterations = if flags.quick { 30 } else { 100 };
     report::caption(
         "Ablation: library unmap optimization (Lambda env)",

@@ -13,7 +13,7 @@ use bench::cli::Flags;
 use bench::{run_studies_parallel, Mode, StudyConfig};
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let cfg = StudyConfig::default();
     println!(
         "{:<16} {:>4} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>6} {:>8}",

@@ -256,7 +256,10 @@ fn value<T: std::str::FromStr>(flags: &Flags, flag: &str) -> Option<T> {
 }
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(
+        &["--torn-write"],
+        &["--fault-seed", "--fault-rate", "--crash-every", "--crash-at", "--corrupt-at"],
+    );
     let (crash_every, crash_at) = (value(&flags, "--crash-every"), value(&flags, "--crash-at"));
     let crash = crash_every.map(CrashPlan::every).or(crash_at.map(CrashPlan::at));
     let rate: f64 = value(&flags, "--fault-rate").unwrap_or(0.01);

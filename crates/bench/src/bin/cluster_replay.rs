@@ -451,7 +451,7 @@ fn failure_domain_gate(flags: &Flags, kind: OutageKind, dir: &Path) {
 }
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&["--help", "--outage", "--partition"], &["--out-dir"]);
     if flags.has("--help") {
         usage();
         return;

@@ -20,7 +20,7 @@ use bench::{run_studies_parallel, Mode, StudyConfig};
 use faas_runtime::Language;
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&["--list"], &[]);
     if flags.has("--list") {
         report::caption("Table 1: evaluated FaaS functions", &["language", "function", "chain_len", "kernel"]);
         for f in workloads::catalog() {

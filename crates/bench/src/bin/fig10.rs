@@ -41,7 +41,7 @@ fn run_one(scale: f64, mode: &str, quick: bool) -> azure_trace::ReplayOutcome {
 type LatencyQuartet = (f64, f64, f64, f64);
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     report::caption(
         "Figure 10: tail latency for different scale factors (ms)",
         &["scale", "mode", "p50", "p90", "p95", "p99", "failed", "retries", "fault_events"],

@@ -16,7 +16,7 @@ use bench::{run_study_jobs, Mode, StudyConfig};
 use faas_runtime::Language;
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let cfg = StudyConfig {
         iterations: if flags.quick { 30 } else { 100 },
         lambda_env: true,

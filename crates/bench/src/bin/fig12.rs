@@ -19,7 +19,7 @@ const BUDGETS: [(u64, &str); 3] = [(256 << 20, "256MiB"), (512 << 20, "512MiB"),
 const MODES: [Mode; 3] = [Mode::Vanilla, Mode::Eager, Mode::Desiccant];
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let iterations = if flags.quick { 30 } else { 100 };
     let specs = workloads::catalog();
     // One flat job list: (budget × function × mode) for panels a/b,

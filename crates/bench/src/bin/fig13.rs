@@ -18,7 +18,7 @@ use bench::{run_jobs, run_overhead_study, Mode, StudyConfig};
 use workloads::FunctionSpec;
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&["--ablate-weak"], &[]);
     let cfg = StudyConfig::default();
     let ablate = flags.has("--ablate-weak") || !flags.quick;
     let specs: Vec<_> = workloads::catalog()

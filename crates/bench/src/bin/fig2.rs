@@ -16,7 +16,7 @@ use bench::report;
 use bench::{run_studies_parallel, Mode, StudyConfig};
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let cfg = StudyConfig {
         iterations: if flags.quick { 30 } else { 100 },
         ..StudyConfig::default()

@@ -16,7 +16,7 @@ use bench::{run_study_jobs, Mode, StudyConfig};
 use faas_runtime::Language;
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let budgets: &[(u64, &str)] = &[(256 << 20, "256MiB"), (512 << 20, "512MiB"), (1 << 30, "1GiB")];
     report::caption(
         "Figure 4: average of ratios under different memory settings",

@@ -18,7 +18,7 @@ use bench::{run_studies_parallel, Mode, StudyConfig};
 use faas_runtime::Language;
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let cfg = StudyConfig {
         iterations: if flags.quick { 30 } else { 100 },
         ..StudyConfig::default()

@@ -18,7 +18,7 @@ use simos::{SimDuration, SimTime, System};
 use workloads::FunctionState;
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let iterations = if flags.quick { 20 } else { 100 };
     let spec = workloads::by_name("fft").expect("catalog function");
     report::caption(

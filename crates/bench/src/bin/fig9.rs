@@ -42,7 +42,7 @@ fn run_one(scale: f64, mode: &str, quick: bool) -> azure_trace::ReplayOutcome {
 }
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &[]);
     let scales: &[f64] = if flags.quick {
         &[5.0, 15.0, 25.0]
     } else {

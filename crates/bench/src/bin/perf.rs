@@ -31,7 +31,7 @@ use faas::PlatformConfig;
 use simos::{SimDuration, SimTime};
 
 fn main() {
-    let flags = Flags::parse();
+    let flags = Flags::parse(&[], &["--out-dir"]);
     let out_dir = flags.value_of("--out-dir").unwrap_or(".").to_string();
     let dir = Path::new(&out_dir);
 

@@ -133,7 +133,8 @@ impl ProfileStore {
     }
 
     /// Number of distinct instances with profiles.
-    pub fn instances_profiled(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn instances_profiled(&self) -> usize {
         self.per_instance.len()
     }
 

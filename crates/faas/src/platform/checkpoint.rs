@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use faas_runtime::{Instance, Language, SharedLibs};
+use simos::mem::Mapping;
 use simos::system::FileRegistry;
 use simos::{AddressSpace, Pid, SimTime, System};
 use snapshot::frame::{Container, ContainerWriter};
@@ -112,7 +113,7 @@ impl Platform {
     /// is written in canonical `(time, sequence)` order, and every
     /// float is written bit-exactly.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.full_len_hint());
         snapshot::write_header(&mut w, SNAP_MAGIC, SNAP_VERSION);
         self.fingerprint().snap(&mut w);
         self.sys.snap(&mut w);
@@ -122,7 +123,19 @@ impl Platform {
             s.snap(&mut w);
         }
         self.snap_tail(&mut w);
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        bytes.shrink_to_fit();
+        bytes
+    }
+
+    /// Bytes to reserve for a full encoding, flat or a base cut: the
+    /// page bitmaps, about three quarters of it, and half again for
+    /// the rest. Derived from the state and never encoded, so a short
+    /// guess costs a reallocation, never a byte.
+    fn full_len_hint(&self) -> usize {
+        let spaces = self.sys.spaces();
+        let bitmaps: usize = spaces.flat_map(|(_, s)| s.mappings()).map(Mapping::bitmap_bytes).sum();
+        bitmaps / 2 * 3
     }
 
     /// Live instances in id order: the instance table's row order in
@@ -387,7 +400,10 @@ impl Platform {
     /// frames, then the frames `body` writes, then the driver's
     /// `extra` frames, sealed by a commit record carrying `epoch` (and
     /// `parent` for a delta). Every frame is encoded in place into the
-    /// container's one buffer. Clears the dirty-epoch tracking.
+    /// container's one buffer. A base reserves its
+    /// [`Platform::full_len_hint`] up front; a delta, a few percent of
+    /// it, grows as it goes, since sizing it would take a second pass
+    /// over every mapping. Clears the dirty-epoch tracking.
     fn cut(
         &mut self,
         epoch: u64,
@@ -395,7 +411,8 @@ impl Platform {
         extra: &[(u32, Vec<u8>)],
         body: impl FnOnce(&Platform, &mut ContainerWriter),
     ) -> Vec<u8> {
-        let mut cw = ContainerWriter::new();
+        let len_hint = if parent.is_none() { self.full_len_hint() } else { 0 };
+        let mut cw = ContainerWriter::with_capacity(len_hint);
         cw.frame_with(Self::FRAME_META, |w| self.fingerprint().snap(w));
         cw.frame_with(Self::FRAME_CONTROL, |w| self.control_section(w));
         body(self, &mut cw);

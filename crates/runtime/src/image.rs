@@ -87,7 +87,8 @@ impl RuntimeImage {
     }
 
     /// Total library bytes.
-    pub fn lib_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lib_bytes(&self) -> u64 {
         self.libs.iter().map(|(_, s)| *s).sum()
     }
 

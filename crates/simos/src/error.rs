@@ -35,21 +35,6 @@ pub enum SimOsError {
     MappingOverlap { addr: VirtAddr },
 }
 
-impl SimOsError {
-    /// Whether this error indicates a corrupted simulation rather than
-    /// a condition a robust caller can absorb. `NoSuchProcess` (races
-    /// with teardown) and `OutOfAddressSpace` (resource exhaustion, the
-    /// moral equivalent of `ENOMEM`) are survivable; the rest mean the
-    /// caller handed the OS a broken address or file and there is
-    /// nothing sensible to retry.
-    pub fn is_fatal(&self) -> bool {
-        !matches!(
-            self,
-            SimOsError::NoSuchProcess(_) | SimOsError::OutOfAddressSpace { .. }
-        )
-    }
-}
-
 impl fmt::Display for SimOsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -78,35 +63,3 @@ impl fmt::Display for SimOsError {
 }
 
 impl std::error::Error for SimOsError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fatality_classification() {
-        assert!(!SimOsError::NoSuchProcess(Pid(3)).is_fatal());
-        assert!(!SimOsError::OutOfAddressSpace { requested: 1 << 40 }.is_fatal());
-        assert!(SimOsError::BadAlignment { addr: 7, len: 1 }.is_fatal());
-        assert!(SimOsError::UnmappedRange {
-            addr: VirtAddr(0x1000),
-            len: 0x1000
-        }
-        .is_fatal());
-        assert!(SimOsError::ProtectionViolation {
-            addr: VirtAddr(0x1000)
-        }
-        .is_fatal());
-        assert!(SimOsError::NoSuchFile(0).is_fatal());
-        assert!(SimOsError::PastEndOfFile {
-            file: 0,
-            len: 0x2000,
-            size: 0x1000
-        }
-        .is_fatal());
-        assert!(SimOsError::MappingOverlap {
-            addr: VirtAddr(0x1000)
-        }
-        .is_fatal());
-    }
-}

@@ -208,11 +208,10 @@ pub mod pagebits {
 
     impl snapshot::Snapshot for PageBits {
         fn snap(&self, w: &mut snapshot::Writer) {
+            // No word count: it follows from `npages`.
             let Self { words, npages } = self;
             w.usize(*npages);
-            for word in words {
-                w.u64(*word);
-            }
+            w.fixed(words.iter().map(|word| word.to_le_bytes()));
         }
 
         fn restore(r: &mut snapshot::Reader<'_>) -> Result<PageBits, snapshot::SnapError> {
@@ -221,10 +220,7 @@ pub mod pagebits {
             if nwords > r.remaining() / 8 {
                 return Err(snapshot::SnapError::Corrupt("PageBits length exceeds input"));
             }
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(r.u64()?);
-            }
+            let words: Vec<u64> = r.fixed(nwords)?.map(u64::from_le_bytes).collect();
             let tail = npages % 64;
             if tail != 0 {
                 if let Some(last) = words.last() {
@@ -242,6 +238,41 @@ pub mod pagebits {
     #[cfg(test)]
     mod tests {
         use super::*;
+
+        #[test]
+        fn bulk_codec_writes_the_per_word_bytes() {
+            // Page counts on both sides of each word edge, then large
+            // ones; a bit pattern that changes with every word.
+            for npages in [0, 1, 7, 8, 9, 63, 64, 65, 4097, 64 * 1000 + 13] {
+                let mut bits = PageBits::new(npages);
+                for idx in (0..npages).filter(|i| (i * 7919) % 5 < 2) {
+                    bits.set(idx);
+                }
+                let mut oracle = snapshot::Writer::new();
+                oracle.usize(npages);
+                for &word in bits.words() {
+                    oracle.u64(word);
+                }
+                let bytes = snapshot::encode(&bits);
+                assert!(bytes == oracle.into_bytes(), "{npages} pages");
+                let back: PageBits = snapshot::decode(&bytes).unwrap();
+                assert_eq!(back.words(), bits.words());
+                assert_eq!(back.npages(), npages);
+            }
+        }
+
+        #[test]
+        fn page_count_past_the_input_is_corrupt() {
+            let bytes = snapshot::encode(&PageBits::new_filled(130));
+            // Claim one more word of pages than the input carries.
+            let mut lying = bytes.clone();
+            lying[..8].copy_from_slice(&(130u64 + 64).to_le_bytes());
+            let err = snapshot::decode::<PageBits>(&lying).unwrap_err();
+            assert_eq!(err, snapshot::SnapError::Corrupt("PageBits length exceeds input"));
+            // A count whose word count overflows the input many times.
+            lying[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(snapshot::decode::<PageBits>(&lying).is_err());
+        }
 
         #[test]
         fn masked_words_covers_partial_and_full_words() {
@@ -573,6 +604,12 @@ impl Mapping {
     /// Number of pages in the mapping.
     pub fn page_count(&self) -> usize {
         self.resident.npages()
+    }
+
+    /// Bytes this mapping's four page bitmaps encode to: most of a
+    /// checkpoint, so checkpoint writers size their buffers from it.
+    pub fn bitmap_bytes(&self) -> usize {
+        4 * (8 + 8 * self.page_count().div_ceil(64))
     }
 
     /// Converts an address inside the mapping to a page index.

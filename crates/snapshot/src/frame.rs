@@ -24,7 +24,9 @@
 //! every such corruption into a typed [`SnapError`] — it never panics,
 //! whatever the bytes.
 //!
-//! The CRC is CRC-64/XZ (reflected ECMA-182 polynomial), slicing-by-8.
+//! The CRC is CRC-64/XZ (reflected ECMA-182 polynomial), slicing-by-16
+//! with exact skips for zero words and 64-byte zero runs (see
+//! [`crc64`]).
 
 use crate::{read_header, write_header, Reader, SnapError, Snapshot, Writer};
 
@@ -41,11 +43,15 @@ pub const COMMIT_KIND: u32 = 0xFFFF_FFFF;
 /// Reflected ECMA-182 polynomial (CRC-64/XZ).
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
-/// Slicing-by-8 tables. `CRC64_TABLES[0]` is the bytewise table;
-/// `CRC64_TABLES[k][b]` is entry `b` carried through `k` more zero
-/// bytes, so one step of [`crc64`] folds eight input bytes.
-const CRC64_TABLES: [[u64; 256]; 8] = {
-    let mut tables = [[0u64; 256]; 8];
+/// The CRC tables. For `k < 16`, `CRC64_TABLES[k][b]` is entry `b`
+/// carried through `k` more zero bytes, so one step of [`crc64`] folds
+/// sixteen input bytes (`CRC64_TABLES[0]` is the bytewise table).
+/// `CRC64_TABLES[16 + j]` carries it through `56 + j` zero bytes, so
+/// folding a word through those eight advances a CRC over 64 zero
+/// bytes. Entry 0 of every table is 0: zero carried through zeros
+/// stays zero.
+static CRC64_TABLES: [[u64; 256]; 24] = {
+    let mut all = [[0u64; 256]; 64];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u64;
@@ -54,17 +60,23 @@ const CRC64_TABLES: [[u64; 256]; 8] = {
             crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
             bit += 1;
         }
-        tables[0][i] = crc;
+        all[0][i] = crc;
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 64 {
         let mut i = 0;
         while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            let prev = all[k - 1][i];
+            all[k][i] = (prev >> 8) ^ all[0][(prev & 0xFF) as usize];
             i += 1;
         }
+        k += 1;
+    }
+    let mut tables = [[0u64; 256]; 24];
+    let mut k = 0;
+    while k < 24 {
+        tables[k] = if k < 16 { all[k] } else { all[k + 40] };
         k += 1;
     }
     tables
@@ -72,33 +84,82 @@ const CRC64_TABLES: [[u64; 256]; 8] = {
 
 /// The entry of `table` for the low byte of `x`. A masked byte is
 /// always in range, so the `get` never misses.
+#[inline(always)]
 fn lut(table: &[u64; 256], x: u64) -> u64 {
     table.get((x & 0xFF) as usize).copied().unwrap_or(0)
 }
 
-/// CRC-64/XZ of `bytes`. Also seals each record of the `faas::durable`
-/// round journal, which resumable replay and cluster shards share.
-pub fn crc64(bytes: &[u8]) -> u64 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC64_TABLES;
-    let mut crc = !0u64;
-    let mut words = bytes.chunks_exact(8);
-    for chunk in &mut words {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        // Byte 0 of the word has seven more bytes to pass through,
-        // byte 7 none: each lands in the table for its distance.
-        let x = crc ^ u64::from_le_bytes(word);
-        crc = lut(t7, x)
-            ^ lut(t6, x >> 8)
-            ^ lut(t5, x >> 16)
-            ^ lut(t4, x >> 24)
-            ^ lut(t3, x >> 32)
-            ^ lut(t2, x >> 40)
-            ^ lut(t1, x >> 48)
-            ^ lut(t0, x >> 56);
+/// The eight table entries of word `x`, whose byte 0 lands in `t[7]`
+/// and byte 7 in `t[0]`: each byte goes through the table for the
+/// number of bytes after it in the step.
+#[inline(always)]
+fn fold_word(t: &[[u64; 256]], x: u64) -> u64 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = t else {
+        return 0;
+    };
+    lut(t7, x)
+        ^ lut(t6, x >> 8)
+        ^ lut(t5, x >> 16)
+        ^ lut(t4, x >> 24)
+        ^ lut(t3, x >> 32)
+        ^ lut(t2, x >> 40)
+        ^ lut(t1, x >> 48)
+        ^ lut(t0, x >> 56)
+}
+
+/// Little-endian `u64` of an eight-byte slice.
+#[inline(always)]
+fn le_word(b: &[u8]) -> u64 {
+    u64::from_le_bytes(<[u8; 8]>::try_from(b).unwrap_or([0; 8]))
+}
+
+/// One slicing-by-16 step: folds the running CRC into the first word
+/// of a sixteen-byte block; the second word enters the `low` tables on
+/// its own, and when it is zero its eight entries are all 0, so they
+/// are skipped.
+#[inline(always)]
+fn fold_block(low: &[[u64; 256]], high: &[[u64; 256]], crc: u64, block: &[u8]) -> u64 {
+    let (first, second) = block.split_at(8);
+    let crc = fold_word(high, crc ^ le_word(first));
+    match le_word(second) {
+        0 => crc,
+        second => crc ^ fold_word(low, second),
     }
-    for &b in words.remainder() {
-        crc = lut(t0, crc ^ u64::from(b)) ^ (crc >> 8);
+}
+
+/// CRC-64/XZ of `bytes`, slicing-by-16. Also seals each record of the
+/// `faas::durable` round journal, which resumable replay and cluster
+/// shards share.
+///
+/// Two exact skips serve the mostly-zero page bitmaps of a checkpoint.
+/// A block whose second word is zero skips that word's eight lookups,
+/// since entry 0 of every table is 0. A 64-byte run of zeros moves the
+/// CRC with one fold through the tables that carry a byte through 56
+/// to 63 more zero bytes, instead of four steps.
+pub fn crc64(bytes: &[u8]) -> u64 {
+    // Bytes 0..8 of a block pass through 15..8 more bytes, bytes 8..16
+    // through 7..0: the high and the low eight tables.
+    let (sixteen, zero_run) = CRC64_TABLES.split_at(16);
+    let (low, high) = sixteen.split_at(8);
+    let mut crc = !0u64;
+    let mut runs = bytes.chunks_exact(64);
+    for run in &mut runs {
+        if run.chunks_exact(8).fold(0, |any, word| any | le_word(word)) == 0 {
+            crc = fold_word(zero_run, crc);
+        } else {
+            for block in run.chunks_exact(16) {
+                crc = fold_block(low, high, crc, block);
+            }
+        }
+    }
+    let mut blocks = runs.remainder().chunks_exact(16);
+    for block in &mut blocks {
+        crc = fold_block(low, high, crc, block);
+    }
+    if let Some(t0) = low.first() {
+        for &b in blocks.remainder() {
+            crc = lut(t0, crc ^ u64::from(b)) ^ (crc >> 8);
+        }
     }
     !crc
 }
@@ -127,7 +188,13 @@ impl Default for ContainerWriter {
 impl ContainerWriter {
     /// Starts an empty container.
     pub fn new() -> ContainerWriter {
-        let mut out = Writer::new();
+        ContainerWriter::with_capacity(0)
+    }
+
+    /// Starts an empty container with room for `bytes` bytes, so a
+    /// container no longer than that is written without reallocating.
+    pub fn with_capacity(bytes: usize) -> ContainerWriter {
+        let mut out = Writer::with_capacity(bytes);
         write_header(&mut out, CONTAINER_MAGIC, CONTAINER_VERSION);
         ContainerWriter {
             out,
@@ -184,7 +251,11 @@ impl ContainerWriter {
             w.usize(frames);
             w.u64(body_crc);
         });
-        self.out.into_bytes()
+        // A container is often kept long after it is written: hand back
+        // whatever part of a generous reservation it did not use.
+        let mut bytes = self.out.into_bytes();
+        bytes.shrink_to_fit();
+        bytes
     }
 }
 

@@ -19,12 +19,25 @@
 //! * **Length-prefixed** — every variable-length value (strings, byte
 //!   blobs, sequences, maps) carries a `u64` element count, validated
 //!   against the remaining input before allocation, so corrupt input
-//!   fails with a typed [`SnapError`] instead of an abort.
+//!   fails with a typed [`SnapError`] instead of an abort. Decode
+//!   never reserves more than the remaining input can fill: at most
+//!   one element per remaining byte, and a fixed-width run takes all
+//!   of its `n × width` bytes before it allocates.
+//! * **One slice path** — every sequence encodes through
+//!   [`Snapshot::snap_seq`] and decodes through
+//!   [`Snapshot::restore_seq`]. `u32`, `u64` and
+//!   [`record!`] newtypes over them go bulk there: one reserve and one
+//!   checked take for the whole run instead of a call per element,
+//!   with the bytes of the per-element loop.
 //! * **Versioned** — blobs start with [`write_header`]; decoding
 //!   rejects foreign magic and unknown versions up front. The single
 //!   version covers the whole state tree: any change to any field's
 //!   encoding bumps the platform's version constant (old checkpoints
 //!   are then rejected, never misread).
+//!
+//! The [`frame`] module seals encodings in CRC-64 checked containers;
+//! its one CRC kernel is slicing-by-16, with exact skips for zero
+//! words and 64-byte zero runs.
 //!
 //! Decoding never panics: every read returns `Result<_, SnapError>`,
 //! and [`Reader::finish`] rejects trailing garbage so a truncated or
@@ -147,6 +160,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer with room for `bytes` bytes, so an
+    /// encoding no longer than that never reallocates.
+    pub fn with_capacity(bytes: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -163,27 +184,32 @@ impl Writer {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64` (lossless on the supported
     /// 64-bit-or-smaller targets).
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
@@ -191,13 +217,27 @@ impl Writer {
     /// Appends an `f64` as its IEEE-754 bit pattern — bit-exact, so
     /// accumulated floating-point state (EMAs, core-time counters)
     /// round-trips without drift.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Appends a `bool` as one byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
+    }
+
+    /// Appends each item's `N` bytes back to back, with no length
+    /// prefix, after one reservation for all of them. The bulk path of
+    /// [`Snapshot::snap_seq`]: the bytes are those of appending the
+    /// items one by one.
+    #[inline]
+    pub fn fixed<const N: usize>(&mut self, items: impl ExactSizeIterator<Item = [u8; N]>) {
+        self.buf.reserve(items.len() * N);
+        for bytes in items {
+            self.buf.extend_from_slice(&bytes);
+        }
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -251,6 +291,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Unread bytes.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -261,6 +302,7 @@ impl<'a> Reader<'a> {
     /// hold against arbitrary bytes, and the `panic-reachability` tidy
     /// rule flags any plain index reachable from `decode` or
     /// `Container::open`.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         let end = self
             .pos
@@ -275,43 +317,51 @@ impl<'a> Reader<'a> {
     }
 
     /// Takes exactly `N` bytes as a fixed-size array.
+    #[inline]
     fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
         <[u8; N]>::try_from(self.take(N)?)
             .map_err(|_| SnapError::Corrupt("fixed-width read changed length"))
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         let [b] = self.take_array()?;
         Ok(b)
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, SnapError> {
         Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u64` and converts it to `usize`.
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, SnapError> {
         usize::try_from(self.u64()?).map_err(|_| SnapError::Corrupt("usize out of range"))
     }
 
     /// Reads an `f64` from its bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a `bool`; any byte other than 0/1 is corrupt.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapError> {
         match self.u8()? {
             0 => Ok(false),
@@ -323,12 +373,31 @@ impl<'a> Reader<'a> {
     /// Reads a sequence length and validates it against the remaining
     /// input (every element encodes at least one byte), so a corrupt
     /// length prefix cannot drive a huge allocation.
+    #[inline]
     pub fn seq_len(&mut self) -> Result<usize, SnapError> {
         let n = self.usize()?;
         if n > self.remaining() {
             return Err(SnapError::Corrupt("length prefix exceeds input"));
         }
         Ok(n)
+    }
+
+    /// Takes `n` items of `N` bytes each with one checked
+    /// [`Reader::take`] of `n × N` bytes. An `n × N` that overflows is
+    /// corrupt and one longer than the input is truncated, both before
+    /// anything is allocated. The bulk path of [`Snapshot::restore_seq`].
+    #[inline]
+    pub fn fixed<const N: usize>(
+        &mut self,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = [u8; N]> + 'a, SnapError> {
+        let len = n
+            .checked_mul(N)
+            .ok_or(SnapError::Corrupt("fixed-width run overflows"))?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(N)
+            .map(|c| <[u8; N]>::try_from(c).unwrap_or([0; N])))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -400,16 +469,74 @@ pub trait Snapshot: Sized {
 
     /// Decodes one value from `r`.
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError>;
+
+    /// Appends `items` as a sequence: the `usize` count, then each
+    /// item's encoding. Every sequence container (`Vec`, `VecDeque`)
+    /// encodes through here. The default writes item by item; `u32`
+    /// and `u64` (and [`record!`] newtypes over them) write the same
+    /// bytes with one bulk [`Writer::fixed`].
+    fn snap_seq<'s>(items: impl ExactSizeIterator<Item = &'s Self>, w: &mut Writer)
+    where
+        Self: 's,
+    {
+        w.usize(items.len());
+        for v in items {
+            v.snap(w);
+        }
+    }
+
+    /// Reads a sequence [`Snapshot::snap_seq`] wrote. The count is
+    /// checked against the remaining input before anything is
+    /// allocated; the fixed-width overrides then take all the items'
+    /// bytes with one [`Reader::fixed`].
+    fn restore_seq(r: &mut Reader<'_>) -> Result<Vec<Self>, SnapError> {
+        let n = r.seq_len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::restore(r)?);
+        }
+        Ok(out)
+    }
 }
 
 macro_rules! prim_snapshot {
     ($ty:ty, $method:ident) => {
         impl Snapshot for $ty {
+            #[inline]
             fn snap(&self, w: &mut Writer) {
                 w.$method(*self);
             }
+            #[inline]
             fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
                 r.$method()
+            }
+        }
+    };
+}
+
+/// A little-endian integer that sequences hold in bulk (object ids,
+/// page words, mapper counts): as [`prim_snapshot!`], plus the bulk
+/// sequence path.
+macro_rules! int_snapshot {
+    ($ty:ty, $method:ident) => {
+        impl Snapshot for $ty {
+            #[inline]
+            fn snap(&self, w: &mut Writer) {
+                w.$method(*self);
+            }
+            #[inline]
+            fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+                r.$method()
+            }
+            #[inline]
+            fn snap_seq<'s>(items: impl ExactSizeIterator<Item = &'s $ty>, w: &mut Writer) {
+                w.usize(items.len());
+                w.fixed(items.map(|v| v.to_le_bytes()));
+            }
+            #[inline]
+            fn restore_seq(r: &mut Reader<'_>) -> Result<Vec<$ty>, SnapError> {
+                let n = r.seq_len()?;
+                Ok(r.fixed(n)?.map(<$ty>::from_le_bytes).collect())
             }
         }
     };
@@ -429,17 +556,36 @@ macro_rules! prim_snapshot {
 ///   error.
 /// * `record!(T { a: A } skip { x, y })` — as above, but `x` and `y`
 ///   are kept out of the bytes and restore as `Default::default()`.
-/// * `record!(Id(u64))` — a newtype: its encoding is the inner value's.
+/// * `record!(Id(u64))` — a newtype: its encoding is the inner value's,
+///   and so is a sequence's, which therefore takes the inner type's
+///   bulk path when it has one.
 #[macro_export]
 macro_rules! record {
     ($ty:ident ( $inner:ty )) => {
         impl $crate::Snapshot for $ty {
+            #[inline]
             fn snap(&self, w: &mut $crate::Writer) {
                 let $ty(inner) = self;
                 <$inner as $crate::Snapshot>::snap(inner, w);
             }
+            #[inline]
             fn restore(r: &mut $crate::Reader<'_>) -> Result<$ty, $crate::SnapError> {
                 Ok($ty(<$inner as $crate::Snapshot>::restore(r)?))
+            }
+            #[inline]
+            fn snap_seq<'s>(
+                items: impl ExactSizeIterator<Item = &'s $ty>,
+                w: &mut $crate::Writer,
+            ) {
+                <$inner as $crate::Snapshot>::snap_seq(items.map(|$ty(inner)| inner), w);
+            }
+            #[inline]
+            fn restore_seq(r: &mut $crate::Reader<'_>) -> Result<Vec<$ty>, $crate::SnapError> {
+                // Collects in place: a newtype's `Vec` reuses the inner one.
+                Ok(<$inner as $crate::Snapshot>::restore_seq(r)?
+                    .into_iter()
+                    .map($ty)
+                    .collect())
             }
         }
     };
@@ -459,8 +605,8 @@ macro_rules! record {
 
 prim_snapshot!(u8, u8);
 prim_snapshot!(u16, u16);
-prim_snapshot!(u32, u32);
-prim_snapshot!(u64, u64);
+int_snapshot!(u32, u32);
+int_snapshot!(u64, u64);
 prim_snapshot!(usize, usize);
 prim_snapshot!(f64, f64);
 prim_snapshot!(bool, bool);
@@ -494,36 +640,22 @@ impl<T: Snapshot> Snapshot for Option<T> {
 }
 
 impl<T: Snapshot> Snapshot for Vec<T> {
+    #[inline]
     fn snap(&self, w: &mut Writer) {
-        w.usize(self.len());
-        for v in self {
-            v.snap(w);
-        }
+        T::snap_seq(self.iter(), w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let n = r.seq_len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::restore(r)?);
-        }
-        Ok(out)
+        T::restore_seq(r)
     }
 }
 
 impl<T: Snapshot> Snapshot for VecDeque<T> {
     fn snap(&self, w: &mut Writer) {
-        w.usize(self.len());
-        for v in self {
-            v.snap(w);
-        }
+        T::snap_seq(self.iter(), w);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let n = r.seq_len()?;
-        let mut out = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            out.push_back(T::restore(r)?);
-        }
-        Ok(out)
+        Ok(T::restore_seq(r)?.into())
     }
 }
 

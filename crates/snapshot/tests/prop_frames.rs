@@ -1,13 +1,18 @@
 //! Property tests for the container format: arbitrary mutations of a
 //! valid container must never panic the verifier and must always be
-//! rejected with a typed [`SnapError`].
+//! rejected with a typed [`SnapError`]. Also the codec's bulk paths
+//! against their one-at-a-time oracles: the fixed-width sequence path
+//! against the per-element loop, and the CRC kernel against the
+//! bytewise table.
 //!
 //! The crate takes no dev-dependencies, so the generator is a small
 //! seeded splitmix64 — fixed seeds make every run (and every failure)
 //! reproducible by construction.
 
+use std::collections::VecDeque;
+
 use snapshot::frame::{crc64, Container, ContainerWriter};
-use snapshot::{decode, Snapshot};
+use snapshot::{decode, encode, record, Reader, SnapError, Snapshot, Writer};
 
 /// splitmix64: tiny, seedable, full-period. Good enough to fuzz byte
 /// mutations deterministically.
@@ -196,7 +201,7 @@ fn round_trip_sanity() {
 }
 
 /// The bytewise table-driven CRC-64/XZ: one table step per byte. The
-/// oracle for the slicing-by-8 [`crc64`].
+/// oracle for the slicing-by-16 [`crc64`].
 fn crc64_bytewise(bytes: &[u8]) -> u64 {
     const POLY: u64 = 0xC96C_5795_D787_0F42;
     let table: Vec<u64> = (0..256u64)
@@ -208,8 +213,9 @@ fn crc64_bytewise(bytes: &[u8]) -> u64 {
 }
 
 #[test]
-fn bytewise_oracle_matches_the_check_value() {
+fn bytewise_oracle_and_kernel_match_the_check_value() {
     assert_eq!(crc64_bytewise(b"123456789"), 0x995D_C9BB_DF19_39FA);
+    assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
 }
 
 #[test]
@@ -234,5 +240,145 @@ fn sliced_crc_matches_bytewise_on_random_buffers() {
         let len = rng.below(64 * 1024 + 1);
         let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
         assert_eq!(crc64(&bytes), crc64_bytewise(&bytes), "len {len}");
+    }
+}
+
+#[test]
+fn sliced_crc_matches_bytewise_on_zero_input() {
+    // The zero-run skip on every 64-byte run, then the zero-word skip
+    // on the blocks after the last run.
+    for len in [0, 1, 15, 16, 17, 64, 4095, 4096, 65 * 1024 + 3] {
+        let zeros = vec![0u8; len];
+        assert_eq!(crc64(&zeros), crc64_bytewise(&zeros), "len {len}");
+    }
+}
+
+#[test]
+fn sliced_crc_matches_bytewise_on_mostly_zero_pages() {
+    // Three pages in four all zero, the fourth random: the shape of a
+    // checkpoint's page bitmaps. Odd lengths shift the page edges off
+    // the 64-byte runs and sixteen-byte blocks.
+    let mut rng = Rng(0x5EED_0009);
+    for len in [64 * 1024, 64 * 1024 + 7, 256 * 1024 + 9] {
+        let bytes: Vec<u8> = (0..len)
+            .map(|i| if (i / 4096) % 4 == 3 { rng.next() as u8 } else { 0 })
+            .collect();
+        assert_eq!(crc64(&bytes), crc64_bytewise(&bytes), "len {len}");
+    }
+    // Sparse single bytes land in either word of a block.
+    let mut sparse = vec![0u8; 8192];
+    for _ in 0..64 {
+        let at = rng.below(sparse.len());
+        sparse[at] = rng.next() as u8 | 1;
+        assert_eq!(crc64(&sparse), crc64_bytewise(&sparse));
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Id(u32);
+record!(Id(u32));
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Addr(u64);
+record!(Addr(u64));
+
+/// The lengths every sequence test covers: both sides of each
+/// power-of-two edge up to 65, then three random large ones.
+fn lengths(rng: &mut Rng) -> Vec<usize> {
+    let mut out = vec![0, 1, 7, 8, 9, 63, 64, 65];
+    out.extend((0..3).map(|_| 1000 + rng.below(200_000)));
+    out
+}
+
+/// Asserts that `items` encode through the slice path to the bytes of
+/// the per-element loop `one` — the `usize` count, then each element —
+/// and decode back, as a `Vec` and as a `VecDeque`.
+fn check_seq<T: Snapshot + Clone + PartialEq + std::fmt::Debug>(
+    items: &[T],
+    one: impl Fn(&mut Writer, &T),
+) {
+    let mut oracle = Writer::new();
+    oracle.usize(items.len());
+    for v in items {
+        one(&mut oracle, v);
+    }
+    let oracle = oracle.into_bytes();
+    let vec = items.to_vec();
+    let bytes = encode(&vec);
+    assert!(bytes == oracle, "{} items encode differently", items.len());
+    assert_eq!(decode::<Vec<T>>(&bytes).unwrap(), vec);
+    let deque: VecDeque<T> = vec.iter().cloned().collect();
+    assert!(encode(&deque) == oracle);
+    assert_eq!(decode::<VecDeque<T>>(&bytes).unwrap(), deque);
+}
+
+#[test]
+fn slice_path_writes_the_per_element_bytes() {
+    let mut rng = Rng(0x5EED_000A);
+    for n in lengths(&mut rng) {
+        let words: Vec<u64> = (0..n).map(|_| rng.next()).collect();
+        check_seq(&words, |w, &v| w.u64(v));
+        let halves: Vec<u32> = words.iter().map(|&v| v as u32).collect();
+        check_seq(&halves, |w, &v| w.u32(v));
+        // `u16` and `u8` keep the per-element default.
+        let shorts: Vec<u16> = words.iter().map(|&v| v as u16).collect();
+        check_seq(&shorts, |w, &v| w.u16(v));
+        let bytes: Vec<u8> = words.iter().map(|&v| v as u8).collect();
+        check_seq(&bytes, |w, &v| w.u8(v));
+        let ids: Vec<Id> = halves.iter().map(|&v| Id(v)).collect();
+        check_seq(&ids, |w, v| w.u32(v.0));
+        let addrs: Vec<Addr> = words.iter().map(|&v| Addr(v)).collect();
+        check_seq(&addrs, |w, v| w.u64(v.0));
+        // A sequence of records keeps the per-element default.
+        let pairs: Vec<(u32, u64)> = halves.iter().copied().zip(words.iter().copied()).collect();
+        check_seq(&pairs, |w, &(a, b)| {
+            w.u32(a);
+            w.u64(b);
+        });
+    }
+}
+
+#[test]
+fn fixed_runs_match_the_per_element_loop() {
+    let mut rng = Rng(0x5EED_000B);
+    for n in lengths(&mut rng) {
+        let words: Vec<u64> = (0..n).map(|_| rng.next()).collect();
+        let mut bulk = Writer::new();
+        bulk.fixed(words.iter().map(|v| v.to_le_bytes()));
+        let mut loop_ = Writer::new();
+        for &v in &words {
+            loop_.u64(v);
+        }
+        let bytes = bulk.into_bytes();
+        assert!(bytes == loop_.into_bytes(), "{n} words");
+        let mut r = Reader::new(&bytes);
+        let back: Vec<u64> = r.fixed(n).unwrap().map(u64::from_le_bytes).collect();
+        r.finish().unwrap();
+        assert_eq!(back, words);
+    }
+}
+
+#[test]
+fn oversized_fixed_runs_are_typed_errors_before_allocation() {
+    // `n × width` overflows: corrupt, and nothing is taken.
+    let bytes = [0u8; 16];
+    let mut r = Reader::new(&bytes);
+    assert!(matches!(r.fixed::<8>(usize::MAX / 2), Err(SnapError::Corrupt(_))));
+    assert_eq!(r.remaining(), 16);
+    // One more item than the input holds: truncated, nothing taken.
+    assert!(matches!(r.fixed::<8>(3), Err(SnapError::Truncated { needed: 24, remaining: 16 })));
+    assert_eq!(r.remaining(), 16);
+    // Through the sequence path: a count the input cannot fill fails
+    // typed at every width, whether the count passes the byte-count
+    // check (5 ≤ 8 bytes left) or not.
+    for prefix in [5u64, 9, u64::MAX / 4, u64::MAX] {
+        let mut w = Writer::new();
+        w.u64(prefix);
+        w.u64(0);
+        let bytes = w.into_bytes();
+        assert!(decode::<Vec<u64>>(&bytes).is_err(), "prefix {prefix}");
+        assert!(decode::<Vec<u32>>(&bytes).is_err(), "prefix {prefix}");
+        assert!(decode::<Vec<Id>>(&bytes).is_err(), "prefix {prefix}");
+        assert!(decode::<Vec<u16>>(&bytes).is_err(), "prefix {prefix}");
     }
 }

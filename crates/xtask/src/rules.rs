@@ -17,7 +17,8 @@
 //! * **hygiene** — `forbid-unsafe`, `path-deps`, `dead-pub`: every
 //!   crate forbids `unsafe`, manifests carry only path dependencies,
 //!   and no library (vendored shims included) keeps a `pub` item that
-//!   nothing outside its own definition and tests names.
+//!   nothing outside its own definition and tests names (another
+//!   library's unit tests do not count as a caller).
 //! * **performance** — `hot-containers`: sim-state crates may not
 //!   reintroduce `BTreeMap<InstanceId, _>` per-event lookups; the slab
 //!   arenas replaced them for a reason.
@@ -129,10 +130,10 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "dead-pub",
         family: "hygiene",
-        summary: "library `pub` item named nowhere but its definition and its own tests",
-        hint: "delete the item, or drop `pub` and move it behind #[cfg(test)] if only its \
-               tests need it; bins, examples, tests, benches and the benchmark package \
-               all count as callers",
+        summary: "library `pub` item named nowhere but its definition and unit tests",
+        hint: "delete the item, or move it behind #[cfg(test)] if only unit tests need \
+               it; bins, examples, tests, benches and the benchmark package count as \
+               callers, library code only outside its #[cfg(test)] items",
     },
 ];
 

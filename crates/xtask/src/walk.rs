@@ -182,10 +182,11 @@ fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Audit {
     let mut summaries: Vec<(String, parse::FileSummary)> = Vec::new();
     let mut code_lines: BTreeMap<String, usize> = BTreeMap::new();
     // dead-pub inputs: how often the scanned sources name each
-    // identifier, and every library `pub` item with how often its own
-    // file names it, in all and outside test code.
+    // identifier — a library source outside its test code only, any
+    // other source in full — and every library `pub` item with how
+    // often its own file names it outside test code.
     let mut named: BTreeMap<String, usize> = BTreeMap::new();
-    let mut items: Vec<(&str, rules::PubItem, usize, usize)> = Vec::new();
+    let mut items: Vec<(&str, rules::PubItem, usize)> = Vec::new();
     for (rel, text) in sources {
         let rel = rel.as_ref();
         let blanked = lexer::blank(text.as_ref());
@@ -201,18 +202,20 @@ fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Audit {
                 *outside_tests += usize::from(live);
             }
         }
-        for (&id, &(all, _)) in &own {
-            *named.entry(id.to_string()).or_default() += all;
+        let library = is_library(rel);
+        for (&id, &(all, outside_tests)) in &own {
+            let uses = if library { outside_tests } else { all };
+            *named.entry(id.to_string()).or_default() += uses;
         }
         if let Some(package) = code_package(rel) {
             *code_lines.entry(package.to_string()).or_default() += code;
         }
-        if is_library(rel) {
+        if library {
             for item in rules::pub_items(&blanked.text) {
                 if !rules::is_test_line(&mask, item.line) {
-                    let (all, outside_tests) =
+                    let (_, outside_tests) =
                         own.get(item.name.as_str()).copied().unwrap_or_default();
-                    items.push((rel, item, all, outside_tests));
+                    items.push((rel, item, outside_tests));
                 }
             }
         }
@@ -229,11 +232,12 @@ fn audit<S: AsRef<str>>(sources: &[(S, S)], manifests: &[(S, S)]) -> Audit {
     }
 
     // Cross-file passes: the call graph analyses, then dead-pub. A
-    // `pub` item is dead when no other source names it and its own
-    // file names it outside test code only at the definition.
+    // `pub` item is dead when no other source names it (another
+    // library's unit tests do not count) and its own file names it
+    // outside test code only at the definition.
     let mut cross: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    let dead = items.into_iter().filter(|(_, item, all, outside_tests)| {
-        named.get(&item.name) == Some(all) && *outside_tests <= 1
+    let dead = items.into_iter().filter(|(_, item, outside_tests)| {
+        named.get(&item.name) == Some(outside_tests) && *outside_tests <= 1
     });
     let dead_findings = dead.map(|(rel, item, ..)| {
         Finding::new(

@@ -120,6 +120,22 @@ fn dead_pub_counts_tests_and_the_benchmark_package_as_callers() {
 }
 
 #[test]
+fn dead_pub_ignores_another_librarys_unit_tests() {
+    let lib = fixture("dead_pub.rs");
+    // Another library names `dead_helper` only in its test module.
+    let tested = "fn caller() -> u64 { used_helper() }\n\n#[cfg(test)]\nmod tests {\n    \
+                  #[test]\n    fn calls() {\n        assert_eq!(dead_helper(), 13);\n    }\n}\n";
+    let files = [("crates/cluster/src/caller.rs", tested), ("crates/faas/src/fake.rs", lib.as_str())];
+    let findings = check_files(&files).findings;
+    assert_single(&findings, "dead-pub");
+    assert!(findings[0].message.contains("dead_helper"), "{findings:?}");
+    // The same test module in a test target still counts as a caller.
+    let files = [("crates/cluster/tests/oracle.rs", tested), ("crates/faas/src/fake.rs", lib.as_str())];
+    let findings = check_files(&files).findings;
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn justified_marker_suppresses_a_dead_pub_finding() {
     let lib = fixture("dead_pub.rs").replace(
         "pub fn dead_helper",
