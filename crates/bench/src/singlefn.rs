@@ -132,70 +132,66 @@ struct World {
     now: SimTime,
 }
 
-/// Runs the full study for `spec` under `mode`.
-pub fn run_study(spec: &FunctionSpec, mode: Mode, cfg: &StudyConfig) -> StudyOutcome {
-    // Build the world with a single shared library registration on
-    // OpenWhisk (a spare instance keeps the libraries shared, so they
-    // leave USS as in the paper's measurement); Lambda shares nothing.
-    let mut sys = System::new();
-    let image = if cfg.lambda_env {
-        RuntimeImage::lambda(spec.language)
-    } else {
-        RuntimeImage::openwhisk(spec.language)
-    };
-    let shared = if cfg.lambda_env {
-        None
-    } else {
-        Some(image.register_files(&mut sys))
-    };
-    let spare = shared.as_ref().map(|libs| {
-        Instance::launch(&mut sys, &image, libs, cfg.budget, cfg.cpu_share).expect("spare fits")
-    });
-    let stages: Vec<Stage> = (0..spec.chain_len)
-        .map(|stage| {
-            let libs = match &shared {
-                Some(libs) => libs.clone(),
-                None => image.register_files(&mut sys),
-            };
-            let inst = Instance::launch(&mut sys, &image, &libs, cfg.budget, cfg.cpu_share)
-                .expect("instance budget accommodates the runtime image");
-            Stage {
-                inst,
-                state: FunctionState::new(stage, cfg.seed),
-            }
-        })
-        .collect();
-    let mut world = World {
-        sys,
-        stages,
-        _spare: spare,
-        now: SimTime::ZERO,
-    };
+impl World {
+    /// One instance per stage of `spec`. On OpenWhisk the libraries are
+    /// registered once and a spare instance keeps them shared, so they
+    /// leave USS as in the paper's measurement; Lambda shares nothing.
+    fn build(spec: &FunctionSpec, cfg: &StudyConfig) -> World {
+        let mut sys = System::new();
+        let image = if cfg.lambda_env {
+            RuntimeImage::lambda(spec.language)
+        } else {
+            RuntimeImage::openwhisk(spec.language)
+        };
+        let shared = if cfg.lambda_env {
+            None
+        } else {
+            Some(image.register_files(&mut sys))
+        };
+        let spare = shared.as_ref().map(|libs| {
+            Instance::launch(&mut sys, &image, libs, cfg.budget, cfg.cpu_share).expect("spare fits")
+        });
+        let stages: Vec<Stage> = (0..spec.chain_len)
+            .map(|stage| {
+                let libs = match &shared {
+                    Some(libs) => libs.clone(),
+                    None => image.register_files(&mut sys),
+                };
+                let inst = Instance::launch(&mut sys, &image, &libs, cfg.budget, cfg.cpu_share)
+                    .expect("instance budget accommodates the runtime image");
+                Stage {
+                    inst,
+                    state: FunctionState::new(stage, cfg.seed),
+                }
+            })
+            .collect();
+        World {
+            sys,
+            stages,
+            _spare: spare,
+            now: SimTime::ZERO,
+        }
+    }
 
-    let mut uss_series = Vec::with_capacity(cfg.iterations as usize);
-    let mut ideal_series = Vec::with_capacity(cfg.iterations as usize);
-    let mut committed_series = Vec::with_capacity(cfg.iterations as usize);
-    let mut latency_series = Vec::with_capacity(cfg.iterations as usize);
-
-    for _ in 0..cfg.iterations {
+    /// One request: every stage in order, each followed by the eager
+    /// exit-time GC under [`Mode::Eager`], then the idle gap. Returns
+    /// the request's wall latency.
+    fn invoke(&mut self, spec: &FunctionSpec, mode: Mode, cfg: &StudyConfig) -> SimDuration {
         let mut request_wall = SimDuration::ZERO;
-        for s in 0..world.stages.len() {
-            let stage = &mut world.stages[s];
+        for stage in &mut self.stages {
             let report = stage
                 .inst
-                .invoke(&mut world.sys, world.now, &spec.exec, |ctx| {
+                .invoke(&mut self.sys, self.now, &spec.exec, |ctx| {
                     stage.state.invoke(spec, ctx);
                 })
                 .expect("calibrated workload fits its instance");
             request_wall += report.wall_time;
-            world.now += report.wall_time;
-            // Exit-time action.
+            self.now += report.wall_time;
             if mode == Mode::Eager {
-                let g = stage
+                self.now += stage
                     .inst
-                    .eager_gc(&mut world.sys)
+                    .eager_gc(&mut self.sys)
                     .expect("eager GC cannot fail");
-                world.now += g;
             }
             // The transfer acknowledgment lands after the exit-time GC
             // (§5.2, mapreduce).
@@ -203,16 +199,73 @@ pub fn run_study(spec: &FunctionSpec, mode: Mode, cfg: &StudyConfig) -> StudyOut
                 .state
                 .complete_transfer(stage.inst.heap_mut().graph_mut());
         }
-        latency_series.push(request_wall);
+        self.now += cfg.gap;
+        request_wall
+    }
+
+    /// The end-of-run action of the reclaiming modes (§5.2 assumes
+    /// memory has become scarce once the instance is frozen): a
+    /// Desiccant reclaim, with the §4.6 unmap if configured, or a full
+    /// swap-out. Returns the live bytes the last collection of every
+    /// stage reported (zero after a swap-out, which collects nothing).
+    fn end_of_run(&mut self, mode: Mode, cfg: &StudyConfig) -> u64 {
+        let mut live = 0;
+        for stage in &mut self.stages {
+            live += match mode {
+                Mode::Desiccant => {
+                    let report = stage
+                        .inst
+                        .reclaim(&mut self.sys, self.now, cfg.keep_weak)
+                        .expect("reclaim cannot fail");
+                    if cfg.unmap_libs {
+                        stage
+                            .inst
+                            .unmap_private_libs(&mut self.sys)
+                            .expect("unmap cannot fail");
+                    }
+                    report.live_bytes
+                }
+                Mode::Swap => {
+                    stage
+                        .inst
+                        .swap_out_all(&mut self.sys)
+                        .expect("swap cannot fail");
+                    0
+                }
+                Mode::Vanilla | Mode::Eager => stage.inst.heap().last_live_bytes(),
+            };
+        }
+        live
+    }
+
+    /// Summed USS of the stage instances.
+    fn uss(&self) -> u64 {
+        self.stages.iter().map(|s| s.inst.uss(&self.sys)).sum()
+    }
+
+    /// Summed §3.1 ideal: live objects plus the runtime's non-heap
+    /// footprint.
+    fn ideal(&self) -> u64 {
+        self.stages
+            .iter()
+            .map(|s| s.inst.ideal_uss(&self.sys))
+            .sum()
+    }
+}
+
+/// Runs the full study for `spec` under `mode`.
+pub fn run_study(spec: &FunctionSpec, mode: Mode, cfg: &StudyConfig) -> StudyOutcome {
+    let mut world = World::build(spec, cfg);
+    let mut uss_series = Vec::with_capacity(cfg.iterations as usize);
+    let mut ideal_series = Vec::with_capacity(cfg.iterations as usize);
+    let mut committed_series = Vec::with_capacity(cfg.iterations as usize);
+    let mut latency_series = Vec::with_capacity(cfg.iterations as usize);
+
+    for _ in 0..cfg.iterations {
+        latency_series.push(world.invoke(spec, mode, cfg));
         // Freeze point: measure.
-        uss_series.push(world.stages.iter().map(|s| s.inst.uss(&world.sys)).sum());
-        ideal_series.push(
-            world
-                .stages
-                .iter()
-                .map(|s| ideal_of(&world.sys, &s.inst))
-                .sum(),
-        );
+        uss_series.push(world.uss());
+        ideal_series.push(world.ideal());
         committed_series.push(
             world
                 .stages
@@ -220,53 +273,13 @@ pub fn run_study(spec: &FunctionSpec, mode: Mode, cfg: &StudyConfig) -> StudyOut
                 .map(|s| s.inst.heap().committed())
                 .sum(),
         );
-        world.now += cfg.gap;
     }
 
-    // End-of-run action for the reclaiming modes (§5.2 assumes memory
-    // has become scarce once the instance is frozen).
-    let mut final_live = 0;
-    match mode {
-        Mode::Desiccant => {
-            for stage in &mut world.stages {
-                let report = stage
-                    .inst
-                    .reclaim(&mut world.sys, world.now, cfg.keep_weak)
-                    .expect("reclaim cannot fail");
-                final_live += report.live_bytes;
-                if cfg.unmap_libs {
-                    stage
-                        .inst
-                        .unmap_private_libs(&mut world.sys)
-                        .expect("unmap cannot fail");
-                }
-            }
-        }
-        Mode::Swap => {
-            for stage in &mut world.stages {
-                stage
-                    .inst
-                    .swap_out_all(&mut world.sys)
-                    .expect("swap cannot fail");
-            }
-        }
-        Mode::Vanilla | Mode::Eager => {
-            final_live = world
-                .stages
-                .iter()
-                .map(|s| s.inst.heap().last_live_bytes())
-                .sum();
-        }
-    }
-
-    let final_uss = world.stages.iter().map(|s| s.inst.uss(&world.sys)).sum();
+    let final_live = world.end_of_run(mode, cfg);
+    let final_uss = world.uss();
     let final_rss = world.stages.iter().map(|s| s.inst.rss(&world.sys)).sum();
     let final_pss = world.stages.iter().map(|s| s.inst.pss(&world.sys)).sum();
-    let final_ideal = world
-        .stages
-        .iter()
-        .map(|s| ideal_of(&world.sys, &s.inst))
-        .sum();
+    let final_ideal = world.ideal();
     let checksum = world
         .stages
         .iter()
@@ -283,11 +296,6 @@ pub fn run_study(spec: &FunctionSpec, mode: Mode, cfg: &StudyConfig) -> StudyOut
         final_live,
         checksum,
     }
-}
-
-/// The §3.1 ideal: live objects plus the runtime's non-heap footprint.
-fn ideal_of(sys: &System, inst: &Instance) -> u64 {
-    inst.ideal_uss(sys)
 }
 
 /// Outcome of the §5.6 post-reclamation overhead protocol.
@@ -310,80 +318,12 @@ impl OverheadOutcome {
 /// then 10 more, comparing mean latencies — all in one world, so the
 /// reclamation acts on the exact state the warm-up produced.
 pub fn run_overhead_study(spec: &FunctionSpec, mode: Mode, cfg: &StudyConfig) -> OverheadOutcome {
-    let mut sys = System::new();
-    let image = if cfg.lambda_env {
-        RuntimeImage::lambda(spec.language)
-    } else {
-        RuntimeImage::openwhisk(spec.language)
-    };
-    let shared = if cfg.lambda_env {
-        None
-    } else {
-        Some(image.register_files(&mut sys))
-    };
-    let _spare = shared.as_ref().map(|libs| {
-        Instance::launch(&mut sys, &image, libs, cfg.budget, cfg.cpu_share).expect("spare fits")
-    });
-    let mut stages: Vec<Stage> = (0..spec.chain_len)
-        .map(|stage| {
-            let libs = match &shared {
-                Some(libs) => libs.clone(),
-                None => image.register_files(&mut sys),
-            };
-            let inst = Instance::launch(&mut sys, &image, &libs, cfg.budget, cfg.cpu_share)
-                .expect("instance fits");
-            Stage {
-                inst,
-                state: FunctionState::new(stage, cfg.seed),
-            }
-        })
-        .collect();
-    let mut now = SimTime::ZERO;
-    let run_once = |stages: &mut Vec<Stage>, sys: &mut System, now: &mut SimTime| {
-        let mut wall = SimDuration::ZERO;
-        for stage in stages.iter_mut() {
-            let report = stage
-                .inst
-                .invoke(sys, *now, &spec.exec, |ctx| {
-                    stage.state.invoke(spec, ctx);
-                })
-                .expect("workload fits");
-            wall += report.wall_time;
-            *now += report.wall_time;
-            stage.state.complete_transfer(stage.inst.heap_mut().graph_mut());
-        }
-        *now += cfg.gap;
-        wall
-    };
-    let mut pre = Vec::new();
-    for _ in 0..130 {
-        pre.push(run_once(&mut stages, &mut sys, &mut now));
-    }
+    let mut world = World::build(spec, cfg);
+    let pre: Vec<SimDuration> = (0..130).map(|_| world.invoke(spec, mode, cfg)).collect();
     let tail: Vec<u64> = pre.iter().rev().take(10).map(|d| d.as_nanos()).collect();
     let before = SimDuration::from_nanos(tail.iter().sum::<u64>() / tail.len() as u64);
-    match mode {
-        Mode::Desiccant => {
-            for stage in &mut stages {
-                stage
-                    .inst
-                    .reclaim(&mut sys, now, cfg.keep_weak)
-                    .expect("reclaim cannot fail");
-                if cfg.unmap_libs {
-                    stage.inst.unmap_private_libs(&mut sys).expect("unmap ok");
-                }
-            }
-        }
-        Mode::Swap => {
-            for stage in &mut stages {
-                stage.inst.swap_out_all(&mut sys).expect("swap ok");
-            }
-        }
-        Mode::Vanilla | Mode::Eager => {}
-    }
-    let mut post = Vec::new();
-    for _ in 0..10 {
-        post.push(run_once(&mut stages, &mut sys, &mut now));
-    }
+    world.end_of_run(mode, cfg);
+    let post: Vec<SimDuration> = (0..10).map(|_| world.invoke(spec, mode, cfg)).collect();
     let after = SimDuration::from_nanos(
         post.iter().map(|d| d.as_nanos()).sum::<u64>() / post.len() as u64,
     );

@@ -527,8 +527,8 @@ impl Cluster {
             out.recoveries += t.recoveries;
             out.scratch_recoveries += t.scratch_recoveries;
             out.heals += t.heals;
-            out.outage_rounds += t.outage_rounds;
         }
+        out.outage_rounds = self.outage_rounds.iter().sum();
         let f = self.front.stats;
         out.routed = f.routed;
         out.delivered = f.delivered;

@@ -35,12 +35,6 @@ pub struct ShardReport {
     /// Functions this shard wants re-homed (memory pressure or a
     /// planned-outage drain).
     pub offers: Vec<MigrationOffer>,
-    /// Cumulative kill-recoveries on this shard.
-    pub recoveries: u64,
-    /// Cumulative recoveries that found no usable checkpoint chain.
-    pub scratch_recoveries: u64,
-    /// Cumulative outage heals (durable-store re-admissions).
-    pub heals: u64,
 }
 
 impl ShardReport {
@@ -56,19 +50,11 @@ impl ShardReport {
             frozen: 0,
             warm: BTreeMap::new(),
             offers: Vec::new(),
-            recoveries: 0,
-            scratch_recoveries: 0,
-            heals: 0,
         }
     }
 }
 
-// Part of the cluster digest and of the router's own state bytes. The
-// recovery and heal counters are deliberately kept out and restore as
-// zero: they count kills and outages survived, not simulation state,
-// and the chaos gates demand a faulted run digest byte-identical to its
-// uninterrupted control. Encoding them would make that impossible by
-// construction.
+// Part of the cluster digest and of the router's own state bytes.
 snapshot::record!(ShardReport {
     shard: u32,
     in_flight: u64,
@@ -78,10 +64,6 @@ snapshot::record!(ShardReport {
     frozen: u64,
     warm: BTreeMap<usize, FrozenFnSummary>,
     offers: Vec<MigrationOffer>,
-} skip {
-    recoveries,
-    scratch_recoveries,
-    heals,
 });
 
 /// A shard asking the router to re-home one function's *future*

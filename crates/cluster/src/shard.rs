@@ -87,7 +87,6 @@ type Rebuild = Box<dyn Fn() -> Platform + Send>;
 pub struct Shard {
     id: u32,
     durable: Durable<Rebuild>,
-    outage_rounds: u64,
 }
 
 impl Shard {
@@ -105,7 +104,6 @@ impl Shard {
         Shard {
             id,
             durable: Durable::new(make, cadence, faults),
-            outage_rounds: 0,
         }
     }
 
@@ -174,7 +172,6 @@ impl Shard {
         front: Option<Vec<u8>>,
     ) {
         self.durable.journal_round(round, barrier, reset, batch, front);
-        self.outage_rounds += 1;
         match kind {
             OutageKind::Down => self.durable.mark_down(),
             OutageKind::Partitioned => self.durable.catch_up(),
@@ -183,7 +180,7 @@ impl Shard {
 
     /// The shard's barrier summary.
     fn report(&self, pressure: f64, max_offers: usize, drain: bool) -> ShardReport {
-        let (platform, counts) = (self.durable.platform(), self.durable.counts());
+        let platform = self.durable.platform();
         let warm = platform.frozen_by_function();
         let cache_budget = platform.config().cache_budget;
         let cache_used = platform.cache_used();
@@ -230,9 +227,6 @@ impl Shard {
             frozen: platform.frozen_count() as u64,
             warm,
             offers,
-            recoveries: counts.recoveries,
-            scratch_recoveries: counts.scratch_recoveries,
-            heals: counts.heals,
         }
     }
 
@@ -282,7 +276,6 @@ impl Shard {
             recoveries: counts.recoveries,
             scratch_recoveries: counts.scratch_recoveries,
             heals: counts.heals,
-            outage_rounds: self.outage_rounds,
             ..ClusterTotals::default()
         }
     }

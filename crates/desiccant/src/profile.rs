@@ -8,7 +8,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use faas::slab::{IdMap, Slab};
 use faas::{InstanceId, ReclaimProfile};
 
 
@@ -70,13 +69,8 @@ pub struct ThroughputEstimate {
 /// consulted in that order (§4.5.2's "handling new instances").
 #[derive(Debug, Clone, Default)]
 pub struct ProfileStore {
-    /// Per-instance profiles in a slab arena: the sweep's selection
-    /// loop calls [`ProfileStore::estimate`] once per frozen instance,
-    /// so the lookup is O(1) via `by_id` instead of a tree walk. The
-    /// wire format is unchanged — snapshots still carry id-sorted
-    /// `(id, profile)` rows.
-    per_instance: Slab<(InstanceId, Profile)>,
-    by_id: IdMap,
+    /// Per-instance profiles.
+    per_instance: BTreeMap<InstanceId, Profile>,
     per_function: BTreeMap<String, Profile>,
     global: Profile,
     /// Instances whose last reclamation failed: selection skips them
@@ -95,17 +89,7 @@ impl ProfileStore {
     /// Records a completed reclamation's profile. A success clears any
     /// standing failure mark — the runtime evidently recovered.
     pub fn record(&mut self, id: InstanceId, function: &str, profile: &ReclaimProfile) {
-        let h = match self.by_id.get(id) {
-            Some(h) => h,
-            None => {
-                let h = self.per_instance.insert((id, Profile::default()));
-                self.by_id.set(id, h);
-                h
-            }
-        };
-        if let Some((_, p)) = self.per_instance.get_mut(h) {
-            p.push(profile);
-        }
+        self.per_instance.entry(id).or_default().push(profile);
         self.per_function
             .entry(function.to_string())
             .or_default()
@@ -126,9 +110,7 @@ impl ProfileStore {
 
     /// Drops the per-instance profile of a destroyed instance.
     pub fn drop_instance(&mut self, id: InstanceId) {
-        if let Some(h) = self.by_id.clear(id) {
-            self.per_instance.remove(h);
-        }
+        self.per_instance.remove(&id);
         self.failed.remove(&id);
     }
 
@@ -147,10 +129,9 @@ impl ProfileStore {
         heap_resident: u64,
     ) -> ThroughputEstimate {
         let (live, cpu, unprofiled) = self
-            .by_id
-            .get(id)
-            .and_then(|h| self.per_instance.get(h))
-            .and_then(|(_, p)| p.estimate())
+            .per_instance
+            .get(&id)
+            .and_then(Profile::estimate)
             .or_else(|| self.per_function.get(function).and_then(Profile::estimate))
             .map(|(l, c)| (l, c, false))
             .or_else(|| self.global.estimate().map(|(l, c)| (l, c, false)))
@@ -170,7 +151,6 @@ impl ProfileStore {
 
 mod snap_impls {
     use super::*;
-    use snapshot::{Reader, SnapError, Snapshot, Writer};
 
     snapshot::record!(RunningMean { sum: f64, n: u64 });
 
@@ -179,56 +159,12 @@ mod snap_impls {
         cpu_time_secs: RunningMean,
     });
 
-    impl Snapshot for ProfileStore {
-        // The per-instance slab is serialized as id-sorted
-        // `(id, profile)` rows — byte-identical to the old
-        // `BTreeMap<InstanceId, Profile>` wire format, so existing
-        // checkpoint digests are unchanged.
-        fn snap(&self, w: &mut Writer) {
-            let Self {
-                per_instance,
-                by_id: _,
-                per_function,
-                global,
-                failed,
-            } = self;
-            let mut rows: Vec<(InstanceId, &Profile)> =
-                per_instance.iter().map(|(_, (id, p))| (*id, p)).collect();
-            rows.sort_unstable_by_key(|(id, _)| *id);
-            w.usize(rows.len());
-            for (id, p) in rows {
-                id.snap(w);
-                p.snap(w);
-            }
-            per_function.snap(w);
-            global.snap(w);
-            failed.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<ProfileStore, SnapError> {
-            let n = r.seq_len()?;
-            let mut per_instance = Slab::new();
-            let mut by_id = IdMap::new();
-            let mut prev: Option<InstanceId> = None;
-            for _ in 0..n {
-                let id = InstanceId::restore(r)?;
-                if prev.is_some_and(|p| p >= id) {
-                    return Err(SnapError::Corrupt("profile table not id-sorted"));
-                }
-                prev = Some(id);
-                let p = Profile::restore(r)?;
-                let h = per_instance.insert((id, p));
-                by_id.set(id, h);
-            }
-            Ok(ProfileStore {
-                per_instance,
-                by_id,
-                per_function: BTreeMap::restore(r)?,
-                global: Profile::restore(r)?,
-                failed: BTreeSet::restore(r)?,
-            })
-        }
-    }
+    snapshot::record!(ProfileStore {
+        per_instance: BTreeMap<InstanceId, Profile>,
+        per_function: BTreeMap<String, Profile>,
+        global: Profile,
+        failed: BTreeSet<InstanceId>,
+    });
 
     #[cfg(test)]
     mod tests {
@@ -254,6 +190,22 @@ mod snap_impls {
             assert_eq!(snapshot::encode(&back), bytes);
             assert!(back.is_failed(InstanceId(9)));
             assert_eq!(back.instances_profiled(), 1);
+        }
+
+        #[test]
+        fn out_of_order_profile_table_is_rejected() {
+            use snapshot::{SnapError, Snapshot, Writer};
+            let mut w = Writer::new();
+            w.usize(2);
+            for id in [7, 3] {
+                InstanceId(id).snap(&mut w);
+                Profile::default().snap(&mut w);
+            }
+            BTreeMap::<String, Profile>::new().snap(&mut w);
+            Profile::default().snap(&mut w);
+            BTreeSet::<InstanceId>::new().snap(&mut w);
+            let err = snapshot::decode::<ProfileStore>(&w.into_bytes()).unwrap_err();
+            assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
         }
     }
 }

@@ -63,7 +63,6 @@ pub mod histogram;
 pub mod manager;
 pub mod platform;
 pub mod queue;
-pub mod slab;
 pub mod stats;
 pub mod store;
 

@@ -34,6 +34,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use faas_runtime::{Instance, Language, RuntimeImage, SharedLibs};
 use simos::{SimDuration, SimTime, System};
+use snapshot::SnapError;
 use workloads::{FunctionSpec, FunctionState};
 
 use crate::config::{EnvFlavor, PlatformConfig};
@@ -41,7 +42,6 @@ use crate::error::{PlatformError, PlatformResult};
 use crate::fault::FaultInjector;
 use crate::manager::{FrozenView, MemoryManager, ReclaimProfile};
 use crate::queue::EventQueue;
-use crate::slab::{IdMap, Slab};
 use crate::stats::{CoreTimeKind, PlatformStats};
 
 mod checkpoint;
@@ -211,12 +211,10 @@ pub struct Platform {
     mode: GcMode,
     manager: Option<Box<dyn MemoryManager>>,
     sys: System,
-    /// Live instances, in a slab arena: per-event lookups are one
-    /// bounds-checked index via `by_id` instead of a tree walk.
-    slots: Slab<Slot>,
-    /// O(1) map from the monotonically assigned public ids to slab
-    /// handles (ids are never reused, so entries never alias).
-    by_id: IdMap,
+    /// Live instances by id. Ids are assigned in increasing order and
+    /// never reused, so map order is canonical order: the views a
+    /// sweep presents and the rows a checkpoint writes.
+    slots: BTreeMap<InstanceId, Slot>,
     /// Warm pools: most-recently-frozen last.
     pools: BTreeMap<(usize, u8), Vec<InstanceId>>,
     /// Shared library registrations per language (OpenWhisk only).
@@ -284,8 +282,7 @@ impl Platform {
             mode,
             manager,
             sys,
-            slots: Slab::new(),
-            by_id: IdMap::new(),
+            slots: BTreeMap::new(),
             pools: BTreeMap::new(),
             shared_libs,
             requests: Vec::new(),
@@ -352,8 +349,8 @@ impl Platform {
     /// Number of frozen instances.
     pub fn frozen_count(&self) -> usize {
         self.slots
-            .iter()
-            .filter(|(_, s)| s.status == Status::Frozen)
+            .values()
+            .filter(|s| s.status == Status::Frozen)
             .count()
     }
 
@@ -368,7 +365,7 @@ impl Platform {
     /// state.
     pub fn frozen_by_function(&self) -> BTreeMap<usize, FrozenFnSummary> {
         let mut out: BTreeMap<usize, FrozenFnSummary> = BTreeMap::new();
-        for (_, s) in self.slots.iter().filter(|(_, s)| s.status == Status::Frozen) {
+        for s in self.slots.values().filter(|s| s.status == Status::Frozen) {
             let e = out.entry(s.fn_idx).or_insert(FrozenFnSummary {
                 count: 0,
                 charge: 0,
@@ -384,7 +381,7 @@ impl Platform {
     /// The slot of instance `id`, if it is still alive.
     #[inline]
     fn slot(&self, id: InstanceId) -> Option<&Slot> {
-        self.by_id.get(id).and_then(|h| self.slots.get(h))
+        self.slots.get(&id)
     }
 
     /// The catalog spec for `fn_idx`. Function indices are positions in
@@ -430,42 +427,25 @@ impl Platform {
     /// byte-identity exactly to catch that).
     #[inline]
     fn mark_slot_dirty(&mut self, id: InstanceId) {
-        if self.by_id.get(id).is_some() {
+        if self.slots.contains_key(&id) {
             self.dirty_slots.insert(id);
         }
     }
 
-    /// Verifies the instance table's internal coherence: every live
-    /// slab entry is reachable through `by_id` under its own id, ids
-    /// are below the allocation cursor, and the id map holds no
-    /// dangling bindings. Used by the slab-stability chaos tests and
-    /// available to recovery drivers.
+    /// Verifies the instance table's internal coherence: every slot is
+    /// filed under its own id, ids are below the allocation cursor, and
+    /// every pooled id names a slot of its pool's function and stage.
+    /// Used by the chaos tests and available to recovery drivers.
     pub fn check_instance_table(&self) -> PlatformResult<()> {
-        use snapshot::SnapError;
-        let mut live = 0usize;
-        for (h, s) in self.slots.iter() {
-            live += 1;
-            if s.id.0 >= self.next_instance {
+        for (id, s) in &self.slots {
+            if s.id != *id {
+                return Err(SnapError::Corrupt("slot filed under another id").into());
+            }
+            if id.0 >= self.next_instance {
                 return Err(SnapError::Corrupt("instance id >= next_instance").into());
             }
-            if self.by_id.get(s.id) != Some(h) {
-                return Err(SnapError::Corrupt("slot not reachable under its own id").into());
-            }
         }
-        if live != self.slots.len() {
-            return Err(SnapError::Corrupt("slab length out of sync").into());
-        }
-        for (&(fn_idx, stage), ids) in &self.pools {
-            for id in ids {
-                let ok = self
-                    .slot(*id)
-                    .is_some_and(|s| s.fn_idx == fn_idx && s.stage == stage);
-                if !ok {
-                    return Err(SnapError::Corrupt("pool entry has no matching slot").into());
-                }
-            }
-        }
-        Ok(())
+        Ok(check_pools(&self.pools, &self.slots)?)
     }
 
     /// Requests neither completed nor failed yet. Counted from the
@@ -587,9 +567,7 @@ impl Platform {
     /// Destroys every instance and verifies the accounting returns to
     /// zero: no cache charge and no simulated process may survive.
     pub fn shutdown(&mut self) -> PlatformResult<()> {
-        let mut ids: Vec<InstanceId> = self.slots.iter().map(|(_, s)| s.id).collect();
-        ids.sort_unstable();
-        for id in ids {
+        while let Some(&id) = self.slots.keys().next() {
             self.destroy_instance(id);
         }
         self.pools.clear();
@@ -625,7 +603,7 @@ impl Platform {
             Event::ReclaimDone { id, cpus, ok } => {
                 self.release_cores(cpus);
                 self.mark_slot_dirty(id);
-                match self.by_id.get(id).and_then(|h| self.slots.get_mut(h)) {
+                match self.slots.get_mut(&id) {
                     Some(slot) if slot.status == Status::Reclaiming => {
                         slot.status = Status::Frozen;
                         slot.frozen_heap = None;
@@ -666,9 +644,8 @@ impl Platform {
     fn update_charge(&mut self, id: InstanceId, new_charge: u64) -> PlatformResult<()> {
         self.mark_slot_dirty(id);
         let slot = self
-            .by_id
-            .get(id)
-            .and_then(|h| self.slots.get_mut(h))
+            .slots
+            .get_mut(&id)
             .ok_or(PlatformError::StaleInstance {
                 id,
                 context: "update-charge",
@@ -715,7 +692,7 @@ impl Platform {
                     self.destroy_instance(id);
                 } else {
                     self.mark_slot_dirty(id);
-                    if let Some(slot) = self.by_id.get(id).and_then(|h| self.slots.get_mut(h)) {
+                    if let Some(slot) = self.slots.get_mut(&id) {
                         // Instances are charged at measured USS; the thawed
                         // instance keeps its freeze-time charge and is
                         // re-measured when it freezes again.
@@ -796,20 +773,22 @@ impl Platform {
         // admission estimate (exponential moving average).
         let footprint = inst.uss(&self.sys);
         self.boot_footprint = (self.boot_footprint * 3 + footprint) / 4;
-        let h = self.slots.insert(Slot {
+        self.slots.insert(
             id,
-            fn_idx,
-            stage: work.stage,
-            inst,
-            state,
-            status: Status::Starting,
-            frozen_since: self.now,
-            last_used: self.now,
-            charge: footprint,
-            reclaimed_since_use: false,
-            frozen_heap: None,
-        });
-        self.by_id.set(id, h);
+            Slot {
+                id,
+                fn_idx,
+                stage: work.stage,
+                inst,
+                state,
+                status: Status::Starting,
+                frozen_since: self.now,
+                last_used: self.now,
+                charge: footprint,
+                reclaimed_since_use: false,
+                frozen_heap: None,
+            },
+        );
         self.dirty_slots.insert(id);
         self.cache_used += footprint;
         self.used_cores += 1.0;
@@ -845,17 +824,16 @@ impl Platform {
             if self.cache_used + needed <= budget {
                 return true;
             }
-            // Tie-break equal `last_used` by lowest id — the order the
-            // old id-sorted table produced implicitly.
+            // Tie-break equal `last_used` by lowest id.
             let victim = self
                 .slots
-                .iter()
-                .filter(|(_, s)| {
+                .values()
+                .filter(|s| {
                     (s.status == Status::Frozen || s.status == Status::Reclaiming)
                         && Some(s.id) != exempt
                 })
-                .min_by_key(|(_, s)| (s.last_used, s.id))
-                .map(|(_, s)| s.id);
+                .min_by_key(|s| (s.last_used, s.id))
+                .map(|s| s.id);
             match victim {
                 Some(vid) => self.evict(vid),
                 None => return false,
@@ -882,7 +860,7 @@ impl Platform {
     /// releases its cache charge, tells the manager, and kills the
     /// simulated process. Returns the USS the kill freed.
     fn destroy_instance(&mut self, id: InstanceId) -> u64 {
-        let Some(slot) = self.by_id.clear(id).and_then(|h| self.slots.remove(h)) else {
+        let Some(slot) = self.slots.remove(&id) else {
             return 0;
         };
         self.dirty_slots.remove(&id);
@@ -912,10 +890,10 @@ impl Platform {
         }
         let victim = self
             .slots
-            .iter()
-            .filter(|(_, s)| s.status == Status::Frozen)
-            .max_by_key(|(_, s)| (s.charge, s.id))
-            .map(|(_, s)| s.id);
+            .values()
+            .filter(|s| s.status == Status::Frozen)
+            .max_by_key(|s| (s.charge, s.id))
+            .map(|s| s.id);
         if let Some(vid) = victim {
             self.stats.oom_kills += 1;
             if let Some(slot) = self.slot(vid) {
@@ -935,9 +913,8 @@ impl Platform {
             self.used_cores += self.config.cpu_share;
             self.mark_slot_dirty(id);
             let slot = self
-                .by_id
-                .get(id)
-                .and_then(|h| self.slots.get_mut(h))
+                .slots
+                .get_mut(&id)
                 .ok_or(PlatformError::StaleInstance {
                     id,
                     context: "boot-done",
@@ -1010,9 +987,8 @@ impl Platform {
         };
         let spec = self.spec(fn_idx);
         let slot = self
-            .by_id
-            .get(id)
-            .and_then(|h| self.slots.get_mut(h))
+            .slots
+            .get_mut(&id)
             .ok_or(PlatformError::StaleInstance {
                 id,
                 context: "start-execution",
@@ -1089,9 +1065,8 @@ impl Platform {
             GcMode::Eager => {
                 self.mark_slot_dirty(id);
                 let slot = self
-                    .by_id
-                    .get(id)
-                    .and_then(|h| self.slots.get_mut(h))
+                    .slots
+                    .get_mut(&id)
                     .ok_or(PlatformError::StaleInstance {
                         id,
                         context: "stage-done",
@@ -1123,9 +1098,8 @@ impl Platform {
     fn finish_freeze(&mut self, id: InstanceId) -> PlatformResult<()> {
         self.mark_slot_dirty(id);
         let slot = self
-            .by_id
-            .get(id)
-            .and_then(|h| self.slots.get_mut(h))
+            .slots
+            .get_mut(&id)
             .ok_or(PlatformError::StaleInstance {
                 id,
                 context: "finish-freeze",
@@ -1227,11 +1201,11 @@ impl Platform {
             return;
         };
         let sys = &self.sys;
-        let mut views: Vec<FrozenView> = self
+        let views: Vec<FrozenView> = self
             .slots
-            .iter_mut()
-            .filter(|(_, s)| s.status == Status::Frozen)
-            .map(|(_, s)| {
+            .values_mut()
+            .filter(|s| s.status == Status::Frozen)
+            .map(|s| {
                 let heap = s.inst.heap();
                 let heap_resident = *s.frozen_heap.get_or_insert_with(|| heap.resident_heap_bytes(sys));
                 debug_assert_eq!(
@@ -1252,10 +1226,6 @@ impl Platform {
                 }
             })
             .collect();
-        // Canonical id order: the slab iterates in slot order, but the
-        // manager contract (and the old id-sorted table) presents
-        // views lowest-id first.
-        views.sort_by_key(|v| v.id);
         let picks = manager.select_reclaims(
             self.now,
             self.config.cache_budget,
@@ -1276,7 +1246,7 @@ impl Platform {
             }
             let injected_failure = self.injector.as_mut().is_some_and(|i| i.reclaim_fails());
             self.mark_slot_dirty(id);
-            let Some(slot) = self.by_id.get(id).and_then(|h| self.slots.get_mut(h)) else {
+            let Some(slot) = self.slots.get_mut(&id) else {
                 continue;
             };
             slot.status = Status::Reclaiming;
@@ -1336,13 +1306,10 @@ impl Platform {
     /// USS of every live instance in id order, for harness
     /// measurements.
     pub fn instance_uss(&self) -> Vec<(InstanceId, u64)> {
-        let mut out: Vec<(InstanceId, u64)> = self
-            .slots
+        self.slots
             .iter()
-            .map(|(_, s)| (s.id, s.inst.uss(&self.sys)))
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
+            .map(|(&id, s)| (id, s.inst.uss(&self.sys)))
+            .collect()
     }
 
     /// Events handled since the platform was created (survives
@@ -1358,6 +1325,24 @@ impl Platform {
     /// count fires on the very next event.
     pub fn arm_kill(&mut self, at_events: u64) {
         self.kill_at = Some(at_events);
+    }
+}
+
+/// Every pooled id names a live slot of its pool's function and stage:
+/// the pool half of [`Platform::check_instance_table`], also run on a
+/// restored table before it is committed.
+fn check_pools(
+    pools: &BTreeMap<(usize, u8), Vec<InstanceId>>,
+    slots: &BTreeMap<InstanceId, Slot>,
+) -> Result<(), SnapError> {
+    let coherent = pools.iter().all(|(&(fn_idx, stage), ids)| {
+        ids.iter()
+            .all(|id| slots.get(id).is_some_and(|s| s.fn_idx == fn_idx && s.stage == stage))
+    });
+    if coherent {
+        Ok(())
+    } else {
+        Err(SnapError::Corrupt("pool entry has no matching slot"))
     }
 }
 
@@ -1567,9 +1552,9 @@ mod tests {
         };
         let frozen_memos = |p: &Platform| -> Vec<Option<u64>> {
             p.slots
-                .iter()
-                .filter(|(_, s)| s.status == Status::Frozen)
-                .map(|(_, s)| s.frozen_heap)
+                .values()
+                .filter(|s| s.status == Status::Frozen)
+                .map(|s| s.frozen_heap)
                 .collect()
         };
         let end = SimTime(60_000_000_000);

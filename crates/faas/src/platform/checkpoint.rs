@@ -20,14 +20,13 @@ use snapshot::{Reader, SnapError, Snapshot, Writer};
 use workloads::FunctionState;
 
 use super::{
-    Breaker, BreakerState, Event, ExtraFrames, FailReason, FrozenFnSummary, GcMode, InstanceId,
-    Outcome, PendingStage, Platform, Request, Slot, Status,
+    check_pools, Breaker, BreakerState, Event, ExtraFrames, FailReason, FrozenFnSummary, GcMode,
+    InstanceId, Outcome, PendingStage, Platform, Request, Slot, Status,
 };
 use crate::config::EnvFlavor;
 use crate::error::PlatformResult;
 use crate::fault::FaultInjector;
 use crate::queue::EventQueue;
-use crate::slab::{IdMap, Slab};
 use crate::stats::PlatformStats;
 
 /// Magic of a [`Platform::checkpoint`] blob (`"FPCK"`).
@@ -117,11 +116,7 @@ impl Platform {
         snapshot::write_header(&mut w, SNAP_MAGIC, SNAP_VERSION);
         self.fingerprint().snap(&mut w);
         self.sys.snap(&mut w);
-        let live = self.live_slots();
-        w.usize(live.len());
-        for s in live {
-            s.snap(&mut w);
-        }
+        Slot::snap_seq(self.slots.values(), &mut w);
         self.snap_tail(&mut w);
         let mut bytes = w.into_bytes();
         bytes.shrink_to_fit();
@@ -136,14 +131,6 @@ impl Platform {
         let spaces = self.sys.spaces();
         let bitmaps: usize = spaces.flat_map(|(_, s)| s.mappings()).map(Mapping::bitmap_bytes).sum();
         bitmaps / 2 * 3
-    }
-
-    /// Live instances in id order: the instance table's row order in
-    /// the flat checkpoint and the `SLOT` frame order of a base cut.
-    fn live_slots(&self) -> Vec<&Slot> {
-        let mut live: Vec<&Slot> = self.slots.iter().map(|(_, s)| s).collect();
-        live.sort_unstable_by_key(|s| s.id);
-        live
     }
 
     /// Everything after the instance table: pools, shared libraries,
@@ -193,19 +180,26 @@ impl Platform {
         let fp = u64::restore(&mut r)?;
         let sys = System::restore(&mut r)?;
         let slot_rows = Vec::<Slot>::restore(&mut r)?;
-        self.validate_and_commit(fp, sys, slot_rows, r)
+        let mut slots = BTreeMap::new();
+        for slot in slot_rows {
+            if slots.last_key_value().is_some_and(|(&last, _)| last >= slot.id) {
+                return Err(SnapError::Corrupt("instance table not id-sorted").into());
+            }
+            slots.insert(slot.id, slot);
+        }
+        self.validate_and_commit(fp, sys, slots, r)
     }
 
     /// The one restore step both paths share: checks the fingerprint,
     /// decodes the [`Platform::snap_tail`] section from `tail` (which
     /// must hold nothing more), cross-checks it against `sys` and the
-    /// id-ordered `slot_rows`, and only then replaces this platform's
+    /// instance table `slots`, and only then replaces this platform's
     /// state. On any error the platform is untouched.
     fn validate_and_commit(
         &mut self,
         fp: u64,
         sys: System,
-        slot_rows: Vec<Slot>,
+        slots: BTreeMap<InstanceId, Slot>,
         mut tail: Reader<'_>,
     ) -> PlatformResult<()> {
         if fp != self.fingerprint() {
@@ -253,10 +247,7 @@ impl Platform {
             }
         }
         let mut charge_sum = 0u64;
-        for (i, slot) in slot_rows.iter().enumerate() {
-            if i.checked_sub(1).and_then(|j| slot_rows.get(j)).is_some_and(|p| p.id >= slot.id) {
-                return Err(SnapError::Corrupt("instance table not id-sorted").into());
-            }
+        for slot in slots.values() {
             if slot.id.0 >= next_instance {
                 return Err(SnapError::Corrupt("instance id >= next_instance").into());
             }
@@ -272,24 +263,7 @@ impl Platform {
         if charge_sum != cache_used {
             return Err(SnapError::Corrupt("cache charge does not sum").into());
         }
-        let mut slots: Slab<Slot> = Slab::new();
-        let mut by_id = IdMap::new();
-        for slot in slot_rows {
-            let id = slot.id;
-            let h = slots.insert(slot);
-            by_id.set(id, h);
-        }
-        for (&(fn_idx, stage), ids) in &pools {
-            for id in ids {
-                let ok = by_id
-                    .get(*id)
-                    .and_then(|h| slots.get(h))
-                    .is_some_and(|s| s.fn_idx == fn_idx && s.stage == stage);
-                if !ok {
-                    return Err(SnapError::Corrupt("pool entry has no matching slot").into());
-                }
-            }
-        }
+        check_pools(&pools, &slots)?;
         let ev_ok = |req: usize| req < requests.len();
         for (_, ev_seq, ev) in &event_rows {
             if *ev_seq > seq {
@@ -330,7 +304,6 @@ impl Platform {
 
         self.sys = sys;
         self.slots = slots;
-        self.by_id = by_id;
         self.pools = pools;
         self.shared_libs = shared_libs;
         self.requests = requests;
@@ -441,7 +414,7 @@ impl Platform {
                     space.snap(w);
                 });
             }
-            for s in p.live_slots() {
+            for s in p.slots.values() {
                 cw.frame_with(Self::FRAME_SLOT, |w| s.snap(w));
             }
         })
@@ -526,7 +499,7 @@ impl Platform {
         let mut fingerprint: Option<u64> = None;
         let mut control: Option<&[u8]> = None;
         let mut spaces: BTreeMap<Pid, AddressSpace> = BTreeMap::new();
-        let mut slots: BTreeMap<u64, Slot> = BTreeMap::new();
+        let mut slots: BTreeMap<InstanceId, Slot> = BTreeMap::new();
         let mut extra: Vec<(u32, Vec<u8>)> = Vec::new();
         for container in &containers {
             extra.clear();
@@ -563,11 +536,11 @@ impl Platform {
                     }
                     Self::FRAME_SLOT => {
                         let slot = Slot::restore(&mut r)?;
-                        slots.insert(slot.id.0, slot);
+                        slots.insert(slot.id, slot);
                     }
                     Self::FRAME_SLOT_TOMB => {
                         for id in Vec::<InstanceId>::restore(&mut r)? {
-                            slots.remove(&id.0);
+                            slots.remove(&id);
                         }
                     }
                     other if other >= Self::FRAME_EXTRA_BASE => {
@@ -593,7 +566,7 @@ impl Platform {
         let tail = cr.blob()?;
         cr.finish()?;
         let sys = System::from_parts(files, spaces, next_pid)?;
-        self.validate_and_commit(fp, sys, slots.into_values().collect(), Reader::new(tail))?;
+        self.validate_and_commit(fp, sys, slots, Reader::new(tail))?;
         let head_epoch = containers.last().map_or(0, |c| c.epoch);
         Ok((head_epoch, extra))
     }

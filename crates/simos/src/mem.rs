@@ -149,6 +149,7 @@ pub mod pagebits {
         }
 
         /// Sets page `idx`; returns true if it was newly set.
+        #[cfg(test)]
         pub fn set(&mut self, idx: usize) -> bool {
             self.set_word_bits(idx / 64, 1 << (idx % 64)) != 0
         }

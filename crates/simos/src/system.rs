@@ -209,28 +209,28 @@ impl FileRegistry {
     /// every page's mapper count equals the number of mappings holding
     /// that page clean and resident.
     fn check_coherent(&self, spaces: &BTreeMap<Pid, AddressSpace>) -> Result<(), &'static str> {
-        let mut held = FileRegistry {
-            files: self
-                .files
-                .iter()
-                .map(|f| FileInfo::new(String::new(), vec![0; f.mapper_counts.len()]))
-                .collect(),
-        };
+        let mut held: Vec<Vec<u32>> = self
+            .files
+            .iter()
+            .map(|f| vec![0; f.mapper_counts.len()])
+            .collect();
         for m in spaces.values().flat_map(AddressSpace::mappings) {
             if let MappingKind::PrivateFile(file) = m.kind {
-                if self.check_mapping(m.kind, m.len()).is_err() {
-                    return Err("file mapping names an unknown file or runs past its end");
-                }
-                for (w, bits) in m.clean_resident_words(0, m.page_count()) {
-                    held.inc_mappers(file, w, bits);
-                }
+                let counts = match held.get_mut(file.0 as usize) {
+                    Some(counts) if self.check_mapping(m.kind, m.len()).is_ok() => counts,
+                    _ => return Err("file mapping names an unknown file or runs past its end"),
+                };
+                m.for_each_clean_resident_page(|page| {
+                    if let Some(c) = counts.get_mut(page) {
+                        *c += 1;
+                    }
+                });
             }
         }
         if held
-            .files
             .iter()
             .zip(&self.files)
-            .any(|(held, have)| held.mapper_counts != have.mapper_counts)
+            .any(|(held, have)| *held != have.mapper_counts)
         {
             return Err("file page mapper count disagrees with its clean resident mappers");
         }

@@ -673,9 +673,10 @@ impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
         for _ in 0..n {
             let k = K::restore(r)?;
             let v = V::restore(r)?;
-            if out.insert(k, v).is_some() {
-                return Err(SnapError::Corrupt("duplicate map key"));
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapError::Corrupt("map keys not strictly ascending"));
             }
+            out.insert(k, v);
         }
         Ok(out)
     }
@@ -692,9 +693,11 @@ impl<T: Snapshot + Ord> Snapshot for BTreeSet<T> {
         let n = r.seq_len()?;
         let mut out = BTreeSet::new();
         for _ in 0..n {
-            if !out.insert(T::restore(r)?) {
-                return Err(SnapError::Corrupt("duplicate set element"));
+            let v = T::restore(r)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(SnapError::Corrupt("set elements not strictly ascending"));
             }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -827,6 +830,25 @@ mod tests {
         w.u64(7);
         w.u64(2);
         let err = decode::<BTreeMap<u64, u64>>(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn swapped_map_keys_and_set_elements_are_corrupt() {
+        let mut map = Writer::new();
+        map.usize(2);
+        for (k, v) in [(9u64, 1u64), (4, 2)] {
+            map.u64(k);
+            map.u64(v);
+        }
+        let err = decode::<BTreeMap<u64, u64>>(&map.into_bytes()).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
+
+        let mut set = Writer::new();
+        set.usize(2);
+        set.u64(9);
+        set.u64(4);
+        let err = decode::<BTreeSet<u64>>(&set.into_bytes()).unwrap_err();
         assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every rule scans the blanked token text produced by
 //! [`crate::lexer`]; rule applicability is decided from the
-//! workspace-relative path (forward slashes). Four families:
+//! workspace-relative path (forward slashes). Three families:
 //!
 //! * **determinism** — `wall-clock`, `raw-threads`, plus the call-graph
 //!   rules `determinism-dataflow` and `barrier-discipline` (see
@@ -19,9 +19,6 @@
 //!   and no library (vendored shims included) keeps a `pub` item that
 //!   nothing outside its own definition and tests names (another
 //!   library's unit tests do not count as a caller).
-//! * **performance** — `hot-containers`: sim-state crates may not
-//!   reintroduce `BTreeMap<InstanceId, _>` per-event lookups; the slab
-//!   arenas replaced them for a reason.
 //!
 //! A violation is suppressed by an inline marker on the same or the
 //! preceding line:
@@ -108,13 +105,6 @@ pub const RULES: &[Rule] = &[
                silent state loss",
     },
     Rule {
-        name: "hot-containers",
-        family: "performance",
-        summary: "BTreeMap<InstanceId, _> on a sim-state hot path",
-        hint: "use faas::slab::{Slab, IdMap} for per-instance state; if the map is \
-               provably off the per-event path, add `// tidy:allow(hot-containers) -- why`",
-    },
-    Rule {
         name: "forbid-unsafe",
         family: "hygiene",
         summary: "crate root missing #![forbid(unsafe_code)]",
@@ -171,9 +161,8 @@ impl Finding {
 // Path scoping
 // ---------------------------------------------------------------------------
 
-/// Crates whose state feeds simulation outcomes: the per-event hot
-/// paths `hot-containers` guards and the digest-feeding code
-/// `determinism-dataflow` governs.
+/// Crates whose state feeds simulation outcomes: the digest-feeding
+/// code `determinism-dataflow` governs.
 const SIM_STATE_CRATES: &[&str] = &[
     "simos",
     "faas",
@@ -396,29 +385,6 @@ fn path_segment_after(text: &str, end: usize) -> Option<&str> {
     Some(&text[s..e])
 }
 
-/// After an ident ending at `end`, matches `< Ident` (or `::< Ident`,
-/// the turbofish) and returns the leading ident of the first generic
-/// argument.
-fn first_generic_arg(text: &str, end: usize) -> Option<&str> {
-    let bytes = text.as_bytes();
-    let (mut p, mut b) = next_nonspace(bytes, end)?;
-    if b == b':' && bytes.get(p + 1) == Some(&b':') {
-        (p, b) = next_nonspace(bytes, p + 2)?;
-    }
-    if b != b'<' {
-        return None;
-    }
-    let (s, b2) = next_nonspace(bytes, p + 1)?;
-    if !is_ident_byte(b2) {
-        return None;
-    }
-    let mut e = s;
-    while e < bytes.len() && is_ident_byte(bytes[e]) {
-        e += 1;
-    }
-    Some(&text[s..e])
-}
-
 // ---------------------------------------------------------------------------
 // Source checking
 // ---------------------------------------------------------------------------
@@ -465,7 +431,6 @@ fn scan_tokens(
     mask: &[bool],
     out: &mut Vec<Finding>,
 ) {
-    let sim_state = in_sim_state_crate(path);
     let casts = in_cast_scope(path);
     let threads_ok = thread_exempt(path);
     for (s, e) in idents(text) {
@@ -493,20 +458,6 @@ fn scan_tokens(
                         ));
                     }
                 }
-            }
-            "BTreeMap"
-                if sim_state
-                    && !is_test_line(mask, line)
-                    && first_generic_arg(text, e) == Some("InstanceId") =>
-            {
-                out.push(Finding::new(
-                    path,
-                    line,
-                    "hot-containers",
-                    "`BTreeMap<InstanceId, _>` per-event lookup table \
-                     (the slab arena replaced it)"
-                        .to_string(),
-                ));
             }
             "as" if casts && !is_test_line(mask, line) => {
                 if let Some(target) = path_or_ident_after(text, e) {

@@ -49,11 +49,6 @@ fn every_source_rule_fires_on_its_seeded_fixture() {
             "crates/faas/src/fake.rs",
         ),
         ("forbid-unsafe", "forbid_unsafe.rs", "crates/fake/src/lib.rs"),
-        (
-            "hot-containers",
-            "hot_containers.rs",
-            "crates/faas/src/fake.rs",
-        ),
     ];
     for (rule, file, path) in cases {
         let findings = check_source(path, &fixture(file));
@@ -71,7 +66,6 @@ fn seeded_violations_vanish_outside_their_rule_scope() {
         ("lossy_casts.rs", "crates/faas/src/fake.rs"),
         ("snapshot_coverage.rs", "crates/xtask/src/fake.rs"),
         ("forbid_unsafe.rs", "crates/fake/src/notroot.rs"),
-        ("hot_containers.rs", "crates/xtask/src/fake.rs"),
     ];
     for (file, path) in cases {
         let findings = check_source(path, &fixture(file));
@@ -177,10 +171,10 @@ pub fn stopped() -> Instant { Instant::now() }
 
 #[test]
 fn every_rule_in_the_catalogue_has_family_and_hint() {
-    assert_eq!(RULES.len(), 11);
+    assert_eq!(RULES.len(), 10);
     for r in RULES {
         assert!(
-            ["determinism", "robustness", "hygiene", "performance"].contains(&r.family),
+            ["determinism", "robustness", "hygiene"].contains(&r.family),
             "{} has odd family {}",
             r.name,
             r.family
@@ -325,7 +319,7 @@ fn a_clean_audit_counts_its_allow_markers_per_rule() {
     assert!(audit.findings.is_empty(), "{:?}", audit.findings);
     assert_eq!(
         audit.summary(),
-        "tidy: OK (11 rules enforced; 3 allow markers: panic-reachability 2, wall-clock 1; \
+        "tidy: OK (10 rules enforced; 3 allow markers: panic-reachability 2, wall-clock 1; \
          18 non-test code lines: faas 18; benchmark package 6)"
     );
     // Every marker is load-bearing: without them the findings return.

@@ -38,7 +38,7 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// Pins every byte of a base cut, the delta cut after it, and the
 /// flat checkpoint after both. The constants were produced by the
 /// encoders as they stood before `checkpoint()` and the framed cuts
-/// shared one field list (`snap_tail`, `live_slots`, `cut`), so a
+/// shared one field list (`snap_tail` and `cut`), so a
 /// pass here shows the single encoder kept the wire format.
 #[test]
 fn container_and_checkpoint_bytes_are_pinned() {
