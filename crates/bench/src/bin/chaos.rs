@@ -43,11 +43,10 @@
 
 use azure_trace::{build_trace, replay, replay_resumable, ReplayConfig};
 use bench::cli::{check, Flags};
+use bench::golden::platform;
 use bench::report;
 use cluster::{fnv64_bytes, fnv64_update};
-use desiccant::{Desiccant, DesiccantConfig};
-use faas::platform::{GcMode, Platform};
-use faas::{CrashPlan, FaultPlan, MemoryManager, PlatformConfig, StorageFaultPlan};
+use faas::{CrashPlan, FaultPlan, PlatformConfig, StorageFaultPlan};
 use simos::metrics::{total_pss, total_rss, total_uss};
 use simos::SimDuration;
 
@@ -72,17 +71,12 @@ struct RunProbe {
 }
 
 fn run_one(mode: &str, quick: bool, faults: Option<FaultPlan>) -> RunProbe {
-    let catalog = workloads::catalog();
-    let trace = build_trace(&catalog, 7);
-    let manager: Option<Box<dyn MemoryManager>> = match mode {
-        "desiccant" => Some(Box::new(Desiccant::new(DesiccantConfig::default()))),
-        _ => None,
-    };
+    let trace = build_trace(&workloads::catalog(), 7);
     let platform_config = PlatformConfig {
         faults,
         ..PlatformConfig::default()
     };
-    let mut p = Platform::new(platform_config, catalog, GcMode::Vanilla, manager);
+    let mut p = platform(mode, platform_config);
     let config = ReplayConfig {
         scale: 15.0,
         warmup: SimDuration::from_secs(if quick { 10 } else { 30 }),
@@ -170,18 +164,7 @@ fn kill_recover_gate(flags: &Flags, crash: CrashPlan, storage: Option<StorageFau
         &["mode", "recoveries", "scratch", "store_faults", "control", "recovered"],
     );
     for mode in ["vanilla", "desiccant"] {
-        let make = || {
-            let manager: Option<Box<dyn MemoryManager>> = match mode {
-                "desiccant" => Some(Box::new(Desiccant::new(DesiccantConfig::default()))),
-                _ => None,
-            };
-            Platform::new(
-                PlatformConfig::default(),
-                workloads::catalog(),
-                GcMode::Vanilla,
-                manager,
-            )
-        };
+        let make = || platform(mode, PlatformConfig::default());
         let trace = build_trace(&workloads::catalog(), 7);
         let config = ReplayConfig {
             scale: 15.0,

@@ -5,37 +5,13 @@
 //! factor the p99 gap narrows as CPU exhaustion dominates everyone's
 //! tail.
 //!
-//! Flags: `--quick`, `--check`.
+//! Flags: `--quick`, `--check`, `--jobs N`.
 
 #![forbid(unsafe_code)]
 
-use azure_trace::{build_trace, replay, ReplayConfig};
 use bench::cli::{check, Flags};
+use bench::golden::trace_figure_matrix;
 use bench::report;
-use desiccant::{Desiccant, DesiccantConfig};
-use faas::platform::{GcMode, Platform};
-use faas::{MemoryManager, PlatformConfig};
-use simos::SimDuration;
-
-fn run_one(scale: f64, mode: &str, quick: bool) -> azure_trace::ReplayOutcome {
-    let catalog = workloads::catalog();
-    let trace = build_trace(&catalog, 11);
-    let manager: Option<Box<dyn MemoryManager>> = match mode {
-        "desiccant" => Some(Box::new(Desiccant::new(DesiccantConfig::default()))),
-        _ => None,
-    };
-    let gc = if mode == "eager" { GcMode::Eager } else { GcMode::Vanilla };
-    let mut p = Platform::new(PlatformConfig::default(), catalog, gc, manager);
-    let config = ReplayConfig {
-        scale,
-        // Quick still needs a window long enough for cache pressure to
-        // differentiate the modes (see fig9).
-        warmup: SimDuration::from_secs(if quick { 45 } else { 60 }),
-        duration: SimDuration::from_secs(if quick { 150 } else { 180 }),
-        ..ReplayConfig::default()
-    };
-    replay(&mut p, &trace, &config)
-}
 
 /// `(p50, p90, p95, p99)` in milliseconds.
 type LatencyQuartet = (f64, f64, f64, f64);
@@ -53,27 +29,24 @@ fn main() {
     // EXPERIMENTS.md).
     let mut medium: Vec<(String, LatencyQuartet)> = Vec::new();
     let mut high: Vec<(String, LatencyQuartet)> = Vec::new();
-    for scale in [15.0, 60.0] {
-        for mode in ["vanilla", "eager", "desiccant"] {
-            let out = run_one(scale, mode, flags.quick);
-            let (p50, p90, p95, p99) = out.latency_ms;
-            report::row(&[
-                format!("{scale}"),
-                mode.into(),
-                format!("{p50:.0}"),
-                format!("{p90:.0}"),
-                format!("{p95:.0}"),
-                format!("{p99:.0}"),
-                format!("{}", out.failed),
-                format!("{}", out.retries),
-                format!("{}", out.fault_events),
-            ]);
-            residual_faults += out.failed + out.retries + out.fault_events;
-            if (scale - 15.0).abs() < 1e-9 {
-                medium.push((mode.into(), out.latency_ms));
-            } else {
-                high.push((mode.into(), out.latency_ms));
-            }
+    for (scale, mode, out) in trace_figure_matrix(&[15.0, 60.0], flags.quick, flags.jobs()) {
+        let (p50, p90, p95, p99) = out.latency_ms;
+        report::row(&[
+            format!("{scale}"),
+            mode.into(),
+            format!("{p50:.0}"),
+            format!("{p90:.0}"),
+            format!("{p95:.0}"),
+            format!("{p99:.0}"),
+            format!("{}", out.failed),
+            format!("{}", out.retries),
+            format!("{}", out.fault_events),
+        ]);
+        residual_faults += out.failed + out.retries + out.fault_events;
+        if (scale - 15.0).abs() < 1e-9 {
+            medium.push((mode.into(), out.latency_ms));
+        } else {
+            high.push((mode.into(), out.latency_ms));
         }
     }
     let get = |rows: &[(String, LatencyQuartet)], m: &str| {

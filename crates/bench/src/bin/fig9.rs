@@ -8,38 +8,13 @@
 //! extra CPU at low scale factors (per-exit GCs); reclamation itself
 //! stays under ~6 % CPU.
 //!
-//! Flags: `--quick` (smaller sweep, shorter replay), `--check`.
+//! Flags: `--quick` (smaller sweep, shorter replay), `--check`, `--jobs N`.
 
 #![forbid(unsafe_code)]
 
-use azure_trace::{build_trace, replay, ReplayConfig};
 use bench::cli::{check, Flags};
+use bench::golden::trace_figure_matrix;
 use bench::report;
-use desiccant::{Desiccant, DesiccantConfig};
-use faas::platform::{GcMode, Platform};
-use faas::{MemoryManager, PlatformConfig};
-use simos::SimDuration;
-
-fn run_one(scale: f64, mode: &str, quick: bool) -> azure_trace::ReplayOutcome {
-    let catalog = workloads::catalog();
-    let trace = build_trace(&catalog, 11);
-    let manager: Option<Box<dyn MemoryManager>> = match mode {
-        "desiccant" => Some(Box::new(Desiccant::new(DesiccantConfig::default()))),
-        _ => None,
-    };
-    let gc = if mode == "eager" { GcMode::Eager } else { GcMode::Vanilla };
-    let mut p = Platform::new(PlatformConfig::default(), catalog, gc, manager);
-    let config = ReplayConfig {
-        scale,
-        // The quick window still has to be long enough for cache
-        // pressure to build at sf 15, or the cold-boot checks become
-        // vacuous (all modes identical).
-        warmup: SimDuration::from_secs(if quick { 45 } else { 60 }),
-        duration: SimDuration::from_secs(if quick { 150 } else { 180 }),
-        ..ReplayConfig::default()
-    };
-    replay(&mut p, &trace, &config)
-}
 
 fn main() {
     let flags = Flags::parse(&[], &[]);
@@ -67,33 +42,30 @@ fn main() {
     let mut at_hi: Vec<(String, azure_trace::ReplayOutcome)> = Vec::new();
     let mut eager_low_util = 0.0;
     let mut vanilla_low_util = 0.0;
-    for &scale in scales {
-        for mode in ["vanilla", "eager", "desiccant"] {
-            let out = run_one(scale, mode, flags.quick);
-            report::row(&[
-                format!("{scale}"),
-                mode.into(),
-                format!("{:.3}", out.cold_boot_rate),
-                format!("{:.1}", out.throughput),
-                format!("{:.3}", out.cpu_utilization),
-                format!("{:.3}", out.reclaim_cpu_fraction),
-                format!("{}", out.failed),
-                format!("{}", out.retries),
-                format!("{}", out.fault_events),
-            ]);
-            residual_faults += out.failed + out.retries + out.fault_events;
-            if (scale - 15.0).abs() < 1e-9 {
-                at15.push((mode.into(), out.clone()));
-            }
-            if (scale - scales.last().expect("nonempty")).abs() < 1e-9 {
-                at_hi.push((mode.into(), out.clone()));
-            }
-            if (scale - 5.0).abs() < 1e-9 {
-                match mode {
-                    "eager" => eager_low_util = out.cpu_utilization,
-                    "vanilla" => vanilla_low_util = out.cpu_utilization,
-                    _ => {}
-                }
+    for (scale, mode, out) in trace_figure_matrix(scales, flags.quick, flags.jobs()) {
+        report::row(&[
+            format!("{scale}"),
+            mode.into(),
+            format!("{:.3}", out.cold_boot_rate),
+            format!("{:.1}", out.throughput),
+            format!("{:.3}", out.cpu_utilization),
+            format!("{:.3}", out.reclaim_cpu_fraction),
+            format!("{}", out.failed),
+            format!("{}", out.retries),
+            format!("{}", out.fault_events),
+        ]);
+        residual_faults += out.failed + out.retries + out.fault_events;
+        if (scale - 15.0).abs() < 1e-9 {
+            at15.push((mode.into(), out.clone()));
+        }
+        if (scale - scales.last().expect("nonempty")).abs() < 1e-9 {
+            at_hi.push((mode.into(), out.clone()));
+        }
+        if (scale - 5.0).abs() < 1e-9 {
+            match mode {
+                "eager" => eager_low_util = out.cpu_utilization,
+                "vanilla" => vanilla_low_util = out.cpu_utilization,
+                _ => {}
             }
         }
     }

@@ -1,5 +1,6 @@
-//! Golden-replay digests: a bit-exact fingerprint of the trace-replay
-//! pipeline in its fault-free configuration.
+//! Golden-replay digests — a bit-exact fingerprint of the trace-replay
+//! pipeline in its fault-free configuration — and the replay-mode
+//! platforms the digest, the trace figures and the chaos harness share.
 //!
 //! The fault-injection subsystem guarantees that with faults disabled
 //! the platform produces byte-identical results to a build that has no
@@ -10,12 +11,57 @@
 //! `tests/golden_replay.rs` pins it to the value captured before the
 //! fault subsystem landed.
 
-use azure_trace::{build_trace, replay, ReplayConfig};
+use azure_trace::{build_trace, replay, ReplayConfig, ReplayOutcome};
 use cluster::{fnv64_bytes, fnv64_update};
 use desiccant::{Desiccant, DesiccantConfig};
 use faas::platform::{GcMode, Platform};
 use faas::{MemoryManager, PlatformConfig};
 use simos::SimDuration;
+
+use crate::run_jobs;
+
+/// The replay modes of the golden matrix and of the trace figures, in
+/// row order. The golden digest hashes each name.
+pub const MODES: [&str; 3] = ["vanilla", "eager", "desiccant"];
+
+/// A platform over the workload catalog in one replay mode: `eager`
+/// collects at every instance exit, `desiccant` runs the Desiccant
+/// manager, and `vanilla` does neither.
+pub fn platform(mode: &str, config: PlatformConfig) -> Platform {
+    let manager: Option<Box<dyn MemoryManager>> = match mode {
+        "desiccant" => Some(Box::new(Desiccant::new(DesiccantConfig::default()))),
+        _ => None,
+    };
+    let gc = if mode == "eager" { GcMode::Eager } else { GcMode::Vanilla };
+    Platform::new(config, workloads::catalog(), gc, manager)
+}
+
+/// The trace figures' matrix (figures 9 and 10): the seed-11 Azure
+/// trace replayed at every scale factor in every [`MODES`] mode, fanned
+/// across `jobs` workers. Rows come back scale-major in mode order,
+/// identical at any `jobs`.
+pub fn trace_figure_matrix(
+    scales: &[f64],
+    quick: bool,
+    jobs: usize,
+) -> Vec<(f64, &'static str, ReplayOutcome)> {
+    let trace = build_trace(&workloads::catalog(), 11);
+    let work: Vec<(f64, &'static str)> =
+        scales.iter().flat_map(|&scale| MODES.map(|mode| (scale, mode))).collect();
+    let outcomes = run_jobs(jobs, &work, |&(scale, mode)| {
+        let config = ReplayConfig {
+            scale,
+            // The quick window still has to be long enough for cache
+            // pressure to build at sf 15, or the cold-boot and latency
+            // checks become vacuous (all modes identical).
+            warmup: SimDuration::from_secs(if quick { 45 } else { 60 }),
+            duration: SimDuration::from_secs(if quick { 150 } else { 180 }),
+            ..ReplayConfig::default()
+        };
+        replay(&mut platform(mode, PlatformConfig::default()), &trace, &config)
+    });
+    work.into_iter().zip(outcomes).map(|((scale, mode), out)| (scale, mode, out)).collect()
+}
 
 /// Runs the standard golden matrix — vanilla, eager, and Desiccant over
 /// a short Azure-trace replay — and digests every outcome bit-exactly.
@@ -27,15 +73,9 @@ use simos::SimDuration;
 pub fn standard_digest() -> u64 {
     // FNV-1a of nothing: the offset basis.
     let mut h = fnv64_bytes(&[]);
-    for mode in ["vanilla", "eager", "desiccant"] {
-        let catalog = workloads::catalog();
-        let trace = build_trace(&catalog, 7);
-        let manager: Option<Box<dyn MemoryManager>> = match mode {
-            "desiccant" => Some(Box::new(Desiccant::new(DesiccantConfig::default()))),
-            _ => None,
-        };
-        let gc = if mode == "eager" { GcMode::Eager } else { GcMode::Vanilla };
-        let mut p = Platform::new(PlatformConfig::default(), catalog, gc, manager);
+    let trace = build_trace(&workloads::catalog(), 7);
+    for mode in MODES {
+        let mut p = platform(mode, PlatformConfig::default());
         let config = ReplayConfig {
             scale: 15.0,
             warmup: SimDuration::from_secs(10),

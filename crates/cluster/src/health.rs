@@ -24,8 +24,6 @@
 //! hash-affinity snap back to the home shard the moment it reports
 //! again.
 
-use snapshot::{Reader, SnapError, Snapshot, Writer};
-
 /// Router-observed availability of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
@@ -57,27 +55,7 @@ impl HealthState {
     }
 }
 
-impl Snapshot for HealthState {
-    fn snap(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            HealthState::Up => 0,
-            HealthState::Suspect => 1,
-            HealthState::Down => 2,
-            HealthState::Probing => 3,
-        };
-        tag.snap(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<HealthState, SnapError> {
-        match u8::restore(r)? {
-            0 => Ok(HealthState::Up),
-            1 => Ok(HealthState::Suspect),
-            2 => Ok(HealthState::Down),
-            3 => Ok(HealthState::Probing),
-            _ => Err(SnapError::Corrupt("unknown health-state tag")),
-        }
-    }
-}
+snapshot::record!(enum HealthState { 0 => Up, 1 => Suspect, 2 => Down, 3 => Probing });
 
 /// Thresholds of the health machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,5 +240,14 @@ mod tests {
         }
         let back: Health = snapshot::decode(&snapshot::encode(&h)).expect("decode");
         assert_eq!(h, back);
+    }
+
+    #[test]
+    fn health_state_wire_tags_are_pinned() {
+        use HealthState::*;
+        for (state, tag) in [(Up, 0u8), (Suspect, 1), (Down, 2), (Probing, 3)] {
+            assert_eq!(snapshot::encode(&state), [tag]);
+            assert_eq!(snapshot::decode(&[tag]), Ok(state));
+        }
     }
 }

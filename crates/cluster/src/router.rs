@@ -39,7 +39,7 @@
 
 use std::collections::BTreeMap;
 
-use snapshot::{Reader, SnapError, Snapshot, Writer};
+use snapshot::{Reader, SnapError, Snapshot};
 
 use crate::fnv64_bytes;
 use crate::frontend::ShedReason;
@@ -65,25 +65,9 @@ impl Placement {
     }
 }
 
-impl Snapshot for Placement {
-    fn snap(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            Placement::HashAffinity => 0,
-            Placement::ColdStartAware => 2,
-        };
-        tag.snap(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Placement, SnapError> {
-        match u8::restore(r)? {
-            0 => Ok(Placement::HashAffinity),
-            // Tag 1 was the retired least-loaded policy; it stays
-            // reserved, so old bytes carrying it decode as corrupt.
-            2 => Ok(Placement::ColdStartAware),
-            _ => Err(SnapError::Corrupt("unknown placement tag")),
-        }
-    }
-}
+// Tag 1 was the retired least-loaded policy; it stays reserved, so
+// old bytes carrying it decode as corrupt.
+snapshot::record!(enum Placement { 0 => HashAffinity, 2 => ColdStartAware });
 
 /// One placement decision of the front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,9 +113,6 @@ pub struct Router {
     routed: u64,
     /// Migration offers accepted (overrides written).
     migrations: u64,
-    /// View rows actually copied by `absorb` — a cost counter for the
-    /// skip-unchanged fast path, never part of the canonical state.
-    view_copies: u64,
 }
 
 impl Router {
@@ -149,7 +130,6 @@ impl Router {
             assigned: vec![0; shards as usize],
             routed: 0,
             migrations: 0,
-            view_copies: 0,
         }
     }
 
@@ -171,12 +151,6 @@ impl Router {
     /// The health state of one shard (`Up` for out-of-range ids).
     pub fn health(&self, shard: u32) -> HealthState {
         self.health.get(shard as usize).map_or(HealthState::Up, |h| h.state())
-    }
-
-    /// View rows copied by `absorb` so far (cost counter for the
-    /// skip-unchanged fast path; not part of the canonical state).
-    pub fn view_copies(&self) -> u64 {
-        self.view_copies
     }
 
     /// Places one request, returning where it goes — or a typed shed
@@ -280,33 +254,19 @@ impl Router {
     /// = the shard was unreachable this round) into the routing view,
     /// advances the health machine, and accepts migration offers.
     ///
-    /// The view refresh skips shards whose report is byte-identical to
-    /// the held row — most shards most rounds — without changing the
-    /// resulting state by a single byte (pinned by this module's
-    /// tests). An accepted offer re-homes the function to the
-    /// least-pressured *routable* shard other than the offerer; the
+    /// The view refresh skips shards whose report equals the held row —
+    /// most shards most rounds. An accepted offer re-homes the function
+    /// to the least-pressured *routable* shard other than the offerer; the
     /// target's viewed cache charge is bumped by the offered charge
     /// immediately, so a barrier full of offers spreads instead of
     /// dog-piling one target.
     pub fn absorb(&mut self, reports: &[Option<ShardReport>]) {
-        self.absorb_inner(reports, true);
-    }
-
-    /// The unconditional-copy reference fold the skip-path tests pin
-    /// `absorb` against.
-    #[cfg(test)]
-    pub fn absorb_clone_all(&mut self, reports: &[Option<ShardReport>]) {
-        self.absorb_inner(reports, false);
-    }
-
-    fn absorb_inner(&mut self, reports: &[Option<ShardReport>], skip_unchanged: bool) {
         assert_eq!(reports.len(), self.shards as usize, "one report slot per shard");
         for (s, slot) in reports.iter().enumerate() {
             let Some(rep) = slot else { continue };
             if let Some(row) = self.view.get_mut(s) {
-                if !skip_unchanged || row != rep {
+                if row != rep {
                     *row = rep.clone();
-                    self.view_copies += 1;
                 }
             }
         }
@@ -375,73 +335,36 @@ impl Router {
     /// the cluster digest: two runs that routed identically — and only
     /// those — produce identical bytes.
     pub fn state_bytes(&self) -> Vec<u8> {
-        let Router {
-            policy,
-            shards,
-            health_policy,
-            overrides,
-            drain_origin,
-            health,
-            view,
-            assigned,
-            routed,
-            migrations,
-            // A wall-cost counter for the absorb fast path; identical
-            // state reached through different skip decisions must
-            // digest identically.
-            view_copies: _,
-        } = self;
-        let mut w = Writer::new();
-        policy.snap(&mut w);
-        shards.snap(&mut w);
-        health_policy.snap(&mut w);
-        overrides.snap(&mut w);
-        drain_origin.snap(&mut w);
-        health.snap(&mut w);
-        view.snap(&mut w);
-        assigned.snap(&mut w);
-        routed.snap(&mut w);
-        migrations.snap(&mut w);
-        w.into_bytes()
+        snapshot::encode(self)
     }
 
     /// Rebuilds a router from [`Router::state_bytes`] — the
-    /// restore half of the health-state checkpoint contract. The
-    /// cost counter comes back zero.
+    /// restore half of the health-state checkpoint contract.
     pub fn decode(r: &mut Reader<'_>) -> Result<Router, SnapError> {
-        let policy = Placement::restore(r)?;
-        let shards = u32::restore(r)?;
-        if shards == 0 {
+        let router = Router::restore(r)?;
+        if router.shards == 0 {
             return Err(SnapError::Corrupt("router over zero shards"));
         }
-        let health_policy = HealthPolicy::restore(r)?;
-        let overrides = BTreeMap::restore(r)?;
-        let drain_origin = BTreeMap::restore(r)?;
-        let health = Vec::restore(r)?;
-        let view = Vec::restore(r)?;
-        let assigned = Vec::restore(r)?;
-        let routed = u64::restore(r)?;
-        let migrations = u64::restore(r)?;
-        Ok(Router {
-            policy,
-            shards,
-            health_policy,
-            overrides,
-            drain_origin,
-            health,
-            view,
-            assigned,
-            routed,
-            migrations,
-            view_copies: 0,
-        })
+        Ok(router)
     }
 }
+
+snapshot::record!(Router {
+    policy: Placement,
+    shards: u32,
+    health_policy: HealthPolicy,
+    overrides: BTreeMap<usize, u32>,
+    drain_origin: BTreeMap<usize, u32>,
+    health: Vec<Health>,
+    view: Vec<ShardReport>,
+    assigned: Vec<u64>,
+    routed: u64,
+    migrations: u64,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fnv64_bytes as fnv;
     use simos::SimTime;
 
     fn report(shard: u32, in_flight: u64, cache_used: u64) -> ShardReport {
@@ -457,43 +380,14 @@ mod tests {
         reports.into_iter().map(Some).collect()
     }
 
-    /// Satellite pin: the skip-unchanged absorb must land on bytes
-    /// identical to the unconditional-copy fold over any sequence of
-    /// barriers, while actually skipping the untouched rows.
     #[test]
-    fn absorb_skip_path_pins_the_digest() {
-        let mk = || Router::new(Placement::ColdStartAware, 4, HealthPolicy::default());
-        let (mut fast, mut naive) = (mk(), mk());
-        let barriers: Vec<Vec<Option<ShardReport>>> = vec![
-            slots((0..4).map(|s| report(s, 5, 100)).collect()),
-            // Identical barrier: every row unchanged.
-            slots((0..4).map(|s| report(s, 5, 100)).collect()),
-            // Only shard 2 changes.
-            slots(
-                (0..4)
-                    .map(|s| if s == 2 { report(s, 9, 400) } else { report(s, 5, 100) })
-                    .collect(),
-            ),
-            // Shard 1 unreachable, shard 3 changes.
-            vec![
-                Some(report(0, 5, 100)),
-                None,
-                Some(report(2, 9, 400)),
-                Some(report(3, 1, 50)),
-            ],
-        ];
-        for reports in &barriers {
-            fast.absorb(reports);
-            naive.absorb_clone_all(reports);
+    fn placement_wire_tags_are_pinned() {
+        for (policy, tag) in [(Placement::HashAffinity, 0u8), (Placement::ColdStartAware, 2)] {
+            assert_eq!(snapshot::encode(&policy), [tag]);
+            assert_eq!(snapshot::decode(&[tag]), Ok(policy));
         }
-        let (a, b) = (fast.state_bytes(), naive.state_bytes());
-        assert_eq!(a, b, "skip path changed the canonical bytes");
-        assert_eq!(fnv(&a), fnv(&b));
-        // The fast path must have skipped real work: barrier 2 copies
-        // nothing, barrier 3 copies one row (shard 2), and barrier 4
-        // copies one (shard 3 — shard 2's report repeats barrier 3's).
-        assert_eq!(naive.view_copies(), 15);
-        assert_eq!(fast.view_copies(), 4 + 1 + 1);
+        // Tag 1 was the retired least-loaded policy: reserved, corrupt.
+        assert!(matches!(snapshot::decode::<Placement>(&[1]), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

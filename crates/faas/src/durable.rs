@@ -56,11 +56,9 @@
 //! shard's journal peaks at about 69 KB, while the checkpoints it cuts
 //! total about 10.7 MB.
 
-use std::ops::Range;
-
 use simos::SimTime;
 use snapshot::frame::crc64;
-use snapshot::{Reader, SnapError, Writer};
+use snapshot::{Reader, SnapError, Snapshot, Writer};
 
 use crate::error::PlatformError;
 use crate::fault::{CrashPlan, StorageFaultPlan};
@@ -86,37 +84,44 @@ const FRAME_CURSOR: u32 = Platform::FRAME_EXTRA_BASE;
 /// Container frame kind of the caller's cut payload.
 const FRAME_CUT: u32 = Platform::FRAME_EXTRA_BASE + 1;
 
-/// One journaled round, as indexed in memory.
+/// One journaled round, as the caller journaled it and as its log
+/// record's body encodes it (a CRC-64 of the body follows in the log).
 #[derive(Debug, Clone)]
-struct Round {
+struct Record {
+    round: usize,
     /// Upper time bound of the round (inclusive).
     barrier: SimTime,
     /// Whether platform stats reset at the start of the round.
     reset: bool,
-    /// The round's batch: a span of [`Journal::arrivals`].
-    batch: Range<usize>,
+    /// The round's arrivals in submission order.
+    batch: Vec<(SimTime, usize)>,
     /// Caller bytes to embed in a checkpoint cut at the start of the
     /// round. Journaled so replay re-cuts byte-identical checkpoints.
     cut: Option<Vec<u8>>,
 }
 
+snapshot::record!(Record {
+    round: usize,
+    barrier: SimTime,
+    reset: bool,
+    batch: Vec<(SimTime, usize)>,
+    cut: Option<Vec<u8>>,
+});
+
 /// The write-ahead round journal.
 ///
-/// The durable form is the byte log: one CRC64-sealed record per round
-/// (round index, barrier, reset flag, arrival batch, optional cut
-/// payload). [`Journal::from_log`] re-reads it the way a recovering
+/// The durable form is the byte log: one CRC64-sealed [`Record`] per
+/// round. [`Journal::from_log`] re-reads it the way a recovering
 /// host must — sequentially, dropping a torn or corrupt tail instead of
 /// mis-parsing it. Dropping a tail record is safe *because* the journal
 /// is write-ahead: a round that never finished reaching the log never
 /// ran.
 ///
-/// In memory every round keeps the span of its batch in one flat
-/// arrival table, so a round lookup costs O(batch), not O(journal).
+/// In memory the journal keeps every round's record, indexed by round.
 #[derive(Debug, Clone, Default)]
 struct Journal {
     log: Vec<u8>,
-    rounds: Vec<Round>,
-    arrivals: Vec<(SimTime, usize)>,
+    rounds: Vec<Record>,
 }
 
 impl Journal {
@@ -140,39 +145,23 @@ impl Journal {
         cut: Option<Vec<u8>>,
     ) {
         assert_eq!(round, self.rounds.len(), "journal rounds must append in round order");
-        let mut w = Writer::new();
-        w.usize(round);
-        w.u64(barrier.0);
-        w.bool(reset);
-        w.usize(batch.len());
-        for &(at, fn_idx) in batch {
-            w.u64(at.0);
-            w.usize(fn_idx);
-        }
-        w.bool(cut.is_some());
-        if let Some(cut) = &cut {
-            w.blob(cut);
-        }
-        let body = w.into_bytes();
-        self.log.extend_from_slice(&body);
-        self.log.extend_from_slice(&crc64(&body).to_le_bytes());
-        let start = self.arrivals.len();
-        self.arrivals.extend_from_slice(batch);
-        self.rounds.push(Round {
+        let record = Record {
+            round,
             barrier,
             reset,
-            batch: start..self.arrivals.len(),
+            batch: batch.to_vec(),
             cut,
-        });
+        };
+        let body = snapshot::encode(&record);
+        self.log.extend_from_slice(&body);
+        self.log.extend_from_slice(&crc64(&body).to_le_bytes());
+        self.rounds.push(record);
     }
 
     /// Round `round`'s arrivals in submission order (empty past the
     /// head).
     fn batch(&self, round: usize) -> &[(SimTime, usize)] {
-        self.rounds
-            .get(round)
-            .and_then(|r| self.arrivals.get(r.batch.clone()))
-            .unwrap_or(&[])
+        self.rounds.get(round).map_or(&[], |r| &r.batch)
     }
 
     /// The durable byte log: every record, in append order.
@@ -190,15 +179,13 @@ impl Journal {
         while r.remaining() > 0 {
             let start = bytes.len() - r.remaining();
             let parsed = (|| -> Result<(), SnapError> {
-                let round = r.usize()?;
-                let barrier = SimTime(r.u64()?);
-                let reset = r.bool()?;
-                let n = r.seq_len()?;
-                let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    batch.push((SimTime(r.u64()?), r.usize()?));
-                }
-                let cut = if r.bool()? { Some(r.blob()?.to_vec()) } else { None };
+                let Record {
+                    round,
+                    barrier,
+                    reset,
+                    batch,
+                    cut,
+                } = Record::restore(&mut r)?;
                 let body = bytes
                     .get(start..bytes.len() - r.remaining())
                     .ok_or(SnapError::Corrupt("journal record extent out of bounds"))?;
@@ -505,6 +492,32 @@ mod tests {
             assert_eq!((a.barrier, a.reset, &a.cut), (b.barrier, b.reset, &b.cut));
         }
         assert_eq!(back.log_bytes(), j.log_bytes());
+    }
+
+    #[test]
+    fn journal_record_bytes_are_pinned() {
+        let mut j = Journal::default();
+        j.append(0, SimTime(10), true, &[(SimTime(5), 3)], Some(vec![0xAB, 0xCD]));
+        j.append(1, SimTime(20), false, &[], None);
+        let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        // round, barrier, reset; batch length and rows; cut flag,
+        // length and bytes; then the record's CRC-64.
+        let first = [
+            words(&[0, 10]),
+            vec![1],
+            words(&[1, 5, 3]),
+            vec![1],
+            words(&[2]),
+            vec![0xAB, 0xCD],
+        ]
+        .concat();
+        let second = [words(&[1, 20]), vec![0], words(&[0]), vec![0]].concat();
+        let mut log = Vec::new();
+        for body in [first, second] {
+            log.extend_from_slice(&body);
+            log.extend_from_slice(&crc64(&body).to_le_bytes());
+        }
+        assert_eq!(j.log_bytes(), log);
     }
 
     #[test]

@@ -577,29 +577,13 @@ mod snap_impls {
 
     snapshot::record!(InstanceId(u64));
 
-    impl Snapshot for Status {
-        fn snap(&self, w: &mut Writer) {
-            let tag: u8 = match self {
-                Status::Starting => 0,
-                Status::Running => 1,
-                Status::GcAfterExit => 2,
-                Status::Reclaiming => 3,
-                Status::Frozen => 4,
-            };
-            tag.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Status, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(Status::Starting),
-                1 => Ok(Status::Running),
-                2 => Ok(Status::GcAfterExit),
-                3 => Ok(Status::Reclaiming),
-                4 => Ok(Status::Frozen),
-                _ => Err(SnapError::Corrupt("unknown Status tag")),
-            }
-        }
-    }
+    snapshot::record!(enum Status {
+        0 => Starting,
+        1 => Running,
+        2 => GcAfterExit,
+        3 => Reclaiming,
+        4 => Frozen,
+    });
 
     // `id` leads: it is the row key of the instance table and of a
     // `SLOT` frame.
@@ -616,53 +600,16 @@ mod snap_impls {
         reclaimed_since_use: bool,
     } skip { frozen_heap });
 
-    impl Snapshot for FailReason {
-        fn snap(&self, w: &mut Writer) {
-            let tag: u8 = match self {
-                FailReason::BootFailure => 0,
-                FailReason::Crash => 1,
-                FailReason::HeapExhausted => 2,
-                FailReason::BreakerOpen => 3,
-                FailReason::DeadlineExceeded => 4,
-                FailReason::TooLargeForCache => 5,
-            };
-            tag.snap(w);
-        }
+    snapshot::record!(enum FailReason {
+        0 => BootFailure,
+        1 => Crash,
+        2 => HeapExhausted,
+        3 => BreakerOpen,
+        4 => DeadlineExceeded,
+        5 => TooLargeForCache,
+    });
 
-        fn restore(r: &mut Reader<'_>) -> Result<FailReason, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(FailReason::BootFailure),
-                1 => Ok(FailReason::Crash),
-                2 => Ok(FailReason::HeapExhausted),
-                3 => Ok(FailReason::BreakerOpen),
-                4 => Ok(FailReason::DeadlineExceeded),
-                5 => Ok(FailReason::TooLargeForCache),
-                _ => Err(SnapError::Corrupt("unknown FailReason tag")),
-            }
-        }
-    }
-
-    impl Snapshot for Outcome {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                Outcome::Pending => 0u8.snap(w),
-                Outcome::Completed => 1u8.snap(w),
-                Outcome::Failed(why) => {
-                    2u8.snap(w);
-                    why.snap(w);
-                }
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Outcome, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(Outcome::Pending),
-                1 => Ok(Outcome::Completed),
-                2 => Ok(Outcome::Failed(FailReason::restore(r)?)),
-                _ => Err(SnapError::Corrupt("unknown Outcome tag")),
-            }
-        }
-    }
+    snapshot::record!(enum Outcome { 0 => Pending, 1 => Completed, 2 => Failed(why: FailReason) });
 
     snapshot::record!(Request {
         fn_idx: usize,
@@ -671,114 +618,21 @@ mod snap_impls {
         outcome: Outcome,
     });
 
-    impl Snapshot for Event {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                Event::Arrival { req } => {
-                    0u8.snap(w);
-                    req.snap(w);
-                }
-                Event::BootDone { id, req } => {
-                    1u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::BootFailed { id, req } => {
-                    2u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::StageDone { id, req } => {
-                    3u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::Crash { id, req } => {
-                    4u8.snap(w);
-                    id.snap(w);
-                    req.snap(w);
-                }
-                Event::GcDone { id } => {
-                    5u8.snap(w);
-                    id.snap(w);
-                }
-                Event::ReclaimDone { id, cpus, ok } => {
-                    6u8.snap(w);
-                    id.snap(w);
-                    cpus.snap(w);
-                    ok.snap(w);
-                }
-                Event::Retry { req, stage } => {
-                    7u8.snap(w);
-                    req.snap(w);
-                    stage.snap(w);
-                }
-                Event::Sweep => 8u8.snap(w),
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<Event, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(Event::Arrival {
-                    req: usize::restore(r)?,
-                }),
-                1 => Ok(Event::BootDone {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                2 => Ok(Event::BootFailed {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                3 => Ok(Event::StageDone {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                4 => Ok(Event::Crash {
-                    id: InstanceId::restore(r)?,
-                    req: usize::restore(r)?,
-                }),
-                5 => Ok(Event::GcDone {
-                    id: InstanceId::restore(r)?,
-                }),
-                6 => Ok(Event::ReclaimDone {
-                    id: InstanceId::restore(r)?,
-                    cpus: f64::restore(r)?,
-                    ok: bool::restore(r)?,
-                }),
-                7 => Ok(Event::Retry {
-                    req: usize::restore(r)?,
-                    stage: u8::restore(r)?,
-                }),
-                8 => Ok(Event::Sweep),
-                _ => Err(SnapError::Corrupt("unknown Event tag")),
-            }
-        }
-    }
+    snapshot::record!(enum Event {
+        0 => Arrival { req: usize },
+        1 => BootDone { id: InstanceId, req: usize },
+        2 => BootFailed { id: InstanceId, req: usize },
+        3 => StageDone { id: InstanceId, req: usize },
+        4 => Crash { id: InstanceId, req: usize },
+        5 => GcDone { id: InstanceId },
+        6 => ReclaimDone { id: InstanceId, cpus: f64, ok: bool },
+        7 => Retry { req: usize, stage: u8 },
+        8 => Sweep,
+    });
 
     snapshot::record!(PendingStage { req: usize, stage: u8 });
 
-    impl Snapshot for BreakerState {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                BreakerState::Closed => 0u8.snap(w),
-                BreakerState::Open(until) => {
-                    1u8.snap(w);
-                    until.snap(w);
-                }
-                BreakerState::HalfOpen => 2u8.snap(w),
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<BreakerState, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(BreakerState::Closed),
-                1 => Ok(BreakerState::Open(SimTime::restore(r)?)),
-                2 => Ok(BreakerState::HalfOpen),
-                _ => Err(SnapError::Corrupt("unknown BreakerState tag")),
-            }
-        }
-    }
+    snapshot::record!(enum BreakerState { 0 => Closed, 1 => Open(until: SimTime), 2 => HalfOpen });
 
     snapshot::record!(Breaker { consecutive: u32, state: BreakerState });
 
@@ -1110,5 +964,56 @@ mod tests {
         let base = warm(GcMode::Vanilla).checkpoint_base(1, &[]);
         let bad = drop_frame(&base, Platform::FRAME_SLOT, 0);
         assert_chain_rejected(&[bad], "cache charge does not sum");
+    }
+
+    /// `v` encodes to exactly `bytes`, and `bytes` decode to a value
+    /// that encodes to them again.
+    fn pin<T: Snapshot>(v: T, bytes: &[u8]) {
+        assert_eq!(snapshot::encode(&v), bytes);
+        let back: T = snapshot::decode(bytes).expect("pinned bytes decode");
+        assert_eq!(snapshot::encode(&back), bytes);
+    }
+
+    #[test]
+    fn enum_wire_tags_are_pinned() {
+        let u64s = |tag: u8, words: &[u64]| {
+            let mut out = vec![tag];
+            for w in words {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+            out
+        };
+        use Status::*;
+        for (tag, v) in [Starting, Running, GcAfterExit, Reclaiming, Frozen].into_iter().zip(0u8..) {
+            pin(tag, &[v]);
+        }
+        use FailReason::*;
+        let reasons =
+            [BootFailure, Crash, HeapExhausted, BreakerOpen, DeadlineExceeded, TooLargeForCache];
+        for (why, v) in reasons.into_iter().zip(0u8..) {
+            pin(why, &[v]);
+            pin(Outcome::Failed(why), &[2, v]);
+        }
+        pin(Outcome::Pending, &[0]);
+        pin(Outcome::Completed, &[1]);
+
+        let id = InstanceId(0x0102_0304_0506_0708);
+        pin(Event::Arrival { req: 7 }, &u64s(0, &[7]));
+        pin(Event::BootDone { id, req: 9 }, &u64s(1, &[id.0, 9]));
+        pin(Event::BootFailed { id, req: 10 }, &u64s(2, &[id.0, 10]));
+        pin(Event::StageDone { id, req: 11 }, &u64s(3, &[id.0, 11]));
+        pin(Event::Crash { id, req: 12 }, &u64s(4, &[id.0, 12]));
+        pin(Event::GcDone { id }, &u64s(5, &[id.0]));
+        let mut reclaim = u64s(6, &[id.0, 1.5f64.to_bits()]);
+        reclaim.push(1);
+        pin(Event::ReclaimDone { id, cpus: 1.5, ok: true }, &reclaim);
+        let mut retry = u64s(7, &[13]);
+        retry.push(2);
+        pin(Event::Retry { req: 13, stage: 2 }, &retry);
+        pin(Event::Sweep, &[8]);
+
+        pin(BreakerState::Closed, &[0]);
+        pin(BreakerState::Open(SimTime(77)), &u64s(1, &[77]));
+        pin(BreakerState::HalfOpen, &[2]);
     }
 }

@@ -635,22 +635,7 @@ mod snap_impls {
 
     snapshot::record!(ObjectId(u32));
 
-    impl Snapshot for ObjectKind {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                Self::Data => w.u8(0),
-                Self::Code => w.u8(1),
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<ObjectKind, SnapError> {
-            match r.u8()? {
-                0 => Ok(ObjectKind::Data),
-                1 => Ok(ObjectKind::Code),
-                _ => Err(SnapError::Corrupt("unknown ObjectKind tag")),
-            }
-        }
-    }
+    snapshot::record!(enum ObjectKind { 0 => Data, 1 => Code });
 
     impl Snapshot for Object {
         fn snap(&self, w: &mut Writer) {
@@ -857,5 +842,13 @@ mod tests {
         g.add_ref(a, b);
         g.remove_ref(a, b);
         assert!(g.get(a).refs.is_empty());
+    }
+
+    #[test]
+    fn object_kind_wire_tags_are_pinned() {
+        for (kind, tag) in [(ObjectKind::Data, 0u8), (ObjectKind::Code, 1)] {
+            assert_eq!(snapshot::encode(&kind), [tag]);
+            assert_eq!(snapshot::decode(&[tag]), Ok(kind));
+        }
     }
 }

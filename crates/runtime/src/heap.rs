@@ -136,28 +136,7 @@ impl RuntimeHeap {
     }
 }
 
-impl snapshot::Snapshot for RuntimeHeap {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        match self {
-            RuntimeHeap::HotSpot(h) => {
-                0u8.snap(w);
-                h.snap(w);
-            }
-            RuntimeHeap::V8(h) => {
-                1u8.snap(w);
-                h.snap(w);
-            }
-        }
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<RuntimeHeap, snapshot::SnapError> {
-        match u8::restore(r)? {
-            0 => Ok(RuntimeHeap::HotSpot(HotSpotHeap::restore(r)?)),
-            1 => Ok(RuntimeHeap::V8(V8Heap::restore(r)?)),
-            _ => Err(snapshot::SnapError::Corrupt("unknown RuntimeHeap tag")),
-        }
-    }
-}
+snapshot::record!(enum RuntimeHeap { 0 => HotSpot(heap: HotSpotHeap), 1 => V8(heap: V8Heap) });
 
 #[cfg(test)]
 mod tests {
@@ -177,6 +156,20 @@ mod tests {
             assert!(report.released_bytes > 0);
             assert_eq!(report.live_bytes, 0);
             assert!(heap.take_elapsed() > SimDuration::ZERO);
+        }
+    }
+
+    #[test]
+    fn runtime_heap_wire_tags_are_pinned() {
+        let mut sys = System::new();
+        let pid = sys.spawn_process();
+        for (lang, tag) in [(Language::Java, 0u8), (Language::JavaScript, 1)] {
+            let heap = RuntimeHeap::for_language(&mut sys, pid, lang, 256 << 20).unwrap();
+            let inner = each_heap!(&heap, h => snapshot::encode(h));
+            let bytes = snapshot::encode(&heap);
+            assert_eq!(bytes, [&[tag][..], &inner].concat());
+            let back: RuntimeHeap = snapshot::decode(&bytes).unwrap();
+            assert_eq!(snapshot::encode(&back), bytes);
         }
     }
 }

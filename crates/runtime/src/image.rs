@@ -115,23 +115,7 @@ pub struct SharedLibs {
     pub files: Vec<FileId>,
 }
 
-impl snapshot::Snapshot for Language {
-    fn snap(&self, w: &mut snapshot::Writer) {
-        let tag: u8 = match self {
-            Language::Java => 0,
-            Language::JavaScript => 1,
-        };
-        tag.snap(w);
-    }
-
-    fn restore(r: &mut snapshot::Reader<'_>) -> Result<Language, snapshot::SnapError> {
-        match u8::restore(r)? {
-            0 => Ok(Language::Java),
-            1 => Ok(Language::JavaScript),
-            _ => Err(snapshot::SnapError::Corrupt("unknown Language tag")),
-        }
-    }
-}
+snapshot::record!(enum Language { 0 => Java, 1 => JavaScript });
 
 snapshot::record!(SharedLibs { files: Vec<FileId> });
 
@@ -166,6 +150,14 @@ mod tests {
         for (file, (name, size)) in libs.files.iter().zip(&image.libs) {
             assert_eq!(sys.files().name(*file), name);
             assert!(sys.files().size(*file) >= *size);
+        }
+    }
+
+    #[test]
+    fn language_wire_tags_are_pinned() {
+        for (lang, tag) in [(Language::Java, 0u8), (Language::JavaScript, 1)] {
+            assert_eq!(snapshot::encode(&lang), [tag]);
+            assert_eq!(snapshot::decode(&[tag]), Ok(lang));
         }
     }
 }

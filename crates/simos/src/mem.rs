@@ -1444,6 +1444,15 @@ mod tests {
         let restored: Mapping = snapshot::decode(&snapshot::encode(&m)).unwrap();
         assert!(!restored.is_epoch_dirty(), "a restored mapping starts clean");
     }
+
+    #[test]
+    fn mapping_kind_wire_tags_are_pinned() {
+        assert_eq!(snapshot::encode(&MappingKind::Anonymous), [0]);
+        assert_eq!(snapshot::decode(&[0]), Ok(MappingKind::Anonymous));
+        let file = MappingKind::PrivateFile(FileId(0x0A0B_0C0D));
+        assert_eq!(snapshot::encode(&file), [1, 0x0D, 0x0C, 0x0B, 0x0A]);
+        assert_eq!(snapshot::decode(&[1, 0x0D, 0x0C, 0x0B, 0x0A]), Ok(file));
+    }
 }
 
 /// Checkpoint codec impls, kept in this module so exhaustive
@@ -1455,25 +1464,7 @@ mod snap_impls {
 
     snapshot::record!(VirtAddr(u64));
 
-    impl Snapshot for MappingKind {
-        fn snap(&self, w: &mut Writer) {
-            match self {
-                Self::Anonymous => w.u8(0),
-                Self::PrivateFile(file) => {
-                    w.u8(1);
-                    file.snap(w);
-                }
-            }
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<MappingKind, SnapError> {
-            match r.u8()? {
-                0 => Ok(MappingKind::Anonymous),
-                1 => Ok(MappingKind::PrivateFile(FileId::restore(r)?)),
-                _ => Err(SnapError::Corrupt("unknown MappingKind tag")),
-            }
-        }
-    }
+    snapshot::record!(enum MappingKind { 0 => Anonymous, 1 => PrivateFile(file: FileId) });
 
     impl Snapshot for Mapping {
         fn snap(&self, w: &mut Writer) {

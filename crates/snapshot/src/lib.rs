@@ -25,7 +25,7 @@
 //!   of its `n × width` bytes before it allocates.
 //! * **One slice path** — every sequence encodes through
 //!   [`Snapshot::snap_seq`] and decodes through
-//!   [`Snapshot::restore_seq`]. `u32`, `u64` and
+//!   [`Snapshot::restore_seq`]. `u8`, `u32`, `u64` and
 //!   [`record!`] newtypes over them go bulk there: one reserve and one
 //!   checked take for the whole run instead of a call per element,
 //!   with the bytes of the per-element loop.
@@ -43,9 +43,11 @@
 //! and [`Reader::finish`] rejects trailing garbage so a truncated or
 //! over-long blob cannot silently restore.
 //!
-//! A record — a struct encoded as its fields in a fixed order —
-//! states its format once, in a [`record!`] invocation; [`Snapshot`]
-//! says when an impl is hand-written instead.
+//! A record states its format once, in a [`record!`] invocation of one
+//! of four forms: a struct's fields in a fixed order, the same with
+//! skipped fields that restore as defaults, a newtype, or an enum as a
+//! `u8` tag and then its variant's fields. [`Snapshot`] says when an
+//! impl is hand-written instead.
 
 #![forbid(unsafe_code)]
 
@@ -456,13 +458,14 @@ pub fn read_header(r: &mut Reader<'_>, magic: u32, version: u32) -> Result<(), S
 /// simulation" — continuing a restored value must produce byte-for-byte
 /// the same trajectory as continuing the original.
 ///
-/// [`record!`] is the default impl: it destructures exhaustively by
-/// construction and lists each field once. Hand-write an impl only when
-/// decode must validate, canonicalize order, read an enum tag, or
-/// rebuild derived fields; such an impl must exhaustively destructure
-/// (`let Self { .. } = self;` with every field named, or `match self`)
-/// so adding a field without snapshotting it is a compile error. The
-/// `snapshot-coverage` tidy rule checks every hand-written impl.
+/// [`record!`] is the default impl, for structs and enums alike: it
+/// destructures exhaustively by construction and lists each field (and
+/// each enum tag) once. Hand-write an impl only when decode must
+/// validate, canonicalize order, or rebuild derived fields; such an
+/// impl must exhaustively destructure (`let Self { .. } = self;` with
+/// every field named, or `match self`) so adding a field without
+/// snapshotting it is a compile error. The `snapshot-coverage` tidy
+/// rule checks every hand-written impl.
 pub trait Snapshot: Sized {
     /// Appends this value's canonical encoding to `w`.
     fn snap(&self, w: &mut Writer);
@@ -472,9 +475,9 @@ pub trait Snapshot: Sized {
 
     /// Appends `items` as a sequence: the `usize` count, then each
     /// item's encoding. Every sequence container (`Vec`, `VecDeque`)
-    /// encodes through here. The default writes item by item; `u32`
-    /// and `u64` (and [`record!`] newtypes over them) write the same
-    /// bytes with one bulk [`Writer::fixed`].
+    /// encodes through here. The default writes item by item; `u8`,
+    /// `u32` and `u64` (and [`record!`] newtypes over them) write the
+    /// same bytes with one bulk [`Writer::fixed`].
     fn snap_seq<'s>(items: impl ExactSizeIterator<Item = &'s Self>, w: &mut Writer)
     where
         Self: 's,
@@ -514,9 +517,9 @@ macro_rules! prim_snapshot {
     };
 }
 
-/// A little-endian integer that sequences hold in bulk (object ids,
-/// page words, mapper counts): as [`prim_snapshot!`], plus the bulk
-/// sequence path.
+/// A little-endian integer that sequences hold in bulk (byte blobs,
+/// object ids, page words, mapper counts): as [`prim_snapshot!`], plus
+/// the bulk sequence path.
 macro_rules! int_snapshot {
     ($ty:ty, $method:ident) => {
         impl Snapshot for $ty {
@@ -543,11 +546,12 @@ macro_rules! int_snapshot {
 }
 
 /// Implements [`Snapshot`] for a plain record: a struct whose encoding
-/// is its fields, in the listed order, each through its own
+/// is its fields, in the listed order, or an enum whose encoding is a
+/// `u8` tag and then its variant's fields, each through its own
 /// [`Snapshot`] impl. Each field and its type are written once, so the
 /// encode and decode orders cannot disagree.
 ///
-/// Three forms, and no options:
+/// Four forms, and no options:
 ///
 /// * `record!(T { a: A, b: B })` — `snap` destructures `T`
 ///   exhaustively (a field missing from the list is a compile error)
@@ -559,8 +563,50 @@ macro_rules! int_snapshot {
 /// * `record!(Id(u64))` — a newtype: its encoding is the inner value's,
 ///   and so is a sequence's, which therefore takes the inner type's
 ///   bulk path when it has one.
+/// * `record!(enum E { 0 => Unit, 1 => Named { a: A }, 2 => Tuple(b: B) })`
+///   — each variant's tag, then its fields in the listed order; a
+///   one-field tuple variant names its binding. A missing variant or
+///   field is a compile error, and so is a tag listed twice. Decoding
+///   an unlisted tag is [`SnapError::Corrupt`], so omitting a retired
+///   tag keeps it reserved.
 #[macro_export]
 macro_rules! record {
+    (enum $ty:ident {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident : $fty:ty),* $(,)? })?
+            $(( $tfield:ident : $tty:ty ))?
+        ),* $(,)?
+    }) => {
+        impl $crate::Snapshot for $ty {
+            #[inline]
+            fn snap(&self, w: &mut $crate::Writer) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(($tfield))? => {
+                        w.u8($tag);
+                        $($(<$fty as $crate::Snapshot>::snap($field, w);)*)?
+                        $(<$tty as $crate::Snapshot>::snap($tfield, w);)?
+                    })*
+                }
+            }
+            #[inline]
+            #[deny(unreachable_patterns)]
+            fn restore(r: &mut $crate::Reader<'_>) -> Result<$ty, $crate::SnapError> {
+                let tag = r.u8()?;
+                match tag {
+                    $($tag => {
+                        $($(let $field = <$fty as $crate::Snapshot>::restore(r)?;)*)?
+                        $(let $tfield = <$tty as $crate::Snapshot>::restore(r)?;)?
+                        Ok($ty::$variant $({ $($field),* })? $(($tfield))?)
+                    })*
+                    _ => Err($crate::SnapError::Corrupt(concat!(
+                        "unknown ",
+                        stringify!($ty),
+                        " tag"
+                    ))),
+                }
+            }
+        }
+    };
     ($ty:ident ( $inner:ty )) => {
         impl $crate::Snapshot for $ty {
             #[inline]
@@ -603,7 +649,7 @@ macro_rules! record {
     };
 }
 
-prim_snapshot!(u8, u8);
+int_snapshot!(u8, u8);
 prim_snapshot!(u16, u16);
 int_snapshot!(u32, u32);
 int_snapshot!(u64, u64);
@@ -932,6 +978,58 @@ mod tests {
             let prefix = bytes.get(..n).unwrap();
             assert!(decode::<Row>(prefix).is_err(), "a {n}-byte prefix decoded");
         }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Box { w: u32, label: String },
+        Tagged(Id),
+    }
+    // Tag 2 is reserved: no variant carries it.
+    record!(enum Shape { 0 => Dot, 1 => Box { w: u32, label: String }, 3 => Tagged(id: Id) });
+
+    #[test]
+    fn record_enum_writes_the_tag_then_the_variant_fields() {
+        assert_eq!(encode(&Shape::Dot), [0]);
+        let boxed = Shape::Box {
+            w: 5,
+            label: String::from("b"),
+        };
+        let mut w = Writer::new();
+        w.u8(1);
+        w.u32(5);
+        w.str("b");
+        assert_eq!(encode(&boxed), w.into_bytes());
+        assert_eq!(encode(&Shape::Tagged(Id(9))), [3, 9, 0, 0, 0]);
+        for v in [Shape::Dot, boxed, Shape::Tagged(Id(9))] {
+            round_trip(v);
+        }
+    }
+
+    #[test]
+    fn record_enum_rejects_unknown_and_reserved_tags() {
+        for tag in [2u8, 4, 0xFF] {
+            let err = decode::<Shape>(&[tag]).unwrap_err();
+            assert_eq!(err, SnapError::Corrupt("unknown Shape tag"), "tag {tag}");
+        }
+    }
+
+    #[test]
+    fn truncated_record_enum_field_is_a_typed_error() {
+        let bytes = encode(&Shape::Box {
+            w: 5,
+            label: String::from("label"),
+        });
+        for n in 0..bytes.len() {
+            let err = decode::<Shape>(bytes.get(..n).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, SnapError::Truncated { .. } | SnapError::Corrupt(_)),
+                "a {n}-byte prefix: {err:?}"
+            );
+        }
+        let err = decode::<Shape>(&[3, 9, 0]).unwrap_err();
+        assert_eq!(err, SnapError::Truncated { needed: 4, remaining: 2 });
     }
 
     #[test]

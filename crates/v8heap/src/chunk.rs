@@ -139,25 +139,7 @@ mod snap_impls {
 
     snapshot::record!(ChunkId(u32));
 
-    impl Snapshot for ChunkSpace {
-        fn snap(&self, w: &mut Writer) {
-            let tag: u8 = match self {
-                ChunkSpace::Young => 0,
-                ChunkSpace::Old => 1,
-                ChunkSpace::Large => 2,
-            };
-            tag.snap(w);
-        }
-
-        fn restore(r: &mut Reader<'_>) -> Result<ChunkSpace, SnapError> {
-            match u8::restore(r)? {
-                0 => Ok(ChunkSpace::Young),
-                1 => Ok(ChunkSpace::Old),
-                2 => Ok(ChunkSpace::Large),
-                _ => Err(SnapError::Corrupt("unknown ChunkSpace tag")),
-            }
-        }
-    }
+    snapshot::record!(enum ChunkSpace { 0 => Young, 1 => Old, 2 => Large });
 
     impl Snapshot for Chunk {
         fn snap(&self, w: &mut Writer) {
@@ -278,5 +260,14 @@ mod tests {
         assert_eq!(total, CHUNK_SIZE - CHUNK_HEADER);
         // 98.4 % of the chunk, as the paper notes.
         assert!((total as f64 / CHUNK_SIZE as f64) > 0.98);
+    }
+
+    #[test]
+    fn chunk_space_wire_tags_are_pinned() {
+        let spaces = [(ChunkSpace::Young, 0u8), (ChunkSpace::Old, 1), (ChunkSpace::Large, 2)];
+        for (space, tag) in spaces {
+            assert_eq!(snapshot::encode(&space), [tag]);
+            assert_eq!(snapshot::decode(&[tag]), Ok(space));
+        }
     }
 }

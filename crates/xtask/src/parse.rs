@@ -11,8 +11,9 @@
 //!   method is identified as `Owner::name`. A `trait` definition owns
 //!   its provided methods the same way (`Trait::name`), so a method
 //!   call can reach a default body.
-//! * `snapshot::record!(T { a: A, … })` invocations define `T::snap`
-//!   and `T::restore`, calling each listed field type's codec, so the
+//! * `snapshot::record!(T { a: A, … })` invocations, and the enum form
+//!   `record!(enum E { 0 => V { a: A }, … })`, define `T::snap` and
+//!   `T::restore`, calling each listed field type's codec, so the
 //!   macro-generated decode paths stay in the call graph.
 //! * `fn` items open a function scope at their body brace; everything
 //!   harvested until the matching close brace is attributed to the
@@ -406,18 +407,24 @@ fn is_record_invocation(toks: &[Tok], i: usize) -> bool {
 /// Expands a `snapshot::record!` invocation into the two functions it
 /// defines, `T::snap` and `T::restore`, each with one qualified call
 /// per listed field to that field type's head ident (`Vec` in
-/// `name: Vec<Slot>`, `u64` in the newtype `Id(u64)`). The field types
+/// `name: Vec<Slot>`, `u64` in the newtype `Id(u64)`, `FailReason` in
+/// the enum variant `2 => Failed(why: FailReason)`). The field types
 /// are written in the invocation, so this is a plain token scan, and
 /// every decode path the macro generates stays visible to
 /// panic-reachability. `start` is the token after `record!(`; returns
 /// the index past the invocation's `)`.
 fn parse_record(text: &str, toks: &[Tok], start: usize, line: usize) -> (Vec<FnInfo>, usize) {
+    // The enum form lists its fields one bracket deeper, inside each
+    // variant's `{ … }` or `( … )`.
+    let is_enum = matches!(toks.get(start), Some(Tok::Ident(s, e)) if &text[*s..*e] == "enum");
+    let fields_at = usize::from(is_enum);
+    let start = start + fields_at;
     let owner = match toks.get(start) {
         Some(Tok::Ident(s, e)) => text[*s..*e].to_string(),
         _ => String::new(),
     };
-    // In the body, a field's type head is the last top-level ident
-    // after its `name :` (or after a path's `::`).
+    // In a field list, a field's type head is the last ident at the
+    // list's own depth after its `name :` (or after a path's `::`).
     let mut heads = Vec::new();
     let mut head = None;
     let mut depth = 0usize;
@@ -425,12 +432,19 @@ fn parse_record(text: &str, toks: &[Tok], start: usize, line: usize) -> (Vec<FnI
     while let Some(t) = toks.get(i) {
         i += 1;
         match t {
+            // The `=>` between an enum variant's tag and its name.
+            Tok::Punct(pos, b'>') if text.as_bytes().get(pos.wrapping_sub(1)) == Some(&b'=') => {}
             Tok::Punct(_, b'(' | b'[' | b'{' | b'<') => depth += 1,
-            Tok::Punct(_, b')' | b']' | b'}' | b'>') if depth > 0 => depth -= 1,
-            Tok::Punct(_, b')' | b']' | b'}' | b'>') => break,
-            Tok::Punct(_, b':') if depth == 0 => head = None,
-            Tok::Punct(_, b',') if depth == 0 => heads.extend(head.take()),
-            Tok::Ident(s, e) if depth == 0 => head = Some(text[*s..*e].to_string()),
+            Tok::Punct(_, b')' | b']' | b'}' | b'>') if depth == 0 => break,
+            Tok::Punct(_, b')' | b']' | b'}' | b'>') => {
+                if depth == fields_at {
+                    heads.extend(head.take());
+                }
+                depth -= 1;
+            }
+            Tok::Punct(_, b':') if depth == fields_at => head = None,
+            Tok::Punct(_, b',') if depth == fields_at => heads.extend(head.take()),
+            Tok::Ident(s, e) if depth == fields_at => head = Some(text[*s..*e].to_string()),
             _ => {}
         }
     }
@@ -795,13 +809,26 @@ mod tests {
                  map: std::collections::BTreeMap<u64, Heap>,\n\
              } skip { cache });\n\
              record!(Pid(u32));\n\
-             macro_rules! record { ($t:ident) => {} }\n",
+             macro_rules! record { ($t:ident) => {} }\n\
+             snapshot::record!(enum Event {\n\
+                 0 => Arrival { req: usize },\n\
+                 1 => Failed(why: FailReason),\n\
+                 2 => Moved { id: InstanceId, rows: Vec<(u64, Pid)>, pair: (u64, u64) },\n\
+                 3 => Sweep,\n\
+             });\n",
         );
         let names: Vec<(&str, &str)> =
             s.fns.iter().map(|f| (f.owner.as_str(), f.name.as_str())).collect();
         assert_eq!(
             names,
-            [("Slot", "snap"), ("Slot", "restore"), ("Pid", "snap"), ("Pid", "restore")]
+            [
+                ("Slot", "snap"),
+                ("Slot", "restore"),
+                ("Pid", "snap"),
+                ("Pid", "restore"),
+                ("Event", "snap"),
+                ("Event", "restore"),
+            ]
         );
         let qual = |q: &str| CallKind::Qual(q.to_string());
         let slot: Vec<&CallKind> = s.fns[1].calls.iter().map(|c| &c.kind).collect();
@@ -810,6 +837,13 @@ mod tests {
         assert!(s.fns[0].calls.iter().all(|c| c.name == "snap"));
         assert_eq!(s.fns[3].calls.len(), 1);
         assert_eq!(s.fns[3].calls[0].kind, qual("u32"));
+        let event: Vec<&CallKind> = s.fns[5].calls.iter().map(|c| &c.kind).collect();
+        assert_eq!(
+            event,
+            [&qual("usize"), &qual("FailReason"), &qual("InstanceId"), &qual("Vec")]
+        );
+        assert!(s.fns[5].calls.iter().all(|c| c.name == "restore" && c.line == 9));
+        assert!(s.fns[4].calls.iter().all(|c| c.name == "snap"));
     }
 
     #[test]

@@ -99,7 +99,8 @@ pub const RULES: &[Rule] = &[
         name: "snapshot-coverage",
         family: "robustness",
         summary: "Snapshot impl without exhaustive field destructuring",
-        hint: "a plain field list belongs in `snapshot::record!(T { a: A, b: B })`; a \
+        hint: "a plain field list belongs in `snapshot::record!(T { a: A, b: B })` and a \
+               tagged enum in `snapshot::record!(enum E { 0 => V { a: A }, 1 => W })`; a \
                hand-written impl must destructure every field (`let Self { a, b } = self;` / \
                `match self`) so adding a field is a compile error at the codec instead of \
                silent state loss",

@@ -211,17 +211,32 @@ fn panic_reachability_flags_a_bare_index_below_container_open() {
 #[test]
 fn panic_reachability_sees_through_record_codecs() {
     let src = fixture("panic_reachability_record.rs");
-    let findings = check_files(&[("crates/faas/src/platform.rs", &src)]).findings;
-    assert_single(&findings, "panic-reachability");
-    assert!(findings[0].message.contains("bare index"), "{findings:?}");
+    let path = "crates/faas/src/platform.rs";
+    let findings = check_files(&[(path, &src)]).findings;
+    assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(
-        findings[0].message.contains("Slot::restore → Heap::restore"),
-        "the chain must run through the record's restore: {findings:?}"
+        findings
+            .iter()
+            .all(|f| f.rule == "panic-reachability" && f.message.contains("bare index")),
+        "{findings:?}"
     );
-    // Without the record, nothing reaches `Heap::restore`.
-    let unreached = src.replace("snapshot::record!(Slot { id: u64, heap: Heap });", "");
-    let findings = check_files(&[("crates/faas/src/platform.rs", &unreached)]).findings;
-    assert!(findings.is_empty(), "{findings:?}");
+    let struct_record = "snapshot::record!(Slot { id: u64, heap: Heap });";
+    let enum_record = "snapshot::record!(enum Event { 0 => Sweep, 1 => Grow { id: u64, arena: Arena } });";
+    let struct_chain = "Slot::restore → Heap::restore";
+    let enum_chain = "Event::restore → Arena::restore";
+    for chain in [struct_chain, enum_chain] {
+        assert!(
+            findings.iter().any(|f| f.message.contains(chain)),
+            "a chain must run through {chain}: {findings:?}"
+        );
+    }
+    // Without a record, nothing reaches the codec behind it.
+    for (record, kept) in [(struct_record, enum_chain), (enum_record, struct_chain)] {
+        let unreached = src.replace(record, "");
+        let findings = check_files(&[(path, &unreached)]).findings;
+        assert_single(&findings, "panic-reachability");
+        assert!(findings[0].message.contains(kept), "{findings:?}");
+    }
 }
 
 #[test]

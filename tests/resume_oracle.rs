@@ -4,18 +4,13 @@
 //! platform state and outcome of a plain `replay`.
 
 use azure_trace::{build_trace, replay, replay_resumable, ReplayConfig};
-use desiccant::{Desiccant, DesiccantConfig};
-use faas::platform::{GcMode, Platform};
-use faas::{CrashPlan, MemoryManager, PlatformConfig, StorageFaultPlan};
+use bench::golden::{platform, MODES};
+use faas::platform::Platform;
+use faas::{CrashPlan, PlatformConfig, StorageFaultPlan};
 use simos::SimDuration;
 
 fn make(mode: &str) -> Platform {
-    let manager: Option<Box<dyn MemoryManager>> = match mode {
-        "desiccant" => Some(Box::new(Desiccant::new(DesiccantConfig::default()))),
-        _ => None,
-    };
-    let gc = if mode == "eager" { GcMode::Eager } else { GcMode::Vanilla };
-    Platform::new(PlatformConfig::default(), workloads::catalog(), gc, manager)
+    platform(mode, PlatformConfig::default())
 }
 
 #[test]
@@ -29,7 +24,7 @@ fn resumable_replay_matches_plain_replay() {
         seed: 3,
         drain: SimDuration::from_secs(12),
     };
-    for mode in ["vanilla", "eager", "desiccant"] {
+    for mode in MODES {
         let mut plain = make(mode);
         let outcome = replay(&mut plain, &trace, &config);
         let state = plain.checkpoint();
