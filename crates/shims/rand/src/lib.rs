@@ -89,6 +89,34 @@ pub mod rngs {
         index: usize,
     }
 
+    /// One state word of four consecutive blocks, a lane per block.
+    type Lanes = [u32; 4];
+
+    #[inline(always)]
+    fn add4(a: Lanes, b: Lanes) -> Lanes {
+        std::array::from_fn(|i| a[i].wrapping_add(b[i]))
+    }
+
+    #[inline(always)]
+    fn xor_rotate4(a: Lanes, b: Lanes, by: u32) -> Lanes {
+        std::array::from_fn(|i| (a[i] ^ b[i]).rotate_left(by))
+    }
+
+    /// The ChaCha quarter-round on four blocks at once: each step is
+    /// one 4-lane add, xor or rotate, which the compiler vectorizes.
+    #[inline(always)]
+    fn quarter4(s: &mut [Lanes; CHACHA_WORDS], a: usize, b: usize, c: usize, d: usize) {
+        s[a] = add4(s[a], s[b]);
+        s[d] = xor_rotate4(s[d], s[a], 16);
+        s[c] = add4(s[c], s[d]);
+        s[b] = xor_rotate4(s[b], s[c], 12);
+        s[a] = add4(s[a], s[b]);
+        s[d] = xor_rotate4(s[d], s[a], 8);
+        s[c] = add4(s[c], s[d]);
+        s[b] = xor_rotate4(s[b], s[c], 7);
+    }
+
+    #[cfg(test)]
     #[inline(always)]
     fn quarter(s: &mut [u32; CHACHA_WORDS], a: usize, b: usize, c: usize, d: usize) {
         s[a] = s[a].wrapping_add(s[b]);
@@ -102,6 +130,8 @@ pub mod rngs {
     }
 
     impl StdRng {
+        /// One block, scalar: the oracle of [`StdRng::blocks4`].
+        #[cfg(test)]
         fn block(&self, counter: u64, out: &mut [u32]) {
             const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
             let mut s: [u32; CHACHA_WORDS] = [
@@ -139,14 +169,48 @@ pub mod rngs {
             }
         }
 
-        fn refill(&mut self) {
-            for b in 0..4 {
-                let (lo, hi) = (b * CHACHA_WORDS, (b + 1) * CHACHA_WORDS);
-                let counter = self.counter.wrapping_add(b as u64);
-                let mut out = [0u32; CHACHA_WORDS];
-                self.block(counter, &mut out);
-                self.buf[lo..hi].copy_from_slice(&out);
+        /// The four blocks at `counter` and the three counters after
+        /// it (wrapping), back to back: ChaCha12 computed lane-parallel,
+        /// with state word `i` of block `b` in lane `b` of `s[i]`.
+        fn blocks4(&self, counter: u64) -> [u32; BUF_WORDS] {
+            const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+            let counters: [u64; 4] = std::array::from_fn(|b| counter.wrapping_add(b as u64));
+            let mut s: [Lanes; CHACHA_WORDS] = [
+                [SIGMA[0]; 4],
+                [SIGMA[1]; 4],
+                [SIGMA[2]; 4],
+                [SIGMA[3]; 4],
+                [self.key[0]; 4],
+                [self.key[1]; 4],
+                [self.key[2]; 4],
+                [self.key[3]; 4],
+                [self.key[4]; 4],
+                [self.key[5]; 4],
+                [self.key[6]; 4],
+                [self.key[7]; 4],
+                counters.map(|c| c as u32),
+                counters.map(|c| (c >> 32) as u32),
+                [self.stream as u32; 4],
+                [(self.stream >> 32) as u32; 4],
+            ];
+            let init = s;
+            // ChaCha12: six double rounds.
+            for _ in 0..6 {
+                quarter4(&mut s, 0, 4, 8, 12);
+                quarter4(&mut s, 1, 5, 9, 13);
+                quarter4(&mut s, 2, 6, 10, 14);
+                quarter4(&mut s, 3, 7, 11, 15);
+                quarter4(&mut s, 0, 5, 10, 15);
+                quarter4(&mut s, 1, 6, 11, 12);
+                quarter4(&mut s, 2, 7, 8, 13);
+                quarter4(&mut s, 3, 4, 9, 14);
             }
+            let out: [Lanes; CHACHA_WORDS] = std::array::from_fn(|i| add4(s[i], init[i]));
+            std::array::from_fn(|at| out[at % CHACHA_WORDS][at / CHACHA_WORDS])
+        }
+
+        fn refill(&mut self) {
+            self.buf = self.blocks4(self.counter);
             self.counter = self.counter.wrapping_add(4);
             self.index = 0;
         }
@@ -319,6 +383,26 @@ pub mod rngs {
             let mut rebuilt = StdRng::from_state_bytes(&saved).expect("valid state");
             for _ in 0..200 {
                 assert_eq!(rebuilt.next_u64(), rng.next_u64());
+            }
+        }
+
+        /// The lane-parallel refill equals four scalar blocks, for
+        /// several keys, streams and counters, across the 64-bit
+        /// counter wrap.
+        #[test]
+        fn lane_parallel_blocks_equal_four_scalar_blocks() {
+            let counters = [0, 1, 4, 0xFFFF_FFFF, 0x1_0000_0000, u64::MAX - 2, u64::MAX];
+            for (seed, stream) in [(0u8, 0u64), (7, 0), (0xA5, 0x0123_4567_89AB_CDEF)] {
+                let key = std::array::from_fn(|i| seed ^ (i as u8).wrapping_mul(37));
+                let mut rng = StdRng::from_seed(key);
+                rng.stream = stream;
+                for counter in counters {
+                    let mut want = [0u32; BUF_WORDS];
+                    for (b, block) in want.chunks_exact_mut(CHACHA_WORDS).enumerate() {
+                        rng.block(counter.wrapping_add(b as u64), block);
+                    }
+                    assert_eq!(rng.blocks4(counter), want, "seed {seed} counter {counter:#x}");
+                }
             }
         }
 

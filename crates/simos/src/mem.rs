@@ -20,18 +20,30 @@
 //! bit per page per flag) so range operations — touch, release,
 //! `PROT_NONE` uncommit, swap scans, `pmap`/`smaps` aggregation — work
 //! on 64 pages per instruction with `count_ones()` popcounts instead of
-//! a byte-per-page walk. Page-cache refcounts of file-backed pages move
-//! in the same word batches: each operation hands the
-//! [`FileRegistry`] a `(word, bits)` pair, and a whole word (a library
-//! faulted in or dropped in full) updates 64 adjacent counts in
-//! fixed-length passes. The registry keeps a derived *solo* bitmap per file
-//! (bit set iff exactly one process maps the page clean), so USS is a
-//! popcount of `resident & !dirty & solo` rather than a per-page lookup.
-//! Per-page iteration survives only in the `smaps`/PSS report, which
-//! needs each shared page's mapper count, and which doubles as the
-//! oracle for the word-parallel USS/RSS. The old byte-per-page
-//! representation lives on in [`reference`] as the oracle for property
-//! tests and the baseline side of the Criterion comparisons.
+//! a byte-per-page walk. Each bitmap stores only its mixed prefix of
+//! words; every word past it is implied by a uniform tail, all-clear
+//! or all-set. A `PROT_NONE` reservation is an all-set `NOACCESS`
+//! tail and stores words only for what was committed, a library
+//! faulted in full stores no `RESIDENT` word, and a mapping never
+//! swapped stores no `SWAPPED` word. The form is canonical (the tail
+//! is set exactly when the last word is, and the prefix never ends in
+//! a tail word), so equal page states are equal values and encode to
+//! the same dense words. Walks over several flags ([`pagebits::zip_words`])
+//! go word by word through the prefixes and treat the common tail as
+//! one run of pages.
+//!
+//! Page-cache refcounts of file-backed pages move in the same word
+//! batches: each operation hands the [`FileRegistry`] a `(word, bits)`
+//! pair, and a whole word (a library faulted in or dropped in full)
+//! updates 64 adjacent counts in fixed-length passes. The registry
+//! keeps a derived *solo* bitmap per file (bit set iff exactly one
+//! process maps the page clean), so USS is a popcount of
+//! `resident & !dirty & solo` rather than a per-page lookup. Per-page
+//! iteration survives only in the `smaps`/PSS report, which needs each
+//! shared page's mapper count, and which doubles as the oracle for the
+//! word-parallel USS/RSS. The old byte-per-page representation lives
+//! on in [`reference`] as the oracle for property tests and the
+//! baseline side of the Criterion comparisons.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,18 +60,46 @@ pub fn page_align_up(len: u64) -> u64 {
 }
 
 pub mod pagebits {
-    //! One-bit-per-page sets packed into `u64` words.
+    //! One-bit-per-page sets: a stored mixed prefix of `u64` words and
+    //! an implied uniform tail.
     //!
-    //! A [`PageBits`] stores one flag for every page of a mapping. Range
-    //! operations visit whole words through [`masked_words`], so setting,
-    //! clearing, or counting a flag over an `N`-page range costs
-    //! `O(N / 64)` word operations, each resolving a 64-page batch with
-    //! one mask and one `count_ones()`.
+    //! A [`PageBits`] holds one flag for every page of a mapping. Most
+    //! of a flag's words are uniform to the end of the mapping: a
+    //! `PROT_NONE` reservation past its committed prefix, a library
+    //! faulted in full, a swap map nothing was ever swapped to. So a
+    //! bitmap stores only its *prefix*, the words up to the last one
+    //! that differs from its *tail*; every word past the prefix is
+    //! implied, all-clear or all-set (the last word masked to the page
+    //! count). Memory follows the flag's mixed state, not the reserved
+    //! address space.
+    //!
+    //! The form is canonical, so the derived `PartialEq` is equality
+    //! of the pages:
+    //!
+    //! * the tail is all-set exactly when the bitmap's last word is, and
+    //! * the prefix never ends in a word equal to the tail's word at
+    //!   that index.
+    //!
+    //! Debug builds assert both after every mutation and decode.
+    //!
+    //! Range operations visit whole words through [`masked_words`], so
+    //! setting, clearing, or counting a flag over an `N`-page range
+    //! costs at most `O(N / 64)` word operations, and a range that runs
+    //! to the end of the bitmap moves its tail instead of storing words.
+    //! [`zip_words`] walks several bitmaps of one mapping together,
+    //! word by word through their prefixes and as one page run through
+    //! their common tail.
 
-    /// A packed bitmap with one bit per page.
+    use std::ops::Range;
+
+    /// A page bitmap: stored prefix words plus an implied uniform tail.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct PageBits {
-        words: Vec<u64>,
+        /// The stored words; bits past `npages` are always clear.
+        prefix: Vec<u64>,
+        /// Whether every word past the prefix is all-set (else
+        /// all-clear).
+        tail: bool,
         npages: usize,
     }
 
@@ -105,19 +145,75 @@ pub mod pagebits {
         }
     }
 
+    /// Calls `f` with every maximal run of set bits in `bits`, as a
+    /// page range, where `bits` came from word `w` of a bitmap.
+    pub(crate) fn for_each_run(w: usize, mut bits: u64, mut f: impl FnMut(Range<usize>)) {
+        while bits != 0 {
+            let lo = bits.trailing_zeros();
+            let hi = lo + (bits >> lo).trailing_ones();
+            let at = w * 64;
+            f(at + crate::cast::to_usize(lo)..at + crate::cast::to_usize(hi));
+            bits = bits.checked_shr(hi).map_or(0, |rest| rest << hi);
+        }
+    }
+
+    /// Walks `[first, last)` of `maps`, bitmaps indexed alike, with `f`
+    /// combining their words bit by bit. Yields `(w, f(words) & mask)`
+    /// for every word before the point from which all of them lie in
+    /// their tails, and returns the page range from that point on when
+    /// `f` of the tails selects it (an empty range when it does not):
+    /// past the split every word combines to the same uniform value.
+    pub fn zip_words<'a, const N: usize>(
+        maps: [&'a PageBits; N],
+        first: usize,
+        last: usize,
+        f: impl Fn([u64; N]) -> u64 + 'a,
+    ) -> (impl Iterator<Item = (usize, u64)> + 'a, Range<usize>) {
+        debug_assert!(first <= last);
+        let stored = maps.iter().map(|m| m.prefix.len() * 64).max().unwrap_or(0);
+        let split = stored.max(first).min(last);
+        let run = if f(maps.map(|m| m.tail_fill())) & 1 != 0 {
+            split..last
+        } else {
+            last..last
+        };
+        let words = masked_words(first, split)
+            .map(move |(w, mask)| (w, f(maps.map(|m| m.word(w))) & mask));
+        (words, run)
+    }
+
     impl PageBits {
-        /// An all-clear bitmap covering `npages` pages.
+        /// An all-clear bitmap covering `npages` pages. Allocates
+        /// nothing.
         pub fn new(npages: usize) -> PageBits {
             PageBits {
-                words: vec![0; npages.div_ceil(64)],
+                prefix: Vec::new(),
+                tail: false,
                 npages,
             }
         }
 
-        /// An all-set bitmap covering `npages` pages.
+        /// An all-set bitmap covering `npages` pages. Allocates
+        /// nothing.
         pub fn new_filled(npages: usize) -> PageBits {
-            let mut bits = PageBits::new(npages);
-            bits.set_range(0, npages);
+            PageBits {
+                prefix: Vec::new(),
+                tail: npages > 0,
+                npages,
+            }
+        }
+
+        /// The canonical bitmap of the dense `words` over `npages`
+        /// pages (bits past `npages` clear).
+        pub(crate) fn from_words(words: Vec<u64>, npages: usize) -> PageBits {
+            debug_assert_eq!(words.len(), npages.div_ceil(64));
+            let mut bits = PageBits {
+                prefix: words,
+                tail: false,
+                npages,
+            };
+            bits.canonicalize();
+            bits.prefix.shrink_to_fit();
             bits
         }
 
@@ -126,20 +222,127 @@ pub mod pagebits {
             self.npages
         }
 
-        /// The raw words; trailing bits past `npages` are always zero.
-        pub fn words(&self) -> &[u64] {
-            &self.words
+        /// Number of words the pages span.
+        fn nwords(&self) -> usize {
+            self.npages.div_ceil(64)
         }
 
-        /// Word `w` of the bitmap.
+        /// Number of words stored: the prefix. Every later word is the
+        /// tail's.
+        pub fn stored_words(&self) -> usize {
+            self.prefix.len()
+        }
+
+        /// Word `w` all-set: every bit, or on the last word the bits
+        /// below the page count.
+        fn full_word(&self, w: usize) -> u64 {
+            let rem = self.npages % 64;
+            if rem != 0 && w + 1 == self.nwords() {
+                (1 << rem) - 1
+            } else {
+                u64::MAX
+            }
+        }
+
+        /// The tail's value of word `w`.
+        fn tail_word(&self, w: usize) -> u64 {
+            if self.tail {
+                self.full_word(w)
+            } else {
+                0
+            }
+        }
+
+        /// The tail as one bit pattern, unmasked: every bit set or none.
+        fn tail_fill(&self) -> u64 {
+            if self.tail {
+                u64::MAX
+            } else {
+                0
+            }
+        }
+
+        /// Word `w` of the bitmap, stored or implied.
         pub fn word(&self, w: usize) -> u64 {
-            self.words[w] // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+            debug_assert!(w < self.nwords());
+            match self.prefix.get(w) {
+                Some(&word) => word,
+                None => self.tail_word(w),
+            }
         }
 
-        /// Mutable word `w`: with [`PageBits::word`], the only places a
-        /// word index is checked.
-        fn word_mut(&mut self, w: usize) -> &mut u64 {
-            &mut self.words[w] // tidy:allow(panic-reachability) -- word and page indices derive from addresses bounded by the fixed bitmap size
+        /// Stores `value` as word `w`, growing the prefix only when the
+        /// value differs from the tail.
+        fn put_word(&mut self, w: usize, value: u64) {
+            debug_assert_eq!(value & !self.full_word(w), 0);
+            if w >= self.prefix.len() {
+                if value == self.tail_word(w) {
+                    return;
+                }
+                self.materialize(w + 1);
+            }
+            if let Some(word) = self.prefix.get_mut(w) {
+                *word = value;
+            }
+            if w + 1 == self.prefix.len() {
+                self.canonicalize();
+            }
+        }
+
+        /// Extends the prefix to `len` words with the tail's words.
+        fn materialize(&mut self, len: usize) {
+            if self.prefix.len() >= len {
+                return;
+            }
+            let last = self.full_word(len - 1);
+            self.prefix.resize(len, self.tail_fill());
+            if self.tail {
+                if let Some(word) = self.prefix.last_mut() {
+                    *word = last;
+                }
+            }
+        }
+
+        /// Restores the canonical form after the prefix's last word
+        /// changed: a prefix spanning every word takes the tail its last
+        /// word matches, then trailing words equal to the tail go. A
+        /// prefix that shrank to under half its allocation gives the
+        /// rest back.
+        fn canonicalize(&mut self) {
+            let n = self.nwords();
+            if self.prefix.len() == n {
+                self.tail = n > 0 && self.prefix.last() == Some(&self.full_word(n - 1));
+            }
+            let before = self.prefix.len();
+            while let Some(&last) = self.prefix.last() {
+                if last != self.tail_word(self.prefix.len() - 1) {
+                    break;
+                }
+                self.prefix.pop();
+            }
+            if self.prefix.len() < before && self.prefix.capacity() > 2 * self.prefix.len() {
+                self.prefix.shrink_to_fit();
+            }
+            self.debug_check();
+        }
+
+        /// Asserts the canonical form (debug builds only).
+        fn debug_check(&self) {
+            #[cfg(debug_assertions)]
+            {
+                let n = self.nwords();
+                assert!(self.prefix.len() <= n, "prefix longer than the bitmap");
+                if n > 0 {
+                    let last = self.word(n - 1);
+                    assert_eq!(last & !self.full_word(n - 1), 0, "bits set past the page count");
+                    let full = last == self.full_word(n - 1);
+                    assert_eq!(self.tail, full, "tail disagrees with the last word");
+                }
+                if let Some(&last) = self.prefix.last() {
+                    let tail = self.tail_word(self.prefix.len() - 1);
+                    assert_ne!(last, tail, "prefix ends in a tail word");
+                }
+            }
         }
 
         /// Whether page `idx` is set.
@@ -155,90 +358,186 @@ pub mod pagebits {
         }
 
         /// Clears page `idx`; returns true if it was previously set.
+        #[cfg(test)]
         pub fn clear(&mut self, idx: usize) -> bool {
             self.clear_word_bits(idx / 64, 1 << (idx % 64)) != 0
         }
 
         /// ORs `bits` into word `w`; returns how many were newly set.
         pub fn set_word_bits(&mut self, w: usize, bits: u64) -> u64 {
-            let word = self.word_mut(w);
-            let newly = bits & !*word;
-            *word |= bits;
+            let word = self.word(w);
+            let newly = bits & !word;
+            if newly != 0 {
+                self.put_word(w, word | bits);
+            }
             u64::from(newly.count_ones())
         }
 
         /// Clears `bits` in word `w`; returns how many were set before.
         pub fn clear_word_bits(&mut self, w: usize, bits: u64) -> u64 {
-            let word = self.word_mut(w);
-            let had = bits & *word;
-            *word &= !bits;
+            let word = self.word(w);
+            let had = bits & word;
+            if had != 0 {
+                self.put_word(w, word & !bits);
+            }
             u64::from(had.count_ones())
         }
 
         /// Sets every page in `[first, last)`; returns the newly-set
         /// count.
         pub fn set_range(&mut self, first: usize, last: usize) -> u64 {
-            debug_assert!(first <= last && last <= self.npages);
-            masked_words(first, last)
-                .map(|(w, mask)| self.set_word_bits(w, mask))
-                .sum()
+            self.fill_range(first, last, true)
         }
 
         /// Clears every page in `[first, last)`; returns the
         /// previously-set count.
         pub fn clear_range(&mut self, first: usize, last: usize) -> u64 {
+            self.fill_range(first, last, false)
+        }
+
+        /// Sets (`value`) or clears every page in `[first, last)`;
+        /// returns how many changed. A range running to the end of the
+        /// bitmap makes its whole words the new tail, so filling or
+        /// emptying a mapping stores no word.
+        fn fill_range(&mut self, first: usize, last: usize, value: bool) -> u64 {
             debug_assert!(first <= last && last <= self.npages);
-            masked_words(first, last)
-                .map(|(w, mask)| self.clear_word_bits(w, mask))
-                .sum()
+            if last <= self.prefix.len() * 64 {
+                // Inside the stored words, the common case: in place.
+                let mut changed = 0;
+                for (w, mask) in masked_words(first, last) {
+                    if let Some(word) = self.prefix.get_mut(w) {
+                        let old = *word;
+                        *word = if value { old | mask } else { old & !mask };
+                        changed += u64::from((old ^ *word).count_ones());
+                    }
+                }
+                if changed != 0 {
+                    self.canonicalize();
+                }
+                return changed;
+            }
+            let set = self.count_range(first, last);
+            let changed = if value {
+                crate::cast::to_u64(last - first) - set
+            } else {
+                set
+            };
+            if changed == 0 {
+                return 0;
+            }
+            // Whole words from `uniform` on become the tail.
+            let uniform = if last == self.npages {
+                first.div_ceil(64)
+            } else {
+                self.nwords()
+            };
+            let mut head_last = last.min(uniform * 64);
+            if value == self.tail {
+                // Implied words already hold `value`.
+                head_last = head_last.min(self.prefix.len() * 64);
+            }
+            if first < head_last {
+                self.materialize(head_last.div_ceil(64));
+                for (w, mask) in masked_words(first, head_last) {
+                    if let Some(word) = self.prefix.get_mut(w) {
+                        *word = if value { *word | mask } else { *word & !mask };
+                    }
+                }
+            }
+            if uniform < self.nwords() {
+                if self.tail != value {
+                    self.materialize(uniform);
+                    self.tail = value;
+                }
+                self.prefix.truncate(uniform);
+            }
+            self.canonicalize();
+            changed
         }
 
         /// Number of set pages in `[first, last)`.
         pub fn count_range(&self, first: usize, last: usize) -> u64 {
             debug_assert!(first <= last && last <= self.npages);
-            masked_words(first, last)
+            let split = (self.prefix.len() * 64).max(first).min(last);
+            let stored: u64 = masked_words(first, split)
                 .map(|(w, mask)| u64::from((self.word(w) & mask).count_ones()))
-                .sum()
+                .sum();
+            let implied = if self.tail { last - split } else { 0 };
+            stored + crate::cast::to_u64(implied)
         }
 
         /// Number of set pages in the whole bitmap.
         pub fn count(&self) -> u64 {
-            self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+            let stored: u64 = self.prefix.iter().map(|w| u64::from(w.count_ones())).sum();
+            let implied = if self.tail {
+                self.npages.saturating_sub(self.prefix.len() * 64)
+            } else {
+                0
+            };
+            stored + crate::cast::to_u64(implied)
         }
     }
 
     impl snapshot::Snapshot for PageBits {
         fn snap(&self, w: &mut snapshot::Writer) {
-            // No word count: it follows from `npages`.
-            let Self { words, npages } = self;
+            // The dense words: the page count (the word count follows
+            // from it), the stored prefix, then the implied tail words
+            // written as fills.
+            let Self {
+                prefix,
+                tail,
+                npages,
+            } = self;
             w.usize(*npages);
-            w.fixed(words.iter().map(|word| word.to_le_bytes()));
+            w.fixed(prefix.iter().map(|word| word.to_le_bytes()));
+            let implied = self.nwords() - prefix.len();
+            if *tail {
+                // A set tail implies at least the last word.
+                w.fill(0xFF, 8 * (implied - 1));
+                w.u64(self.full_word(self.nwords() - 1));
+            } else {
+                w.fill(0, 8 * implied);
+            }
         }
 
         fn restore(r: &mut snapshot::Reader<'_>) -> Result<PageBits, snapshot::SnapError> {
             let npages = r.usize()?;
-            let nwords = npages.div_ceil(64);
+            let mut bits = PageBits::new(npages);
+            let nwords = bits.nwords();
             if nwords > r.remaining() / 8 {
                 return Err(snapshot::SnapError::Corrupt("PageBits length exceeds input"));
             }
-            let words: Vec<u64> = r.fixed(nwords)?.map(u64::from_le_bytes).collect();
-            let tail = npages % 64;
-            if tail != 0 {
-                if let Some(last) = words.last() {
-                    if last >> tail != 0 {
-                        return Err(snapshot::SnapError::Corrupt(
-                            "PageBits has bits set past the page count",
-                        ));
-                    }
+            let bytes = r.take(nwords * 8)?;
+            let word = |c: &[u8]| u64::from_le_bytes(c.try_into().unwrap_or([0; 8]));
+            let words = bytes.chunks_exact(8).map(word);
+            if let Some(last) = words.clone().next_back() {
+                if last & !bits.full_word(nwords - 1) != 0 {
+                    return Err(snapshot::SnapError::Corrupt(
+                        "PageBits has bits set past the page count",
+                    ));
                 }
+                bits.tail = last == bits.full_word(nwords - 1);
             }
-            Ok(PageBits { words, npages })
+            // The tail starts after the last word that differs from it;
+            // only the words before are allocated.
+            let stored = words
+                .enumerate()
+                .rposition(|(w, word)| word != bits.tail_word(w))
+                .map_or(0, |w| w + 1);
+            bits.prefix = bytes.chunks_exact(8).take(stored).map(word).collect();
+            bits.debug_check();
+            Ok(bits)
         }
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+
+        /// Every word, stored or implied.
+        fn dense(bits: &PageBits) -> Vec<u64> {
+            (0..bits.nwords()).map(|w| bits.word(w)).collect()
+        }
 
         #[test]
         fn bulk_codec_writes_the_per_word_bytes() {
@@ -251,14 +550,61 @@ pub mod pagebits {
                 }
                 let mut oracle = snapshot::Writer::new();
                 oracle.usize(npages);
-                for &word in bits.words() {
+                for word in dense(&bits) {
                     oracle.u64(word);
                 }
                 let bytes = snapshot::encode(&bits);
                 assert!(bytes == oracle.into_bytes(), "{npages} pages");
                 let back: PageBits = snapshot::decode(&bytes).unwrap();
-                assert_eq!(back.words(), bits.words());
+                assert_eq!(back, bits);
                 assert_eq!(back.npages(), npages);
+            }
+        }
+
+        #[test]
+        fn uniform_tails_encode_as_dense_words_and_decode_to_the_prefix() {
+            // Set and clear tails after a mixed prefix, with partial and
+            // whole last words; then the uniform bitmaps themselves.
+            for npages in [1, 63, 64, 65, 200, 4097] {
+                let half = npages / 2;
+                for (tail_from, set) in [(0, true), (0, false), (half, true), (half, false)] {
+                    let mut bits = PageBits::new(npages);
+                    for idx in (0..tail_from).filter(|i| i % 3 == 0) {
+                        bits.set(idx);
+                    }
+                    if set {
+                        bits.set_range(tail_from, npages);
+                    }
+                    let mut oracle = snapshot::Writer::new();
+                    oracle.usize(npages);
+                    for word in dense(&bits) {
+                        oracle.u64(word);
+                    }
+                    let bytes = snapshot::encode(&bits);
+                    assert!(bytes == oracle.into_bytes(), "{npages} pages from {tail_from}");
+                    let back: PageBits = snapshot::decode(&bytes).unwrap();
+                    assert_eq!(back, bits, "{npages} pages from {tail_from}");
+                    assert!(back.stored_words() <= tail_from.div_ceil(64));
+                    assert_eq!(back.prefix.capacity(), back.stored_words());
+                }
+            }
+        }
+
+        #[test]
+        fn bits_past_the_page_count_are_corrupt() {
+            // 130 pages: the last word holds two; a third bit is corrupt,
+            // whether the words before are mixed or all-set.
+            for prefix in [0x5u64, u64::MAX] {
+                let mut w = snapshot::Writer::new();
+                w.usize(130);
+                w.u64(prefix);
+                w.u64(u64::MAX);
+                w.u64(0b111);
+                let err = snapshot::decode::<PageBits>(&w.into_bytes()).unwrap_err();
+                assert_eq!(
+                    err,
+                    snapshot::SnapError::Corrupt("PageBits has bits set past the page count")
+                );
             }
         }
 
@@ -285,6 +631,16 @@ pub mod pagebits {
         }
 
         #[test]
+        fn runs_split_a_word_at_its_clear_bits() {
+            let mut runs = Vec::new();
+            for_each_run(2, 0b0111_0010 | 0xFF << 56, |run| runs.push(run));
+            assert_eq!(runs, vec![129..130, 132..135, 184..192]);
+            runs.clear();
+            for_each_run(0, u64::MAX, |run| runs.push(run));
+            assert_eq!(runs, vec![0..64]);
+        }
+
+        #[test]
         fn range_ops_report_deltas() {
             let mut bits = PageBits::new(200);
             assert_eq!(bits.set_range(10, 150), 140);
@@ -294,6 +650,42 @@ pub mod pagebits {
             assert_eq!(bits.count_range(100, 200), 50);
             assert_eq!(bits.clear_range(0, 64), 64);
             assert_eq!(bits.count(), 86);
+        }
+
+        #[test]
+        fn ranges_to_the_end_move_the_tail() {
+            let mut bits = PageBits::new(200);
+            // Filling to the end stores only the partial head word.
+            assert_eq!(bits.set_range(70, 200), 130);
+            assert_eq!(bits.stored_words(), 2);
+            assert!(bits.tail);
+            assert_eq!(bits.set_range(0, 70), 70);
+            assert_eq!((bits.stored_words(), bits.count()), (0, 200));
+            // Clearing a middle range stores words up to it; clearing
+            // the rest to the end leaves an all-clear bitmap.
+            assert_eq!(bits.clear_range(64, 128), 64);
+            assert_eq!(bits.stored_words(), 2);
+            assert_eq!(bits.count_range(60, 140), 16);
+            assert_eq!(bits.clear_range(0, 200), 136);
+            assert_eq!(bits, PageBits::new(200));
+            // A mixed last word stores every word, under a clear tail.
+            assert_eq!(bits.set_range(199, 200), 1);
+            assert_eq!((bits.stored_words(), bits.tail), (4, false));
+            assert_eq!(bits.set_range(192, 199), 7);
+            assert_eq!((bits.stored_words(), bits.tail), (3, true));
+        }
+
+        #[test]
+        fn zip_words_splits_at_the_longest_prefix() {
+            let mut a = PageBits::new_filled(200);
+            let b = PageBits::new(200);
+            a.clear_range(0, 3);
+            let (words, run) = zip_words([&a, &b], 0, 200, |[a, b]| a & !b);
+            assert_eq!(words.collect::<Vec<_>>(), vec![(0, !0b111)]);
+            assert_eq!(run, 64..200);
+            let (words, run) = zip_words([&a, &b], 1, 200, |[a, b]| a & b);
+            assert_eq!(words.count(), 1);
+            assert!(run.is_empty());
         }
 
         #[test]
@@ -395,7 +787,7 @@ pub mod reference {
     }
 }
 
-use pagebits::{for_each_bit, masked_words, PageBits};
+use pagebits::{for_each_run, masked_words, zip_words, PageBits};
 
 /// A virtual address in a simulated address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -478,6 +870,15 @@ enum Flag {
     Dirty,
     Swapped,
     NoAccess,
+}
+
+/// Number of pages a [`zip_words`] walk selects: the set bits of its
+/// words plus its uniform run.
+fn count_pages(
+    (words, run): (impl Iterator<Item = (usize, u64)>, std::ops::Range<usize>),
+) -> u64 {
+    let stored: u64 = words.map(|(_, bits)| u64::from(bits.count_ones())).sum();
+    stored + crate::cast::to_u64(run.len())
 }
 
 /// A contiguous virtual mapping.
@@ -650,24 +1051,45 @@ impl Mapping {
         n
     }
 
-    /// `(word_index, bits)` for every word overlapping `[first, last)`,
-    /// where `bits` selects the resident, clean pages in range — the
-    /// pages that hold page-cache references when the mapping is
-    /// file-backed.
+    /// The resident, clean pages of `[first, last)` — the pages that
+    /// hold page-cache references when the mapping is file-backed — as
+    /// [`zip_words`] splits them: `(word_index, bits)` through the
+    /// stored words, then the run where both bitmaps are uniform.
+    fn clean_resident(
+        &self,
+        first: usize,
+        last: usize,
+    ) -> (impl Iterator<Item = (usize, u64)> + '_, std::ops::Range<usize>) {
+        zip_words([&self.resident, &self.dirty], first, last, |[r, d]| r & !d)
+    }
+
+    /// `(word_index, bits)` for every word overlapping `[first, last)`
+    /// that holds resident, clean pages, with `bits` selecting them.
     pub(crate) fn clean_resident_words(
         &self,
         first: usize,
         last: usize,
     ) -> impl Iterator<Item = (usize, u64)> + '_ {
-        masked_words(first, last)
-            .map(move |(w, mask)| (w, self.resident.word(w) & !self.dirty.word(w) & mask))
+        let (words, run) = self.clean_resident(first, last);
+        words.chain(masked_words(run.start, run.end))
+    }
+
+    /// Calls `f` with runs of resident, clean pages covering every such
+    /// page once: the runs of set bits in each stored word, then the
+    /// uniform tail as a single run.
+    pub fn for_each_clean_resident_run(&self, mut f: impl FnMut(std::ops::Range<usize>)) {
+        let (words, run) = self.clean_resident(0, self.page_count());
+        for (w, bits) in words {
+            for_each_run(w, bits, &mut f);
+        }
+        if !run.is_empty() {
+            f(run);
+        }
     }
 
     /// Calls `f` with the index of every resident, clean page.
     pub fn for_each_clean_resident_page(&self, mut f: impl FnMut(usize)) {
-        for (w, bits) in self.clean_resident_words(0, self.page_count()) {
-            for_each_bit(w, bits, &mut f);
-        }
+        self.for_each_clean_resident_run(|run| run.for_each(&mut f));
     }
 
     /// Number of resident, clean pages whose bit is set in `pages`, a
@@ -675,13 +1097,8 @@ impl Mapping {
     /// offset zero, so the file's solo bitmap lines up word for word and
     /// this counts the private clean pages.
     pub fn clean_resident_pages_in(&self, pages: &PageBits) -> u64 {
-        self.resident
-            .words()
-            .iter()
-            .zip(self.dirty.words())
-            .zip(pages.words())
-            .map(|((&r, &d), &p)| u64::from((r & !d & p).count_ones()))
-            .sum()
+        let maps = [&self.resident, &self.dirty, pages];
+        count_pages(zip_words(maps, 0, self.page_count(), |[r, d, p]| r & !d & p))
     }
 
     /// Drops the page-cache references that the resident, clean pages
@@ -697,12 +1114,14 @@ impl Mapping {
     /// Number of pages that are both resident and dirty (the resident
     /// private-dirty set of `smaps`).
     pub fn resident_dirty_pages(&self) -> u64 {
-        self.resident
-            .words()
-            .iter()
-            .zip(self.dirty.words())
-            .map(|(&r, &d)| u64::from((r & d).count_ones()))
-            .sum()
+        let maps = [&self.resident, &self.dirty];
+        count_pages(zip_words(maps, 0, self.page_count(), |[r, d]| r & d))
+    }
+
+    /// Bitmap words each flag stores (resident, dirty, swapped,
+    /// noaccess); every other word is implied by its uniform tail.
+    pub fn stored_words(&self) -> [usize; 4] {
+        [&self.resident, &self.dirty, &self.swapped, &self.noaccess].map(PageBits::stored_words)
     }
 
     /// Resident bytes within `[addr, addr + len)` (the `pmap` view that
@@ -748,6 +1167,15 @@ impl Mapping {
         }
     }
 
+    /// The first `PROT_NONE` page in `[first, last)`, if any.
+    fn first_noaccess(&self, first: usize, last: usize) -> Option<usize> {
+        let (mut words, run) = zip_words([&self.noaccess], first, last, |[na]| na);
+        words
+            .find(|&(_, bits)| bits != 0)
+            .map(|(w, bits)| w * 64 + crate::cast::to_usize(bits.trailing_zeros()))
+            .or((!run.is_empty()).then_some(run.start))
+    }
+
     /// Touches `[first, last)`, faulting pages in word batches.
     ///
     /// Protection is validated up front, so a faulting touch leaves the
@@ -759,17 +1187,18 @@ impl Mapping {
         last: usize,
         write: bool,
     ) -> SimOsResult<TouchOutcome> {
-        for (w, mask) in masked_words(first, last) {
-            let bad = self.noaccess.word(w) & mask;
-            if bad != 0 {
-                let idx = w * 64 + crate::cast::to_usize(bad.trailing_zeros());
-                return Err(SimOsError::ProtectionViolation {
-                    addr: VirtAddr(self.start.0 + crate::cast::to_u64(idx) * PAGE_SIZE),
-                });
-            }
+        if let Some(idx) = self.first_noaccess(first, last) {
+            return Err(SimOsError::ProtectionViolation {
+                addr: VirtAddr(self.start.0 + crate::cast::to_u64(idx) * PAGE_SIZE),
+            });
         }
         let mut out = TouchOutcome::default();
         self.mark_epoch_dirty(first, last);
+        // Faults and page-cache references per word from the old state,
+        // then the three flags as range ops: a touch that runs to the
+        // end of the mapping moves their tails instead of storing words.
+        // Every absent page becomes resident, and a swapped page is
+        // never resident, so every swapped page in range swaps in.
         for (w, mask) in masked_words(first, last) {
             let resident = self.resident.word(w) & mask;
             let absent = mask & !resident;
@@ -789,16 +1218,20 @@ impl Mapping {
                     }
                 }
             }
-            self.swapped_pages -= self.swapped.clear_word_bits(w, swap_in);
-            self.resident_pages += self.resident.set_word_bits(w, absent);
             if write {
                 // A first write to a clean, already-resident file page
                 // breaks CoW: the page leaves the page cache.
                 if let MappingKind::PrivateFile(file) = self.kind {
                     files.dec_mappers(file, w, resident & !self.dirty.word(w));
                 }
-                self.dirty_pages += self.dirty.set_word_bits(w, mask);
             }
+        }
+        let swapped_in = self.swapped.clear_range(first, last);
+        debug_assert_eq!(swapped_in, out.swap_ins, "a swapped page was resident");
+        self.swapped_pages -= swapped_in;
+        self.resident_pages += self.resident.set_range(first, last);
+        if write {
+            self.dirty_pages += self.dirty.set_range(first, last);
         }
         Ok(out)
     }
@@ -859,8 +1292,9 @@ impl Mapping {
                 }
             };
             self.swapped_pages += self.swapped.set_word_bits(w, to_swap);
-            self.resident_pages -= self.resident.clear_word_bits(w, resident);
         }
+        // Every resident page in range left residency.
+        self.resident_pages -= self.resident.clear_range(first, last);
         swapped_bytes
     }
 }
@@ -1446,6 +1880,85 @@ mod tests {
     }
 
     #[test]
+    fn uniform_flags_store_no_words() {
+        let mut sys = crate::System::new();
+        // 200 pages: the last word is partial.
+        let lib = sys.register_file("libjvm.so", 200 * PAGE_SIZE);
+        let pid = sys.spawn_process();
+        let a = sys.map_library(pid, lib).unwrap();
+        let space = sys.space(pid).unwrap();
+        assert_eq!(space.mapping_at(a).unwrap().stored_words(), [0; 4], "a fully faulted library");
+        // A mixed anonymous map never swapped stores no swapped word.
+        let heap = sys
+            .mmap(pid, 200 * PAGE_SIZE, MappingKind::Anonymous, Prot::ReadWrite)
+            .unwrap();
+        sys.touch(pid, heap.offset(3 * PAGE_SIZE), 70 * PAGE_SIZE, true).unwrap();
+        sys.release(pid, heap.offset(10 * PAGE_SIZE), PAGE_SIZE).unwrap();
+        let m = sys.space(pid).unwrap().mapping_at(heap).unwrap();
+        assert_eq!(m.stored_words(), [2, 2, 0, 0]);
+        // Swapping the whole map out and back in stores nothing again.
+        sys.swap_out(pid, heap, 200 * PAGE_SIZE).unwrap();
+        assert_eq!(sys.space(pid).unwrap().mapping_at(heap).unwrap().stored_words(), [0, 2, 2, 0]);
+        sys.touch(pid, heap, 200 * PAGE_SIZE, true).unwrap();
+        assert_eq!(sys.space(pid).unwrap().mapping_at(heap).unwrap().stored_words(), [0; 4]);
+    }
+
+    #[test]
+    fn prot_none_reservation_stores_its_committed_prefix() {
+        // A HotSpot-style reservation: committed and touched up to a
+        // word edge, then two pages into the next word.
+        for (committed, words) in [(128, [2, 2, 0, 2]), (130, [3, 3, 0, 3])] {
+            let (mut s, mut f) = space_and_files();
+            let a = s
+                .mmap(50_000 * PAGE_SIZE, MappingKind::Anonymous, Prot::None, "[heap:java]")
+                .unwrap();
+            assert_eq!(s.mapping_at(a).unwrap().stored_words(), [0; 4]);
+            let len = committed * PAGE_SIZE;
+            s.mprotect(&mut f, a, len, Prot::ReadWrite).unwrap();
+            s.touch(&mut f, a, len, true).unwrap();
+            assert_eq!(s.mapping_at(a).unwrap().stored_words(), words, "{committed} pages");
+            // Uncommitting it again leaves the reservation it was.
+            s.mprotect(&mut f, a, len, Prot::None).unwrap();
+            assert_eq!(s.mapping_at(a).unwrap().stored_words(), [0; 4]);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_flag_states_no_operation_reaches() {
+        let at = VirtAddr(0x1000_0000);
+        let decode = |m: &Mapping| snapshot::decode::<Mapping>(&snapshot::encode(m));
+        // PROT_NONE pages that are resident, dirty or swapped: one in a
+        // stored word, then all of them as an implied tail.
+        for (first, last) in [(3, 4), (0, 130)] {
+            for flag in [Flag::Resident, Flag::Dirty, Flag::Swapped] {
+                let mut m = Mapping::new(at, 130, MappingKind::Anonymous, Prot::None, "bad");
+                assert!(decode(&m).is_ok());
+                m.set_flag_range(flag, first, last);
+                assert_eq!(
+                    decode(&m).err(),
+                    Some(snapshot::SnapError::Corrupt(
+                        "Mapping has a PROT_NONE page that is resident, dirty or swapped"
+                    )),
+                    "{flag:?} over [{first}, {last})"
+                );
+            }
+        }
+        // A page both resident and swapped.
+        let mut m = Mapping::new(at, 130, MappingKind::Anonymous, Prot::ReadWrite, "bad");
+        m.set_flag_range(Flag::Resident, 0, 130);
+        m.set_flag_range(Flag::Swapped, 64, 65);
+        assert_eq!(
+            decode(&m).err(),
+            Some(snapshot::SnapError::Corrupt("Mapping has a page both resident and swapped"))
+        );
+        // Dirty but not resident is reachable (a dirty page swapped out).
+        let mut m = Mapping::new(at, 130, MappingKind::Anonymous, Prot::ReadWrite, "ok");
+        m.set_flag_range(Flag::Dirty, 0, 130);
+        m.set_flag_range(Flag::Swapped, 0, 130);
+        assert!(decode(&m).is_ok());
+    }
+
+    #[test]
     fn mapping_kind_wire_tags_are_pinned() {
         assert_eq!(snapshot::encode(&MappingKind::Anonymous), [0]);
         assert_eq!(snapshot::decode(&[0]), Ok(MappingKind::Anonymous));
@@ -1524,6 +2037,18 @@ mod snap_impls {
                 || swapped_pages != swapped.count()
             {
                 return Err(SnapError::Corrupt("Mapping counters disagree with bitmaps"));
+            }
+            // States no operation reaches: `PROT_NONE` releases a range
+            // before protecting it, and a page is resident or swapped,
+            // never both.
+            let maps = [&noaccess, &resident, &dirty, &swapped];
+            if count_pages(zip_words(maps, 0, npages, |[na, r, d, s]| na & (r | d | s))) != 0 {
+                return Err(SnapError::Corrupt(
+                    "Mapping has a PROT_NONE page that is resident, dirty or swapped",
+                ));
+            }
+            if count_pages(zip_words([&resident, &swapped], 0, npages, |[r, s]| r & s)) != 0 {
+                return Err(SnapError::Corrupt("Mapping has a page both resident and swapped"));
             }
             Ok(Mapping {
                 start,

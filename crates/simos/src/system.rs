@@ -38,10 +38,8 @@ struct FileInfo {
 
 impl FileInfo {
     fn new(name: String, mapper_counts: Vec<u32>) -> FileInfo {
-        let mut solo = PageBits::new(mapper_counts.len());
-        for (w, counts) in mapper_counts.chunks(64).enumerate() {
-            solo.set_word_bits(w, solo_word(counts));
-        }
+        let words = mapper_counts.chunks(64).map(solo_word).collect();
+        let solo = PageBits::from_words(words, mapper_counts.len());
         FileInfo {
             name,
             mapper_counts,
@@ -207,7 +205,9 @@ impl FileRegistry {
     /// Checks the page cache against the processes that hold it: every
     /// file mapping names a registered file and fits inside it, and
     /// every page's mapper count equals the number of mappings holding
-    /// that page clean and resident.
+    /// that page clean and resident. Counts are summed a run of clean
+    /// resident pages at a time, so a mapping's uniform tail costs one
+    /// pass over its slice of counts.
     fn check_coherent(&self, spaces: &BTreeMap<Pid, AddressSpace>) -> Result<(), &'static str> {
         let mut held: Vec<Vec<u32>> = self
             .files
@@ -220,9 +220,9 @@ impl FileRegistry {
                     Some(counts) if self.check_mapping(m.kind, m.len()).is_ok() => counts,
                     _ => return Err("file mapping names an unknown file or runs past its end"),
                 };
-                m.for_each_clean_resident_page(|page| {
-                    if let Some(c) = counts.get_mut(page) {
-                        *c += 1;
+                m.for_each_clean_resident_run(|run| {
+                    if let Some(run) = counts.get_mut(run) {
+                        run.iter_mut().for_each(|c| *c += 1);
                     }
                 });
             }
@@ -689,7 +689,7 @@ mod tests {
             assert!(bytes == oracle.into_bytes(), "{pages} pages");
             let back: FileRegistry = snapshot::decode(&bytes).unwrap();
             assert_eq!(back.files[0].mapper_counts, sys.files().files[0].mapper_counts);
-            assert_eq!(back.solo(lib).words(), sys.files().solo(lib).words());
+            assert_eq!(back.solo(lib), sys.files().solo(lib));
         }
     }
 
@@ -709,6 +709,36 @@ mod tests {
         let mut bad = sys.clone();
         bad.files.files[0].mapper_counts[69] -= 1;
         assert!(round_trip(&bad).is_err());
+    }
+
+    #[test]
+    fn coherence_counts_stored_words_and_tail_runs() {
+        // 200 pages: p1 holds all of it (a uniform tail), p2 a mixed
+        // prefix (a released range and a CoW page) before its tail.
+        let mut sys = System::new();
+        let lib = sys.register_file("node", 200 * PAGE_SIZE);
+        let p1 = sys.spawn_process();
+        let p2 = sys.spawn_process();
+        sys.map_library(p1, lib).unwrap();
+        let a2 = sys.map_library(p2, lib).unwrap();
+        sys.release(p2, a2.offset(10 * PAGE_SIZE), 10 * PAGE_SIZE).unwrap();
+        sys.touch(p2, a2.offset(70 * PAGE_SIZE), PAGE_SIZE, true).unwrap();
+        assert_eq!(sys.space(p2).unwrap().mapping_at(a2).unwrap().stored_words(), [1, 2, 0, 0]);
+        assert!(round_trip(&sys).is_ok());
+        for page in [15, 70, 199] {
+            for delta in [1, u32::MAX] {
+                let mut bad = sys.clone();
+                let count = &mut bad.files.files[0].mapper_counts[page];
+                *count = count.wrapping_add(delta);
+                assert!(
+                    matches!(
+                        round_trip(&bad),
+                        Err(snapshot::SnapError::Corrupt(msg)) if msg.contains("mapper count")
+                    ),
+                    "page {page} off by {delta}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,17 +8,24 @@
 //! of the same semantics, then requires identical observable state:
 //! per-page flags, resident/dirty/swapped byte counters, fault
 //! classifications, and `pmap`-style range counts (including unaligned
-//! probe lengths).
+//! probe lengths). Every reached state also restores, encodes to the
+//! dense words of the naive pages, and stores exactly the canonical
+//! prefix of each flag: the words before its uniform tail.
 
 use proptest::prelude::*;
 use simos::mem::page_flags as pf;
 use simos::mem::reference::NaivePages;
-use simos::mem::{AddressSpace, MappingKind, Prot, VirtAddr, PAGE_SIZE};
+use simos::mem::{AddressSpace, Mapping, MappingKind, Prot, VirtAddr, PAGE_SIZE};
 use simos::system::FileRegistry;
+use snapshot::Snapshot;
 
 /// Pages in the mapping under test; spans several 64-page words so
-/// ranges cross word boundaries in both directions.
+/// ranges cross word boundaries in both directions, and ends in a
+/// partial word (200 = 3 × 64 + 8).
 const NPAGES: usize = 200;
+
+/// The four flags in the order a mapping encodes their bitmaps.
+const FLAGS: [u8; 4] = [pf::RESIDENT, pf::DIRTY, pf::SWAPPED, pf::NOACCESS];
 
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -34,9 +41,10 @@ struct NaiveMapping {
 }
 
 impl NaiveMapping {
-    fn new(kind: Kind) -> NaiveMapping {
+    fn new(kind: Kind, prot: Prot) -> NaiveMapping {
+        let init = if prot == Prot::None { pf::NOACCESS } else { 0 };
         NaiveMapping {
-            pages: NaivePages::new(NPAGES),
+            pages: NaivePages::new_with(NPAGES, init),
             kind,
         }
     }
@@ -111,27 +119,99 @@ impl NaiveMapping {
     fn count(&self, flag: u8) -> u64 {
         self.pages.count_flag(flag)
     }
+
+    /// `flag`'s bitmap as dense words.
+    fn words(&self, flag: u8) -> Vec<u64> {
+        (0..NPAGES.div_ceil(64))
+            .map(|w| {
+                (w * 64..NPAGES.min(w * 64 + 64))
+                    .filter(|&idx| self.pages.get(idx) & flag != 0)
+                    .fold(0, |word, idx| word | 1 << (idx % 64))
+            })
+            .collect()
+    }
 }
 
-/// `(op, a, b)` raw tuples; the replay folds `a`/`b` into an in-bounds
-/// page range so every generated op is valid.
-fn ops_strategy() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
-    proptest::collection::vec((0u8..5, 0usize..10_000, 0usize..10_000), 1..40)
+/// Word `w` of a bitmap with every page set.
+fn full_word(w: usize) -> u64 {
+    if !NPAGES.is_multiple_of(64) && w + 1 == NPAGES.div_ceil(64) {
+        (1 << (NPAGES % 64)) - 1
+    } else {
+        u64::MAX
+    }
 }
 
-fn page_range(a: usize, b: usize) -> (usize, usize) {
+/// Length of the canonical prefix of dense `words`: the tail is
+/// all-set exactly when the last word is, and the prefix ends at the
+/// last word that differs from the tail.
+fn canonical_prefix(words: &[u64]) -> usize {
+    let tail = words.last().is_some_and(|&last| last == full_word(words.len() - 1));
+    words
+        .iter()
+        .enumerate()
+        .rposition(|(w, &word)| word != if tail { full_word(w) } else { 0 })
+        .map_or(0, |w| w + 1)
+}
+
+/// `(op, a, b, reach)` raw tuples; the replay folds `a`/`b` into an
+/// in-bounds page range so every generated op is valid. `reach` picks
+/// the range: 0 anywhere, 1 from `a` to the end of the mapping, 2 the
+/// whole mapping (which flips a flag's whole tail).
+type Op = (u8, usize, usize, u8);
+
+/// Ops over ranges anywhere in the mapping.
+fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..5, 0usize..10_000, 0usize..10_000, Just(0u8)), 1..40)
+}
+
+/// Ops of which about two in three run to the end of the mapping.
+fn tail_ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..5, 0usize..10_000, 0usize..10_000, 0u8..3), 1..40)
+}
+
+fn page_range(a: usize, b: usize, reach: u8) -> (usize, usize) {
     let first = a % NPAGES;
-    let len = 1 + b % (NPAGES - first);
-    (first, first + len)
+    match reach {
+        0 => (first, first + 1 + b % (NPAGES - first)),
+        1 => (first, NPAGES),
+        _ => (0, NPAGES),
+    }
 }
 
 fn addr_of(base: VirtAddr, page: usize) -> VirtAddr {
     base.offset(page as u64 * PAGE_SIZE)
 }
 
-/// Runs `ops` against both implementations and checks full agreement
-/// after every step.
-fn check_equivalence(kind: Kind, ops: &[(u8, usize, usize)]) -> Result<(), TestCaseError> {
+/// Checks the codec against the naive pages: `m` encodes to their
+/// dense words, decodes, and both `m` and the decoded mapping store
+/// exactly each flag's canonical prefix.
+fn check_codec(m: &Mapping, naive: &NaiveMapping) -> Result<(), TestCaseError> {
+    let bytes = snapshot::encode(m);
+    let mut dense = snapshot::Writer::new();
+    m.start.snap(&mut dense);
+    m.kind.snap(&mut dense);
+    dense.str(&m.name);
+    for flag in FLAGS {
+        dense.usize(NPAGES);
+        naive.words(flag).into_iter().for_each(|word| dense.u64(word));
+    }
+    for flag in [pf::RESIDENT, pf::DIRTY, pf::SWAPPED] {
+        dense.u64(naive.count(flag));
+    }
+    prop_assert!(bytes == dense.into_bytes(), "encoding differs from the dense words");
+    let back: Mapping = match snapshot::decode(&bytes) {
+        Ok(back) => back,
+        Err(e) => return Err(TestCaseError(format!("a reached state does not restore: {e}"))),
+    };
+    let canonical = FLAGS.map(|flag| canonical_prefix(&naive.words(flag)));
+    prop_assert_eq!(m.stored_words(), canonical);
+    prop_assert_eq!(back.stored_words(), canonical);
+    Ok(())
+}
+
+/// Runs `ops` against both implementations, from a mapping created
+/// with `prot`, and checks full agreement after every step.
+fn check_equivalence(kind: Kind, prot: Prot, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut files = FileRegistry::new();
     let mapping_kind = match kind {
         Kind::Anon => MappingKind::Anonymous,
@@ -142,12 +222,13 @@ fn check_equivalence(kind: Kind, ops: &[(u8, usize, usize)]) -> Result<(), TestC
     };
     let mut space = AddressSpace::new();
     let base = space
-        .mmap(NPAGES as u64 * PAGE_SIZE, mapping_kind, Prot::ReadWrite, "eq")
+        .mmap(NPAGES as u64 * PAGE_SIZE, mapping_kind, prot, "eq")
         .unwrap();
-    let mut naive = NaiveMapping::new(kind);
+    let mut naive = NaiveMapping::new(kind, prot);
+    check_codec(space.mapping_at(base).unwrap(), &naive)?;
 
-    for &(op, a, b) in ops {
-        let (first, last) = page_range(a, b);
+    for &(op, a, b, reach) in ops {
+        let (first, last) = page_range(a, b, reach);
         let addr = addr_of(base, first);
         let len = (last - first) as u64 * PAGE_SIZE;
         match op {
@@ -218,6 +299,7 @@ fn check_equivalence(kind: Kind, ops: &[(u8, usize, usize)]) -> Result<(), TestC
             m.resident_bytes_in(addr, probe_len),
             naive.pages.count_flag_range(pf::RESIDENT, first, probe_last) * PAGE_SIZE
         );
+        check_codec(m, &naive)?;
     }
     Ok(())
 }
@@ -227,12 +309,28 @@ proptest! {
 
     #[test]
     fn bitmap_matches_naive_reference_anon(ops in ops_strategy()) {
-        check_equivalence(Kind::Anon, &ops)?;
+        check_equivalence(Kind::Anon, Prot::ReadWrite, &ops)?;
     }
 
     #[test]
     fn bitmap_matches_naive_reference_file(ops in ops_strategy()) {
-        check_equivalence(Kind::File, &ops)?;
+        check_equivalence(Kind::File, Prot::ReadWrite, &ops)?;
+    }
+
+    #[test]
+    fn bitmap_matches_naive_reference_to_the_end_anon(ops in tail_ops_strategy()) {
+        check_equivalence(Kind::Anon, Prot::ReadWrite, &ops)?;
+    }
+
+    #[test]
+    fn bitmap_matches_naive_reference_to_the_end_file(ops in tail_ops_strategy()) {
+        check_equivalence(Kind::File, Prot::ReadWrite, &ops)?;
+    }
+
+    #[test]
+    fn bitmap_matches_naive_reference_prot_none(ops in tail_ops_strategy(), file in any::<bool>()) {
+        let kind = if file { Kind::File } else { Kind::Anon };
+        check_equivalence(kind, Prot::None, &ops)?;
     }
 
     #[test]

@@ -242,6 +242,14 @@ impl Writer {
         }
     }
 
+    /// Appends `n` copies of `byte` with one fill, no length prefix:
+    /// the bytes of a run of identical all-zero or all-one words,
+    /// written without reading the words from memory.
+    #[inline]
+    pub fn fill(&mut self, byte: u8, n: usize) {
+        self.buf.resize(self.buf.len() + n, byte);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.usize(v.len());
@@ -830,6 +838,19 @@ mod tests {
         round_trip(BTreeMap::from([(1u64, String::from("a")), (2, String::from("b"))]));
         round_trip(BTreeSet::from([5u64, 9, 11]));
         round_trip((1u8, 2u64, 3.5f64));
+    }
+
+    #[test]
+    fn fill_writes_the_bytes_of_appending_each_copy() {
+        for (byte, n) in [(0u8, 0), (0, 24), (0xFF, 8), (0xFF, 4096 + 3)] {
+            let mut filled = Writer::new();
+            filled.u8(7);
+            filled.fill(byte, n);
+            let mut oracle = Writer::new();
+            oracle.u8(7);
+            (0..n).for_each(|_| oracle.u8(byte));
+            assert_eq!(filled.into_bytes(), oracle.into_bytes());
+        }
     }
 
     #[test]
