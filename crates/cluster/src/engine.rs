@@ -27,7 +27,8 @@
 //! the entire trajectory — and therefore [`Cluster::digest`] — is
 //! byte-identical at `--jobs 1` and `--jobs N`, kills, outages, and
 //! recoveries included. The gates in `bench` and the crate's proptests
-//! pin exactly that.
+//! pin exactly that. The round itself lives in [`round`], the only
+//! module that can build the token a shard's round takes.
 //!
 //! # Failure domains
 //!
@@ -41,17 +42,19 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use faas::fault::{CrashPlan, OutageKind, OutagePlan};
+use faas::fault::OutagePlan;
 use faas::{Cadence, LatencyHistogram, Retention};
 use simos::{SimDuration, SimTime};
 use snapshot::{Reader, SnapError, Snapshot, Writer};
 
 use crate::fnv64_update;
-use crate::frontend::{AvailabilityReport, FrontEnd, FrontEndConfig, FrontReq, FrontStats, ShedReason};
+use crate::frontend::{AvailabilityReport, FrontEnd, FrontEndConfig, FrontStats};
 use crate::health::HealthState;
 use crate::msg::{ClusterTotals, ShardReport};
-use crate::router::{Placement, Router, Routing};
+use crate::router::{Placement, Router};
 use crate::shard::{Shard, ShardSetup};
+
+pub mod round;
 
 /// Shape of a cluster run.
 #[derive(Debug, Clone, Copy)]
@@ -118,31 +121,6 @@ pub struct Cluster {
     /// Report slots of the last completed barrier (`None` = the shard
     /// was dark that round).
     last_reports: Vec<Option<ShardReport>>,
-}
-
-/// How one shard spends one round.
-enum RoundMode {
-    /// Reachable: execute the batch and report at the barrier.
-    Live {
-        batch: Vec<(SimTime, usize)>,
-        drain: bool,
-    },
-    /// Unreachable: no batch arrives, no report leaves.
-    Dark(OutageKind),
-}
-
-/// One round's work order for one shard — what a pool worker consumes.
-struct RoundWork<'a> {
-    shard: &'a Mutex<Shard>,
-    round: usize,
-    barrier: SimTime,
-    reset: bool,
-    mode: RoundMode,
-    pressure: f64,
-    max_offers: usize,
-    /// Engine front-end bytes for this round's checkpoint cut (shard 0
-    /// on cut rounds only).
-    front: Option<Vec<u8>>,
 }
 
 impl Cluster {
@@ -238,14 +216,6 @@ impl Cluster {
         self.reset_pending = true;
     }
 
-    /// Arms a kill schedule on one shard.
-    pub fn plan_kill(&mut self, shard: u32, plan: CrashPlan) {
-        self.shards[shard as usize]
-            .lock()
-            .expect("shard lock")
-            .plan_kill(plan);
-    }
-
     /// Advances every shard to `t_end` in barrier rounds.
     pub fn advance_to(&mut self, t_end: SimTime) {
         assert!(t_end >= self.now, "cannot advance into the past");
@@ -253,158 +223,6 @@ impl Cluster {
             let barrier = (self.now + self.cfg.round).min(t_end);
             self.run_round(barrier);
         }
-    }
-
-    /// One barrier round: place, drain in parallel, merge.
-    fn run_round(&mut self, barrier: SimTime) {
-        let n = self.cfg.shards as usize;
-        let round = self.rounds;
-        // The round's dark set — a pure function of the round index,
-        // evaluated serially so every job count sees the same fleet.
-        let dark: Vec<Option<OutageKind>> = (0..self.cfg.shards)
-            .map(|s| self.outages.as_ref().and_then(|p| p.dark(s, round as u64)))
-            .collect();
-        // Front-end frame for this round's checkpoint cut, captured
-        // *before* placement mutates router or front end — a heal's
-        // journal replay re-cuts byte-identical checkpoints.
-        let front_frame = round
-            .is_multiple_of(self.cfg.cadence.checkpoint_every)
-            .then(|| self.frontend_bytes());
-        // Intake: stranded retries first (they were re-timed to the
-        // stranding barrier, which is `self.now`, so batch time order
-        // is preserved), then fresh arrivals.
-        let mut intake: Vec<FrontReq> = self.front.drain_retries();
-        while self.pending.front().is_some_and(|&(t, _)| t <= barrier) {
-            let Some((t, fn_idx)) = self.pending.pop_front() else { break };
-            self.front.stats.routed += 1;
-            intake.push(FrontReq {
-                t,
-                fn_idx,
-                attempts: 0,
-                deadline: t + self.cfg.frontend.deadline,
-            });
-        }
-        let mut batches: Vec<Vec<(SimTime, usize)>> = vec![Vec::new(); n];
-        // Requests handed out this round, pending outcome resolution
-        // against the dark set at the barrier.
-        let mut handed: Vec<(u32, Option<u32>, FrontReq)> = Vec::new();
-        for req in intake {
-            if req.attempts > 0 {
-                self.front.stats.retries += 1;
-                if req.deadline < self.now {
-                    self.front.stats.failed_deadline += 1;
-                    continue;
-                }
-            }
-            match self
-                .router
-                .place(req.fn_idx, self.cfg.frontend.queue_budget, self.cfg.frontend.hedge)
-            {
-                Routing::Shed(ShedReason::Overload) => self.front.stats.shed_overload += 1,
-                Routing::Shed(ShedReason::Unroutable) => self.front.stats.shed_unroutable += 1,
-                Routing::Placed { primary, hedge } => {
-                    if let Some(b) = batches.get_mut(primary as usize) {
-                        b.push((req.t, req.fn_idx));
-                    }
-                    if let Some(h) = hedge {
-                        self.front.stats.hedges += 1;
-                        if let Some(b) = batches.get_mut(h as usize) {
-                            b.push((req.t, req.fn_idx));
-                        }
-                    }
-                    handed.push((primary, hedge, req));
-                }
-            }
-        }
-        let reset = self.reset_pending;
-        self.reset_pending = false;
-        let (pressure, max_offers) = (self.cfg.pressure, self.cfg.max_offers);
-        let outages = self.outages.as_ref();
-        let work: Vec<RoundWork<'_>> = self
-            .shards
-            .iter()
-            .zip(batches)
-            .zip(&dark)
-            .enumerate()
-            .map(|(s, ((shard, batch), kind))| RoundWork {
-                shard,
-                round,
-                barrier,
-                reset,
-                mode: match kind {
-                    // The batch placed onto a dark shard never arrives:
-                    // it is dropped here and resolved below as hedge
-                    // wins, retries, or typed failures.
-                    Some(kind) => RoundMode::Dark(*kind),
-                    None => RoundMode::Live {
-                        batch,
-                        // A planned window opens next round: drain the
-                        // warm set while the shard is still reachable.
-                        drain: outages
-                            .is_some_and(|p| p.planned_entry(s as u32, round as u64 + 1)),
-                    },
-                },
-                pressure,
-                max_offers,
-                front: if s == 0 { front_frame.clone() } else { None },
-            })
-            .collect();
-        // The parallel fan-out. Report slots come back in input
-        // (= shard) order regardless of completion order, so the merge
-        // below is canonical at any job count.
-        let reports = parallel::run_jobs(self.cfg.jobs, &work, |w| {
-            // tidy:allow(panic-reachability) -- poisoned only if a worker already panicked; propagating is correct
-            let mut shard = w.shard.lock().expect("shard lock");
-            match &w.mode {
-                RoundMode::Live { batch, drain } => Some(shard.advance(
-                    w.round,
-                    w.barrier,
-                    w.reset,
-                    batch,
-                    w.pressure,
-                    w.max_offers,
-                    *drain,
-                    w.front.clone(),
-                )),
-                RoundMode::Dark(kind) => {
-                    shard.advance_dark(w.round, w.barrier, w.reset, &[], *kind, w.front.clone());
-                    None
-                }
-            }
-        });
-        for (count, kind) in self.outage_rounds.iter_mut().zip(&dark) {
-            if kind.is_some() {
-                *count += 1;
-            }
-        }
-        // Resolve this round's hand-offs against the dark set: a
-        // request on a dark primary is rescued by a live hedge or
-        // stranded — and a stranded request retries (re-timed to this
-        // barrier) or terminates with a typed failure.
-        let is_dark =
-            |s: u32| -> bool { dark.get(s as usize).copied().flatten().is_some() };
-        for (primary, hedge, mut req) in handed {
-            let hedge_live = hedge.is_some_and(|h| !is_dark(h));
-            if !is_dark(primary) {
-                self.front.stats.delivered += 1;
-                if hedge_live {
-                    self.front.stats.hedge_extra += 1;
-                }
-            } else if hedge_live {
-                self.front.stats.delivered += 1;
-                self.front.stats.hedge_wins += 1;
-            } else if req.attempts >= self.cfg.frontend.max_retries {
-                self.front.stats.failed_retries += 1;
-            } else {
-                req.attempts += 1;
-                req.t = barrier;
-                self.front.retry.push_back(req);
-            }
-        }
-        self.router.absorb(&reports);
-        self.last_reports = reports;
-        self.rounds += 1;
-        self.now = barrier;
     }
 
     /// Report slots of the last completed barrier (canonical shard

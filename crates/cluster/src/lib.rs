@@ -33,10 +33,11 @@
 //! (`routed == delivered + shed + failed + pending`) checked in
 //! [`ClusterTotals`] and asserted by the chaos gates.
 //!
-//! Module layout mirrors the isolation boundary field privacy
-//! enforces: [`shard`] is the only module that names the platform;
-//! [`router`], [`msg`], [`health`], [`frontend`], and [`engine`] deal
-//! in plain data.
+//! Module layout mirrors the isolation boundary privacy enforces:
+//! [`shard`] is the only module that names the platform, and
+//! [`engine::round`] the only one that can build the token a shard's
+//! round takes; [`router`], [`msg`], [`health`], [`frontend`], and the
+//! rest of [`engine`] deal in plain data.
 
 #![forbid(unsafe_code)]
 

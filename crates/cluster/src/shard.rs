@@ -12,8 +12,9 @@
 //!
 //! A shard is a [`Durable`] platform: journaling, checkpoint cuts, kill
 //! recovery and outage heals all live in `faas::durable`. The engine's
-//! barrier round is one driver round. [`Shard::advance_dark`] executes
-//! a round the router cannot see. A **partitioned** shard keeps
+//! barrier round is one driver round, executed by `Shard::run`, which
+//! only [`crate::engine::round`] can call. A dark round is one the router
+//! cannot see. A **partitioned** shard keeps
 //! executing (the machine is fine, the network is not) — only its
 //! report is withheld. A **down** shard is frozen: the round is
 //! journaled but nothing runs, and the first reachable round afterwards
@@ -29,6 +30,7 @@ use faas::{
 use simos::SimTime;
 use workloads::FunctionSpec;
 
+use crate::engine::round::{RoundMode, RoundToken, RoundWork};
 use crate::msg::{ClusterTotals, MigrationOffer, ShardReport};
 
 /// Builds the (optional) memory manager for shard `id`. A plain `fn`
@@ -126,55 +128,43 @@ impl Shard {
     /// Arms a kill schedule: the event loop dies at the plan's event
     /// counts and the shard recovers through its checkpoint lattice
     /// and journal.
-    pub fn plan_kill(&mut self, plan: CrashPlan) {
+    pub(crate) fn plan_kill(&mut self, _: &RoundToken, plan: CrashPlan) {
         self.durable.plan_kill(plan);
     }
 
-    /// Executes barrier round `round` as one driver round, then
-    /// reports.
+    /// Executes barrier round `work.round` as one driver round, and
+    /// reports at the barrier if the router can see the shard.
     ///
-    /// `pressure` and `max_offers` shape the migration offers in the
-    /// report: when the cache is charged above `pressure × budget`,
-    /// up to `max_offers` of the heaviest frozen functions are offered
-    /// away. `drain` instead offers the *entire* warm set (the shard is
-    /// about to enter a planned outage). `front` is the engine's
-    /// front-end frame for this round's checkpoint cut, if any.
-    #[allow(clippy::too_many_arguments)]
-    pub fn advance(
-        &mut self,
-        round: usize,
-        barrier: SimTime,
-        reset: bool,
-        batch: &[(SimTime, usize)],
-        pressure: f64,
-        max_offers: usize,
-        drain: bool,
-        front: Option<Vec<u8>>,
-    ) -> ShardReport {
-        self.durable.journal_round(round, barrier, reset, batch, front);
-        self.durable.catch_up();
-        self.report(pressure, max_offers, drain)
-    }
-
-    /// Executes one barrier round the router cannot observe. Returns
-    /// no report — the missing report *is* the router's signal.
-    ///
-    /// `Partitioned` keeps executing (only the report is withheld);
-    /// `Down` freezes the machine: the round is journaled so the heal
-    /// can replay it, but nothing runs until a reachable round.
-    pub fn advance_dark(
-        &mut self,
-        round: usize,
-        barrier: SimTime,
-        reset: bool,
-        batch: &[(SimTime, usize)],
-        kind: OutageKind,
-        front: Option<Vec<u8>>,
-    ) {
-        self.durable.journal_round(round, barrier, reset, batch, front);
-        match kind {
-            OutageKind::Down => self.durable.mark_down(),
-            OutageKind::Partitioned => self.durable.catch_up(),
+    /// A live round journals and executes the batch, then reports:
+    /// when the cache is charged above `pressure × budget`, up to
+    /// `max_offers` of the heaviest frozen functions are offered away,
+    /// and `drain` instead offers the *entire* warm set (the shard is
+    /// about to enter a planned outage). A dark round returns no
+    /// report — the missing report *is* the router's signal.
+    /// `Partitioned` keeps executing; `Down` freezes the machine: the
+    /// round is journaled so the heal can replay it, but nothing runs
+    /// until a reachable round. `work.front` is the engine's front-end
+    /// frame for this round's checkpoint cut, if any.
+    pub(crate) fn run(&mut self, _: &RoundToken, work: &RoundWork) -> Option<ShardReport> {
+        let batch = match &work.mode {
+            RoundMode::Live { batch, .. } => batch.as_slice(),
+            RoundMode::Dark(_) => &[],
+        };
+        self.durable
+            .journal_round(work.round, work.barrier, work.reset, batch, work.front.clone());
+        match work.mode {
+            RoundMode::Live { drain, .. } => {
+                self.durable.catch_up();
+                Some(self.report(work.pressure, work.max_offers, drain))
+            }
+            RoundMode::Dark(OutageKind::Partitioned) => {
+                self.durable.catch_up();
+                None
+            }
+            RoundMode::Dark(OutageKind::Down) => {
+                self.durable.mark_down();
+                None
+            }
         }
     }
 

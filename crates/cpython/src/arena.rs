@@ -25,13 +25,12 @@ pub const ARENA_SIZE: u64 = 256 << 10;
 pub const POOL_SIZE: u64 = PAGE_SIZE;
 
 /// Pools per arena.
-// tidy:allow(lossy-casts) -- const context; both operands are compile-time constants
 pub const POOLS_PER_ARENA: usize = (ARENA_SIZE / POOL_SIZE) as usize;
 
 /// Largest size served from pools; bigger allocations get their own
 /// mapping. (CPython's threshold is 512 B; the model raises it to half
 /// a pool so the workloads' object sizes exercise the arena path.)
-// tidy:allow(lossy-casts) -- const context; half a 4 KiB pool fits in u32
+#[allow(clippy::cast_possible_truncation, reason = "half a 4 KiB pool fits in u32")]
 pub const SMALL_THRESHOLD: u32 = (POOL_SIZE / 2) as u32;
 
 /// Rounds a request up to its size class (powers of two from 16 bytes).

@@ -1,5 +1,10 @@
 //! Platform statistics: the Figure 9/10 metrics.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use simos::{SimDuration, SimTime};
 
 use crate::histogram::LatencyHistogram;

@@ -15,8 +15,8 @@
 //! per-item slots. This crate exists at the bottom of the dependency
 //! graph so that both the figure harnesses (`bench::parallel`) and the
 //! sharded cluster engine (`cluster`) can share the one audited
-//! threading primitive — the `raw-threads` tidy rule bans
-//! `thread::{spawn,scope}` everywhere else.
+//! threading primitive — clippy's `disallowed-methods` (the root
+//! `clippy.toml`) bans `thread::{spawn,scope}` everywhere else.
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +44,10 @@ where
     // Uncontended per-item slots; Mutex (rather than OnceLock) keeps the
     // bound at `T: Send` without requiring `T: Sync`.
     let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one worker pool: results go back in input order at any job count"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {

@@ -1,9 +1,11 @@
 //! Checked integer conversions for memory accounting.
 //!
-//! The tidy gate (`cargo run -p xtask -- tidy`) forbids bare `as`
-//! integer casts in accounting code: `as` silently truncates, and a
-//! truncated byte count corrupts USS/PSS/RSS totals without failing
-//! any invariant check nearby. These helpers make every conversion a
+//! Clippy's cast lints (`cast_possible_truncation`, `cast_sign_loss`,
+//! `cast_possible_wrap`), denied in non-test code at the heap crates'
+//! roots and atop `simos::mem` and `faas::stats`, forbid lossy `as`
+//! casts in accounting code: `as` silently truncates, and a truncated
+//! byte count corrupts USS/PSS/RSS totals without failing any
+//! invariant check nearby. These helpers make every conversion a
 //! loud panic on overflow instead — on the supported 64-bit targets
 //! all of them are lossless for the value ranges the simulator
 //! produces (addresses, page counts, and sizes all fit in `u64`, and

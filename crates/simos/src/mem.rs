@@ -45,6 +45,11 @@
 //! on in [`reference`] as the oracle for property tests and the
 //! baseline side of the Criterion comparisons.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{SimOsError, SimOsResult};

@@ -6,7 +6,7 @@
 // tidy:allow(no-such-rule) -- the rule name is bogus
 pub const A: u64 = 1;
 
-// tidy:allow(raw-threads)
+// tidy:allow(wall-clock)
 pub const B: u64 = 2;
 
 // tidy:allow(wall-clock) -- justified, but nothing here violates it

@@ -1,4 +1,4 @@
-//! The workspace call graph and the three syntax-aware analyses.
+//! The workspace call graph and its two syntax-aware analyses.
 //!
 //! Nodes are the non-test functions extracted by [`crate::parse`];
 //! edges are resolved *by name* (method calls to every workspace
@@ -9,7 +9,7 @@
 //! real path, and a spurious edge can be silenced at the panic site
 //! with a justified `tidy:allow`.
 //!
-//! Three analyses run on the graph:
+//! Two analyses run on the graph:
 //!
 //! * **panic-reachability** — from the declared hot-path roots (the
 //!   platform event drain, the shard round drain, the Desiccant sweep,
@@ -23,10 +23,6 @@
 //!   transitively call must not accumulate `f64`s over unordered
 //!   iteration or compare floats non-totally: their results flow into
 //!   the bytes and can differ run-to-run.
-//! * **barrier-discipline** — inside `crates/cluster` (outside
-//!   `shard.rs`), shard-mutating calls may only occur in the functions
-//!   that own the barrier protocol: `advance` in the round drain,
-//!   `plan_kill` in its forwarding method.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -51,8 +47,8 @@ pub const HOT_PATH_ROOTS: &[Root] = &[
     Root { path: "crates/faas/src/platform.rs", owner: Some("Platform"), name: "try_run_until" },
     Root { path: "crates/faas/src/platform.rs", owner: Some("Platform"), name: "run_until" },
     // The cluster round drain: place → parallel shard drains → merge.
-    Root { path: "crates/cluster/src/engine.rs", owner: Some("Cluster"), name: "run_round" },
-    Root { path: "crates/cluster/src/shard.rs", owner: Some("Shard"), name: "advance" },
+    Root { path: "crates/cluster/src/engine/round.rs", owner: Some("Cluster"), name: "run_round" },
+    Root { path: "crates/cluster/src/shard.rs", owner: Some("Shard"), name: "run" },
     // The Desiccant sweep (reclaim selection runs once per sweep tick).
     Root {
         path: "crates/desiccant/src/manager.rs",
@@ -77,16 +73,6 @@ pub const BYTE_SINKS: &[&str] = &[
     "checkpoint_base",
     "checkpoint_delta",
     "canonical_bytes",
-];
-
-/// Shard-mutating methods and the cluster-engine functions allowed to
-/// call them (the barrier protocol's owners). Everything else in
-/// `crates/cluster` outside `shard.rs` calling one of these has
-/// bypassed the round structure.
-pub const SHARD_MUTATORS: &[(&str, &[&str])] = &[
-    ("advance", &["run_round"]),
-    ("advance_dark", &["run_round"]),
-    ("plan_kill", &["plan_kill"]),
 ];
 
 /// Paths never entered into the call graph: harness/auditor code that
@@ -371,55 +357,11 @@ pub fn determinism_dataflow(graph: &Graph<'_>, sinks: &[&str]) -> Vec<Finding> {
     out
 }
 
-/// Runs barrier-discipline over the cluster crate: shard-mutating
-/// calls outside their sanctioned owner functions are findings.
-pub fn barrier_discipline(files: &[(String, FileSummary)]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (path, summary) in files {
-        if !path.starts_with("crates/cluster/src/") || path == "crates/cluster/src/shard.rs" {
-            continue;
-        }
-        for info in &summary.fns {
-            if info.is_test {
-                continue;
-            }
-            for call in &info.calls {
-                let Some((_, allowed)) =
-                    SHARD_MUTATORS.iter().find(|(m, _)| *m == call.name)
-                else {
-                    continue;
-                };
-                let relevant = match &call.kind {
-                    CallKind::Method => true,
-                    CallKind::Qual(q) => q == "Shard",
-                    CallKind::Free => false,
-                };
-                if relevant && !allowed.contains(&info.name.as_str()) {
-                    out.push(Finding::new(
-                        path,
-                        call.line,
-                        "barrier-discipline",
-                        format!(
-                            "shard-mutating call `.{}(…)` in `{}`: shards may only be \
-                             mutated inside the barrier round ({})",
-                            call.name,
-                            info.name,
-                            allowed.join(", ")
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Runs all three graph analyses with the production configuration.
+/// Runs both graph analyses with the production configuration.
 pub fn analyze(files: &[(String, FileSummary)]) -> Vec<Finding> {
     let graph = Graph::build(files);
     let mut out = panic_reachability(&graph, HOT_PATH_ROOTS);
     out.extend(determinism_dataflow(&graph, BYTE_SINKS));
-    out.extend(barrier_discipline(files));
     out
 }
 
@@ -578,21 +520,5 @@ mod tests {
         let g1 = Graph::build(&fs);
         let findings = determinism_dataflow(&g1, BYTE_SINKS);
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn barrier_discipline_allows_run_round_only() {
-        let fs = files(&[(
-            "crates/cluster/src/engine.rs",
-            "impl Cluster {\n\
-             fn run_round(&mut self, b: SimTime) { self.shards[0].lock().advance(b); }\n\
-             fn sneaky(&mut self, b: SimTime) { self.shards[0].lock().advance(b); }\n\
-             pub fn plan_kill(&mut self, plan: CrashPlan) { self.shards[0].lock().plan_kill(plan); }\n\
-             }\n",
-        )]);
-        let findings = barrier_discipline(&fs);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].line, 3);
-        assert!(findings[0].message.contains("sneaky"), "{findings:?}");
     }
 }

@@ -15,12 +15,14 @@
 //! ([`rules`]), and — beyond what rustc's tidy does — an item parser
 //! ([`parse`]) feeds a workspace call graph ([`graph`]) whose
 //! analyses see *across* files: panic-reachability from hot-path
-//! roots, determinism dataflow into canonical bytes, and barrier
-//! discipline in the cluster layer. A full run over the workspace
-//! takes well under a second, so tidy keeps no cache. Each
-//! invariant has one enforcement point: where clippy, the compiler or
-//! another rule already checks it, tidy does not. Run it with
-//! `cargo run -p xtask -- tidy` (tier1.sh does, before the tests).
+//! roots and determinism dataflow into canonical bytes. A full run
+//! over the workspace takes well under a second, so tidy keeps no
+//! cache. Each invariant has one enforcement point, and tidy keeps
+//! only what no compiler check can state: where clippy (the thread
+//! and hash-collection bans, the cast lints) or type privacy (the
+//! shard boundary, the barrier round) already checks an invariant,
+//! tidy does not. Run it with `cargo run -p xtask -- tidy` (tier1.sh
+//! does, before the tests).
 
 #![forbid(unsafe_code)]
 

@@ -49,7 +49,6 @@ pub enum CallKind {
 pub struct Call {
     pub kind: CallKind,
     pub name: String,
-    pub line: usize,
 }
 
 /// One potential panic inside a function body.
@@ -465,7 +464,7 @@ fn parse_record(text: &str, toks: &[Tok], start: usize, line: usize) -> (Vec<FnI
             is_test: false,
             calls: heads
                 .iter()
-                .map(|h| Call { kind: CallKind::Qual(h.clone()), name: name.to_string(), line })
+                .map(|h| Call { kind: CallKind::Qual(h.clone()), name: name.to_string() })
                 .collect(),
             panics: Vec::new(),
             dataflow: Vec::new(),
@@ -622,14 +621,12 @@ fn harvest_ident(
                 fns[fn_idx].calls.push(Call {
                     kind: CallKind::Method,
                     name: word.to_string(),
-                    line,
                 });
             }
             _ => {
                 fns[fn_idx].calls.push(Call {
                     kind: CallKind::Method,
                     name: word.to_string(),
-                    line,
                 });
             }
         }
@@ -649,7 +646,6 @@ fn harvest_ident(
     fns[fn_idx].calls.push(Call {
         kind,
         name: word.to_string(),
-        line,
     });
 }
 
@@ -833,7 +829,7 @@ mod tests {
         let qual = |q: &str| CallKind::Qual(q.to_string());
         let slot: Vec<&CallKind> = s.fns[1].calls.iter().map(|c| &c.kind).collect();
         assert_eq!(slot, [&qual("InstanceId"), &qual("Vec"), &qual("BTreeMap")]);
-        assert!(s.fns[1].calls.iter().all(|c| c.name == "restore" && c.line == 1));
+        assert!(s.fns[1].calls.iter().all(|c| c.name == "restore"));
         assert!(s.fns[0].calls.iter().all(|c| c.name == "snap"));
         assert_eq!(s.fns[3].calls.len(), 1);
         assert_eq!(s.fns[3].calls[0].kind, qual("u32"));
@@ -842,7 +838,7 @@ mod tests {
             event,
             [&qual("usize"), &qual("FailReason"), &qual("InstanceId"), &qual("Vec")]
         );
-        assert!(s.fns[5].calls.iter().all(|c| c.name == "restore" && c.line == 9));
+        assert!(s.fns[5].calls.iter().all(|c| c.name == "restore"));
         assert!(s.fns[4].calls.iter().all(|c| c.name == "snap"));
     }
 

@@ -4,15 +4,13 @@
 //! [`crate::lexer`]; rule applicability is decided from the
 //! workspace-relative path (forward slashes). Three families:
 //!
-//! * **determinism** — `wall-clock`, `raw-threads`, plus the call-graph
-//!   rules `determinism-dataflow` and `barrier-discipline` (see
-//!   [`crate::graph`]): nothing order-sensitive or wall-clock-dependent
-//!   may leak into simulation state, selection, or canonical byte
-//!   production.
+//! * **determinism** — `wall-clock`, plus the call-graph rule
+//!   `determinism-dataflow` (see [`crate::graph`]): nothing
+//!   order-sensitive or wall-clock-dependent may leak into simulation
+//!   state, selection, or canonical byte production.
 //! * **robustness** — `panic-reachability` (call-graph, see
-//!   [`crate::graph`]), `lossy-casts`, `snapshot-coverage`: nothing a
-//!   hot-path root can reach may panic; memory accounting must use
-//!   checked conversions; checkpoint codecs must destructure every
+//!   [`crate::graph`]), `snapshot-coverage`: nothing a hot-path root
+//!   can reach may panic; checkpoint codecs must destructure every
 //!   field they serialize.
 //! * **hygiene** — `forbid-unsafe`, `path-deps`, `dead-pub`: every
 //!   crate forbids `unsafe`, manifests carry only path dependencies,
@@ -32,10 +30,16 @@
 //! so the allowlist cannot rot.
 //!
 //! Invariants another mechanism already enforces have no rule here:
-//! clippy's `disallowed-types` bans `HashMap`/`HashSet` workspace-wide,
-//! the vendored `rand` shim has no `thread_rng`, `panic-reachability`
-//! covers bare indexing in the snapshot decode paths, and field
-//! privacy keeps the cluster engine out of a shard's platform.
+//! clippy's `disallowed-types` bans `HashMap`/`HashSet` and its
+//! `disallowed-methods` bans `thread::{spawn,scope}` (the root
+//! `clippy.toml`, which reaches the benchmark package too); clippy's
+//! cast lints, denied at the heap crates' roots and atop `simos::mem`
+//! and `faas::stats`, ban truncating and sign-changing `as` casts in
+//! memory accounting; the vendored `rand` shim has no `thread_rng`;
+//! `panic-reachability` covers bare indexing in the snapshot decode
+//! paths; field privacy keeps the cluster engine out of a shard's
+//! platform; and type privacy keeps shard mutation inside the barrier
+//! round (`cluster::engine::round::RoundToken`).
 
 use crate::lexer::{self, AllowSite};
 
@@ -50,18 +54,16 @@ pub struct Rule {
 /// Every rule tidy knows about (marker names are validated against
 /// this list).
 pub const RULES: &[Rule] = &[
+    // The one call ban left to tidy rather than clippy: the
+    // benchmark package, whose files stay as they are, suppresses it
+    // with a tidy allow marker, and were the rule gone that marker
+    // would be a `stale-allow` finding (it would name an unknown rule).
     Rule {
         name: "wall-clock",
         family: "determinism",
-        summary: "Instant::now/SystemTime::now outside the parallel crate",
+        summary: "Instant::now/SystemTime::now in a scanned source",
         hint: "use the simulated clock (simos::SimTime); wall time makes replays \
                non-reproducible",
-    },
-    Rule {
-        name: "raw-threads",
-        family: "determinism",
-        summary: "std::thread::{spawn,scope} outside the parallel crate",
-        hint: "use parallel::run_jobs, which preserves output ordering at any --jobs N",
     },
     Rule {
         name: "panic-reachability",
@@ -79,21 +81,6 @@ pub const RULES: &[Rule] = &[
         summary: "order-sensitive f64 accumulation or unordered iteration feeding canonical bytes",
         hint: "fix the reduction order (sorted keys, Vec in canonical order, total_cmp) or \
                prove the order invariant with `// tidy:allow(determinism-dataflow) -- why`",
-    },
-    Rule {
-        name: "barrier-discipline",
-        family: "determinism",
-        summary: "shard-mutating call outside the barrier round's drain",
-        hint: "route shard mutation through `Cluster::run_round` (or the sanctioned \
-               forwarding method); mid-round mutation breaks the byte-identical \
-               replay guarantee",
-    },
-    Rule {
-        name: "lossy-casts",
-        family: "robustness",
-        summary: "bare `as` integer cast in memory-accounting code",
-        hint: "use simos::cast::{to_u64, to_usize, to_u32, to_u16, from_f64} or \
-               T::try_from — `as` silently truncates",
     },
     Rule {
         name: "snapshot-coverage",
@@ -177,39 +164,12 @@ const SIM_STATE_CRATES: &[&str] = &[
     "cluster",
 ];
 
-/// Files allowed to touch real threads and wall clocks: the scoped
-/// worker pool whose output is byte-identical at any job count.
-const THREAD_EXEMPT: &[&str] = &["crates/parallel/src/lib.rs"];
-
-/// Memory-accounting modules where a silently-truncating `as` cast can
-/// corrupt byte totals: simos::mem, the stats modules, and the four
-/// managed-heap crates.
-const CAST_FILES: &[&str] = &["crates/simos/src/mem.rs", "crates/faas/src/stats.rs"];
-const CAST_DIRS: &[&str] = &[
-    "crates/hotspot/src/",
-    "crates/v8heap/src/",
-    "crates/cpython/src/",
-    "crates/goruntime/src/",
-];
-
-const INT_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
 /// Is `path` inside a crate whose state feeds simulation outcomes?
 /// (Public: the graph analyses share this scoping.)
 pub fn in_sim_state_crate(path: &str) -> bool {
     SIM_STATE_CRATES
         .iter()
         .any(|c| path.starts_with(&format!("crates/{c}/src/")))
-}
-
-fn thread_exempt(path: &str) -> bool {
-    THREAD_EXEMPT.contains(&path)
-}
-
-fn in_cast_scope(path: &str) -> bool {
-    CAST_FILES.contains(&path) || CAST_DIRS.iter().any(|d| path.starts_with(d))
 }
 
 /// Crates whose `Snapshot` impls feed the platform checkpoint but sit
@@ -407,7 +367,7 @@ pub fn scan_blanked(path: &str, blanked: &lexer::Blanked, mask: &[bool]) -> Vec<
     let starts = lexer::line_starts(&blanked.text);
     let mut raw = Vec::new();
 
-    scan_tokens(path, &blanked.text, &starts, mask, &mut raw);
+    scan_wall_clock(path, &blanked.text, &starts, &mut raw);
 
     if in_snapshot_scope(path) {
         check_snapshot_impls(path, &blanked.text, &starts, mask, &mut raw);
@@ -425,54 +385,16 @@ pub fn scan_blanked(path: &str, blanked: &lexer::Blanked, mask: &[bool]) -> Vec<
     raw
 }
 
-fn scan_tokens(
-    path: &str,
-    text: &str,
-    starts: &[usize],
-    mask: &[bool],
-    out: &mut Vec<Finding>,
-) {
-    let casts = in_cast_scope(path);
-    let threads_ok = thread_exempt(path);
+fn scan_wall_clock(path: &str, text: &str, starts: &[usize], out: &mut Vec<Finding>) {
     for (s, e) in idents(text) {
         let word = &text[s..e];
-        let line = lexer::line_of(starts, s);
-        match word {
-            "Instant" | "SystemTime"
-                if !threads_ok && path_segment_after(text, e) == Some("now") =>
-            {
-                out.push(Finding::new(
-                    path,
-                    line,
-                    "wall-clock",
-                    format!("`{word}::now` reads the wall clock in a simulation path"),
-                ));
-            }
-            "thread" if !threads_ok => {
-                if let Some(seg) = path_segment_after(text, e) {
-                    if seg == "spawn" || seg == "scope" {
-                        out.push(Finding::new(
-                            path,
-                            line,
-                            "raw-threads",
-                            format!("`thread::{seg}` outside the parallel crate"),
-                        ));
-                    }
-                }
-            }
-            "as" if casts && !is_test_line(mask, line) => {
-                if let Some(target) = path_or_ident_after(text, e) {
-                    if INT_TYPES.contains(&target) {
-                        out.push(Finding::new(
-                            path,
-                            line,
-                            "lossy-casts",
-                            format!("bare `as {target}` in memory accounting silently truncates"),
-                        ));
-                    }
-                }
-            }
-            _ => {}
+        if matches!(word, "Instant" | "SystemTime") && path_segment_after(text, e) == Some("now") {
+            out.push(Finding::new(
+                path,
+                lexer::line_of(starts, s),
+                "wall-clock",
+                format!("`{word}::now` reads the wall clock in a simulation path"),
+            ));
         }
     }
 }
@@ -628,20 +550,6 @@ fn destructure_style(block: &str, ty: &str) -> DestructureStyle {
     } else {
         DestructureStyle::Missing
     }
-}
-
-/// The ident directly after `end` (the cast target position).
-fn path_or_ident_after(text: &str, end: usize) -> Option<&str> {
-    let bytes = text.as_bytes();
-    let (s, b) = next_nonspace(bytes, end)?;
-    if !is_ident_byte(b) {
-        return None;
-    }
-    let mut e = s;
-    while e < bytes.len() && is_ident_byte(bytes[e]) {
-        e += 1;
-    }
-    Some(&text[s..e])
 }
 
 fn has_forbid_unsafe(blanked: &str) -> bool {

@@ -1,6 +1,7 @@
 //! The auditor's self-test: every rule must fire on its seeded
 //! fixture (and only there), markers must suppress and go stale
-//! correctly, and the real workspace must audit clean.
+//! correctly, the real workspace must audit clean, and the clippy
+//! settings that replaced former tidy rules must still be in place.
 //!
 //! The fixtures live in `crates/xtask/fixtures/`, which the workspace
 //! walker skips, so the seeded violations never pollute a real
@@ -41,8 +42,6 @@ fn every_source_rule_fires_on_its_seeded_fixture() {
     // (rule, fixture file, pretend in-scope path)
     let cases = [
         ("wall-clock", "wall_clock.rs", "crates/faas/src/fake.rs"),
-        ("raw-threads", "raw_threads.rs", "crates/bench/src/fake.rs"),
-        ("lossy-casts", "lossy_casts.rs", "crates/v8heap/src/fake.rs"),
         (
             "snapshot-coverage",
             "snapshot_coverage.rs",
@@ -59,11 +58,9 @@ fn every_source_rule_fires_on_its_seeded_fixture() {
 #[test]
 fn seeded_violations_vanish_outside_their_rule_scope() {
     // The same sources are clean where the rule does not apply: a
-    // cast outside the accounting modules, a codec outside the
-    // checkpointed crates. (The forbid-unsafe fixture is scanned as a
-    // non-root file.)
+    // codec outside the checkpointed crates. (The forbid-unsafe
+    // fixture is scanned as a non-root file.)
     let cases = [
-        ("lossy_casts.rs", "crates/faas/src/fake.rs"),
         ("snapshot_coverage.rs", "crates/xtask/src/fake.rs"),
         ("forbid_unsafe.rs", "crates/fake/src/notroot.rs"),
     ];
@@ -171,7 +168,7 @@ pub fn stopped() -> Instant { Instant::now() }
 
 #[test]
 fn every_rule_in_the_catalogue_has_family_and_hint() {
-    assert_eq!(RULES.len(), 10);
+    assert_eq!(RULES.len(), 7);
     for r in RULES {
         assert!(
             ["determinism", "robustness", "hygiene"].contains(&r.family),
@@ -279,23 +276,14 @@ fn determinism_dataflow_fires_on_digest_feeding_float_accum() {
 }
 
 #[test]
-fn barrier_discipline_fires_outside_the_round_drain() {
-    let src = fixture("barrier_discipline.rs");
-    let findings = check_files(&[("crates/cluster/src/steal.rs", &src)]).findings;
-    assert_single(&findings, "barrier-discipline");
-    assert!(findings[0].message.contains("sneak_work"), "{findings:?}");
-}
-
-#[test]
 fn graph_rules_respect_their_scopes() {
     // The same seeded sources are clean where the analyses do not
-    // apply: harness code is graph-exempt, non-digest crates are
-    // outside the dataflow scope, and shard.rs owns the barrier.
+    // apply: harness code is graph-exempt, and non-digest crates are
+    // outside the dataflow scope.
     let cases = [
         ("panic_reachability.rs", "crates/bench/src/fake.rs"),
         ("panic_reachability_decode.rs", "crates/xtask/src/fake.rs"),
         ("determinism_dataflow.rs", "crates/parallel/src/fake.rs"),
-        ("barrier_discipline.rs", "crates/faas/src/fake.rs"),
     ];
     for (file, path) in cases {
         let src = fixture(file);
@@ -305,10 +293,6 @@ fn graph_rules_respect_their_scopes() {
             "{file} as {path} should be clean, got: {findings:?}"
         );
     }
-    // The sanctioned owner of the shard drain may call `advance`.
-    let sanctioned = fixture("barrier_discipline.rs").replace("sneak_work", "run_round");
-    let findings = check_files(&[("crates/cluster/src/fake.rs", &sanctioned)]).findings;
-    assert!(findings.is_empty(), "run_round owns the barrier: {findings:?}");
 }
 
 #[test]
@@ -334,7 +318,7 @@ fn a_clean_audit_counts_its_allow_markers_per_rule() {
     assert!(audit.findings.is_empty(), "{:?}", audit.findings);
     assert_eq!(
         audit.summary(),
-        "tidy: OK (10 rules enforced; 3 allow markers: panic-reachability 2, wall-clock 1; \
+        "tidy: OK (7 rules enforced; 3 allow markers: panic-reachability 2, wall-clock 1; \
          18 non-test code lines: faas 18; benchmark package 6)"
     );
     // Every marker is load-bearing: without them the findings return.
@@ -361,4 +345,41 @@ fn the_real_workspace_audits_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The modules whose `as` casts clippy's cast lints police: the four
+/// managed-heap crates (at their roots) and two accounting modules.
+const CAST_SCOPES: &[&str] = &[
+    "crates/hotspot/src/lib.rs",
+    "crates/v8heap/src/lib.rs",
+    "crates/cpython/src/lib.rs",
+    "crates/goruntime/src/lib.rs",
+    "crates/simos/src/mem.rs",
+    "crates/faas/src/stats.rs",
+];
+
+#[test]
+fn clippy_holds_the_thread_ban_and_the_cast_lints() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let read = |rel: &str| {
+        fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
+    };
+    let config = read("clippy.toml");
+    let methods: String = config
+        .lines()
+        .skip_while(|l| !l.starts_with("disallowed-methods"))
+        .take_while(|l| *l != "]")
+        .collect();
+    for path in ["std::thread::spawn", "std::thread::scope"] {
+        assert!(
+            methods.contains(&format!("path = \"{path}\"")),
+            "clippy.toml's disallowed-methods must ban {path}: {methods:?}"
+        );
+    }
+    let deny = "#![cfg_attr(not(test),deny(clippy::cast_possible_truncation,\
+                clippy::cast_sign_loss,clippy::cast_possible_wrap))]";
+    for rel in CAST_SCOPES {
+        let code: String = xtask::lexer::blank(&read(rel)).text.split_whitespace().collect();
+        assert!(code.contains(deny), "{rel} must carry `{deny}`");
+    }
 }

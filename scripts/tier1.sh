@@ -18,6 +18,9 @@ cargo run -q -p xtask -- tidy --format json --out target/tidy-findings.json
 
 echo "== lint =="
 cargo clippy --workspace --all-targets -q -- -D warnings
+# The benchmark package has its own workspace, so `--workspace` never
+# reaches it; the root clippy.toml (the thread bans) still applies.
+cargo clippy -q --manifest-path crates/bench/benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "== tests =="
 cargo test -q --workspace
