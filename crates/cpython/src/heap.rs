@@ -89,7 +89,7 @@ impl CPythonHeap {
             if live.is_live(id) {
                 continue;
             }
-            for r in &obj.refs {
+            for r in obj.refs() {
                 if !live.is_live(*r) {
                     indeg[r.index()] += 1;
                 }
@@ -106,7 +106,7 @@ impl CPythonHeap {
         while let Some(id) = queue.pop_front() {
             freed_flag[id.index()] = true;
             freed_ids.push(id);
-            for r in self.graph.get(id).refs.clone() {
+            for &r in self.graph.get(id).refs() {
                 if live.is_live(r) || freed_flag[r.index()] {
                     continue;
                 }

@@ -86,8 +86,8 @@ proptest! {
             let referenced = heap
                 .graph()
                 .iter()
-                .any(|(o, obj)| o != id && !live.is_live(o) && obj.refs.contains(&id))
-                || heap.graph().get(id).refs.contains(&id);
+                .any(|(o, obj)| o != id && !live.is_live(o) && obj.refs().contains(&id))
+                || heap.graph().get(id).refs().contains(&id);
             prop_assert!(referenced, "acyclic dead object survived refcounting");
         }
     }

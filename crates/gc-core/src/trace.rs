@@ -88,14 +88,14 @@ pub fn mark_with_extra_roots(
         let obj = graph.get(id);
         live_bytes += obj.size as u64;
         live_objects += 1;
-        for &r in &obj.refs {
+        for &r in obj.refs() {
             if !marks[r.0 as usize] {
                 marks[r.0 as usize] = true;
                 stack.push(r);
             }
         }
         if keep_weak {
-            for &w in &obj.weak_refs {
+            for &w in obj.weak_refs() {
                 if !marks[w.0 as usize] {
                     marks[w.0 as usize] = true;
                     stack.push(w);
@@ -114,7 +114,7 @@ pub fn mark_with_extra_roots(
             if !marks[id.0 as usize] {
                 continue;
             }
-            for &w in &obj.weak_refs {
+            for &w in obj.weak_refs() {
                 if !marks[w.0 as usize] && !seen[w.0 as usize] {
                     seen[w.0 as usize] = true;
                     let t = graph.get(w);

@@ -4,9 +4,12 @@
 //! the invariants below are exactly what the runtime collectors rely
 //! on. The young collection is checked against its oracle, the
 //! full-graph mark with every non-young object as a root followed by a
-//! sweep, after every step of random mutation sequences.
+//! sweep, after every step of random mutation sequences, and every
+//! object's edges against a shadow model of plain lists.
 
-use gc_core::object::{HeapGraph, ObjectId, ObjectKind, YOUNG_SPACE_LIMIT};
+use std::collections::BTreeMap;
+
+use gc_core::object::{HeapGraph, Object, ObjectId, ObjectKind, YOUNG_SPACE_LIMIT};
 use gc_core::trace::{mark, mark_with_extra_roots};
 use proptest::prelude::*;
 
@@ -93,7 +96,7 @@ proptest! {
         let live = mark(&g, true, true);
         for (id, obj) in g.iter() {
             if live.is_live(id) {
-                for &r in &obj.refs {
+                for &r in obj.refs() {
                     prop_assert!(live.is_live(r), "live object holds dead ref");
                 }
             }
@@ -134,7 +137,9 @@ enum Op {
     PushScope,
     Handle(usize),
     PopScope,
-    Sweep,
+    /// A full mark and sweep; weak edges keep their targets alive
+    /// when the flag is set.
+    Sweep(bool),
     Young,
     RoundTrip,
 }
@@ -156,7 +161,7 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::PushScope),
         (0usize..64).prop_map(Op::Handle),
         Just(Op::PopScope),
-        Just(Op::Sweep),
+        any::<bool>().prop_map(Op::Sweep),
         Just(Op::Young),
         Just(Op::RoundTrip),
     ]
@@ -203,7 +208,7 @@ fn check_young_against_oracle(g: &HeapGraph) -> Result<(), TestCaseError> {
     // Identical encodings: the same objects, roots and free list.
     prop_assert!(snapshot::encode(&fast) == snapshot::encode(&slow), "graph state differs from the oracle's");
     for (_, obj) in fast.iter() {
-        for r in obj.refs.iter().chain(&obj.weak_refs) {
+        for r in obj.refs().iter().chain(obj.weak_refs()) {
             prop_assert!(fast.exists(*r), "a survivor references freed slot {:?}", r);
         }
     }
@@ -213,12 +218,34 @@ fn check_young_against_oracle(g: &HeapGraph) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Applies `ops` to a fresh graph, checking the young collection after
-/// every step.
+/// Each live object's strong and weak lists, as plain vectors.
+type EdgeModel = BTreeMap<ObjectId, (Vec<ObjectId>, Vec<ObjectId>)>;
+
+/// Checks every object's edges against `model`, in order, and that
+/// every object equals its own decode∘encode copy. The copy is decoded
+/// into canonical form, so an object left in another form fails.
+fn check_edges(g: &HeapGraph, model: &EdgeModel) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.object_count(), model.len(), "live objects differ from the model");
+    for (id, obj) in g.iter() {
+        let Some((strong, weak)) = model.get(&id) else {
+            return Err(TestCaseError(format!("{id:?} is not in the model")));
+        };
+        prop_assert_eq!(obj.refs(), strong.as_slice(), "strong edges of {:?}", id);
+        prop_assert_eq!(obj.weak_refs(), weak.as_slice(), "weak edges of {:?}", id);
+        let copy: Object = snapshot::decode(&snapshot::encode(obj))
+            .map_err(|e| TestCaseError(format!("object decode failed: {e:?}")))?;
+        prop_assert_eq!(obj, &copy, "{:?} is not in canonical form", id);
+    }
+    Ok(())
+}
+
+/// Applies `ops` to a fresh graph, checking the young collection and
+/// the edge model after every step.
 fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut g = HeapGraph::new();
     let mut ids: Vec<ObjectId> = Vec::new();
     let mut scopes = Vec::new();
+    let mut model = EdgeModel::new();
     for op in ops {
         let pick = |i: usize| ids.get(i % ids.len().max(1)).copied();
         match op {
@@ -226,19 +253,31 @@ fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
                 let id = g.alloc(*size, ObjectKind::Data);
                 g.set_space(id, *tag);
                 ids.push(id);
+                model.insert(id, (Vec::new(), Vec::new()));
             }
             Op::AddRef(a, b) | Op::AddWeakRef(a, b) | Op::RemoveRef(a, b) => {
                 if let (Some(a), Some(b)) = (pick(*a), pick(*b)) {
+                    let (strong, weak) = model.entry(a).or_default();
                     match op {
-                        Op::AddRef(..) => g.add_ref(a, b),
-                        Op::AddWeakRef(..) => g.add_weak_ref(a, b),
-                        _ => g.remove_ref(a, b),
+                        Op::AddRef(..) => {
+                            g.add_ref(a, b);
+                            strong.push(b);
+                        }
+                        Op::AddWeakRef(..) => {
+                            g.add_weak_ref(a, b);
+                            weak.push(b);
+                        }
+                        _ => {
+                            g.remove_ref(a, b);
+                            strong.retain(|r| *r != b);
+                        }
                     }
                 }
             }
             Op::SetRefs(a, refs) => {
                 if let Some(a) = pick(*a) {
-                    let refs = refs.iter().filter_map(|r| pick(*r)).collect();
+                    let refs: Vec<ObjectId> = refs.iter().filter_map(|r| pick(*r)).collect();
+                    model.entry(a).or_default().0 = refs.clone();
                     g.set_refs(a, refs);
                 }
             }
@@ -268,8 +307,8 @@ fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
                     g.pop_handle_scope(scope);
                 }
             }
-            Op::Sweep => {
-                let live = mark(&g, true, true);
+            Op::Sweep(keep_weak) => {
+                let live = mark(&g, true, *keep_weak);
                 g.sweep(&live.marks);
             }
             Op::Young => {
@@ -282,6 +321,13 @@ fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
             }
         }
         ids.retain(|id| g.exists(*id));
+        // A sweep clears the edges to the slots it freed.
+        model.retain(|id, _| g.exists(*id));
+        for (strong, weak) in model.values_mut() {
+            strong.retain(|r| g.exists(*r));
+            weak.retain(|r| g.exists(*r));
+        }
+        check_edges(&g, &model)?;
         check_young_against_oracle(&g)?;
     }
     Ok(())
@@ -291,7 +337,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The remembered-set young collection equals the full-graph young
-    /// mark and sweep after every step of any mutation sequence.
+    /// mark and sweep, and every object's edges equal the shadow
+    /// model's lists in canonical form, after every step of any
+    /// mutation sequence.
     #[test]
     fn young_collection_matches_full_graph_oracle(ops in prop::collection::vec(op(), 1..80)) {
         run_ops(&ops)?;
